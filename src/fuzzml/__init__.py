@@ -70,7 +70,6 @@ from .rules import (
 )
 from .sylvester import (
     SingularProblemError,
-    kron_oracle,
     least_norm_solve,
     solve_sylvester,
 )

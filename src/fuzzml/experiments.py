@@ -222,7 +222,8 @@ def run_grid(data: Dataset, config: ExperimentConfig) -> GridResult:
 
     Every cell is scored with the same fold plans, so comparisons are
     paired. Ties go to the smaller alpha, then beta, then gamma, then rule
-    count. The winner is re-run to produce the final report.
+    count. The final report is the winning cell's own cross-validation
+    report: a re-run would repeat the same deterministic folds.
     """
     cells = _grid_cells(config)
     evaluated = []
@@ -231,29 +232,21 @@ def run_grid(data: Dataset, config: ExperimentConfig) -> GridResult:
             config.train, alpha=alpha, beta=beta, gamma=gamma, n_rules=n_rules
         )
         report = run_cv(data, replace(config, train=cell_cfg))
-        evaluated.append(
-            GridCellResult(
-                alpha=alpha,
-                beta=beta,
-                gamma=gamma,
-                n_rules=n_rules,
-                mean_ap=report.means["ap"],
-                sd_ap=report.stds["ap"],
-            )
+        cell = GridCellResult(
+            alpha=alpha,
+            beta=beta,
+            gamma=gamma,
+            n_rules=n_rules,
+            mean_ap=report.means["ap"],
+            sd_ap=report.stds["ap"],
         )
-    best_cell = min(
+        evaluated.append((cell, report))
+    _, final = min(
         evaluated,
-        key=lambda c: (-c.mean_ap, c.alpha, c.beta, c.gamma, c.n_rules),
+        key=lambda pair: (-pair[0].mean_ap, pair[0].alpha, pair[0].beta, pair[0].gamma,
+                          pair[0].n_rules),
     )
-    best_cfg = replace(
-        config.train,
-        alpha=best_cell.alpha,
-        beta=best_cell.beta,
-        gamma=best_cell.gamma,
-        n_rules=best_cell.n_rules,
-    )
-    final = run_cv(data, replace(config, train=best_cfg))
-    return GridResult(best=best_cfg, cells=tuple(evaluated), final=final)
+    return GridResult(best=final.config, cells=tuple(c for c, _ in evaluated), final=final)
 
 
 def run_noise_curve(data: Dataset, config: ExperimentConfig):

@@ -80,6 +80,23 @@ def rank_labels(score_column) -> np.ndarray:
     return ranks
 
 
+def _by_rank(scores, *matrices):
+    """The matrices with each column reordered by rank, best first.
+
+    Row r then holds the label of rank r+1: one stable descending argsort
+    per column gives the tie-broken ranking of :func:`rank_labels` for
+    every sample at once.
+    """
+    order = np.argsort(-scores, axis=0, kind="stable")
+    return [np.take_along_axis(m, order, axis=0) for m in matrices]
+
+
+def _mean_terms(terms) -> float:
+    if terms.size == 0:
+        raise ValueError("no evaluable samples")
+    return float(np.mean(terms))
+
+
 def average_precision(scores, truth) -> float:
     """Mean over samples of the average per-relevant-label precision.
 
@@ -91,20 +108,12 @@ def average_precision(scores, truth) -> float:
     sample is skipped a ValueError is raised.
     """
     scores, truth = _check_pair(scores, truth)
-    terms = []
-    for i in range(scores.shape[1]):
-        relevant = np.flatnonzero(truth[:, i] == 1.0)
-        if len(relevant) == 0:
-            continue
-        ranks = rank_labels(scores[:, i])
-        total = 0.0
-        for l in relevant:
-            at_least = np.count_nonzero(ranks[relevant] <= ranks[l])
-            total += at_least / ranks[l]
-        terms.append(total / len(relevant))
-    if not terms:
-        raise ValueError("no evaluable samples")
-    return float(np.mean(terms))
+    (hits,) = _by_rank(scores, truth)
+    ranks = np.arange(1, scores.shape[0] + 1, dtype=np.float64)[:, None]
+    precision = (hits * np.cumsum(hits, axis=0) / ranks).sum(axis=0)
+    n_rel = hits.sum(axis=0)
+    keep = n_rel > 0
+    return _mean_terms(precision[keep] / n_rel[keep])
 
 
 def hamming_loss(predicted, truth) -> float:
@@ -126,20 +135,19 @@ def ranking_loss(scores, truth) -> float:
     Samples lacking either relevant or irrelevant labels are skipped.
     """
     scores, truth = _check_pair(scores, truth)
-    terms = []
-    for i in range(scores.shape[1]):
-        f = scores[:, i]
-        relevant = truth[:, i] == 1.0
-        n_rel = np.count_nonzero(relevant)
-        if n_rel == 0 or n_rel == len(f):
-            continue
-        rel_scores = f[relevant]
-        irr_scores = f[~relevant]
-        bad = np.count_nonzero(rel_scores[:, None] <= irr_scores[None, :])
-        terms.append(bad / (len(rel_scores) * len(irr_scores)))
-    if not terms:
-        raise ValueError("no evaluable samples")
-    return float(np.mean(terms))
+    hits, sorted_scores = _by_rank(scores, truth, scores)
+    n_labels = scores.shape[0]
+    # A relevant label is beaten by every irrelevant one ranked before the
+    # end of its run of equal scores: the irrelevant count up to that end.
+    misses = np.cumsum(1.0 - hits, axis=0)
+    run_end = np.ones(scores.shape, dtype=bool)
+    run_end[:-1] = sorted_scores[1:] != sorted_scores[:-1]
+    at_end = np.where(run_end, misses, np.inf)
+    beaten_by = np.minimum.accumulate(at_end[::-1], axis=0)[::-1]
+    bad = (hits * beaten_by).sum(axis=0)
+    n_rel = hits.sum(axis=0)
+    keep = (n_rel > 0) & (n_rel < n_labels)
+    return _mean_terms(bad[keep] / (n_rel[keep] * (n_labels - n_rel[keep])))
 
 
 def coverage(scores, truth):
@@ -150,16 +158,13 @@ def coverage(scores, truth):
     """
     scores, truth = _check_pair(scores, truth)
     n_labels = scores.shape[0]
-    terms = []
-    for i in range(scores.shape[1]):
-        relevant = np.flatnonzero(truth[:, i] == 1.0)
-        if len(relevant) == 0:
-            continue
-        ranks = rank_labels(scores[:, i])
-        terms.append(ranks[relevant].max() - 1)
-    if not terms:
-        raise ValueError("no evaluable samples")
-    cv_raw = float(np.mean(terms))
+    (hits,) = _by_rank(scores, truth)
+    found = np.cumsum(hits, axis=0)
+    n_rel = found[-1]
+    # ranks before the last relevant label are those that have not yet
+    # found every relevant label
+    depth = np.count_nonzero(found < n_rel[None, :], axis=0)
+    cv_raw = _mean_terms(depth[n_rel > 0].astype(np.float64))
     return cv_raw, cv_raw / n_labels
 
 

@@ -171,14 +171,12 @@ class ModelParams:
 class ReweightDiagonals:
     """Inverse column-norm weights for the L2,1 terms, one entry per sample.
 
-    ``cons`` equals ``fit`` when both are evaluated at the same point; it
-    is carried separately because the consequent solve freezes it while
-    the fit residual moves.
+    ``fit`` weights the fit residual M Y - C Xg in both subproblems;
+    ``soft`` weights the soft-label residual Y - M Y.
     """
 
     fit: np.ndarray
     soft: np.ndarray
-    cons: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -198,7 +196,11 @@ class CorrelationLaplacian:
 def l21_columns(matrix) -> float:
     """Sum of Euclidean norms of the columns (the L2,1 norm of the transpose)."""
     m = np.asarray(matrix, dtype=np.float64)
-    return float(np.sqrt((m * m).sum(axis=0)).sum())
+    return float(_column_norms(m).sum())
+
+
+def _column_norms(m) -> np.ndarray:
+    return np.sqrt((m * m).sum(axis=0))
 
 
 def _check_training_shapes(mixing, consequents, fuzzy_x, labels):
@@ -220,17 +222,49 @@ def correlation_laplacian(consequents) -> CorrelationLaplacian:
     return CorrelationLaplacian(similarity, degree, laplacian)
 
 
+class _Point:
+    """What the loss, the weights and both solves read at one (mixing, consequents) pair.
+
+    :func:`train` evaluates one point per iteration, after committing
+    both updates: its loss and stopping loss come from it, and so do the
+    next iteration's weights, Laplacian and right-hand sides.
+    """
+
+    __slots__ = ("consequents", "soft_labels", "predicted", "fit_norms", "soft_norms",
+                 "laplacian")
+
+    def __init__(self, mixing, consequents, fuzzy_x, labels):
+        self.consequents = consequents
+        self.soft_labels = mixing @ labels
+        self.predicted = consequents @ fuzzy_x
+        self.fit_norms = _column_norms(self.soft_labels - self.predicted)
+        self.soft_norms = _column_norms(labels - self.soft_labels)
+        self.laplacian = correlation_laplacian(consequents).laplacian
+
+    def weights(self, epsilon_row) -> ReweightDiagonals:
+        return ReweightDiagonals(
+            fit=1.0 / (2.0 * np.maximum(self.fit_norms, epsilon_row)),
+            soft=1.0 / (2.0 * np.maximum(self.soft_norms, epsilon_row)),
+        )
+
+    def losses(self, cfg: TrainConfig):
+        """The objective term by term and the stopping loss."""
+        fit = float(self.fit_norms.sum())
+        soft = float(self.soft_norms.sum())
+        ridge = cfg.alpha * float((self.consequents * self.consequents).sum())
+        corr = 2.0 * cfg.gamma * float(
+            np.sum(self.soft_labels * (self.laplacian @ self.soft_labels)))
+        loss = LossBreakdown(fit=fit, ridge=ridge, soft=cfg.beta * soft, corr=corr,
+                             total=fit + ridge + cfg.beta * soft + corr)
+        return loss, fit * fit + ridge + cfg.beta * soft * soft + corr
+
+
 def reweight_diagonals(mixing, consequents, fuzzy_x, labels, epsilon_row) -> ReweightDiagonals:
     """Weights 1 / (2 max(column norm, epsilon_row)) of both residuals."""
     if epsilon_row <= 0:
         raise ValueError("epsilon_row must be positive")
     _check_training_shapes(mixing, consequents, fuzzy_x, labels)
-    soft_labels = mixing @ labels
-    fit_norms = np.linalg.norm(soft_labels - consequents @ fuzzy_x, axis=0)
-    soft_norms = np.linalg.norm(labels - soft_labels, axis=0)
-    fit = 1.0 / (2.0 * np.maximum(fit_norms, epsilon_row))
-    soft = 1.0 / (2.0 * np.maximum(soft_norms, epsilon_row))
-    return ReweightDiagonals(fit=fit, soft=soft, cons=fit)
+    return _Point(mixing, consequents, fuzzy_x, labels).weights(epsilon_row)
 
 
 def objective(mixing, consequents, fuzzy_x, labels, cfg: TrainConfig) -> LossBreakdown:
@@ -240,14 +274,7 @@ def objective(mixing, consequents, fuzzy_x, labels, cfg: TrainConfig) -> LossBre
     fuzzy_x = np.asarray(fuzzy_x, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
     _check_training_shapes(mixing, consequents, fuzzy_x, labels)
-    soft_labels = mixing @ labels
-    fit = l21_columns(soft_labels - consequents @ fuzzy_x)
-    ridge = cfg.alpha * float((consequents * consequents).sum())
-    soft = cfg.beta * l21_columns(labels - soft_labels)
-    lap = correlation_laplacian(consequents).laplacian
-    corr = 2.0 * cfg.gamma * float(np.sum(soft_labels * (lap @ soft_labels)))
-    total = fit + ridge + soft + corr
-    return LossBreakdown(fit=fit, ridge=ridge, soft=soft, corr=corr, total=total)
+    return _Point(mixing, consequents, fuzzy_x, labels).losses(cfg)[0]
 
 
 def stopping_loss(mixing, consequents, fuzzy_x, labels, cfg: TrainConfig) -> float:
@@ -263,13 +290,7 @@ def stopping_loss(mixing, consequents, fuzzy_x, labels, cfg: TrainConfig) -> flo
     """
     mixing = np.asarray(mixing, dtype=np.float64)
     consequents = np.asarray(consequents, dtype=np.float64)
-    soft_labels = mixing @ labels
-    fit = l21_columns(soft_labels - consequents @ fuzzy_x)
-    soft = l21_columns(labels - soft_labels)
-    ridge = cfg.alpha * float((consequents * consequents).sum())
-    lap = correlation_laplacian(consequents).laplacian
-    corr = 2.0 * cfg.gamma * float(np.sum(soft_labels * (lap @ soft_labels)))
-    return fit * fit + ridge + cfg.beta * soft * soft + corr
+    return _Point(mixing, consequents, fuzzy_x, labels).losses(cfg)[1]
 
 
 def gram_ridge(labels, ridge_y: float) -> float:
@@ -282,6 +303,71 @@ def gram_ridge(labels, ridge_y: float) -> float:
     return ridge_y * scale
 
 
+def _solve_consequents(soft_labels, fuzzy_x, fit_weights, cfg: TrainConfig) -> np.ndarray:
+    """The consequent subproblem's Sylvester equation, both sides symmetric."""
+    soft_gram = soft_labels @ soft_labels.T
+    diag = np.diag(soft_gram)
+    n_labels = soft_labels.shape[0]
+    a = (
+        cfg.alpha * np.eye(n_labels)
+        + cfg.gamma * (diag[:, None] + diag[None, :])
+        - 2.0 * cfg.gamma * soft_gram
+    )
+    root = fuzzy_x * np.sqrt(fit_weights)[None, :]
+    z = (soft_labels * fit_weights[None, :]) @ fuzzy_x.T
+    return solve_sylvester(a, root @ root.T, z)
+
+
+class _MixingSystem:
+    """The label-side terms of the mixing subproblem, fixed during training.
+
+    With G the ridged label Gram (see :class:`TrainConfig`), stationarity
+    reads 2 gamma Lap M G + M B_raw = Z_raw. Up to KRON_GUARD unknowns it
+    is solved as 2 gamma Lap M + M (B_raw G^-1) = Z_raw G^-1 by the dense
+    minimum-norm route. Above it, the change of variables N = M G^(1/2)
+    makes both coefficients symmetric,
+    2 gamma Lap N + N (G^-1/2 B_raw G^-1/2) = Z_raw G^-1/2, for the eigen
+    solver; G^-1/2 comes from one eigendecomposition of G.
+    """
+
+    def __init__(self, labels, cfg: TrainConfig):
+        n_labels = labels.shape[0]
+        self.labels = labels
+        self.cfg = cfg
+        gram = labels @ labels.T + gram_ridge(labels, cfg.ridge_y) * np.eye(n_labels)
+        self.dense = n_labels * n_labels <= KRON_GUARD
+        if self.dense:
+            self.gram = gram
+            return
+        values, vectors = np.linalg.eigh(gram)
+        if not values[0] > 0.0:
+            raise SingularProblemError(
+                "singular label Gram matrix: smallest eigenvalue %.2e" % values[0])
+        self.gram_inv_sqrt = (vectors / np.sqrt(values)[None, :]) @ vectors.T
+
+    def solve(self, laplacian, predicted, weights: ReweightDiagonals) -> np.ndarray:
+        labels = self.labels
+        beta = self.cfg.beta
+        a = 2.0 * self.cfg.gamma * laplacian
+        combined = weights.fit + beta * weights.soft
+        z_raw = (
+            predicted * weights.fit[None, :] + beta * labels * weights.soft[None, :]
+        ) @ labels.T
+        if self.dense:
+            b_raw = (labels * combined[None, :]) @ labels.T
+            try:
+                # gram is symmetric, so solving from the left on transposes
+                # applies the inverse from the right.
+                b = np.linalg.solve(self.gram, b_raw.T).T
+                z = np.linalg.solve(self.gram, z_raw.T).T
+            except np.linalg.LinAlgError as exc:
+                raise SingularProblemError("singular label Gram matrix: %s" % exc) from exc
+            return least_norm_solve(a, b, z)
+        half = self.gram_inv_sqrt
+        root = half @ (labels * np.sqrt(combined)[None, :])
+        return solve_sylvester(a, root @ root.T, z_raw @ half) @ half
+
+
 def update_consequents(mixing, consequents, fuzzy_x, labels, cfg: TrainConfig) -> np.ndarray:
     """Exact minimizer of the consequent subproblem with frozen weights.
 
@@ -291,19 +377,9 @@ def update_consequents(mixing, consequents, fuzzy_x, labels, cfg: TrainConfig) -
     the correlation coupling of the soft-label Gram matrix.
     """
     _check_training_shapes(mixing, consequents, fuzzy_x, labels)
-    weights = reweight_diagonals(mixing, consequents, fuzzy_x, labels, cfg.epsilon_row)
-    soft_labels = mixing @ labels
-    soft_gram = soft_labels @ soft_labels.T
-    diag = np.diag(soft_gram)
-    n_labels = labels.shape[0]
-    a = (
-        cfg.alpha * np.eye(n_labels)
-        + cfg.gamma * (diag[:, None] + diag[None, :])
-        - 2.0 * cfg.gamma * soft_gram
-    )
-    b = (fuzzy_x * weights.cons[None, :]) @ fuzzy_x.T
-    z = (soft_labels * weights.cons[None, :]) @ fuzzy_x.T
-    return solve_sylvester(a, b, z)
+    point = _Point(mixing, consequents, fuzzy_x, labels)
+    return _solve_consequents(point.soft_labels, fuzzy_x,
+                              point.weights(cfg.epsilon_row).fit, cfg)
 
 
 def update_mixing(mixing, consequents, fuzzy_x, labels, cfg: TrainConfig) -> np.ndarray:
@@ -323,29 +399,9 @@ def update_mixing(mixing, consequents, fuzzy_x, labels, cfg: TrainConfig) -> np.
     undetermined directions at zero instead of noise.
     """
     _check_training_shapes(mixing, consequents, fuzzy_x, labels)
-    weights = reweight_diagonals(mixing, consequents, fuzzy_x, labels, cfg.epsilon_row)
-    lap = correlation_laplacian(consequents).laplacian
-    n_labels = labels.shape[0]
-    gram = labels @ labels.T + gram_ridge(labels, cfg.ridge_y) * np.eye(n_labels)
-
-    combined = weights.fit + cfg.beta * weights.soft
-    b_raw = (labels * combined[None, :]) @ labels.T
-    z_raw = (
-        (consequents @ fuzzy_x) * weights.fit[None, :]
-        + cfg.beta * labels * weights.soft[None, :]
-    ) @ labels.T
-    try:
-        # gram is symmetric, so solving from the left on transposes applies
-        # the inverse from the right.
-        b = np.linalg.solve(gram, b_raw.T).T
-        z = np.linalg.solve(gram, z_raw.T).T
-    except np.linalg.LinAlgError as exc:
-        raise SingularProblemError("singular label Gram matrix: %s" % exc) from exc
-    a = 2.0 * cfg.gamma * lap
-
-    if n_labels * n_labels <= KRON_GUARD:
-        return least_norm_solve(a, b, z)
-    return solve_sylvester(a, b, z)
+    point = _Point(mixing, consequents, fuzzy_x, labels)
+    return _MixingSystem(labels, cfg).solve(point.laplacian, point.predicted,
+                                            point.weights(cfg.epsilon_row))
 
 
 def train(data: Dataset, cfg: TrainConfig = TrainConfig()):
@@ -359,6 +415,12 @@ def train(data: Dataset, cfg: TrainConfig = TrainConfig()):
     bookkeeping loss (see :func:`stopping_loss`) drops to the margin, that
     loss becomes nonpositive, or the iteration budget runs out.
 
+    The residuals, weights and Laplacian are evaluated once per
+    iteration, at the committed pair; the results equal those of
+    :func:`update_consequents`, :func:`update_mixing`, :func:`objective`
+    and :func:`stopping_loss` called in turn. A failed solve raises
+    :class:`SingularProblemError` naming the iteration and the subproblem.
+
     Returns
     -------
     (ModelParams, TrainTrace)
@@ -368,9 +430,14 @@ def train(data: Dataset, cfg: TrainConfig = TrainConfig()):
     fuzzy_x = fuzzy_feature_matrix(normed.features, rulebase)
     labels = normed.labels
     n_labels = labels.shape[0]
+    try:
+        mixing_system = _MixingSystem(labels, cfg)
+    except SingularProblemError as exc:
+        raise SingularProblemError("mixing solve: %s" % exc) from exc
 
     mixing = np.ones((n_labels, n_labels))
     consequents = np.full((n_labels, fuzzy_x.shape[0]), 1.0 / n_labels)
+    point = _Point(mixing, consequents, fuzzy_x, labels)
 
     margin = cfg.min_loss_margin
     prev_total = 0.0
@@ -378,16 +445,18 @@ def train(data: Dataset, cfg: TrainConfig = TrainConfig()):
     stopping_totals = []
     stop_reason = "max_iters"
     for t in range(1, cfg.max_iters + 1):
+        weights = point.weights(cfg.epsilon_row)
+        subproblem = "consequent"
         try:
-            new_consequents = update_consequents(mixing, consequents, fuzzy_x, labels, cfg)
-            new_mixing = update_mixing(mixing, consequents, fuzzy_x, labels, cfg)
+            consequents = _solve_consequents(point.soft_labels, fuzzy_x, weights.fit, cfg)
+            subproblem = "mixing"
+            mixing = mixing_system.solve(point.laplacian, point.predicted, weights)
         except SingularProblemError as exc:
-            raise SingularProblemError("iteration %d: %s" % (t, exc)) from exc
-        consequents = new_consequents
-        mixing = new_mixing
+            raise SingularProblemError(
+                "iteration %d, %s solve: %s" % (t, subproblem, exc)) from exc
 
-        loss = objective(mixing, consequents, fuzzy_x, labels, cfg)
-        total = stopping_loss(mixing, consequents, fuzzy_x, labels, cfg)
+        point = _Point(mixing, consequents, fuzzy_x, labels)
+        loss, total = point.losses(cfg)
         if not (math.isfinite(loss.total) and math.isfinite(total)):
             raise NumericalError(
                 "non-finite loss at iteration %d: fit=%r ridge=%r soft=%r corr=%r"

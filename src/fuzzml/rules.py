@@ -115,6 +115,35 @@ def membership(x, center, width):
     return np.exp(-0.5 * z * z)
 
 
+def _strength_rows(xt, rulebase: RuleBase) -> np.ndarray:
+    """Normalized firing strengths of the rows of an N x D matrix, N x K.
+
+    Rule by rule, one N x D block of standardized distances gives the N
+    log raw strengths (the log of the product of D memberships). Each row
+    is then normalized with a log-sum-exp over the K rules, so distant
+    inputs do not underflow; a row whose log strengths still overflow to
+    -inf gets the uniform strengths 1/K. Rows are contiguous, so each
+    row's sums run in the same order whatever N is, and a one-row call
+    gives the same bits as the row inside a larger matrix.
+    """
+    n = xt.shape[0]
+    k = rulebase.n_rules
+    log_raw = np.empty((n, k))
+    with np.errstate(over="ignore"):
+        # overflow to -inf is handled by the uniform fallback below
+        for r in range(k):
+            z = (xt - rulebase.centers[r]) / rulebase.widths[r]
+            log_raw[:, r] = -0.5 * np.sum(z * z, axis=1)
+    shift = log_raw.max(axis=1)
+    finite = np.isfinite(shift)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        # rows without a finite shift are overwritten below
+        raw = np.exp(log_raw - np.where(finite, shift, 0.0)[:, None])
+        strengths = raw / raw.sum(axis=1)[:, None]
+    strengths[~finite] = 1.0 / k
+    return strengths
+
+
 def firing_strengths(x, rulebase: RuleBase) -> np.ndarray:
     """Normalized per-rule firing strengths for one input vector.
 
@@ -126,15 +155,7 @@ def firing_strengths(x, rulebase: RuleBase) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (rulebase.n_features,):
         raise ValueError("input vector length does not match the rule base")
-    z = (x[None, :] - rulebase.centers) / rulebase.widths
-    with np.errstate(over="ignore"):
-        # overflow to -inf is handled by the uniform fallback below
-        log_raw = -0.5 * np.sum(z * z, axis=1)
-    shift = log_raw.max()
-    if not np.isfinite(shift):
-        return np.full(rulebase.n_rules, 1.0 / rulebase.n_rules)
-    raw = np.exp(log_raw - shift)
-    return raw / raw.sum()
+    return _strength_rows(x[None, :], rulebase)[0]
 
 
 def fuzzy_features(x, rulebase: RuleBase) -> np.ndarray:
@@ -143,9 +164,9 @@ def fuzzy_features(x, rulebase: RuleBase) -> np.ndarray:
     Block k equals the rule's normalized firing strength times (1, x).
     """
     x = np.asarray(x, dtype=np.float64)
-    strengths = firing_strengths(x, rulebase)
-    x_ext = np.concatenate(([1.0], x))
-    return (strengths[:, None] * x_ext[None, :]).ravel()
+    if x.shape != (rulebase.n_features,):
+        raise ValueError("input vector length does not match the rule base")
+    return fuzzy_feature_matrix(x[:, None], rulebase)[:, 0]
 
 
 def fuzzy_feature_matrix(features, rulebase: RuleBase) -> np.ndarray:
@@ -153,11 +174,12 @@ def fuzzy_feature_matrix(features, rulebase: RuleBase) -> np.ndarray:
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != rulebase.n_features:
         raise ValueError("features must be a D x N matrix matching the rule base")
-    n = x.shape[1]
-    out = np.empty((rulebase.n_rules * (rulebase.n_features + 1), n))
-    for i in range(n):
-        out[:, i] = fuzzy_features(x[:, i], rulebase)
-    return out
+    k, d = rulebase.centers.shape
+    strengths = _strength_rows(np.ascontiguousarray(x.T), rulebase).T  # K x N
+    out = np.empty((k, d + 1, x.shape[1]))
+    out[:, 0, :] = strengths
+    np.multiply(strengths[:, None, :], x[None, :, :], out=out[:, 1:, :])
+    return out.reshape(k * (d + 1), x.shape[1])
 
 
 def _linguistic_terms(n_rules: int) -> list:

@@ -1,31 +1,33 @@
 """Solvers for the Sylvester equation A W + W B = Z.
 
-Three routes with one residual contract:
+Both training subproblems have symmetric coefficients, so the equation
+diagonalizes (Simoncini, "Computational methods for linear matrix
+equations", SIAM Review 2016). Two routes share one residual contract:
 
-* :func:`solve_sylvester` is the production path (Schur-based elimination,
-  scales to large unknowns).
-* :func:`kron_oracle` vectorizes the equation into a dense mn x mn linear
-  system and solves it directly. It is quadratic-memory and kept as an
-  independent correctness oracle for small problems.
-* :func:`least_norm_solve` solves the same dense system by least squares,
-  returning the minimum-norm solution when the operator is singular but
-  the system is consistent.
+* :func:`solve_sylvester` takes symmetric A and B, computes
+  A = Ua diag(lambda) Ua' and B = Ub diag(sigma) Ub' with two symmetric
+  eigendecompositions and returns
+  W = Ua ((Ua' Z Ub) / (lambda_i + sigma_j)) Ub'. The divide is strict:
+  no gap is zeroed, so a singular operator fails the residual check.
+* :func:`least_norm_solve` vectorizes the equation into the dense
+  mn x mn system and solves it by least squares, returning the
+  minimum-norm solution when the operator is singular but the system is
+  consistent. It is limited to mn <= KRON_GUARD unknowns.
 
 Every route either returns a W with relative residual
 ||A W + W B - Z||_F / ||Z||_F at most RESIDUAL_RTOL or raises
-:class:`SingularProblemError`.
+:class:`SingularProblemError`, whose message reports the smallest gap
+|lambda_i + sigma_j| between the spectra of A and -B when it is known.
+Only numpy is needed.
 """
 
-import warnings
-
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "SingularProblemError",
     "solve_sylvester",
-    "kron_oracle",
     "least_norm_solve",
+    "residual_norm",
     "RESIDUAL_RTOL",
     "KRON_GUARD",
 ]
@@ -33,7 +35,8 @@ __all__ = [
 RESIDUAL_RTOL = 1e-8
 # Largest mn for which building the dense mn x mn system is allowed.
 KRON_GUARD = 4096
-_RCOND_MIN = 1e-12
+# Largest |M - M'| accepted as symmetric, relative to max |M|.
+_SYMMETRY_RTOL = 1e-10
 _TINY = np.finfo(np.float64).tiny
 
 
@@ -41,7 +44,7 @@ class SingularProblemError(RuntimeError):
     """The Sylvester operator is singular (spectra of A and -B overlap)."""
 
 
-def _check_shapes(a, b, z):
+def _check_inputs(a, b, z):
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
@@ -53,7 +56,16 @@ def _check_shapes(a, b, z):
         raise ValueError(
             "Z must be %d x %d, got %s" % (a.shape[0], b.shape[0], z.shape)
         )
+    for name, m in (("A", a), ("B", b), ("Z", z)):
+        if not np.all(np.isfinite(m)):
+            raise SingularProblemError("non-finite entries in %s" % name)
     return a, b, z
+
+
+def _check_symmetric(m, name):
+    scale = np.max(np.abs(m), initial=0.0)
+    if np.max(np.abs(m - m.T), initial=0.0) > _SYMMETRY_RTOL * scale:
+        raise ValueError("%s must be symmetric" % name)
 
 
 def residual_norm(a, b, z, w) -> float:
@@ -62,24 +74,50 @@ def residual_norm(a, b, z, w) -> float:
     return num / max(np.linalg.norm(z), _TINY)
 
 
+def _smallest_gap(a_eigs, b_eigs) -> float:
+    return float(np.min(np.abs(a_eigs[:, None] + b_eigs[None, :])))
+
+
+def _check_solution(a, b, z, w, gap):
+    """Raise unless W is finite and meets the residual contract."""
+    if not np.all(np.isfinite(w)):
+        raise SingularProblemError(
+            "singular problem: non-finite solution; smallest |lambda_i + sigma_j| %.2e"
+            % gap()
+        )
+    residual = residual_norm(a, b, z, w)
+    if residual > RESIDUAL_RTOL:
+        raise SingularProblemError(
+            "singular problem: relative residual %.2e exceeds %.1e; "
+            "smallest |lambda_i + sigma_j| %.2e" % (residual, RESIDUAL_RTOL, gap())
+        )
+
+
 def solve_sylvester(a, b, z) -> np.ndarray:
-    """Solve A W + W B = Z via Schur decompositions of A and B.
+    """Solve A W + W B = Z for symmetric A and B by diagonalization.
 
     Raises
     ------
+    ValueError
+        If the shapes do not match or A or B is not symmetric.
     SingularProblemError
-        If the solve fails or the residual contract is not met, which
-        happens exactly when the spectra of A and -B (nearly) overlap.
+        If an input is not finite, or the residual contract is not met,
+        which happens exactly when the spectra of A and -B (nearly)
+        overlap. The message gives the smallest |lambda_i + sigma_j|.
     """
-    a, b, z = _check_shapes(a, b, z)
+    a, b, z = _check_inputs(a, b, z)
+    _check_symmetric(a, "A")
+    _check_symmetric(b, "B")
     try:
-        w = scipy.linalg.solve_sylvester(a, b, z)
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        raise SingularProblemError("singular problem: %s" % exc) from exc
-    if not np.all(np.isfinite(w)) or residual_norm(a, b, z, w) > RESIDUAL_RTOL:
-        raise SingularProblemError(
-            "singular problem: residual exceeds %.1e" % RESIDUAL_RTOL
-        )
+        a_eigs, a_vecs = np.linalg.eigh(a)
+        b_eigs, b_vecs = np.linalg.eigh(b)
+    except np.linalg.LinAlgError as exc:
+        raise SingularProblemError("eigendecomposition failed: %s" % exc) from exc
+    gaps = a_eigs[:, None] + b_eigs[None, :]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # a zero gap gives inf or nan here, which _check_solution reports
+        w = a_vecs @ ((a_vecs.T @ z @ b_vecs) / gaps) @ b_vecs.T
+    _check_solution(a, b, z, w, lambda: _smallest_gap(a_eigs, b_eigs))
     return w
 
 
@@ -89,53 +127,23 @@ def _kron_system(a, b):
     return np.kron(np.eye(n), a) + np.kron(b.T, np.eye(m))
 
 
-def kron_oracle(a, b, z) -> np.ndarray:
-    """Solve the vectorized system (I (x) A + B^T (x) I) w = vec(Z) directly.
-
-    Vectorization is column-major. Guarded to mn <= KRON_GUARD unknowns;
-    a reciprocal condition estimate below 1e-12 raises
-    :class:`SingularProblemError`.
-    """
-    a, b, z = _check_shapes(a, b, z)
-    m, n = z.shape
-    if m * n > KRON_GUARD:
-        raise ValueError("problem too large for the dense oracle (mn > %d)" % KRON_GUARD)
-    big = _kron_system(a, b)
-    try:
-        with warnings.catch_warnings():
-            # exact singularity surfaces as a warning here; the rcond check
-            # below turns it into the contractual error
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            lu, piv = scipy.linalg.lu_factor(big)
-        rcond, info = scipy.linalg.lapack.dgecon(lu, np.linalg.norm(big, 1), norm="1")
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        raise SingularProblemError("singular problem: %s" % exc) from exc
-    if info != 0 or not np.isfinite(rcond) or rcond < _RCOND_MIN:
-        raise SingularProblemError(
-            "singular problem: reciprocal condition estimate %.2e" % rcond
-        )
-    w = scipy.linalg.lu_solve((lu, piv), z.flatten(order="F"))
-    return w.reshape((m, n), order="F")
-
-
 def least_norm_solve(a, b, z) -> np.ndarray:
     """Minimum-norm least-squares solution of the vectorized system.
 
-    Intended for structurally singular but consistent problems (for
-    example when both A and B share a zero eigenvalue while Z lies in the
-    operator's range): rank-deficient directions receive no component
-    instead of amplified noise. Inconsistent systems raise
-    :class:`SingularProblemError`.
+    Solves (I (x) A + B' (x) I) vec(W) = vec(Z) with column-major
+    vectorization; A and B need not be symmetric. Intended for
+    structurally singular but consistent problems (for example when both
+    A and B share a zero eigenvalue while Z lies in the operator's range):
+    rank-deficient directions receive no component instead of amplified
+    noise. Inconsistent systems raise :class:`SingularProblemError`.
     """
-    a, b, z = _check_shapes(a, b, z)
+    a, b, z = _check_inputs(a, b, z)
     m, n = z.shape
     if m * n > KRON_GUARD:
         raise ValueError("problem too large for the dense solver (mn > %d)" % KRON_GUARD)
     big = _kron_system(a, b)
     w, _, _, _ = np.linalg.lstsq(big, z.flatten(order="F"), rcond=None)
     w = w.reshape((m, n), order="F")
-    if not np.all(np.isfinite(w)) or residual_norm(a, b, z, w) > RESIDUAL_RTOL:
-        raise SingularProblemError(
-            "singular problem: no consistent solution within %.1e" % RESIDUAL_RTOL
-        )
+    _check_solution(a, b, z, w,
+                    lambda: _smallest_gap(np.linalg.eigvals(a), np.linalg.eigvals(b)))
     return w

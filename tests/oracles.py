@@ -120,3 +120,31 @@ def oracle_mixing_gradient(mixing, consequents, fuzzy_x, labels, beta, gamma,
     ridged_gram = labels @ labels.T + gram_shift * np.eye(n_labels)
     grad += 4.0 * gamma * laplacian @ mixing @ ridged_gram
     return grad
+
+
+def oracle_fuzzy_feature_matrix(features, centers, widths):
+    """Per-sample fuzzy feature map, one column at a time.
+
+    For each column x: log raw strengths -0.5 * sum(((x - c_k) / w_k)^2),
+    normalized with the max-shifted exponential, or 1/K when the largest
+    log strength is not finite; the column stacks strength_k * (1, x)
+    rule by rule.
+    """
+    x = np.asarray(features, dtype=float)
+    centers = np.asarray(centers, dtype=float)
+    widths = np.asarray(widths, dtype=float)
+    k = centers.shape[0]
+    out = []
+    for i in range(x.shape[1]):
+        z = (x[None, :, i] - centers) / widths
+        with np.errstate(over="ignore"):
+            log_raw = -0.5 * np.sum(z * z, axis=1)
+        shift = log_raw.max()
+        if np.isfinite(shift):
+            raw = np.exp(log_raw - shift)
+            strengths = raw / raw.sum()
+        else:
+            strengths = np.full(k, 1.0 / k)
+        x_ext = np.concatenate(([1.0], x[:, i]))
+        out.append(np.concatenate([s * x_ext for s in strengths]))
+    return np.array(out).T

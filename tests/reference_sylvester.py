@@ -1,0 +1,67 @@
+"""Reference Sylvester solvers for the tests, built on scipy.
+
+The package solves A W + W B = Z by diagonalizing symmetric A and B with
+numpy alone. The references here take general A and B and share no code
+with it:
+
+* :func:`schur_solve` is the Bartels-Stewart route,
+  ``scipy.linalg.solve_sylvester``.
+* :func:`kron_oracle` vectorizes the equation into the dense mn x mn
+  system and solves it by LU, rejecting it when the reciprocal condition
+  estimate is below 1e-12.
+
+``tests/oracles.py`` must not import this module: the benchmark imports
+``oracles`` and should not pay for scipy.
+"""
+
+import warnings
+
+import numpy as np
+import scipy.linalg
+
+from fuzzml.sylvester import KRON_GUARD, RESIDUAL_RTOL, SingularProblemError, residual_norm
+
+_RCOND_MIN = 1e-12
+
+
+def schur_solve(a, b, z) -> np.ndarray:
+    """Solve A W + W B = Z via Schur decompositions of A and B."""
+    a, b, z = (np.asarray(m, dtype=np.float64) for m in (a, b, z))
+    try:
+        w = scipy.linalg.solve_sylvester(a, b, z)
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        raise SingularProblemError("singular problem: %s" % exc) from exc
+    if not np.all(np.isfinite(w)) or residual_norm(a, b, z, w) > RESIDUAL_RTOL:
+        raise SingularProblemError(
+            "singular problem: residual exceeds %.1e" % RESIDUAL_RTOL
+        )
+    return w
+
+
+def kron_oracle(a, b, z) -> np.ndarray:
+    """Solve the vectorized system (I (x) A + B^T (x) I) w = vec(Z) directly.
+
+    Vectorization is column-major. Guarded to mn <= KRON_GUARD unknowns;
+    a reciprocal condition estimate below 1e-12 raises
+    :class:`SingularProblemError`.
+    """
+    a, b, z = (np.asarray(m, dtype=np.float64) for m in (a, b, z))
+    m, n = z.shape
+    if m * n > KRON_GUARD:
+        raise ValueError("problem too large for the dense oracle (mn > %d)" % KRON_GUARD)
+    big = np.kron(np.eye(n), a) + np.kron(b.T, np.eye(m))
+    try:
+        with warnings.catch_warnings():
+            # exact singularity surfaces as a warning here; the rcond check
+            # below turns it into the contractual error
+            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+            lu, piv = scipy.linalg.lu_factor(big)
+        rcond, info = scipy.linalg.lapack.dgecon(lu, np.linalg.norm(big, 1), norm="1")
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        raise SingularProblemError("singular problem: %s" % exc) from exc
+    if info != 0 or not np.isfinite(rcond) or rcond < _RCOND_MIN:
+        raise SingularProblemError(
+            "singular problem: reciprocal condition estimate %.2e" % rcond
+        )
+    w = scipy.linalg.lu_solve((lu, piv), z.flatten(order="F"))
+    return w.reshape((m, n), order="F")

@@ -17,6 +17,7 @@ from oracles import (
     oracle_mixing_gradient,
     oracle_ranking_loss,
 )
+from reference_sylvester import kron_oracle
 
 from fuzzml.dataset import Dataset, load_dataset, save_dataset
 from fuzzml.metrics import (
@@ -45,7 +46,7 @@ from fuzzml.rules import (
     fuzzy_features,
     membership,
 )
-from fuzzml.sylvester import kron_oracle, residual_norm, solve_sylvester
+from fuzzml.sylvester import residual_norm, solve_sylvester
 from fuzzml.synthgen import SYNTH_KINDS, SynthSpec, gen_synthetic
 
 # Seed fixing the canonical instances of the three synthetic datasets used
@@ -74,7 +75,9 @@ def test_criterion_02_sylvester_oracle_equivalence():
         m = int(rng.integers(1, 9))
         n = int(rng.integers(1, 9))
         b = rng.normal(size=(n, n))
-        a = rng.normal(size=(m, m)) + 2.0 * np.linalg.norm(b) * np.eye(m)
+        b = 0.5 * (b + b.T)
+        a = rng.normal(size=(m, m))
+        a = 0.5 * (a + a.T) + 2.0 * np.linalg.norm(b) * np.eye(m)
         z = rng.normal(size=(m, n))
         w = solve_sylvester(a, b, z)
         w_ref = kron_oracle(a, b, z)
@@ -185,7 +188,7 @@ def test_criterion_05_subproblem_stationarity():
 
         new_cons = update_consequents(mixing, consequents, fuzzy_x, labels, cfg)
         grad_c = oracle_consequent_gradient(mixing, new_cons, fuzzy_x, labels,
-                                            cfg.alpha, cfg.gamma, weights.cons)
+                                            cfg.alpha, cfg.gamma, weights.fit)
         worst_stat = max(worst_stat, np.linalg.norm(grad_c)
                          / (1.0 + np.linalg.norm(new_cons)))
 
@@ -200,7 +203,7 @@ def test_criterion_05_subproblem_stationarity():
         soft_gram = (mixing @ labels) @ (mixing @ labels).T
 
         def surrogate_cons(c):
-            fit = sum(weights.cons[i] * np.linalg.norm(
+            fit = sum(weights.fit[i] * np.linalg.norm(
                 mixing @ labels[:, i] - c @ fuzzy_x[:, i]) ** 2
                 for i in range(labels.shape[1]))
             corr = sum(cfg.gamma * (soft_gram[i, i] + soft_gram[j, j]
@@ -223,7 +226,7 @@ def test_criterion_05_subproblem_stationarity():
 
         point_c = rng.normal(size=consequents.shape)
         analytic_c = oracle_consequent_gradient(mixing, point_c, fuzzy_x, labels,
-                                                cfg.alpha, cfg.gamma, weights.cons)
+                                                cfg.alpha, cfg.gamma, weights.fit)
         fd_c = _fd_gradient(surrogate_cons, point_c)
         worst_fd = max(worst_fd, np.linalg.norm(analytic_c - fd_c)
                        / np.linalg.norm(analytic_c))

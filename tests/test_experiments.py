@@ -99,6 +99,31 @@ class TestRunGrid:
         result = run_grid(_data(n=30), config)
         assert result.best.alpha == 0.3
 
+    def test_final_report_is_the_winning_cell_without_a_rerun(self, monkeypatch):
+        import fuzzml.experiments as exp
+
+        original = exp.train
+        calls = []
+
+        def counting_train(data, cfg):
+            calls.append(cfg)
+            return original(data, cfg)
+
+        monkeypatch.setattr(exp, "train", counting_train)
+        config = ExperimentConfig(train=FAST, folds=3, seeds=(0,), grid_alpha=(0.01, 1.0),
+                                  grid_rules=(1, 2))
+        data = _data(n=60)
+        result = run_grid(data, config)
+        assert len(calls) == 4 * 3  # one train per cell and fold
+        assert result.final.config == result.best
+        assert len(result.final.results) == 3
+        winner = [c for c in result.cells
+                  if (c.alpha, c.n_rules) == (result.best.alpha, result.best.n_rules)]
+        assert result.final.means["ap"] == winner[0].mean_ap
+        rerun = run_cv(data, ExperimentConfig(train=result.best, folds=3, seeds=(0,)))
+        assert rerun.means == result.final.means
+        assert [r.metrics for r in rerun.results] == [r.metrics for r in result.final.results]
+
 
 class TestNoiseCurve:
     def test_zero_ratio_matches_plain_cv(self):

@@ -144,6 +144,28 @@ class TestOracleEquivalence:
                 assert ranking_loss(scores, truth) == pytest.approx(
                     oracle_ranking_loss(scores, truth), abs=1e-12)
 
+    @pytest.mark.parametrize("n_labels", [2, 5, 64, 200])
+    @pytest.mark.parametrize("decimals", [None, 1, 0])
+    def test_wide_label_sets_with_ties_and_degenerate_samples(self, n_labels, decimals):
+        rng = np.random.default_rng(n_labels)
+        n = 24
+        scores = rng.normal(size=(n_labels, n))
+        if decimals is not None:  # rounded scores tie, many of them at 0 decimals
+            scores = np.round(scores, decimals)
+        truth = (rng.random((n_labels, n)) < rng.uniform(0.05, 0.95, size=n)).astype(float)
+        truth[:, 0] = 0.0  # empty relevant set: skipped by AP, RL and coverage
+        truth[:, 1] = 1.0  # full relevant set: skipped by RL
+        truth[0, 2], truth[1:, 2] = 1.0, 0.0
+        scores[:, 3] = 0.5  # one sample with every score tied
+        assert average_precision(scores, truth) == pytest.approx(
+            oracle_average_precision(scores, truth), abs=1e-12)
+        assert ranking_loss(scores, truth) == pytest.approx(
+            oracle_ranking_loss(scores, truth), abs=1e-12)
+        raw, norm = coverage(scores, truth)
+        oraw, onorm = oracle_coverage(scores, truth)
+        assert raw == pytest.approx(oraw, abs=1e-12)
+        assert norm == pytest.approx(onorm, abs=1e-12)
+
     def test_label_permutation_invariance(self):
         rng = np.random.default_rng(7)
         for _ in range(50):

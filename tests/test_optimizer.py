@@ -21,8 +21,9 @@ from fuzzml.optimizer import (
     update_consequents,
     update_mixing,
 )
+from fuzzml.dataset import Dataset, normalize_features
 from fuzzml.rules import fit_antecedents, fuzzy_feature_matrix
-from fuzzml.sylvester import SingularProblemError
+from fuzzml.sylvester import KRON_GUARD, SingularProblemError
 from fuzzml.synthgen import SynthSpec, gen_synthetic
 
 
@@ -100,7 +101,6 @@ class TestReweightDiagonals:
             soft_norm = np.linalg.norm(labels[:, i] - mixing @ labels[:, i])
             assert weights.fit[i] == pytest.approx(1 / (2 * max(fit_norm, 1e-8)), rel=1e-12)
             assert weights.soft[i] == pytest.approx(1 / (2 * max(soft_norm, 1e-8)), rel=1e-12)
-        np.testing.assert_array_equal(weights.cons, weights.fit)
 
 
 class TestCorrelationLaplacian:
@@ -151,8 +151,8 @@ class TestUpdateConsequents:
         cfg = TrainConfig(alpha=0.4, gamma=0.0)
         new = update_consequents(mixing, consequents, fuzzy_x, labels, cfg)
         weights = reweight_diagonals(mixing, consequents, fuzzy_x, labels, cfg.epsilon_row)
-        b = (fuzzy_x * weights.cons) @ fuzzy_x.T
-        z = (mixing @ labels * weights.cons) @ fuzzy_x.T
+        b = (fuzzy_x * weights.fit) @ fuzzy_x.T
+        z = (mixing @ labels * weights.fit) @ fuzzy_x.T
         residual = cfg.alpha * new + new @ b - z
         assert np.abs(residual).max() <= 1e-9 * (1 + np.abs(z).max())
 
@@ -166,7 +166,7 @@ class TestUpdateConsequents:
             weights = reweight_diagonals(mixing, consequents, fuzzy_x, labels,
                                          cfg.epsilon_row)
             grad = oracle_consequent_gradient(mixing, new, fuzzy_x, labels,
-                                              cfg.alpha, cfg.gamma, weights.cons)
+                                              cfg.alpha, cfg.gamma, weights.fit)
             assert np.linalg.norm(grad) <= 1e-6 * (1 + np.linalg.norm(new))
 
 
@@ -213,6 +213,23 @@ class TestUpdateMixing:
                 weights.fit, weights.soft, lap, gram_ridge(labels, cfg.ridge_y))
             assert np.linalg.norm(grad) <= 1e-6 * (1 + np.linalg.norm(new))
 
+    def test_stationarity_above_the_dense_guard(self):
+        # L^2 > KRON_GUARD: the symmetric change of variables and the eigen solve
+        rng = np.random.default_rng(16)
+        for n_labels in (65, 80):
+            mixing, consequents, fuzzy_x, labels = _random_instance(
+                rng, n_labels=n_labels, n_features=3, n_rules=2, n=2 * n_labels)
+            assert n_labels * n_labels > KRON_GUARD
+            cfg = TrainConfig(beta=rng.uniform(0.1, 5.0), gamma=0.001)
+            new = update_mixing(mixing, consequents, fuzzy_x, labels, cfg)
+            weights = reweight_diagonals(mixing, consequents, fuzzy_x, labels,
+                                         cfg.epsilon_row)
+            lap = correlation_laplacian(consequents).laplacian
+            grad = oracle_mixing_gradient(
+                new, consequents, fuzzy_x, labels, cfg.beta, cfg.gamma,
+                weights.fit, weights.soft, lap, gram_ridge(labels, cfg.ridge_y))
+            assert np.linalg.norm(grad) <= 1e-6 * (1 + np.linalg.norm(new))
+
     def test_handles_duplicated_label_rows(self):
         # duplicated rows make the label Gram and the Sylvester operator
         # rank deficient; the minimum-norm path must still solve it
@@ -230,7 +247,7 @@ class TestUpdateMixing:
 
 
 def _surrogate_consequents(candidate, mixing, fuzzy_x, labels, cfg, weights):
-    fit = sum(weights.cons[i] * np.linalg.norm(
+    fit = sum(weights.fit[i] * np.linalg.norm(
         mixing @ labels[:, i] - candidate @ fuzzy_x[:, i]) ** 2
         for i in range(labels.shape[1]))
     soft_gram = (mixing @ labels) @ (mixing @ labels).T
@@ -264,7 +281,7 @@ class TestFrozenWeightGradients:
                                          cfg.epsilon_row)
             point = rng.normal(size=consequents.shape)
             grad = oracle_consequent_gradient(mixing, point, fuzzy_x, labels,
-                                              cfg.alpha, cfg.gamma, weights.cons)
+                                              cfg.alpha, cfg.gamma, weights.fit)
             fd = np.zeros_like(point)
             h = 1e-6
             for a in range(point.shape[0]):
@@ -318,7 +335,7 @@ class TestExactMinimizerProperty:
             soft_gram = (mixing @ labels) @ (mixing @ labels).T
             dm = np.diag(soft_gram)
             coupling = (dm[:, None] + dm[None, :]) - 2 * soft_gram
-            b_cons = (fuzzy_x * weights.cons) @ fuzzy_x.T
+            b_cons = (fuzzy_x * weights.fit) @ fuzzy_x.T
             hess_cons = (2 * np.kron(b_cons, np.eye(n_labels))
                          + 2 * cfg.alpha * np.eye(n_labels * b_cons.shape[0])
                          + 2 * cfg.gamma * np.kron(np.eye(b_cons.shape[0]), coupling))
@@ -388,8 +405,8 @@ class TestTrain:
         def boom(*args, **kwargs):
             raise SingularProblemError("synthetic failure")
 
-        monkeypatch.setattr(opt, "update_consequents", boom)
-        with pytest.raises(SingularProblemError, match="iteration 1"):
+        monkeypatch.setattr(opt, "solve_sylvester", boom)
+        with pytest.raises(SingularProblemError, match="iteration 1, consequent solve"):
             train(self._small_data(), TrainConfig())
 
     def test_config_validation(self):
@@ -412,3 +429,65 @@ class TestTrain:
         expected = fit ** 2 + lo.ridge + cfg.beta * soft ** 2 + lo.corr
         assert stopping_loss(mixing, consequents, fuzzy_x, labels, cfg) == pytest.approx(
             expected, rel=1e-12)
+
+
+class TestFusedIteration:
+    """train() evaluates each iteration once; the public step functions agree.
+
+    End states are not compared: the alternating iteration amplifies
+    rounding differences (about 100x per iteration), so only the first
+    two iterations are held to 1e-10.
+    """
+
+    @staticmethod
+    def _public_path(data, cfg):
+        normed, _ = normalize_features(data)
+        rulebase = fit_antecedents(normed.features, cfg.n_rules, cfg.width_floor)
+        fuzzy_x = fuzzy_feature_matrix(normed.features, rulebase)
+        labels = normed.labels
+        n_labels = labels.shape[0]
+        mixing = np.ones((n_labels, n_labels))
+        consequents = np.full((n_labels, fuzzy_x.shape[0]), 1.0 / n_labels)
+        losses, totals = [], []
+        for _ in range(cfg.max_iters):
+            new_consequents = update_consequents(mixing, consequents, fuzzy_x, labels, cfg)
+            mixing = update_mixing(mixing, consequents, fuzzy_x, labels, cfg)
+            consequents = new_consequents
+            losses.append(objective(mixing, consequents, fuzzy_x, labels, cfg))
+            totals.append(stopping_loss(mixing, consequents, fuzzy_x, labels, cfg))
+        return mixing, consequents, losses, totals
+
+    @pytest.mark.parametrize("n_labels", [5, 70])
+    @pytest.mark.parametrize("iterations", [1, 2])
+    def test_first_iterations_match_the_public_steps(self, n_labels, iterations):
+        rng = np.random.default_rng(17)
+        n = 160
+        if n_labels == 5:
+            data = gen_synthetic(SynthSpec(kind="union", n_samples=n, n_features=4, seed=3))
+        else:  # above KRON_GUARD
+            data = Dataset(rng.random((4, n)),
+                           (rng.random((n_labels, n)) < 0.3).astype(float))
+        cfg = TrainConfig(max_iters=iterations, min_loss_margin=0.0)
+        model, trace = train(data, cfg)
+        mixing, consequents, losses, totals = self._public_path(data, cfg)
+        assert trace.n_iterations == iterations
+        np.testing.assert_allclose(model.mixing, mixing, rtol=1e-10,
+                                   atol=1e-10 * np.abs(mixing).max())
+        np.testing.assert_allclose(model.consequents, consequents, rtol=1e-10,
+                                   atol=1e-10 * np.abs(consequents).max())
+        for got, want in zip(trace.iterations, losses):
+            for term in ("fit", "ridge", "soft", "corr", "total"):
+                assert getattr(got, term) == pytest.approx(
+                    getattr(want, term), rel=1e-10, abs=1e-10 * abs(want.total))
+        np.testing.assert_allclose(trace.stopping_totals, totals, rtol=1e-10)
+
+    def test_mixing_failure_names_the_subproblem(self, monkeypatch):
+        import fuzzml.optimizer as opt
+
+        def boom(*args, **kwargs):
+            raise SingularProblemError("synthetic failure")
+
+        monkeypatch.setattr(opt, "least_norm_solve", boom)
+        data = gen_synthetic(SynthSpec(kind="union", n_samples=60, n_features=5, seed=0))
+        with pytest.raises(SingularProblemError, match="iteration 1, mixing solve"):
+            train(data, TrainConfig())

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from oracles import oracle_fuzzy_feature_matrix
+
 from fuzzml.optimizer import ModelParams, TrainConfig
 from fuzzml.dataset import NormStats
 from fuzzml.rules import (
@@ -133,6 +135,29 @@ class TestFuzzyFeatureMatrix:
             x_ext = np.concatenate(([1.0], x[:, i]))
             np.testing.assert_array_equal(out[:, i].reshape(2, 4),
                                           s[:, None] * x_ext[None, :])
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 9])
+    def test_matches_per_sample_reference(self, k):
+        rng = np.random.default_rng(30 + k)
+        d, n = 6, 200
+        x = rng.random((d, n))
+        x[2] = 0.25  # a constant feature
+        rb = fit_antecedents(x, k)
+        far = np.array([1e3, -1e6, 1e200])  # the last one hits the 1/K fallback
+        x = np.hstack([x, np.tile(far, (d, 1))])
+        got = fuzzy_feature_matrix(x, rb)
+        want = oracle_fuzzy_feature_matrix(x, rb.centers, rb.widths)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14)
+        np.testing.assert_array_equal(got[::d + 1, -1], np.full(k, 1.0 / k))
+
+    def test_identical_rules_and_constant_input_match_reference(self):
+        rb = RuleBase([[0.5, 0.5]] * 3, [[1e-4, 1e-4]] * 3)
+        x = np.full((2, 4), 0.5)
+        x[:, 1] = 0.7  # raw strengths exp(-4e6) underflow; log-sum-exp keeps 1/3
+        got = fuzzy_feature_matrix(x, rb)
+        np.testing.assert_allclose(
+            got, oracle_fuzzy_feature_matrix(x, rb.centers, rb.widths), rtol=1e-14, atol=1e-14)
+        np.testing.assert_array_equal(got[::3, :], np.full((3, 4), 1.0 / 3.0))
 
 
 def _two_cluster_split_oracle(values):

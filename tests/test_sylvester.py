@@ -1,14 +1,22 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+from reference_sylvester import kron_oracle, schur_solve
 
 from fuzzml.sylvester import (
     KRON_GUARD,
     SingularProblemError,
-    kron_oracle,
     least_norm_solve,
     residual_norm,
     solve_sylvester,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _assert_close_rel(got, want, tol):
@@ -17,15 +25,34 @@ def _assert_close_rel(got, want, tol):
     assert np.all(np.abs(got - want) <= tol * (1.0 + np.abs(want)))
 
 
+def _symmetric(rng, n):
+    m = rng.normal(size=(n, n))
+    return 0.5 * (m + m.T)
+
+
 def _random_separated_problem(rng, max_dim=8):
-    """Random problem with spectra pushed apart by shifting A."""
+    """Random symmetric problem with spectra pushed apart by shifting A."""
     m = int(rng.integers(1, max_dim + 1))
     n = int(rng.integers(1, max_dim + 1))
-    a = rng.normal(size=(m, m))
-    b = rng.normal(size=(n, n))
-    a += 2.0 * np.linalg.norm(b) * np.eye(m)
+    b = _symmetric(rng, n)
+    a = _symmetric(rng, m) + 2.0 * np.linalg.norm(b) * np.eye(m)
     z = rng.normal(size=(m, n))
     return a, b, z
+
+
+def _general_separated_problem(rng, max_dim=6):
+    """Random non-symmetric problem, for the dense route that accepts it."""
+    m = int(rng.integers(1, max_dim + 1))
+    n = int(rng.integers(1, max_dim + 1))
+    b = rng.normal(size=(n, n))
+    a = rng.normal(size=(m, m)) + 2.0 * np.linalg.norm(b) * np.eye(m)
+    return a, b, rng.normal(size=(m, n))
+
+
+def _with_spectrum(rng, eigenvalues):
+    q, _ = np.linalg.qr(rng.normal(size=(len(eigenvalues), len(eigenvalues))))
+    m = (q * eigenvalues) @ q.T
+    return 0.5 * (m + m.T)
 
 
 class TestExamples:
@@ -44,9 +71,8 @@ class TestExamples:
 
     def test_random_solve_matches_oracle(self):
         rng = np.random.default_rng(1)
-        a = rng.normal(size=(4, 4))
-        b = rng.normal(size=(3, 3))
-        a += 2.0 * np.linalg.norm(b) * np.eye(4)
+        b = _symmetric(rng, 3)
+        a = _symmetric(rng, 4) + 2.0 * np.linalg.norm(b) * np.eye(4)
         z = rng.normal(size=(4, 3))
         w = solve_sylvester(a, b, z)
         w_ref = kron_oracle(a, b, z)
@@ -55,6 +81,8 @@ class TestExamples:
     def test_one_by_one(self):
         got = kron_oracle([[3.0]], [[4.0]], [[14.0]])
         np.testing.assert_allclose(got, [[2.0]], atol=1e-14)
+        np.testing.assert_allclose(solve_sylvester([[3.0]], [[4.0]], [[14.0]]), [[2.0]],
+                                   atol=1e-14)
 
     def test_overlapping_spectra_raise(self):
         for solver in (solve_sylvester, kron_oracle):
@@ -83,6 +111,54 @@ class TestSweep:
             _assert_close_rel(w12, w1 + w2, 1e-10)
 
 
+class TestConsequentLikeProblems:
+    """Shapes of the consequent subproblem: small indefinite A, large stiff B."""
+
+    @pytest.mark.parametrize("n_labels", [2, 5, 24])
+    def test_indefinite_a_and_widely_spread_b(self, n_labels):
+        rng = np.random.default_rng(50 + n_labels)
+        a = _with_spectrum(rng, np.linspace(-0.05, 2.0, n_labels))
+        b = _with_spectrum(rng, np.logspace(-1, 7, 63))
+        z = rng.normal(size=(n_labels, 63))
+        w = solve_sylvester(a, b, z)
+        assert residual_norm(a, b, z, w) <= 1e-8
+        w_ref = schur_solve(a, b, z)
+        assert np.linalg.norm(w - w_ref) <= 1e-8 * np.linalg.norm(w_ref)
+
+    def test_matches_schur_route_at_training_sizes(self):
+        rng = np.random.default_rng(51)
+        for n_labels in (8, 64, 65, 200):
+            a = _symmetric(rng, n_labels)
+            b = _with_spectrum(rng, rng.uniform(1.0, 1e3, size=30))
+            a += (abs(np.linalg.eigvalsh(a)[0]) + 1.0) * np.eye(n_labels)
+            z = rng.normal(size=(n_labels, 30))
+            w = solve_sylvester(a, b, z)
+            assert residual_norm(a, b, z, w) <= 1e-8
+            w_ref = schur_solve(a, b, z)
+            assert np.linalg.norm(w - w_ref) <= 1e-10 * np.linalg.norm(w_ref)
+
+    def test_singular_problem_reports_the_gap(self):
+        rng = np.random.default_rng(52)
+        a = _with_spectrum(rng, np.array([-3.0, 1.0, 2.0]))
+        b = _with_spectrum(rng, np.array([3.0, 10.0, 100.0, 1e4]))
+        z = rng.normal(size=(3, 4))
+        with pytest.raises(SingularProblemError) as info:
+            solve_sylvester(a, b, z)
+        message = str(info.value)
+        assert "smallest |lambda_i + sigma_j|" in message
+        assert float(message.rsplit(" ", 1)[1]) <= 1e-12
+
+    def test_near_zero_gap_is_not_dropped(self):
+        # a real gap of 1e-2 next to eigenvalues of 1e6 must be divided by,
+        # not zeroed by a scale-relative cutoff
+        a = np.diag([-1e6 + 1e-2, 5.0])
+        b = np.diag([1e6, 3.0])
+        z = np.ones((2, 2))
+        w = solve_sylvester(a, b, z)
+        assert w[0, 0] == pytest.approx(1.0 / 1e-2, rel=1e-6)
+        assert residual_norm(a, b, z, w) <= 1e-8
+
+
 class TestLeastNormSolve:
     def test_matches_exact_solution_when_nonsingular(self):
         rng = np.random.default_rng(44)
@@ -90,6 +166,9 @@ class TestLeastNormSolve:
             a, b, z = _random_separated_problem(rng, max_dim=6)
             np.testing.assert_allclose(least_norm_solve(a, b, z),
                                        solve_sylvester(a, b, z), atol=1e-9)
+            a, b, z = _general_separated_problem(rng)
+            np.testing.assert_allclose(least_norm_solve(a, b, z),
+                                       kron_oracle(a, b, z), atol=1e-9)
 
     def test_consistent_singular_system(self):
         # A and -B share the eigenvalue 0, but Z lies in the operator range.
@@ -104,14 +183,14 @@ class TestLeastNormSolve:
         # the determined entries match the construction
         np.testing.assert_allclose(w[0, 1], w_true[0, 1], atol=1e-10)
         np.testing.assert_allclose(w[1, :], w_true[1, :], atol=1e-10)
-        # the strict dense solve rejects the rank-deficient system
+        # the strict solves reject the rank-deficient system
         with pytest.raises(SingularProblemError):
             kron_oracle(a, b, z)
 
     def test_inconsistent_singular_system_raises(self):
         a = np.zeros((1, 1))
         b = np.zeros((1, 1))
-        with pytest.raises(SingularProblemError):
+        with pytest.raises(SingularProblemError, match="smallest"):
             least_norm_solve(a, b, [[1.0]])
 
     def test_zero_rhs_gives_zero(self):
@@ -127,8 +206,39 @@ class TestGuards:
         with pytest.raises(ValueError, match="too large"):
             kron_oracle(np.eye(n), np.eye(n), np.zeros((n, n)))
 
+    def test_least_norm_size_guard(self):
+        n = int(np.sqrt(KRON_GUARD)) + 1
+        with pytest.raises(ValueError, match="too large"):
+            least_norm_solve(np.eye(n), np.eye(n), np.zeros((n, n)))
+
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             solve_sylvester(np.zeros((2, 3)), np.eye(3), np.zeros((2, 3)))
         with pytest.raises(ValueError):
             solve_sylvester(np.eye(2), np.eye(3), np.zeros((3, 2)))
+
+    def test_rejects_non_symmetric_coefficients(self):
+        skew = np.array([[1.0, 2.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="A must be symmetric"):
+            solve_sylvester(skew, np.eye(2), np.ones((2, 2)))
+        with pytest.raises(ValueError, match="B must be symmetric"):
+            solve_sylvester(np.eye(2), skew, np.ones((2, 2)))
+
+    @pytest.mark.parametrize("solver", [solve_sylvester, least_norm_solve])
+    def test_non_finite_input_is_a_numerical_failure(self, solver):
+        # not a LinAlgError, which is a ValueError and would read as bad input
+        for position in range(3):
+            args = [np.eye(2), np.eye(2), np.ones((2, 2))]
+            args[position] = args[position].copy()
+            args[position][0, 0] = np.inf
+            with pytest.raises(SingularProblemError, match="non-finite"):
+                solver(*args)
+
+
+def test_import_loads_no_scipy():
+    code = ("import sys, fuzzml; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"
