@@ -68,11 +68,7 @@ from .rules import (
     fuzzy_features,
     membership,
 )
-from .sylvester import (
-    SingularProblemError,
-    least_norm_solve,
-    solve_sylvester,
-)
+from .sylvester import SingularProblemError, solve_sylvester
 from .synthgen import NoiseSpec, SynthSpec, gen_synthetic, inject_label_noise
 
 __version__ = "0.1.0"

@@ -19,6 +19,7 @@ from .dataset import (
     DataFormatError,
     load_dataset,
     load_labels,
+    load_matrix,
     save_dataset,
 )
 from .experiments import (
@@ -161,7 +162,7 @@ def cmd_train(args):
 
 def cmd_predict(args):
     model = load_model(args.model)
-    features, _ = _load_feature_matrix(args.features)
+    features, _ = load_matrix(args.features)
     if args.binary:
         output = predict(model, features, tau=args.threshold)
         rows = [",".join("%d" % v for v in col) for col in output.T]
@@ -173,28 +174,8 @@ def cmd_predict(args):
     print("wrote %d score rows to %s" % (output.shape[1], _out_path(args, args.out)))
 
 
-def _load_feature_matrix(path):
-    rows = []
-    names = None
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if lines and lines[0].lstrip().startswith("#"):
-        names = lines[0].lstrip()[1:].strip()
-        lines = lines[1:]
-    for i, line in enumerate(lines):
-        if not line.strip():
-            continue
-        try:
-            rows.append([float(c) for c in line.split(",")])
-        except ValueError:
-            raise DataFormatError("non-numeric cell at %s line %d" % (path, i + 1)) from None
-    if not rows:
-        raise DataFormatError("empty file: %s" % path)
-    return np.array(rows, dtype=np.float64).T, names
-
-
 def cmd_eval(args):
-    scores, _ = _load_feature_matrix(args.scores)
+    scores, _ = load_matrix(args.scores, "score")
     labels, _ = load_labels(args.labels)
     if scores.shape != labels.shape:
         raise DataFormatError(

@@ -14,6 +14,7 @@ __all__ = [
     "FoldPlan",
     "load_dataset",
     "load_labels",
+    "load_matrix",
     "save_dataset",
     "normalize_features",
     "apply_norm",
@@ -136,19 +137,38 @@ class FoldPlan:
         return np.flatnonzero(self.assignments != fold)
 
 
-def _parse_csv(path):
-    """Read a sample-major CSV, returning (rows, names or None)."""
+def load_matrix(path, kind="feature"):
+    """Read a sample-major numeric CSV as a matrix with one column per sample.
+
+    Returns the matrix and the header names (None without a header).
+    Blank lines are skipped. A non-numeric cell, a row whose width differs
+    from the first row's, or a file without rows raises
+    :class:`DataFormatError` naming the path and the line; ``kind`` names
+    the cells in those messages.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     names = None
+    first = 0
     if lines and lines[0].lstrip().startswith("#"):
         header = lines[0].lstrip()[1:].strip()
         names = tuple(s.strip() for s in header.split(",")) if header else None
-        lines = lines[1:]
-    rows = [line for line in lines if line.strip()]
+        first = 1
+    rows = []
+    for lineno, line in enumerate(lines[first:], start=first + 1):
+        if not line.strip():
+            continue
+        try:
+            row = [float(c) for c in line.split(",")]
+        except ValueError:
+            raise DataFormatError(
+                "non-numeric %s cell at %s line %d" % (kind, path, lineno)) from None
+        if rows and len(row) != len(rows[0]):
+            raise DataFormatError("ragged %s row at %s line %d" % (kind, path, lineno))
+        rows.append(row)
     if not rows:
         raise DataFormatError("empty file: %s" % path)
-    return rows, names
+    return np.array(rows, dtype=np.float64).T, names
 
 
 def load_dataset(features_path, labels_path) -> Dataset:
@@ -157,74 +177,25 @@ def load_dataset(features_path, labels_path) -> Dataset:
     Both files are sample-major (N rows). Files become the transposed
     internal matrices, so row i of each file is sample i.
     """
-    feat_rows, feat_names = _parse_csv(features_path)
-    lab_rows, lab_names = _parse_csv(labels_path)
-    if len(feat_rows) != len(lab_rows):
+    features, feat_names = load_matrix(features_path)
+    labels, lab_names = load_labels(labels_path)
+    if features.shape[1] != labels.shape[1]:
         raise DataFormatError(
             "sample count mismatch: %d feature rows vs %d label rows"
-            % (len(feat_rows), len(lab_rows))
+            % (features.shape[1], labels.shape[1])
         )
-
-    def parse_row(line, path, lineno):
-        cells = line.split(",")
-        try:
-            return [float(c) for c in cells]
-        except ValueError:
-            raise DataFormatError(
-                "non-numeric feature cell at %s line %d" % (path, lineno)
-            ) from None
-
-    features = []
-    width = None
-    for i, line in enumerate(feat_rows):
-        row = parse_row(line, features_path, i + 1)
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise DataFormatError(
-                "ragged feature row at %s line %d" % (features_path, i + 1)
-            )
-        features.append(row)
-
-    labels = _parse_label_rows(lab_rows, labels_path)
-    return Dataset(
-        np.array(features, dtype=np.float64).T,
-        labels,
-        feature_names=feat_names,
-        label_names=lab_names,
-    )
-
-
-def _parse_label_rows(rows, path) -> np.ndarray:
-    matrix = []
-    width = None
-    for i, line in enumerate(rows):
-        cells = line.split(",")
-        row = []
-        for c in cells:
-            try:
-                v = float(c)
-            except ValueError:
-                raise DataFormatError(
-                    "non-binary label at %s line %d" % (path, i + 1)
-                ) from None
-            if v not in (0.0, 1.0):
-                raise DataFormatError(
-                    "non-binary label %r at %s line %d" % (c.strip(), path, i + 1)
-                )
-            row.append(v)
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise DataFormatError("ragged label row at %s line %d" % (path, i + 1))
-        matrix.append(row)
-    return np.array(matrix, dtype=np.float64).T
+    return Dataset(features, labels, feature_names=feat_names, label_names=lab_names)
 
 
 def load_labels(labels_path):
     """Load just a binary label CSV, returning the L x N matrix and names."""
-    rows, names = _parse_csv(labels_path)
-    return _parse_label_rows(rows, labels_path), names
+    labels, names = load_matrix(labels_path, "label")
+    bad = np.argwhere(~((labels == 0.0) | (labels == 1.0)).T)
+    if len(bad):
+        sample, label = bad[0]
+        raise DataFormatError("non-binary label %r at %s sample %d"
+                              % (float(labels[label, sample]), labels_path, sample + 1))
+    return labels, names
 
 
 def _write_csv(path, matrix, names):

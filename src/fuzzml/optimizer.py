@@ -23,12 +23,7 @@ import numpy as np
 
 from .dataset import Dataset, NormStats, normalize_features
 from .rules import RuleBase, fit_antecedents, fuzzy_feature_matrix, DEFAULT_WIDTH_FLOOR
-from .sylvester import (
-    KRON_GUARD,
-    SingularProblemError,
-    least_norm_solve,
-    solve_sylvester,
-)
+from .sylvester import SingularProblemError, solve_sylvester
 
 __all__ = [
     "NumericalError",
@@ -63,10 +58,11 @@ class TrainConfig:
 
     ``min_loss_margin=None`` selects the automatic margin
     ``1e-5 * |loss_1|`` fixed after the first iteration. ``ridge_y`` is a
-    relative coefficient: the label Gram matrix receives a diagonal shift
-    of ``ridge_y * trace(Y Y^T) / L`` before inversion, which keeps the
-    mixing subproblem well posed when a label never occurs or two label
-    rows coincide.
+    small relative regularizer of the mixing subproblem: the label Gram
+    matrix in its correlation term receives a diagonal shift of
+    ``ridge_y * trace(Y Y^T) / L``. It is not needed for well-posedness;
+    the mixing solve handles a label that never occurs or coinciding label
+    rows at any value, including 0.
     """
 
     alpha: float = 0.1
@@ -321,51 +317,39 @@ def _solve_consequents(soft_labels, fuzzy_x, fit_weights, cfg: TrainConfig) -> n
 class _MixingSystem:
     """The label-side terms of the mixing subproblem, fixed during training.
 
-    With G the ridged label Gram (see :class:`TrainConfig`), stationarity
-    reads 2 gamma Lap M G + M B_raw = Z_raw. Up to KRON_GUARD unknowns it
-    is solved as 2 gamma Lap M + M (B_raw G^-1) = Z_raw G^-1 by the dense
-    minimum-norm route. Above it, the change of variables N = M G^(1/2)
-    makes both coefficients symmetric,
-    2 gamma Lap N + N (G^-1/2 B_raw G^-1/2) = Z_raw G^-1/2, for the eigen
-    solver; G^-1/2 comes from one eigendecomposition of G.
+    With G = Y Y' + r I the ridged label Gram (see :class:`TrainConfig`),
+    stationarity reads 2 gamma Lap M G + M B_raw = Z_raw, where B_raw and
+    Z_raw end in Y' on the right. A direction w with Y' w = 0 (a label
+    that never occurs, duplicated or dependent label rows) has
+    B_raw w = 0 and Z_raw w = 0, so M w = 0 satisfies the equation there
+    and is its minimum-norm choice. On the range of Y, with
+    Y Y' = Q diag(e) Q', the columns of Q whose eigenvalue exceeds the
+    Hermitian rank tolerance L eps max(e) (as in ``np.linalg.matrix_rank``)
+    and H = Q_range diag(e_range + r)^-1/2, the substitution M = N H'
+    makes both coefficients symmetric, 2 gamma Lap N + N (H' B_raw H) =
+    Z_raw H, for the eigen solver. H comes from one eigendecomposition of
+    the label Gram per training run.
     """
 
     def __init__(self, labels, cfg: TrainConfig):
-        n_labels = labels.shape[0]
         self.labels = labels
         self.cfg = cfg
-        gram = labels @ labels.T + gram_ridge(labels, cfg.ridge_y) * np.eye(n_labels)
-        self.dense = n_labels * n_labels <= KRON_GUARD
-        if self.dense:
-            self.gram = gram
-            return
-        values, vectors = np.linalg.eigh(gram)
-        if not values[0] > 0.0:
-            raise SingularProblemError(
-                "singular label Gram matrix: smallest eigenvalue %.2e" % values[0])
-        self.gram_inv_sqrt = (vectors / np.sqrt(values)[None, :]) @ vectors.T
+        values, vectors = np.linalg.eigh(labels @ labels.T)
+        keep = values > labels.shape[0] * np.finfo(np.float64).eps * values[-1]
+        self.range_half = vectors[:, keep] / np.sqrt(
+            values[keep] + gram_ridge(labels, cfg.ridge_y))[None, :]
 
     def solve(self, laplacian, predicted, weights: ReweightDiagonals) -> np.ndarray:
         labels = self.labels
         beta = self.cfg.beta
-        a = 2.0 * self.cfg.gamma * laplacian
         combined = weights.fit + beta * weights.soft
         z_raw = (
             predicted * weights.fit[None, :] + beta * labels * weights.soft[None, :]
         ) @ labels.T
-        if self.dense:
-            b_raw = (labels * combined[None, :]) @ labels.T
-            try:
-                # gram is symmetric, so solving from the left on transposes
-                # applies the inverse from the right.
-                b = np.linalg.solve(self.gram, b_raw.T).T
-                z = np.linalg.solve(self.gram, z_raw.T).T
-            except np.linalg.LinAlgError as exc:
-                raise SingularProblemError("singular label Gram matrix: %s" % exc) from exc
-            return least_norm_solve(a, b, z)
-        half = self.gram_inv_sqrt
-        root = half @ (labels * np.sqrt(combined)[None, :])
-        return solve_sylvester(a, root @ root.T, z_raw @ half) @ half
+        half = self.range_half
+        root = half.T @ (labels * np.sqrt(combined)[None, :])
+        return solve_sylvester(2.0 * self.cfg.gamma * laplacian, root @ root.T,
+                               z_raw @ half) @ half.T
 
 
 def update_consequents(mixing, consequents, fuzzy_x, labels, cfg: TrainConfig) -> np.ndarray:
@@ -394,9 +378,10 @@ def update_mixing(mixing, consequents, fuzzy_x, labels, cfg: TrainConfig) -> np.
     The Sylvester operator here is singular whenever the label matrix is
     row-rank deficient (a label that never occurs, or duplicated label
     rows): the Laplacian annihilates the all-ones vector while the right
-    coefficient loses rank. The system remains consistent, so for small
-    label counts the minimum-norm solve is used, which leaves the
-    undetermined directions at zero instead of noise.
+    coefficient loses rank. The system remains consistent, and the
+    returned matrix is its minimum-norm solution at every label count: it
+    is zero on the null space of Y', so duplicated labels get identical
+    columns.
     """
     _check_training_shapes(mixing, consequents, fuzzy_x, labels)
     point = _Point(mixing, consequents, fuzzy_x, labels)
@@ -430,10 +415,7 @@ def train(data: Dataset, cfg: TrainConfig = TrainConfig()):
     fuzzy_x = fuzzy_feature_matrix(normed.features, rulebase)
     labels = normed.labels
     n_labels = labels.shape[0]
-    try:
-        mixing_system = _MixingSystem(labels, cfg)
-    except SingularProblemError as exc:
-        raise SingularProblemError("mixing solve: %s" % exc) from exc
+    mixing_system = _MixingSystem(labels, cfg)
 
     mixing = np.ones((n_labels, n_labels))
     consequents = np.full((n_labels, fuzzy_x.shape[0]), 1.0 / n_labels)

@@ -1,24 +1,20 @@
-"""Solvers for the Sylvester equation A W + W B = Z.
+"""Solver for the Sylvester equation A W + W B = Z with symmetric A and B.
 
 Both training subproblems have symmetric coefficients, so the equation
 diagonalizes (Simoncini, "Computational methods for linear matrix
-equations", SIAM Review 2016). Two routes share one residual contract:
+equations", SIAM Review 2016). :func:`solve_sylvester` computes
+A = Ua diag(lambda) Ua' and B = Ub diag(sigma) Ub' with two symmetric
+eigendecompositions and returns
+W = Ua ((Ua' Z Ub) / (lambda_i + sigma_j)) Ub'. The divide is strict: no
+gap is zeroed, so a singular operator fails the residual check. Callers
+whose operator has a known null space (the mixing subproblem) remove it
+before calling.
 
-* :func:`solve_sylvester` takes symmetric A and B, computes
-  A = Ua diag(lambda) Ua' and B = Ub diag(sigma) Ub' with two symmetric
-  eigendecompositions and returns
-  W = Ua ((Ua' Z Ub) / (lambda_i + sigma_j)) Ub'. The divide is strict:
-  no gap is zeroed, so a singular operator fails the residual check.
-* :func:`least_norm_solve` vectorizes the equation into the dense
-  mn x mn system and solves it by least squares, returning the
-  minimum-norm solution when the operator is singular but the system is
-  consistent. It is limited to mn <= KRON_GUARD unknowns.
-
-Every route either returns a W with relative residual
+The solver either returns a W with relative residual
 ||A W + W B - Z||_F / ||Z||_F at most RESIDUAL_RTOL or raises
 :class:`SingularProblemError`, whose message reports the smallest gap
-|lambda_i + sigma_j| between the spectra of A and -B when it is known.
-Only numpy is needed.
+|lambda_i + sigma_j| between the spectra of A and -B. Only numpy is
+needed.
 """
 
 import numpy as np
@@ -26,15 +22,11 @@ import numpy as np
 __all__ = [
     "SingularProblemError",
     "solve_sylvester",
-    "least_norm_solve",
     "residual_norm",
     "RESIDUAL_RTOL",
-    "KRON_GUARD",
 ]
 
 RESIDUAL_RTOL = 1e-8
-# Largest mn for which building the dense mn x mn system is allowed.
-KRON_GUARD = 4096
 # Largest |M - M'| accepted as symmetric, relative to max |M|.
 _SYMMETRY_RTOL = 1e-10
 _TINY = np.finfo(np.float64).tiny
@@ -74,22 +66,19 @@ def residual_norm(a, b, z, w) -> float:
     return num / max(np.linalg.norm(z), _TINY)
 
 
-def _smallest_gap(a_eigs, b_eigs) -> float:
-    return float(np.min(np.abs(a_eigs[:, None] + b_eigs[None, :])))
-
-
-def _check_solution(a, b, z, w, gap):
+def _check_solution(a, b, z, w, gaps):
     """Raise unless W is finite and meets the residual contract."""
     if not np.all(np.isfinite(w)):
         raise SingularProblemError(
             "singular problem: non-finite solution; smallest |lambda_i + sigma_j| %.2e"
-            % gap()
+            % np.min(np.abs(gaps))
         )
     residual = residual_norm(a, b, z, w)
     if residual > RESIDUAL_RTOL:
         raise SingularProblemError(
             "singular problem: relative residual %.2e exceeds %.1e; "
-            "smallest |lambda_i + sigma_j| %.2e" % (residual, RESIDUAL_RTOL, gap())
+            "smallest |lambda_i + sigma_j| %.2e"
+            % (residual, RESIDUAL_RTOL, np.min(np.abs(gaps)))
         )
 
 
@@ -117,33 +106,5 @@ def solve_sylvester(a, b, z) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # a zero gap gives inf or nan here, which _check_solution reports
         w = a_vecs @ ((a_vecs.T @ z @ b_vecs) / gaps) @ b_vecs.T
-    _check_solution(a, b, z, w, lambda: _smallest_gap(a_eigs, b_eigs))
-    return w
-
-
-def _kron_system(a, b):
-    m = a.shape[0]
-    n = b.shape[0]
-    return np.kron(np.eye(n), a) + np.kron(b.T, np.eye(m))
-
-
-def least_norm_solve(a, b, z) -> np.ndarray:
-    """Minimum-norm least-squares solution of the vectorized system.
-
-    Solves (I (x) A + B' (x) I) vec(W) = vec(Z) with column-major
-    vectorization; A and B need not be symmetric. Intended for
-    structurally singular but consistent problems (for example when both
-    A and B share a zero eigenvalue while Z lies in the operator's range):
-    rank-deficient directions receive no component instead of amplified
-    noise. Inconsistent systems raise :class:`SingularProblemError`.
-    """
-    a, b, z = _check_inputs(a, b, z)
-    m, n = z.shape
-    if m * n > KRON_GUARD:
-        raise ValueError("problem too large for the dense solver (mn > %d)" % KRON_GUARD)
-    big = _kron_system(a, b)
-    w, _, _, _ = np.linalg.lstsq(big, z.flatten(order="F"), rcond=None)
-    w = w.reshape((m, n), order="F")
-    _check_solution(a, b, z, w,
-                    lambda: _smallest_gap(np.linalg.eigvals(a), np.linalg.eigvals(b)))
+    _check_solution(a, b, z, w, gaps)
     return w

@@ -9,6 +9,11 @@ with it:
 * :func:`kron_oracle` vectorizes the equation into the dense mn x mn
   system and solves it by LU, rejecting it when the reciprocal condition
   estimate is below 1e-12.
+* :func:`least_norm_solve` solves the same dense system by least
+  squares, so a singular but consistent problem gets its minimum-norm
+  solution; it is the reference for the mixing solve.
+
+Both dense references are limited to mn <= KRON_GUARD unknowns.
 
 ``tests/oracles.py`` must not import this module: the benchmark imports
 ``oracles`` and should not pay for scipy.
@@ -19,8 +24,10 @@ import warnings
 import numpy as np
 import scipy.linalg
 
-from fuzzml.sylvester import KRON_GUARD, RESIDUAL_RTOL, SingularProblemError, residual_norm
+from fuzzml.sylvester import RESIDUAL_RTOL, SingularProblemError, residual_norm
 
+# Largest mn for which the dense mn x mn system is built.
+KRON_GUARD = 4096
 _RCOND_MIN = 1e-12
 
 
@@ -38,6 +45,10 @@ def schur_solve(a, b, z) -> np.ndarray:
     return w
 
 
+def _kron_system(a, b):
+    return np.kron(np.eye(b.shape[0]), a) + np.kron(b.T, np.eye(a.shape[0]))
+
+
 def kron_oracle(a, b, z) -> np.ndarray:
     """Solve the vectorized system (I (x) A + B^T (x) I) w = vec(Z) directly.
 
@@ -49,7 +60,7 @@ def kron_oracle(a, b, z) -> np.ndarray:
     m, n = z.shape
     if m * n > KRON_GUARD:
         raise ValueError("problem too large for the dense oracle (mn > %d)" % KRON_GUARD)
-    big = np.kron(np.eye(n), a) + np.kron(b.T, np.eye(m))
+    big = _kron_system(a, b)
     try:
         with warnings.catch_warnings():
             # exact singularity surfaces as a warning here; the rcond check
@@ -65,3 +76,27 @@ def kron_oracle(a, b, z) -> np.ndarray:
         )
     w = scipy.linalg.lu_solve((lu, piv), z.flatten(order="F"))
     return w.reshape((m, n), order="F")
+
+
+def least_norm_solve(a, b, z) -> np.ndarray:
+    """Minimum-norm least-squares solution of the vectorized system.
+
+    Solves (I (x) A + B' (x) I) vec(W) = vec(Z) with column-major
+    vectorization; A and B need not be symmetric. For a singular but
+    consistent problem the undetermined directions receive no component.
+    An inconsistent system raises :class:`SingularProblemError` with the
+    smallest |lambda_i + sigma_j|.
+    """
+    a, b, z = (np.asarray(m, dtype=np.float64) for m in (a, b, z))
+    m, n = z.shape
+    if m * n > KRON_GUARD:
+        raise ValueError("problem too large for the dense solver (mn > %d)" % KRON_GUARD)
+    w, _, _, _ = np.linalg.lstsq(_kron_system(a, b), z.flatten(order="F"), rcond=None)
+    w = w.reshape((m, n), order="F")
+    residual = residual_norm(a, b, z, w)
+    if not residual <= RESIDUAL_RTOL:
+        gap = np.min(np.abs(np.linalg.eigvals(a)[:, None] + np.linalg.eigvals(b)[None, :]))
+        raise SingularProblemError(
+            "singular problem: relative residual %.2e exceeds %.1e; "
+            "smallest |lambda_i + sigma_j| %.2e" % (residual, RESIDUAL_RTOL, gap))
+    return w

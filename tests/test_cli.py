@@ -185,6 +185,20 @@ class TestConfigFileAndExitCodes:
             "--out-dir", str(tmp_path),
         ]) == 3
 
+    def test_ragged_score_and_feature_files_are_data_errors(self, tmp_path, capsys):
+        fx, fy = _write_dataset(tmp_path, n=20)
+        main(["train", "--features", str(fx), "--labels", str(fy),
+              "--rules", "2", "--max-iters", "1",
+              "--out", "model.txt", "--out-dir", str(tmp_path)])
+        ragged = tmp_path / "ragged.csv"
+        ragged.write_text("# header\n0.1,0.2,0.3,0.4,0.5\n\n0.1,0.2\n")
+        capsys.readouterr()
+        assert main(["eval", "--scores", str(ragged), "--labels", str(fy)]) == 3
+        assert "ragged score row at %s line 4" % ragged in capsys.readouterr().err
+        assert main(["predict", "--model", str(tmp_path / "model.txt"),
+                     "--features", str(ragged), "--out-dir", str(tmp_path)]) == 3
+        assert "ragged feature row at %s line 4" % ragged in capsys.readouterr().err
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numerical_failure_exit_code(self, tmp_path):
         fx, fy = _write_dataset(tmp_path, n=20)

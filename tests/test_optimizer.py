@@ -8,6 +8,7 @@ from oracles import (
     oracle_correlation_double_sum,
     oracle_mixing_gradient,
 )
+from reference_sylvester import KRON_GUARD, least_norm_solve
 
 from fuzzml.optimizer import (
     TrainConfig,
@@ -23,7 +24,7 @@ from fuzzml.optimizer import (
 )
 from fuzzml.dataset import Dataset, normalize_features
 from fuzzml.rules import fit_antecedents, fuzzy_feature_matrix
-from fuzzml.sylvester import KRON_GUARD, SingularProblemError
+from fuzzml.sylvester import SingularProblemError
 from fuzzml.synthgen import SynthSpec, gen_synthetic
 
 
@@ -214,7 +215,7 @@ class TestUpdateMixing:
             assert np.linalg.norm(grad) <= 1e-6 * (1 + np.linalg.norm(new))
 
     def test_stationarity_above_the_dense_guard(self):
-        # L^2 > KRON_GUARD: the symmetric change of variables and the eigen solve
+        # L^2 > KRON_GUARD: sizes the dense reference cannot check
         rng = np.random.default_rng(16)
         for n_labels in (65, 80):
             mixing, consequents, fuzzy_x, labels = _random_instance(
@@ -244,6 +245,64 @@ class TestUpdateMixing:
         assert np.all(np.isfinite(new))
         # symmetric inputs give symmetric columns for the duplicated labels
         assert np.abs(new[:, 0] - new[:, 1]).max() <= 1e-6
+
+
+def _degenerate_label_instance(rng, n_labels):
+    """Labels 0 and 1 coincide and the last label never occurs."""
+    n = 2 * n_labels
+    x = rng.random((3, n))
+    fuzzy_x = fuzzy_feature_matrix(x, fit_antecedents(x, 2))
+    labels = (rng.random((n_labels, n)) < 0.3).astype(float)
+    labels[1] = labels[0]
+    labels[-1] = 0.0
+    mixing = rng.normal(size=(n_labels, n_labels))
+    consequents = rng.normal(size=(n_labels, fuzzy_x.shape[0]))
+    return mixing, consequents, fuzzy_x, labels
+
+
+def _dense_least_norm_mixing(mixing, consequents, fuzzy_x, labels, cfg):
+    """The mixing stationarity condition times G^-1, by the dense minimum-norm solve."""
+    weights = reweight_diagonals(mixing, consequents, fuzzy_x, labels, cfg.epsilon_row)
+    lap = correlation_laplacian(consequents).laplacian
+    n_labels = labels.shape[0]
+    gram = labels @ labels.T + gram_ridge(labels, cfg.ridge_y) * np.eye(n_labels)
+    b_raw = (labels * (weights.fit + cfg.beta * weights.soft)) @ labels.T
+    z_raw = ((consequents @ fuzzy_x) * weights.fit
+             + cfg.beta * labels * weights.soft) @ labels.T
+    return least_norm_solve(2.0 * cfg.gamma * lap, np.linalg.solve(gram, b_raw.T).T,
+                            np.linalg.solve(gram, z_raw.T).T)
+
+
+class TestMixingAcrossLabelCounts:
+    """One mixing route at every L, with a duplicated pair and an absent label."""
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.001, 0.05])
+    @pytest.mark.parametrize("n_labels", [8, 24, 64, 65, 96, 200])
+    def test_stationary_with_equal_duplicated_columns(self, n_labels, gamma):
+        rng = np.random.default_rng(100 + n_labels)
+        mixing, consequents, fuzzy_x, labels = _degenerate_label_instance(rng, n_labels)
+        cfg = TrainConfig(beta=2.0, gamma=gamma)
+        new = update_mixing(mixing, consequents, fuzzy_x, labels, cfg)
+        weights = reweight_diagonals(mixing, consequents, fuzzy_x, labels, cfg.epsilon_row)
+        grad = oracle_mixing_gradient(
+            new, consequents, fuzzy_x, labels, cfg.beta, cfg.gamma, weights.fit,
+            weights.soft, correlation_laplacian(consequents).laplacian,
+            gram_ridge(labels, cfg.ridge_y))
+        assert np.linalg.norm(grad) <= 1e-6 * (1 + np.linalg.norm(new))
+        scale = np.abs(new).max()
+        assert np.abs(new[:, 0] - new[:, 1]).max() <= 1e-10 * scale
+        # minimum norm: nothing flows out of a label that never occurs
+        assert np.abs(new[:, -1]).max() <= 1e-10 * scale
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.001, 0.05])
+    @pytest.mark.parametrize("n_labels", [8, 24])
+    def test_equals_the_dense_least_norm_solution(self, n_labels, gamma):
+        rng = np.random.default_rng(100 + n_labels)
+        mixing, consequents, fuzzy_x, labels = _degenerate_label_instance(rng, n_labels)
+        cfg = TrainConfig(beta=2.0, gamma=gamma)
+        new = update_mixing(mixing, consequents, fuzzy_x, labels, cfg)
+        want = _dense_least_norm_mixing(mixing, consequents, fuzzy_x, labels, cfg)
+        assert np.linalg.norm(new - want) <= 1e-9 * np.linalg.norm(want)
 
 
 def _surrogate_consequents(candidate, mixing, fuzzy_x, labels, cfg, weights):
@@ -409,6 +468,28 @@ class TestTrain:
         with pytest.raises(SingularProblemError, match="iteration 1, consequent solve"):
             train(self._small_data(), TrainConfig())
 
+    def test_gamma_zero_with_many_labels_and_an_absent_one(self):
+        # the left mixing coefficient is 0, so only the range restriction
+        # keeps the never-occurring label's zero gaps out of the solve
+        rng = np.random.default_rng(18)
+        labels = (rng.random((96, 300)) < 0.3).astype(float)
+        labels[-1] = 0.0
+        model, _ = train(Dataset(rng.random((4, 300)), labels),
+                         TrainConfig(gamma=0.0, max_iters=3))
+        assert np.all(np.isfinite(model.mixing))
+        assert np.abs(model.mixing[:, -1]).max() <= 1e-10 * np.abs(model.mixing).max()
+
+    def test_unridged_label_gram_with_duplicated_labels(self):
+        # equality synth duplicates labels, so Y Y' is singular at ridge_y=0
+        data = gen_synthetic(SynthSpec(kind="equality", n_samples=200, n_features=5,
+                                       seed=4))
+        model, _ = train(data, TrainConfig(ridge_y=0.0, max_iters=5))
+        mixing = model.mixing
+        assert np.all(np.isfinite(mixing))
+        scale = np.abs(mixing).max()
+        assert np.abs(mixing[:, 0] - mixing[:, 1]).max() <= 1e-10 * scale
+        assert np.abs(mixing[:, 2] - mixing[:, 3]).max() <= 1e-10 * scale
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(alpha=-1.0)
@@ -464,7 +545,7 @@ class TestFusedIteration:
         n = 160
         if n_labels == 5:
             data = gen_synthetic(SynthSpec(kind="union", n_samples=n, n_features=4, seed=3))
-        else:  # above KRON_GUARD
+        else:  # beyond the dense reference's KRON_GUARD
             data = Dataset(rng.random((4, n)),
                            (rng.random((n_labels, n)) < 0.3).astype(float))
         cfg = TrainConfig(max_iters=iterations, min_loss_margin=0.0)
@@ -484,10 +565,16 @@ class TestFusedIteration:
     def test_mixing_failure_names_the_subproblem(self, monkeypatch):
         import fuzzml.optimizer as opt
 
-        def boom(*args, **kwargs):
+        solve = opt.solve_sylvester
+        calls = []
+
+        def consequent_then_boom(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 1:
+                return solve(*args, **kwargs)
             raise SingularProblemError("synthetic failure")
 
-        monkeypatch.setattr(opt, "least_norm_solve", boom)
+        monkeypatch.setattr(opt, "solve_sylvester", consequent_then_boom)
         data = gen_synthetic(SynthSpec(kind="union", n_samples=60, n_features=5, seed=0))
         with pytest.raises(SingularProblemError, match="iteration 1, mixing solve"):
             train(data, TrainConfig())

@@ -6,15 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from reference_sylvester import kron_oracle, schur_solve
+from reference_sylvester import KRON_GUARD, kron_oracle, least_norm_solve, schur_solve
 
-from fuzzml.sylvester import (
-    KRON_GUARD,
-    SingularProblemError,
-    least_norm_solve,
-    residual_norm,
-    solve_sylvester,
-)
+from fuzzml.sylvester import SingularProblemError, residual_norm, solve_sylvester
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -224,7 +218,7 @@ class TestGuards:
         with pytest.raises(ValueError, match="B must be symmetric"):
             solve_sylvester(np.eye(2), skew, np.ones((2, 2)))
 
-    @pytest.mark.parametrize("solver", [solve_sylvester, least_norm_solve])
+    @pytest.mark.parametrize("solver", [solve_sylvester])
     def test_non_finite_input_is_a_numerical_failure(self, solver):
         # not a LinAlgError, which is a ValueError and would read as bad input
         for position in range(3):
