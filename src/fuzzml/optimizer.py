@@ -17,6 +17,7 @@ the same pre-update (mixing, consequents) snapshot before committing.
 """
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,7 @@ __all__ = [
     "NumericalError",
     "TrainConfig",
     "LossBreakdown",
+    "PhaseTimes",
     "TrainTrace",
     "ModelParams",
     "ReweightDiagonals",
@@ -108,18 +110,35 @@ class LossBreakdown:
 
 
 @dataclass(frozen=True)
+class PhaseTimes:
+    """Wall seconds of one training iteration, phase by phase.
+
+    ``weights`` computes the reweighting diagonals, ``consequent`` and
+    ``mixing`` are the two subproblem solves, and ``point`` evaluates the
+    residuals, the Laplacian and the losses at the committed pair.
+    """
+
+    weights: float
+    consequent: float
+    mixing: float
+    point: float
+
+
+@dataclass(frozen=True)
 class TrainTrace:
     """Per-iteration loss values and the reason training stopped.
 
     ``iterations`` holds the declared objective term by term.
     ``stopping_totals`` holds the bookkeeping loss the stop rules read,
     whose residual norms enter squared; its first value fixes the
-    automatic margin.
+    automatic margin. ``phases`` holds one :class:`PhaseTimes` per
+    iteration.
     """
 
     iterations: tuple
     stopping_totals: tuple
     stop_reason: str  # "margin", "nonpositive_loss" or "max_iters"
+    phases: tuple = ()
 
     @property
     def n_iterations(self) -> int:
@@ -196,7 +215,7 @@ def l21_columns(matrix) -> float:
 
 
 def _column_norms(m) -> np.ndarray:
-    return np.sqrt((m * m).sum(axis=0))
+    return np.sqrt(np.einsum("ij,ij->j", m, m))
 
 
 def _check_training_shapes(mixing, consequents, fuzzy_x, labels):
@@ -286,11 +305,14 @@ def stopping_loss(mixing, consequents, fuzzy_x, labels, cfg: TrainConfig) -> flo
     """
     mixing = np.asarray(mixing, dtype=np.float64)
     consequents = np.asarray(consequents, dtype=np.float64)
+    fuzzy_x = np.asarray(fuzzy_x, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.float64)
+    _check_training_shapes(mixing, consequents, fuzzy_x, labels)
     return _Point(mixing, consequents, fuzzy_x, labels).losses(cfg)[1]
 
 
 def gram_ridge(labels, ridge_y: float) -> float:
-    """Diagonal shift applied to the label Gram matrix before inversion."""
+    """Diagonal shift of the label Gram matrix, added to its eigenvalues."""
     if ridge_y == 0.0:
         return 0.0
     trace = float((labels * labels).sum())
@@ -300,7 +322,19 @@ def gram_ridge(labels, ridge_y: float) -> float:
 
 
 def _solve_consequents(soft_labels, fuzzy_x, fit_weights, cfg: TrainConfig) -> np.ndarray:
-    """The consequent subproblem's Sylvester equation, both sides symmetric."""
+    """The consequent subproblem's Sylvester equation, both sides symmetric.
+
+    The right coefficient B = Xg W Xg' and the right-hand side
+    Z = (S Y) W Xg' are blocks of one symmetric product R R' with
+    R = [Xg; S Y] diag(sqrt(w)): B is its top-left block, Z its
+    bottom-left block.
+    """
+    n_terms = fuzzy_x.shape[0]
+    root_w = np.sqrt(fit_weights)
+    stacked = np.empty((n_terms + soft_labels.shape[0], fuzzy_x.shape[1]))
+    np.multiply(fuzzy_x, root_w, out=stacked[:n_terms])
+    np.multiply(soft_labels, root_w, out=stacked[n_terms:])
+    gram = stacked @ stacked.T
     soft_gram = soft_labels @ soft_labels.T
     diag = np.diag(soft_gram)
     n_labels = soft_labels.shape[0]
@@ -309,9 +343,7 @@ def _solve_consequents(soft_labels, fuzzy_x, fit_weights, cfg: TrainConfig) -> n
         + cfg.gamma * (diag[:, None] + diag[None, :])
         - 2.0 * cfg.gamma * soft_gram
     )
-    root = fuzzy_x * np.sqrt(fit_weights)[None, :]
-    z = (soft_labels * fit_weights[None, :]) @ fuzzy_x.T
-    return solve_sylvester(a, root @ root.T, z)
+    return solve_sylvester(a, gram[:n_terms, :n_terms], gram[n_terms:, :n_terms])
 
 
 class _MixingSystem:
@@ -353,7 +385,10 @@ class _MixingSystem:
 
 
 def update_consequents(mixing, consequents, fuzzy_x, labels, cfg: TrainConfig) -> np.ndarray:
-    """Exact minimizer of the consequent subproblem with frozen weights.
+    """Stationary point of the consequent subproblem with frozen weights.
+
+    It is the subproblem's minimizer when the Sylvester operator is
+    positive definite; the correlation term can make it indefinite.
 
     The reweighting diagonal is evaluated at the given (mixing,
     consequents) pair; the returned matrix satisfies the corresponding
@@ -367,7 +402,10 @@ def update_consequents(mixing, consequents, fuzzy_x, labels, cfg: TrainConfig) -
 
 
 def update_mixing(mixing, consequents, fuzzy_x, labels, cfg: TrainConfig) -> np.ndarray:
-    """Exact minimizer of the mixing subproblem with frozen weights.
+    """Stationary point of the mixing subproblem with frozen weights.
+
+    It is the subproblem's minimizer when the Sylvester operator is
+    positive definite; the correlation term can make it indefinite.
 
     The reweighting diagonals and the correlation Laplacian are evaluated
     at the given (mixing, consequents) pair. The label Gram matrix is
@@ -425,20 +463,29 @@ def train(data: Dataset, cfg: TrainConfig = TrainConfig()):
     prev_total = 0.0
     iterations = []
     stopping_totals = []
+    phases = []
     stop_reason = "max_iters"
     for t in range(1, cfg.max_iters + 1):
+        started = time.perf_counter()
         weights = point.weights(cfg.epsilon_row)
+        weighted = time.perf_counter()
         subproblem = "consequent"
         try:
             consequents = _solve_consequents(point.soft_labels, fuzzy_x, weights.fit, cfg)
+            consequent_done = time.perf_counter()
             subproblem = "mixing"
             mixing = mixing_system.solve(point.laplacian, point.predicted, weights)
         except SingularProblemError as exc:
             raise SingularProblemError(
                 "iteration %d, %s solve: %s" % (t, subproblem, exc)) from exc
+        mixing_done = time.perf_counter()
 
         point = _Point(mixing, consequents, fuzzy_x, labels)
         loss, total = point.losses(cfg)
+        phases.append(PhaseTimes(weights=weighted - started,
+                                 consequent=consequent_done - weighted,
+                                 mixing=mixing_done - consequent_done,
+                                 point=time.perf_counter() - mixing_done))
         if not (math.isfinite(loss.total) and math.isfinite(total)):
             raise NumericalError(
                 "non-finite loss at iteration %d: fit=%r ridge=%r soft=%r corr=%r"
@@ -466,4 +513,5 @@ def train(data: Dataset, cfg: TrainConfig = TrainConfig()):
         label_names=data.label_names,
         config=cfg,
     )
-    return model, TrainTrace(tuple(iterations), tuple(stopping_totals), stop_reason)
+    return model, TrainTrace(tuple(iterations), tuple(stopping_totals), stop_reason,
+                             tuple(phases))

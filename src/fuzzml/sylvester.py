@@ -17,6 +17,8 @@ The solver either returns a W with relative residual
 needed.
 """
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -49,26 +51,26 @@ def _check_inputs(a, b, z):
             "Z must be %d x %d, got %s" % (a.shape[0], b.shape[0], z.shape)
         )
     for name, m in (("A", a), ("B", b), ("Z", z)):
-        if not np.all(np.isfinite(m)):
+        if not np.isfinite(m).all():
             raise SingularProblemError("non-finite entries in %s" % name)
     return a, b, z
 
 
 def _check_symmetric(m, name):
-    scale = np.max(np.abs(m), initial=0.0)
-    if np.max(np.abs(m - m.T), initial=0.0) > _SYMMETRY_RTOL * scale:
+    scale = np.abs(m).max(initial=0.0)
+    if np.abs(m - m.T).max(initial=0.0) > _SYMMETRY_RTOL * scale:
         raise ValueError("%s must be symmetric" % name)
 
 
 def residual_norm(a, b, z, w) -> float:
     """Relative residual of a candidate solution."""
-    num = np.linalg.norm(a @ w + w @ b - z)
-    return num / max(np.linalg.norm(z), _TINY)
+    r = a @ w + w @ b - z
+    return math.sqrt(np.vdot(r, r)) / max(math.sqrt(np.vdot(z, z)), _TINY)
 
 
 def _check_solution(a, b, z, w, gaps):
     """Raise unless W is finite and meets the residual contract."""
-    if not np.all(np.isfinite(w)):
+    if not np.isfinite(w).all():
         raise SingularProblemError(
             "singular problem: non-finite solution; smallest |lambda_i + sigma_j| %.2e"
             % np.min(np.abs(gaps))

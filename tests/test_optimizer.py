@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from oracles import (
     oracle_correlation_double_sum,
     oracle_mixing_gradient,
 )
-from reference_sylvester import KRON_GUARD, least_norm_solve
+from reference_sylvester import KRON_GUARD, least_norm_solve, schur_solve
 
 from fuzzml.optimizer import (
     TrainConfig,
@@ -156,6 +157,54 @@ class TestUpdateConsequents:
         z = (mixing @ labels * weights.fit) @ fuzzy_x.T
         residual = cfg.alpha * new + new @ b - z
         assert np.abs(residual).max() <= 1e-9 * (1 + np.abs(z).max())
+
+    @staticmethod
+    def _reference(mixing, consequents, fuzzy_x, labels, cfg):
+        """Schur solve of the consequent equation with B and Z formed directly."""
+        soft = mixing @ labels
+        norms = np.linalg.norm(soft - consequents @ fuzzy_x, axis=0)
+        w = 1.0 / (2.0 * np.maximum(norms, cfg.epsilon_row))
+        sq = np.sum(soft ** 2, axis=1)
+        a = (cfg.alpha * np.eye(labels.shape[0])
+             + cfg.gamma * (sq[:, None] + sq[None, :] - 2.0 * soft @ soft.T))
+        b = (fuzzy_x * w) @ fuzzy_x.T
+        z = (soft * w) @ fuzzy_x.T
+        return schur_solve(a, b, z), w
+
+    @pytest.mark.parametrize("n_labels,n_features,n_rules,n,case", [
+        (1, 3, 2, 40, "plain"),
+        (5, 4, 2, 60, "plain"),
+        (64, 3, 2, 150, "plain"),
+        (5, 6, 3, 23, "terms_near_n"),
+        (5, 4, 2, 60, "constant_feature"),
+        (64, 3, 2, 150, "absent_and_duplicated_labels"),
+        (5, 4, 2, 60, "weights_at_floor"),
+    ])
+    def test_matches_directly_formed_coefficients(self, n_labels, n_features, n_rules,
+                                                   n, case):
+        rng = np.random.default_rng(19)
+        x = rng.random((n_features, n))
+        if case == "constant_feature":
+            x[1] = 0.4
+        fuzzy_x = fuzzy_feature_matrix(x, fit_antecedents(x, n_rules))
+        if case == "terms_near_n":
+            assert n - 2 <= fuzzy_x.shape[0] < n
+        labels = (rng.random((n_labels, n)) < 0.4).astype(float)
+        mixing = np.eye(n_labels) + 0.1 * rng.normal(size=(n_labels, n_labels))
+        consequents = 0.1 * rng.normal(size=(n_labels, fuzzy_x.shape[0]))
+        if case == "absent_and_duplicated_labels":
+            labels[-1] = 0.0
+            labels[1] = labels[0]
+        if case == "weights_at_floor":
+            # no labels and zero consequents: these residual columns vanish
+            labels[:, : n // 3] = 0.0
+            consequents[:] = 0.0
+        cfg = TrainConfig(alpha=0.1, gamma=0.001)
+        got = update_consequents(mixing, consequents, fuzzy_x, labels, cfg)
+        want, w = self._reference(mixing, consequents, fuzzy_x, labels, cfg)
+        if case == "weights_at_floor":
+            assert w.max() == 1.0 / (2.0 * cfg.epsilon_row) and w.min() < 10.0
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
 
     def test_stationarity_on_random_instances(self):
         rng = np.random.default_rng(7)
@@ -499,6 +548,27 @@ class TestTrain:
             TrainConfig(epsilon_row=0.0)
         with pytest.raises(ValueError):
             TrainConfig(min_loss_margin=-0.5)
+
+    def test_phase_times_fit_in_the_wall_time(self):
+        started = time.perf_counter()
+        _, trace = train(self._small_data(), TrainConfig(max_iters=5, min_loss_margin=0.0))
+        wall = time.perf_counter() - started
+        assert len(trace.phases) == trace.n_iterations == 5
+        spent = 0.0
+        for phase in trace.phases:
+            parts = (phase.weights, phase.consequent, phase.mixing, phase.point)
+            assert all(p >= 0.0 for p in parts)
+            spent += sum(parts)
+        assert spent <= wall
+
+    @pytest.mark.parametrize("step", [objective, stopping_loss, reweight_diagonals,
+                                      update_consequents, update_mixing])
+    def test_step_functions_reject_mismatched_consequents(self, step):
+        rng = np.random.default_rng(20)
+        mixing, consequents, fuzzy_x, labels = _random_instance(rng)
+        last = 1e-8 if step is reweight_diagonals else TrainConfig()
+        with pytest.raises(ValueError, match=r"consequents must be L x K\(D\+1\)"):
+            step(mixing, consequents[:, 1:], fuzzy_x, labels, last)
 
     def test_stopping_loss_squares_the_residual_norms(self):
         rng = np.random.default_rng(15)
