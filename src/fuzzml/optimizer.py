@@ -14,6 +14,17 @@ from C. The column-wise L2,1 terms are handled by iterative reweighting:
 each outer iteration freezes the inverse column-norm weights, which turns
 both subproblems into Sylvester equations solved exactly. Both solves read
 the same pre-update (mixing, consequents) snapshot before committing.
+
+Every coefficient of both solves and of the loss is a small Gram matrix.
+With W and W_soft the diagonal weights of the two residuals, an
+iteration makes one pass over the N samples: the symmetric product of
+R = [Xg; Y] W^1/2 gives B = Xg W Xg', K = Y W Xg' and G_fit = Y W Y' as
+its blocks, and one L x L product gives G_soft = Y W_soft Y'. Together
+with the label Gram Y Y', fixed per run, and the soft-label Gram
+S = M (Y Y') M', the consequent solve reads (S, B, M K), the mixing solve
+(Lap, G_fit, G_soft, C K') and the correlation term 2 gamma <Lap, S>. The
+only other products over N are M Y and C Xg, for the two residual column
+norms.
 """
 
 import math
@@ -24,13 +35,14 @@ import numpy as np
 
 from .dataset import Dataset, NormStats, normalize_features
 from .rules import RuleBase, fit_antecedents, fuzzy_feature_matrix, DEFAULT_WIDTH_FLOOR
-from .sylvester import SingularProblemError, solve_sylvester
+from .sylvester import SingularProblemError, _solve_sylvester
 
 __all__ = [
     "NumericalError",
     "TrainConfig",
     "LossBreakdown",
     "PhaseTimes",
+    "OperatorMinima",
     "TrainTrace",
     "ModelParams",
     "ReweightDiagonals",
@@ -113,9 +125,12 @@ class LossBreakdown:
 class PhaseTimes:
     """Wall seconds of one training iteration, phase by phase.
 
-    ``weights`` computes the reweighting diagonals, ``consequent`` and
-    ``mixing`` are the two subproblem solves, and ``point`` evaluates the
-    residuals, the Laplacian and the losses at the committed pair.
+    ``weights`` computes the reweighting diagonals. ``consequent`` holds
+    the iteration's one weighted Gram pass over the N samples (see the
+    module docstring) and the consequent solve; ``mixing`` is the mixing
+    solve, which reads only L x L and L x K(D+1) matrices. ``point``
+    evaluates the residual column norms, the soft-label Gram, the
+    Laplacian and the losses at the committed pair.
     """
 
     weights: float
@@ -125,20 +140,38 @@ class PhaseTimes:
 
 
 @dataclass(frozen=True)
+class OperatorMinima:
+    """Smallest eigenvalue lambda_min(A) + sigma_min(B) of each solve's operator.
+
+    The Sylvester operator W -> A W + W B of a subproblem is positive
+    definite exactly when this value is positive; then the solve returns
+    the subproblem's minimizer, otherwise a stationary point that is not
+    one. The mixing value is that of the operator on the range of Y,
+    which is what the mixing solve diagonalizes (see
+    :class:`_MixingSystem`). With gamma = 0 the consequent value is at
+    least alpha.
+    """
+
+    consequent: float
+    mixing: float
+
+
+@dataclass(frozen=True)
 class TrainTrace:
     """Per-iteration loss values and the reason training stopped.
 
     ``iterations`` holds the declared objective term by term.
     ``stopping_totals`` holds the bookkeeping loss the stop rules read,
     whose residual norms enter squared; its first value fixes the
-    automatic margin. ``phases`` holds one :class:`PhaseTimes` per
-    iteration.
+    automatic margin. ``phases`` holds one :class:`PhaseTimes` and
+    ``operator_minima`` one :class:`OperatorMinima` per iteration.
     """
 
     iterations: tuple
     stopping_totals: tuple
     stop_reason: str  # "margin", "nonpositive_loss" or "max_iters"
     phases: tuple = ()
+    operator_minima: tuple = ()
 
     @property
     def n_iterations(self) -> int:
@@ -242,18 +275,24 @@ class _Point:
 
     :func:`train` evaluates one point per iteration, after committing
     both updates: its loss and stopping loss come from it, and so do the
-    next iteration's weights, Laplacian and right-hand sides.
+    next iteration's weights, Laplacian and soft-label Gram. M Y and
+    C Xg live only while the two residual column norms are taken, so no
+    L x N array outlives the point's construction.
     """
 
-    __slots__ = ("consequents", "soft_labels", "predicted", "fit_norms", "soft_norms",
+    __slots__ = ("mixing", "consequents", "soft_gram", "fit_norms", "soft_norms",
                  "laplacian")
 
-    def __init__(self, mixing, consequents, fuzzy_x, labels):
+    def __init__(self, mixing, consequents, fuzzy_x, labels, label_gram):
+        self.mixing = mixing
         self.consequents = consequents
-        self.soft_labels = mixing @ labels
-        self.predicted = consequents @ fuzzy_x
-        self.fit_norms = _column_norms(self.soft_labels - self.predicted)
-        self.soft_norms = _column_norms(labels - self.soft_labels)
+        soft_labels = mixing @ labels
+        fit_residual = consequents @ fuzzy_x
+        np.subtract(soft_labels, fit_residual, out=fit_residual)
+        self.fit_norms = _column_norms(fit_residual)
+        np.subtract(labels, soft_labels, out=soft_labels)
+        self.soft_norms = _column_norms(soft_labels)
+        self.soft_gram = mixing @ label_gram @ mixing.T
         self.laplacian = correlation_laplacian(consequents).laplacian
 
     def weights(self, epsilon_row) -> ReweightDiagonals:
@@ -267,11 +306,37 @@ class _Point:
         fit = float(self.fit_norms.sum())
         soft = float(self.soft_norms.sum())
         ridge = cfg.alpha * float((self.consequents * self.consequents).sum())
-        corr = 2.0 * cfg.gamma * float(
-            np.sum(self.soft_labels * (self.laplacian @ self.soft_labels)))
+        # tr(Y'M' Lap M Y) = <Lap, S> with S = M (Y Y') M'
+        corr = 2.0 * cfg.gamma * float(np.vdot(self.laplacian, self.soft_gram))
         loss = LossBreakdown(fit=fit, ridge=ridge, soft=cfg.beta * soft, corr=corr,
                              total=fit + ridge + cfg.beta * soft + corr)
         return loss, fit * fit + ridge + cfg.beta * soft * soft + corr
+
+
+class _Grams:
+    """The weighted Grams over the N samples that both solves read.
+
+    With W = diag(w_fit): ``terms`` is Xg W Xg', ``cross`` is Y W Xg' and
+    ``fit`` is Y W Y', the blocks of one symmetric product R R' with
+    R = [Xg; Y] W^1/2; ``soft`` is Y diag(w_soft) Y'. The stacked R is
+    allocated per call and freed on return.
+    """
+
+    __slots__ = ("terms", "cross", "fit", "soft")
+
+    def __init__(self, fuzzy_x, labels, weights: ReweightDiagonals):
+        n_terms = fuzzy_x.shape[0]
+        stacked = np.empty((n_terms + labels.shape[0], fuzzy_x.shape[1]))
+        root_w = np.sqrt(weights.fit)
+        np.multiply(fuzzy_x, root_w, out=stacked[:n_terms])
+        np.multiply(labels, root_w, out=stacked[n_terms:])
+        gram = stacked @ stacked.T
+        self.terms = gram[:n_terms, :n_terms]
+        self.cross = gram[n_terms:, :n_terms]
+        self.fit = gram[n_terms:, n_terms:]
+        label_rows = stacked[n_terms:]  # reused for Y W_soft^1/2
+        np.multiply(labels, np.sqrt(weights.soft), out=label_rows)
+        self.soft = label_rows @ label_rows.T
 
 
 def reweight_diagonals(mixing, consequents, fuzzy_x, labels, epsilon_row) -> ReweightDiagonals:
@@ -279,7 +344,8 @@ def reweight_diagonals(mixing, consequents, fuzzy_x, labels, epsilon_row) -> Rew
     if epsilon_row <= 0:
         raise ValueError("epsilon_row must be positive")
     _check_training_shapes(mixing, consequents, fuzzy_x, labels)
-    return _Point(mixing, consequents, fuzzy_x, labels).weights(epsilon_row)
+    return _Point(mixing, consequents, fuzzy_x, labels,
+                  labels @ labels.T).weights(epsilon_row)
 
 
 def objective(mixing, consequents, fuzzy_x, labels, cfg: TrainConfig) -> LossBreakdown:
@@ -289,7 +355,7 @@ def objective(mixing, consequents, fuzzy_x, labels, cfg: TrainConfig) -> LossBre
     fuzzy_x = np.asarray(fuzzy_x, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
     _check_training_shapes(mixing, consequents, fuzzy_x, labels)
-    return _Point(mixing, consequents, fuzzy_x, labels).losses(cfg)[0]
+    return _Point(mixing, consequents, fuzzy_x, labels, labels @ labels.T).losses(cfg)[0]
 
 
 def stopping_loss(mixing, consequents, fuzzy_x, labels, cfg: TrainConfig) -> float:
@@ -308,7 +374,7 @@ def stopping_loss(mixing, consequents, fuzzy_x, labels, cfg: TrainConfig) -> flo
     fuzzy_x = np.asarray(fuzzy_x, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
     _check_training_shapes(mixing, consequents, fuzzy_x, labels)
-    return _Point(mixing, consequents, fuzzy_x, labels).losses(cfg)[1]
+    return _Point(mixing, consequents, fuzzy_x, labels, labels @ labels.T).losses(cfg)[1]
 
 
 def gram_ridge(labels, ridge_y: float) -> float:
@@ -321,67 +387,59 @@ def gram_ridge(labels, ridge_y: float) -> float:
     return ridge_y * scale
 
 
-def _solve_consequents(soft_labels, fuzzy_x, fit_weights, cfg: TrainConfig) -> np.ndarray:
-    """The consequent subproblem's Sylvester equation, both sides symmetric.
+def _solve_consequents(point: _Point, grams: _Grams, cfg: TrainConfig):
+    """The consequent subproblem's Sylvester equation A C + C B = Z.
 
-    The right coefficient B = Xg W Xg' and the right-hand side
-    Z = (S Y) W Xg' are blocks of one symmetric product R R' with
-    R = [Xg; S Y] diag(sqrt(w)): B is its top-left block, Z its
-    bottom-left block.
+    Both coefficients are symmetric: A = alpha I + gamma (s 1' + 1 s')
+    - 2 gamma S from the soft-label Gram S and its diagonal s, and
+    B = Xg W Xg'. The right-hand side Z = (M Y) W Xg' is M K. Returns the
+    consequents and lambda_min(A) + sigma_min(B).
     """
-    n_terms = fuzzy_x.shape[0]
-    root_w = np.sqrt(fit_weights)
-    stacked = np.empty((n_terms + soft_labels.shape[0], fuzzy_x.shape[1]))
-    np.multiply(fuzzy_x, root_w, out=stacked[:n_terms])
-    np.multiply(soft_labels, root_w, out=stacked[n_terms:])
-    gram = stacked @ stacked.T
-    soft_gram = soft_labels @ soft_labels.T
+    soft_gram = point.soft_gram
     diag = np.diag(soft_gram)
-    n_labels = soft_labels.shape[0]
     a = (
-        cfg.alpha * np.eye(n_labels)
+        cfg.alpha * np.eye(soft_gram.shape[0])
         + cfg.gamma * (diag[:, None] + diag[None, :])
         - 2.0 * cfg.gamma * soft_gram
     )
-    return solve_sylvester(a, gram[:n_terms, :n_terms], gram[n_terms:, :n_terms])
+    return _solve_sylvester(a, grams.terms, point.mixing @ grams.cross)
 
 
 class _MixingSystem:
     """The label-side terms of the mixing subproblem, fixed during training.
 
     With G = Y Y' + r I the ridged label Gram (see :class:`TrainConfig`),
-    stationarity reads 2 gamma Lap M G + M B_raw = Z_raw, where B_raw and
-    Z_raw end in Y' on the right. A direction w with Y' w = 0 (a label
-    that never occurs, duplicated or dependent label rows) has
-    B_raw w = 0 and Z_raw w = 0, so M w = 0 satisfies the equation there
-    and is its minimum-norm choice. On the range of Y, with
-    Y Y' = Q diag(e) Q', the columns of Q whose eigenvalue exceeds the
-    Hermitian rank tolerance L eps max(e) (as in ``np.linalg.matrix_rank``)
-    and H = Q_range diag(e_range + r)^-1/2, the substitution M = N H'
-    makes both coefficients symmetric, 2 gamma Lap N + N (H' B_raw H) =
-    Z_raw H, for the eigen solver. H comes from one eigendecomposition of
-    the label Gram per training run.
+    stationarity reads 2 gamma Lap M G + M B_raw = Z_raw, with
+    B_raw = G_fit + beta G_soft and Z_raw = C K' + beta G_soft (see
+    :class:`_Grams`; C is the pre-update consequents). Both end in Y' on
+    the right, so a direction w with Y' w = 0 (a label that never occurs,
+    duplicated or dependent label rows) has B_raw w = 0 and Z_raw w = 0:
+    M w = 0 satisfies the equation there and is its minimum-norm choice.
+    On the range of Y, with Y Y' = Q diag(e) Q', the columns of Q whose
+    eigenvalue exceeds the Hermitian rank tolerance L eps max(e) (as in
+    ``np.linalg.matrix_rank``) and H = Q_range diag(e_range + r)^-1/2, the
+    substitution M = N H' makes both coefficients symmetric,
+    2 gamma Lap N + N (H' B_raw H) = Z_raw H, for the eigen solver. The
+    label Gram Y Y' and H come from one eigendecomposition per training
+    run; a solve reads only L x L and L x K(D+1) matrices.
     """
 
     def __init__(self, labels, cfg: TrainConfig):
-        self.labels = labels
         self.cfg = cfg
-        values, vectors = np.linalg.eigh(labels @ labels.T)
+        self.label_gram = labels @ labels.T
+        values, vectors = np.linalg.eigh(self.label_gram)
         keep = values > labels.shape[0] * np.finfo(np.float64).eps * values[-1]
         self.range_half = vectors[:, keep] / np.sqrt(
             values[keep] + gram_ridge(labels, cfg.ridge_y))[None, :]
 
-    def solve(self, laplacian, predicted, weights: ReweightDiagonals) -> np.ndarray:
-        labels = self.labels
-        beta = self.cfg.beta
-        combined = weights.fit + beta * weights.soft
-        z_raw = (
-            predicted * weights.fit[None, :] + beta * labels * weights.soft[None, :]
-        ) @ labels.T
+    def solve(self, point: _Point, grams: _Grams):
+        """The mixing transform and lambda_min + sigma_min of the reduced operator."""
         half = self.range_half
-        root = half.T @ (labels * np.sqrt(combined)[None, :])
-        return solve_sylvester(2.0 * self.cfg.gamma * laplacian, root @ root.T,
-                               z_raw @ half) @ half.T
+        soft = self.cfg.beta * grams.soft
+        reduced, lowest = _solve_sylvester(
+            2.0 * self.cfg.gamma * point.laplacian, half.T @ (grams.fit + soft) @ half,
+            (point.consequents @ grams.cross.T + soft) @ half)
+        return reduced @ half.T, lowest
 
 
 def update_consequents(mixing, consequents, fuzzy_x, labels, cfg: TrainConfig) -> np.ndarray:
@@ -393,12 +451,14 @@ def update_consequents(mixing, consequents, fuzzy_x, labels, cfg: TrainConfig) -
     The reweighting diagonal is evaluated at the given (mixing,
     consequents) pair; the returned matrix satisfies the corresponding
     stationarity condition. The left coefficient combines the ridge with
-    the correlation coupling of the soft-label Gram matrix.
+    the correlation coupling of the soft-label Gram S = M (Y Y') M', the
+    right coefficient and the right-hand side are blocks of the weighted
+    Gram of [Xg; Y] (see the module docstring).
     """
     _check_training_shapes(mixing, consequents, fuzzy_x, labels)
-    point = _Point(mixing, consequents, fuzzy_x, labels)
-    return _solve_consequents(point.soft_labels, fuzzy_x,
-                              point.weights(cfg.epsilon_row).fit, cfg)
+    point = _Point(mixing, consequents, fuzzy_x, labels, labels @ labels.T)
+    grams = _Grams(fuzzy_x, labels, point.weights(cfg.epsilon_row))
+    return _solve_consequents(point, grams, cfg)[0]
 
 
 def update_mixing(mixing, consequents, fuzzy_x, labels, cfg: TrainConfig) -> np.ndarray:
@@ -411,7 +471,9 @@ def update_mixing(mixing, consequents, fuzzy_x, labels, cfg: TrainConfig) -> np.
     at the given (mixing, consequents) pair. The label Gram matrix is
     ridged (see :class:`TrainConfig`) and folded into the right-hand
     coefficients, so the solved equation is the stationarity condition
-    with the ridged Gram in the Laplacian term.
+    with the ridged Gram in the Laplacian term. Its coefficients are the
+    weighted label Grams Y W Y' and Y W_soft Y' and the cross Gram
+    Y W Xg', taken with the consequents (see :class:`_MixingSystem`).
 
     The Sylvester operator here is singular whenever the label matrix is
     row-rank deficient (a label that never occurs, or duplicated label
@@ -422,9 +484,10 @@ def update_mixing(mixing, consequents, fuzzy_x, labels, cfg: TrainConfig) -> np.
     columns.
     """
     _check_training_shapes(mixing, consequents, fuzzy_x, labels)
-    point = _Point(mixing, consequents, fuzzy_x, labels)
-    return _MixingSystem(labels, cfg).solve(point.laplacian, point.predicted,
-                                            point.weights(cfg.epsilon_row))
+    system = _MixingSystem(labels, cfg)
+    point = _Point(mixing, consequents, fuzzy_x, labels, system.label_gram)
+    grams = _Grams(fuzzy_x, labels, point.weights(cfg.epsilon_row))
+    return system.solve(point, grams)[0]
 
 
 def train(data: Dataset, cfg: TrainConfig = TrainConfig()):
@@ -438,8 +501,9 @@ def train(data: Dataset, cfg: TrainConfig = TrainConfig()):
     bookkeeping loss (see :func:`stopping_loss`) drops to the margin, that
     loss becomes nonpositive, or the iteration budget runs out.
 
-    The residuals, weights and Laplacian are evaluated once per
-    iteration, at the committed pair; the results equal those of
+    The residuals, weights, soft-label Gram and Laplacian are evaluated
+    once per iteration, at the committed pair, and the weighted Grams
+    once per iteration, before both solves; the results equal those of
     :func:`update_consequents`, :func:`update_mixing`, :func:`objective`
     and :func:`stopping_loss` called in turn. A failed solve raises
     :class:`SingularProblemError` naming the iteration and the subproblem.
@@ -457,13 +521,14 @@ def train(data: Dataset, cfg: TrainConfig = TrainConfig()):
 
     mixing = np.ones((n_labels, n_labels))
     consequents = np.full((n_labels, fuzzy_x.shape[0]), 1.0 / n_labels)
-    point = _Point(mixing, consequents, fuzzy_x, labels)
+    point = _Point(mixing, consequents, fuzzy_x, labels, mixing_system.label_gram)
 
     margin = cfg.min_loss_margin
     prev_total = 0.0
     iterations = []
     stopping_totals = []
     phases = []
+    operator_minima = []
     stop_reason = "max_iters"
     for t in range(1, cfg.max_iters + 1):
         started = time.perf_counter()
@@ -471,21 +536,23 @@ def train(data: Dataset, cfg: TrainConfig = TrainConfig()):
         weighted = time.perf_counter()
         subproblem = "consequent"
         try:
-            consequents = _solve_consequents(point.soft_labels, fuzzy_x, weights.fit, cfg)
+            grams = _Grams(fuzzy_x, labels, weights)
+            consequents, consequent_min = _solve_consequents(point, grams, cfg)
             consequent_done = time.perf_counter()
             subproblem = "mixing"
-            mixing = mixing_system.solve(point.laplacian, point.predicted, weights)
+            mixing, mixing_min = mixing_system.solve(point, grams)
         except SingularProblemError as exc:
             raise SingularProblemError(
                 "iteration %d, %s solve: %s" % (t, subproblem, exc)) from exc
         mixing_done = time.perf_counter()
 
-        point = _Point(mixing, consequents, fuzzy_x, labels)
+        point = _Point(mixing, consequents, fuzzy_x, labels, mixing_system.label_gram)
         loss, total = point.losses(cfg)
         phases.append(PhaseTimes(weights=weighted - started,
                                  consequent=consequent_done - weighted,
                                  mixing=mixing_done - consequent_done,
                                  point=time.perf_counter() - mixing_done))
+        operator_minima.append(OperatorMinima(consequent=consequent_min, mixing=mixing_min))
         if not (math.isfinite(loss.total) and math.isfinite(total)):
             raise NumericalError(
                 "non-finite loss at iteration %d: fit=%r ridge=%r soft=%r corr=%r"
@@ -514,4 +581,4 @@ def train(data: Dataset, cfg: TrainConfig = TrainConfig()):
         config=cfg,
     )
     return model, TrainTrace(tuple(iterations), tuple(stopping_totals), stop_reason,
-                             tuple(phases))
+                             tuple(phases), tuple(operator_minima))

@@ -1,5 +1,6 @@
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from oracles import (
     oracle_consequent_gradient,
     oracle_correlation_double_sum,
+    oracle_fuzzy_feature_matrix,
     oracle_mixing_gradient,
 )
 from reference_sylvester import KRON_GUARD, least_norm_solve, schur_solve
@@ -513,7 +515,7 @@ class TestTrain:
         def boom(*args, **kwargs):
             raise SingularProblemError("synthetic failure")
 
-        monkeypatch.setattr(opt, "solve_sylvester", boom)
+        monkeypatch.setattr(opt, "_solve_sylvester", boom)
         with pytest.raises(SingularProblemError, match="iteration 1, consequent solve"):
             train(self._small_data(), TrainConfig())
 
@@ -569,6 +571,15 @@ class TestTrain:
         last = 1e-8 if step is reweight_diagonals else TrainConfig()
         with pytest.raises(ValueError, match=r"consequents must be L x K\(D\+1\)"):
             step(mixing, consequents[:, 1:], fuzzy_x, labels, last)
+
+    def test_operator_minima_are_recorded_per_iteration(self):
+        # with gamma = 0 the consequent operator is alpha I + Xg W Xg'
+        cfg = TrainConfig(gamma=0.0, max_iters=6, min_loss_margin=0.0)
+        _, trace = train(self._small_data(), cfg)
+        assert len(trace.operator_minima) == trace.n_iterations == 6
+        for minima in trace.operator_minima:
+            assert minima.consequent >= cfg.alpha
+            assert math.isfinite(minima.mixing)
 
     def test_stopping_loss_squares_the_residual_norms(self):
         rng = np.random.default_rng(15)
@@ -635,7 +646,7 @@ class TestFusedIteration:
     def test_mixing_failure_names_the_subproblem(self, monkeypatch):
         import fuzzml.optimizer as opt
 
-        solve = opt.solve_sylvester
+        solve = opt._solve_sylvester
         calls = []
 
         def consequent_then_boom(*args, **kwargs):
@@ -644,7 +655,78 @@ class TestFusedIteration:
                 return solve(*args, **kwargs)
             raise SingularProblemError("synthetic failure")
 
-        monkeypatch.setattr(opt, "solve_sylvester", consequent_then_boom)
+        monkeypatch.setattr(opt, "_solve_sylvester", consequent_then_boom)
         data = gen_synthetic(SynthSpec(kind="union", n_samples=60, n_features=5, seed=0))
         with pytest.raises(SingularProblemError, match="iteration 1, mixing solve"):
             train(data, TrainConfig())
+
+
+class TestIterationAgainstTheOracles:
+    """Iterate t of train() is stationary for the subproblems frozen at iterate t - 1.
+
+    Shares no code with the package's iteration: the fuzzy features come
+    from the per-sample oracle map, and the weights, the Laplacian, the
+    Gram shift and both gradients are formed here and in ``oracles.py``
+    from the models of two deterministic runs, of t - 1 and t iterations.
+    """
+
+    ITERATION = 3
+
+    @staticmethod
+    def _data(n_labels, n=300, n_features=4):
+        rng = np.random.default_rng(200 + n_labels)
+        features = rng.random((n_features, n))
+        features[:, 0] = 0.0  # min-max normalization is then the identity
+        features[:, 1] = 1.0
+        labels = (rng.random((n_labels, n)) < 0.3).astype(float)
+        labels[1] = labels[0]
+        labels[-1] = 0.0
+        return Dataset(features, labels)
+
+    @staticmethod
+    def _frozen(model, fuzzy_x, labels, cfg):
+        soft = model.mixing @ labels
+        fit_norms = np.sqrt(((soft - model.consequents @ fuzzy_x) ** 2).sum(axis=0))
+        soft_norms = np.sqrt(((labels - soft) ** 2).sum(axis=0))
+        d_fit = 1.0 / (2.0 * np.maximum(fit_norms, cfg.epsilon_row))
+        d_soft = 1.0 / (2.0 * np.maximum(soft_norms, cfg.epsilon_row))
+        similarity = model.consequents @ model.consequents.T
+        laplacian = np.diag(similarity.sum(axis=1)) - similarity
+        return d_fit, d_soft, laplacian
+
+    @pytest.mark.parametrize("n_labels", [5, 24, 65])
+    def test_iterate_is_stationary_for_the_previous_snapshot(self, n_labels):
+        data = self._data(n_labels)
+        cfg = TrainConfig(max_iters=self.ITERATION - 1, min_loss_margin=0.0)
+        prev, prev_trace = train(data, cfg)
+        cur, cur_trace = train(data, replace(cfg, max_iters=self.ITERATION))
+        assert (prev_trace.n_iterations, cur_trace.n_iterations) == (
+            self.ITERATION - 1, self.ITERATION)
+        labels = data.labels
+        fuzzy_x = oracle_fuzzy_feature_matrix(data.features, cur.rulebase.centers,
+                                              cur.rulebase.widths)
+        d_fit, d_soft, laplacian = self._frozen(prev, fuzzy_x, labels, cfg)
+
+        def consequent_gradient(consequents):
+            return oracle_consequent_gradient(prev.mixing, consequents, fuzzy_x, labels,
+                                              cfg.alpha, cfg.gamma, d_fit)
+
+        grad = consequent_gradient(cur.consequents)
+        scale = np.linalg.norm(consequent_gradient(np.zeros_like(cur.consequents)))
+        assert np.linalg.norm(grad) <= 1e-6 * scale
+
+        shift = cfg.ridge_y * (labels ** 2).sum() / n_labels
+
+        def mixing_gradient(mixing):
+            return oracle_mixing_gradient(mixing, prev.consequents, fuzzy_x, labels,
+                                          cfg.beta, cfg.gamma, d_fit, d_soft, laplacian,
+                                          shift)
+
+        grad = mixing_gradient(cur.mixing)
+        scale = np.linalg.norm(mixing_gradient(np.zeros_like(cur.mixing)))
+        assert np.linalg.norm(grad) <= 1e-6 * scale
+
+        corr = cfg.gamma * oracle_correlation_double_sum(cur.mixing, cur.consequents, labels)
+        assert cur_trace.iterations[-1].corr == pytest.approx(corr, rel=1e-6)
+        assert objective(cur.mixing, cur.consequents, fuzzy_x, labels, cfg).corr == (
+            pytest.approx(corr, rel=1e-6))

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from reference_sylvester import KRON_GUARD, kron_oracle, least_norm_solve, schur_solve
 
@@ -151,6 +152,20 @@ class TestConsequentLikeProblems:
         w = solve_sylvester(a, b, z)
         assert w[0, 0] == pytest.approx(1.0 / 1e-2, rel=1e-6)
         assert residual_norm(a, b, z, w) <= 1e-8
+
+    @pytest.mark.parametrize("n, m, seed", [(4, 3, 23), (4, 3, 32), (6, 4, 22), (8, 6, 9)])
+    def test_rounding_amplified_by_a_large_eigenvalue_is_refined(self, n, m, seed):
+        # the mixing solve's spectra on wide labels: 2 gamma Lap reaches
+        # -3e7 next to a zero eigenvalue, B lies in 0.08-0.5; every gap is
+        # at least 0.08, but the first W misses RESIDUAL_RTOL by rounding
+        rng = np.random.default_rng(seed)
+        a = _with_spectrum(rng, np.concatenate(([-3e7, 0.0], rng.uniform(-2e4, 2e4, n - 2))))
+        b = _with_spectrum(rng, rng.uniform(0.08, 0.5, m))
+        z = rng.normal(size=(n, m))
+        w = solve_sylvester(a, b, z)
+        assert residual_norm(a, b, z, w) <= 1e-8
+        w_ref = scipy.linalg.solve_sylvester(a, b, z)
+        assert np.linalg.norm(w - w_ref) <= 1e-7 * np.linalg.norm(w_ref)
 
 
 class TestLeastNormSolve:
