@@ -41,22 +41,13 @@ from .metrics import (
     ranking_loss,
 )
 from .optimizer import (
-    CorrelationLaplacian,
     LossBreakdown,
     ModelParams,
     NumericalError,
-    ReweightDiagonals,
     TrainConfig,
     TrainTrace,
-    correlation_laplacian,
     gram_ridge,
-    l21_columns,
-    objective,
-    reweight_diagonals,
-    stopping_loss,
     train,
-    update_consequents,
-    update_mixing,
 )
 from .predictor import ModelFormatError, load_model, predict, save_model, score
 from .rules import (

@@ -66,7 +66,7 @@ def _out_path(args, name):
     return name if os.path.isabs(name) else os.path.join(args.out_dir, name)
 
 
-def _train_config(args, seed=None) -> TrainConfig:
+def _train_config(args) -> TrainConfig:
     return TrainConfig(
         alpha=args.alpha,
         beta=args.beta,
@@ -78,7 +78,6 @@ def _train_config(args, seed=None) -> TrainConfig:
         ridge_y=args.ridge_y,
         width_floor=args.width_floor,
         tau=args.tau,
-        seed=args.seed if seed is None else seed,
     )
 
 

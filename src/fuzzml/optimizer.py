@@ -45,16 +45,7 @@ __all__ = [
     "OperatorMinima",
     "TrainTrace",
     "ModelParams",
-    "ReweightDiagonals",
-    "CorrelationLaplacian",
-    "l21_columns",
-    "objective",
-    "stopping_loss",
-    "reweight_diagonals",
-    "correlation_laplacian",
     "gram_ridge",
-    "update_consequents",
-    "update_mixing",
     "train",
 ]
 
@@ -89,23 +80,23 @@ class TrainConfig:
     ridge_y: float = 1e-6
     width_floor: float = DEFAULT_WIDTH_FLOOR
     tau: float = 0.5
-    seed: int = 0
 
     def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0 or self.gamma < 0:
-            raise ValueError("alpha, beta and gamma must be nonnegative")
+        # every comparison with NaN is false, so these checks reject it
+        if not all(0 <= v < math.inf for v in (self.alpha, self.beta, self.gamma)):
+            raise ValueError("alpha, beta and gamma must be finite and nonnegative")
         if self.n_rules < 1:
             raise ValueError("n_rules must be at least 1")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.min_loss_margin is not None and self.min_loss_margin < 0:
+        if self.min_loss_margin is not None and not self.min_loss_margin >= 0:
             raise ValueError("min_loss_margin must be nonnegative")
-        if self.epsilon_row <= 0:
-            raise ValueError("epsilon_row must be positive")
-        if self.ridge_y < 0:
-            raise ValueError("ridge_y must be nonnegative")
-        if self.width_floor <= 0:
-            raise ValueError("width_floor must be positive")
+        if not 0 < self.epsilon_row < math.inf:
+            raise ValueError("epsilon_row must be finite and positive")
+        if not 0 <= self.ridge_y < math.inf:
+            raise ValueError("ridge_y must be finite and nonnegative")
+        if not 0 < self.width_floor < math.inf:
+            raise ValueError("width_floor must be finite and positive")
         if not math.isfinite(self.tau):
             raise ValueError("tau must be finite")
 
@@ -161,10 +152,17 @@ class TrainTrace:
     """Per-iteration loss values and the reason training stopped.
 
     ``iterations`` holds the declared objective term by term.
-    ``stopping_totals`` holds the bookkeeping loss the stop rules read,
-    whose residual norms enter squared; its first value fixes the
-    automatic margin. ``phases`` holds one :class:`PhaseTimes` and
-    ``operator_minima`` one :class:`OperatorMinima` per iteration.
+    ``stopping_totals`` holds the bookkeeping loss the stop rules read;
+    its first value fixes the automatic margin. It equals the objective
+    except that the two column-norm sums enter squared. The square keeps
+    the early iterations (whose residuals are huge under the all-ones
+    initialization) far above the converged plateau, so the relative
+    stopping margin separates the two regimes cleanly. The declared
+    objective itself can dip below zero through the indefinite
+    correlation term long before the iterates settle, which would end
+    training at an arbitrary point. ``phases`` holds one
+    :class:`PhaseTimes` and ``operator_minima`` one
+    :class:`OperatorMinima` per iteration.
     """
 
     iterations: tuple
@@ -215,59 +213,8 @@ class ModelParams:
         return self.consequents.shape[0]
 
 
-@dataclass(frozen=True)
-class ReweightDiagonals:
-    """Inverse column-norm weights for the L2,1 terms, one entry per sample.
-
-    ``fit`` weights the fit residual M Y - C Xg in both subproblems;
-    ``soft`` weights the soft-label residual Y - M Y.
-    """
-
-    fit: np.ndarray
-    soft: np.ndarray
-
-
-@dataclass(frozen=True)
-class CorrelationLaplacian:
-    """Laplacian of the consequent-similarity graph.
-
-    ``similarity`` is C C^T, ``degree`` its row sums and ``laplacian``
-    diag(degree) - similarity. Rows of the Laplacian sum to zero; the
-    matrix may be indefinite because similarities can be negative.
-    """
-
-    similarity: np.ndarray
-    degree: np.ndarray
-    laplacian: np.ndarray
-
-
-def l21_columns(matrix) -> float:
-    """Sum of Euclidean norms of the columns (the L2,1 norm of the transpose)."""
-    m = np.asarray(matrix, dtype=np.float64)
-    return float(_column_norms(m).sum())
-
-
 def _column_norms(m) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->j", m, m))
-
-
-def _check_training_shapes(mixing, consequents, fuzzy_x, labels):
-    n_labels, n = labels.shape
-    if mixing.shape != (n_labels, n_labels):
-        raise ValueError("mixing transform must be L x L")
-    if fuzzy_x.ndim != 2 or fuzzy_x.shape[1] != n:
-        raise ValueError("fuzzy features must have one column per sample")
-    if consequents.shape != (n_labels, fuzzy_x.shape[0]):
-        raise ValueError("consequents must be L x K(D+1)")
-
-
-def correlation_laplacian(consequents) -> CorrelationLaplacian:
-    """Build the label-correlation Laplacian from the consequent rows."""
-    c = np.asarray(consequents, dtype=np.float64)
-    similarity = c @ c.T
-    degree = similarity.sum(axis=1)
-    laplacian = np.diag(degree) - similarity
-    return CorrelationLaplacian(similarity, degree, laplacian)
 
 
 class _Point:
@@ -293,13 +240,20 @@ class _Point:
         np.subtract(labels, soft_labels, out=soft_labels)
         self.soft_norms = _column_norms(soft_labels)
         self.soft_gram = mixing @ label_gram @ mixing.T
-        self.laplacian = correlation_laplacian(consequents).laplacian
+        # diag(C C' 1) - C C'; its rows sum to zero, and it is indefinite
+        # when consequent rows have negative inner products
+        similarity = consequents @ consequents.T
+        self.laplacian = np.diag(similarity.sum(axis=1)) - similarity
 
-    def weights(self, epsilon_row) -> ReweightDiagonals:
-        return ReweightDiagonals(
-            fit=1.0 / (2.0 * np.maximum(self.fit_norms, epsilon_row)),
-            soft=1.0 / (2.0 * np.maximum(self.soft_norms, epsilon_row)),
-        )
+    def weights(self, epsilon_row):
+        """The L2,1 weights 1 / (2 max(column norm, epsilon_row)), one per sample.
+
+        Returns ``(fit, soft)``: ``fit`` weights the fit residual
+        M Y - C Xg in both subproblems, ``soft`` the soft-label residual
+        Y - M Y.
+        """
+        return (1.0 / (2.0 * np.maximum(self.fit_norms, epsilon_row)),
+                1.0 / (2.0 * np.maximum(self.soft_norms, epsilon_row)))
 
     def losses(self, cfg: TrainConfig):
         """The objective term by term and the stopping loss."""
@@ -324,10 +278,11 @@ class _Grams:
 
     __slots__ = ("terms", "cross", "fit", "soft")
 
-    def __init__(self, fuzzy_x, labels, weights: ReweightDiagonals):
+    def __init__(self, fuzzy_x, labels, weights):
+        fit_weights, soft_weights = weights
         n_terms = fuzzy_x.shape[0]
         stacked = np.empty((n_terms + labels.shape[0], fuzzy_x.shape[1]))
-        root_w = np.sqrt(weights.fit)
+        root_w = np.sqrt(fit_weights)
         np.multiply(fuzzy_x, root_w, out=stacked[:n_terms])
         np.multiply(labels, root_w, out=stacked[n_terms:])
         gram = stacked @ stacked.T
@@ -335,46 +290,8 @@ class _Grams:
         self.cross = gram[n_terms:, :n_terms]
         self.fit = gram[n_terms:, n_terms:]
         label_rows = stacked[n_terms:]  # reused for Y W_soft^1/2
-        np.multiply(labels, np.sqrt(weights.soft), out=label_rows)
+        np.multiply(labels, np.sqrt(soft_weights), out=label_rows)
         self.soft = label_rows @ label_rows.T
-
-
-def reweight_diagonals(mixing, consequents, fuzzy_x, labels, epsilon_row) -> ReweightDiagonals:
-    """Weights 1 / (2 max(column norm, epsilon_row)) of both residuals."""
-    if epsilon_row <= 0:
-        raise ValueError("epsilon_row must be positive")
-    _check_training_shapes(mixing, consequents, fuzzy_x, labels)
-    return _Point(mixing, consequents, fuzzy_x, labels,
-                  labels @ labels.T).weights(epsilon_row)
-
-
-def objective(mixing, consequents, fuzzy_x, labels, cfg: TrainConfig) -> LossBreakdown:
-    """Evaluate the full training objective at (mixing, consequents)."""
-    mixing = np.asarray(mixing, dtype=np.float64)
-    consequents = np.asarray(consequents, dtype=np.float64)
-    fuzzy_x = np.asarray(fuzzy_x, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.float64)
-    _check_training_shapes(mixing, consequents, fuzzy_x, labels)
-    return _Point(mixing, consequents, fuzzy_x, labels, labels @ labels.T).losses(cfg)[0]
-
-
-def stopping_loss(mixing, consequents, fuzzy_x, labels, cfg: TrainConfig) -> float:
-    """Bookkeeping loss driving the stop rules, with squared residual norms.
-
-    Equals the objective except that the two column-norm sums enter
-    squared. The square keeps the early iterations (whose residuals are
-    huge under the all-ones initialization) far above the converged
-    plateau, so the relative stopping margin separates the two regimes
-    cleanly. The reported objective itself can dip below zero through the
-    indefinite correlation term long before the iterates settle, which
-    would end training at an arbitrary point.
-    """
-    mixing = np.asarray(mixing, dtype=np.float64)
-    consequents = np.asarray(consequents, dtype=np.float64)
-    fuzzy_x = np.asarray(fuzzy_x, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.float64)
-    _check_training_shapes(mixing, consequents, fuzzy_x, labels)
-    return _Point(mixing, consequents, fuzzy_x, labels, labels @ labels.T).losses(cfg)[1]
 
 
 def gram_ridge(labels, ridge_y: float) -> float:
@@ -393,7 +310,10 @@ def _solve_consequents(point: _Point, grams: _Grams, cfg: TrainConfig):
     Both coefficients are symmetric: A = alpha I + gamma (s 1' + 1 s')
     - 2 gamma S from the soft-label Gram S and its diagonal s, and
     B = Xg W Xg'. The right-hand side Z = (M Y) W Xg' is M K. Returns the
-    consequents and lambda_min(A) + sigma_min(B).
+    consequents and lambda_min(A) + sigma_min(B). The consequents are a
+    stationary point of the subproblem with frozen weights, its minimizer
+    when the operator is positive definite; the correlation term can
+    make it indefinite.
     """
     soft_gram = point.soft_gram
     diag = np.diag(soft_gram)
@@ -422,6 +342,14 @@ class _MixingSystem:
     2 gamma Lap N + N (H' B_raw H) = Z_raw H, for the eigen solver. The
     label Gram Y Y' and H come from one eigendecomposition per training
     run; a solve reads only L x L and L x K(D+1) matrices.
+
+    The unreduced operator is singular whenever Y is row-rank deficient:
+    the Laplacian annihilates the all-ones vector while the right
+    coefficient loses rank. The system stays consistent, and M = N H' is
+    its minimum-norm solution at every label count. Being zero on the
+    null space of Y', it gives duplicated labels identical columns. Like
+    the consequents, M is a stationary point of the subproblem, its
+    minimizer when the reduced operator is positive definite.
     """
 
     def __init__(self, labels, cfg: TrainConfig):
@@ -442,54 +370,6 @@ class _MixingSystem:
         return reduced @ half.T, lowest
 
 
-def update_consequents(mixing, consequents, fuzzy_x, labels, cfg: TrainConfig) -> np.ndarray:
-    """Stationary point of the consequent subproblem with frozen weights.
-
-    It is the subproblem's minimizer when the Sylvester operator is
-    positive definite; the correlation term can make it indefinite.
-
-    The reweighting diagonal is evaluated at the given (mixing,
-    consequents) pair; the returned matrix satisfies the corresponding
-    stationarity condition. The left coefficient combines the ridge with
-    the correlation coupling of the soft-label Gram S = M (Y Y') M', the
-    right coefficient and the right-hand side are blocks of the weighted
-    Gram of [Xg; Y] (see the module docstring).
-    """
-    _check_training_shapes(mixing, consequents, fuzzy_x, labels)
-    point = _Point(mixing, consequents, fuzzy_x, labels, labels @ labels.T)
-    grams = _Grams(fuzzy_x, labels, point.weights(cfg.epsilon_row))
-    return _solve_consequents(point, grams, cfg)[0]
-
-
-def update_mixing(mixing, consequents, fuzzy_x, labels, cfg: TrainConfig) -> np.ndarray:
-    """Stationary point of the mixing subproblem with frozen weights.
-
-    It is the subproblem's minimizer when the Sylvester operator is
-    positive definite; the correlation term can make it indefinite.
-
-    The reweighting diagonals and the correlation Laplacian are evaluated
-    at the given (mixing, consequents) pair. The label Gram matrix is
-    ridged (see :class:`TrainConfig`) and folded into the right-hand
-    coefficients, so the solved equation is the stationarity condition
-    with the ridged Gram in the Laplacian term. Its coefficients are the
-    weighted label Grams Y W Y' and Y W_soft Y' and the cross Gram
-    Y W Xg', taken with the consequents (see :class:`_MixingSystem`).
-
-    The Sylvester operator here is singular whenever the label matrix is
-    row-rank deficient (a label that never occurs, or duplicated label
-    rows): the Laplacian annihilates the all-ones vector while the right
-    coefficient loses rank. The system remains consistent, and the
-    returned matrix is its minimum-norm solution at every label count: it
-    is zero on the null space of Y', so duplicated labels get identical
-    columns.
-    """
-    _check_training_shapes(mixing, consequents, fuzzy_x, labels)
-    system = _MixingSystem(labels, cfg)
-    point = _Point(mixing, consequents, fuzzy_x, labels, system.label_gram)
-    grams = _Grams(fuzzy_x, labels, point.weights(cfg.epsilon_row))
-    return system.solve(point, grams)[0]
-
-
 def train(data: Dataset, cfg: TrainConfig = TrainConfig()):
     """Fit a model on the dataset with the alternating scheme.
 
@@ -498,14 +378,12 @@ def train(data: Dataset, cfg: TrainConfig = TrainConfig()):
     the mixing solve freezes its weights and Laplacian at the same pair,
     including the old consequents in its right-hand side. Both results are
     then committed together. Training stops when the change in the
-    bookkeeping loss (see :func:`stopping_loss`) drops to the margin, that
+    bookkeeping loss (see :class:`TrainTrace`) drops to the margin, that
     loss becomes nonpositive, or the iteration budget runs out.
 
     The residuals, weights, soft-label Gram and Laplacian are evaluated
     once per iteration, at the committed pair, and the weighted Grams
-    once per iteration, before both solves; the results equal those of
-    :func:`update_consequents`, :func:`update_mixing`, :func:`objective`
-    and :func:`stopping_loss` called in turn. A failed solve raises
+    once per iteration, before both solves. A failed solve raises
     :class:`SingularProblemError` naming the iteration and the subproblem.
 
     Returns

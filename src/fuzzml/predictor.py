@@ -64,7 +64,6 @@ def _config_items(cfg: TrainConfig):
         ("ridge_y", _FLOAT_FMT % cfg.ridge_y),
         ("width_floor", _FLOAT_FMT % cfg.width_floor),
         ("tau", _FLOAT_FMT % cfg.tau),
-        ("seed", "%d" % cfg.seed),
     ]
 
 
@@ -129,6 +128,11 @@ class _LineReader:
         if self.next(literal) != literal:
             raise ModelFormatError("malformed model file: expected %s" % literal)
 
+    def skip_keyed(self, key):
+        """Step over the next line if it is a ``key=`` line."""
+        if self.pos < len(self.lines) and self.lines[self.pos].startswith(key + "="):
+            self.pos += 1
+
     def keyed(self, key):
         line = self.next(key)
         prefix = key + "="
@@ -167,9 +171,11 @@ def load_model(path) -> ModelParams:
     raw = {}
     for key in (
         "alpha", "beta", "gamma", "n_rules", "max_iters", "min_loss_margin",
-        "epsilon_row", "ridge_y", "width_floor", "tau", "seed",
+        "epsilon_row", "ridge_y", "width_floor", "tau",
     ):
         raw[key] = reader.keyed(key)
+    # files written while TrainConfig had a seed field carry a seed= line
+    reader.skip_keyed("seed")
     try:
         cfg = TrainConfig(
             alpha=float(raw["alpha"]),
@@ -184,7 +190,6 @@ def load_model(path) -> ModelParams:
             ridge_y=float(raw["ridge_y"]),
             width_floor=float(raw["width_floor"]),
             tau=float(raw["tau"]),
-            seed=int(raw["seed"]),
         )
     except ValueError as exc:
         raise ModelFormatError("malformed model file: %s" % exc) from None

@@ -33,8 +33,10 @@ class RuleBase:
             raise ValueError("centers and widths must be matching K x D matrices")
         if centers.shape[0] < 1 or centers.shape[1] < 1:
             raise ValueError("rule base needs K >= 1 rules and D >= 1 features")
-        if width_floor <= 0.0:
-            raise ValueError("width_floor must be positive")
+        if not 0.0 < width_floor < np.inf:  # also false for NaN
+            raise ValueError("width_floor must be finite and positive")
+        if not (np.isfinite(centers).all() and np.isfinite(widths).all()):
+            raise ValueError("centers and widths must be finite")
         if np.any(widths < width_floor):
             raise ValueError("all widths must be at least width_floor")
         centers.setflags(write=False)

@@ -29,12 +29,12 @@ from fuzzml.metrics import (
 )
 from fuzzml.optimizer import (
     TrainConfig,
-    correlation_laplacian,
+    _Grams,
+    _MixingSystem,
+    _Point,
+    _solve_consequents,
     gram_ridge,
-    reweight_diagonals,
     train,
-    update_consequents,
-    update_mixing,
 )
 from fuzzml.experiments import ExperimentConfig, run_ablation
 from fuzzml.predictor import load_model, predict, save_model
@@ -134,7 +134,9 @@ def test_criterion_04_correlation_trace_identity():
         mixing = rng.normal(size=(n_labels, n_labels))
         consequents = rng.normal(size=(n_labels, int(rng.integers(1, 7))))
         labels = (rng.random((n_labels, n)) < 0.5).astype(float)
-        lap = correlation_laplacian(consequents).laplacian
+        # the Laplacian train() builds; the fuzzy features do not enter it
+        lap = _Point(mixing, consequents, np.zeros((consequents.shape[1], n)), labels,
+                     labels @ labels.T).laplacian
         soft = mixing @ labels
         trace_form = 2.0 * float(np.sum(soft * (lap @ soft)))
         double_sum = oracle_correlation_double_sum(mixing, consequents, labels)
@@ -181,21 +183,23 @@ def test_criterion_05_subproblem_stationarity():
         cfg = TrainConfig(alpha=float(rng.uniform(0.05, 1.0)),
                           beta=float(rng.uniform(0.1, 5.0)),
                           gamma=float(rng.uniform(0.0, 0.2)))
-        weights = reweight_diagonals(mixing, consequents, fuzzy_x, labels,
-                                     cfg.epsilon_row)
-        lap = correlation_laplacian(consequents).laplacian
+        # the pieces one iteration of train() builds at (mixing, consequents)
+        system = _MixingSystem(labels, cfg)
+        point = _Point(mixing, consequents, fuzzy_x, labels, system.label_gram)
+        w_fit, w_soft = point.weights(cfg.epsilon_row)
+        grams = _Grams(fuzzy_x, labels, (w_fit, w_soft))
+        lap = point.laplacian
         shift = gram_ridge(labels, cfg.ridge_y)
 
-        new_cons = update_consequents(mixing, consequents, fuzzy_x, labels, cfg)
+        new_cons = _solve_consequents(point, grams, cfg)[0]
         grad_c = oracle_consequent_gradient(mixing, new_cons, fuzzy_x, labels,
-                                            cfg.alpha, cfg.gamma, weights.fit)
+                                            cfg.alpha, cfg.gamma, w_fit)
         worst_stat = max(worst_stat, np.linalg.norm(grad_c)
                          / (1.0 + np.linalg.norm(new_cons)))
 
-        new_mix = update_mixing(mixing, consequents, fuzzy_x, labels, cfg)
+        new_mix = system.solve(point, grams)[0]
         grad_s = oracle_mixing_gradient(new_mix, consequents, fuzzy_x, labels,
-                                        cfg.beta, cfg.gamma, weights.fit,
-                                        weights.soft, lap, shift)
+                                        cfg.beta, cfg.gamma, w_fit, w_soft, lap, shift)
         worst_stat = max(worst_stat, np.linalg.norm(grad_s)
                          / (1.0 + np.linalg.norm(new_mix)))
 
@@ -203,7 +207,7 @@ def test_criterion_05_subproblem_stationarity():
         soft_gram = (mixing @ labels) @ (mixing @ labels).T
 
         def surrogate_cons(c):
-            fit = sum(weights.fit[i] * np.linalg.norm(
+            fit = sum(w_fit[i] * np.linalg.norm(
                 mixing @ labels[:, i] - c @ fuzzy_x[:, i]) ** 2
                 for i in range(labels.shape[1]))
             corr = sum(cfg.gamma * (soft_gram[i, i] + soft_gram[j, j]
@@ -213,10 +217,10 @@ def test_criterion_05_subproblem_stationarity():
             return fit + cfg.alpha * np.sum(c ** 2) + corr
 
         def surrogate_mix(s):
-            fit = sum(weights.fit[i] * np.linalg.norm(
+            fit = sum(w_fit[i] * np.linalg.norm(
                 s @ labels[:, i] - consequents @ fuzzy_x[:, i]) ** 2
                 for i in range(labels.shape[1]))
-            soft = sum(weights.soft[i] * np.linalg.norm(
+            soft = sum(w_soft[i] * np.linalg.norm(
                 labels[:, i] - s @ labels[:, i]) ** 2
                 for i in range(labels.shape[1]))
             corr = 2 * cfg.gamma * (
@@ -226,15 +230,15 @@ def test_criterion_05_subproblem_stationarity():
 
         point_c = rng.normal(size=consequents.shape)
         analytic_c = oracle_consequent_gradient(mixing, point_c, fuzzy_x, labels,
-                                                cfg.alpha, cfg.gamma, weights.fit)
+                                                cfg.alpha, cfg.gamma, w_fit)
         fd_c = _fd_gradient(surrogate_cons, point_c)
         worst_fd = max(worst_fd, np.linalg.norm(analytic_c - fd_c)
                        / np.linalg.norm(analytic_c))
 
         point_s = rng.normal(size=mixing.shape)
         analytic_s = oracle_mixing_gradient(point_s, consequents, fuzzy_x, labels,
-                                            cfg.beta, cfg.gamma, weights.fit,
-                                            weights.soft, lap, shift)
+                                            cfg.beta, cfg.gamma, w_fit,
+                                            w_soft, lap, shift)
         fd_s = _fd_gradient(surrogate_mix, point_s)
         worst_fd = max(worst_fd, np.linalg.norm(analytic_s - fd_s)
                        / np.linalg.norm(analytic_s))

@@ -199,6 +199,16 @@ class TestConfigFileAndExitCodes:
                      "--features", str(ragged), "--out-dir", str(tmp_path)]) == 3
         assert "ragged feature row at %s line 4" % ragged in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--width-floor", "--min-margin", "--alpha"])
+    def test_nan_hyperparameter_is_config_error(self, tmp_path, capsys, flag):
+        fx, fy = _write_dataset(tmp_path, n=20)
+        assert main([
+            "train", "--features", str(fx), "--labels", str(fy), flag, "nan",
+            "--out", "model.txt", "--out-dir", str(tmp_path),
+        ]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "model.txt").exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numerical_failure_exit_code(self, tmp_path):
         fx, fy = _write_dataset(tmp_path, n=20)

@@ -15,17 +15,14 @@ from reference_sylvester import KRON_GUARD, least_norm_solve, schur_solve
 
 from fuzzml.optimizer import (
     TrainConfig,
-    correlation_laplacian,
+    _Grams,
+    _MixingSystem,
+    _Point,
+    _solve_consequents,
     gram_ridge,
-    l21_columns,
-    objective,
-    reweight_diagonals,
-    stopping_loss,
     train,
-    update_consequents,
-    update_mixing,
 )
-from fuzzml.dataset import Dataset, normalize_features
+from fuzzml.dataset import Dataset
 from fuzzml.rules import fit_antecedents, fuzzy_feature_matrix
 from fuzzml.sylvester import SingularProblemError
 from fuzzml.synthgen import SynthSpec, gen_synthetic
@@ -47,20 +44,35 @@ def _random_instance(rng, n_labels=None, n_features=None, n_rules=None, n=None):
     return mixing, consequents, fuzzy_x, labels
 
 
+def _frozen(mixing, consequents, fuzzy_x, labels, cfg=TrainConfig()):
+    """What one iteration of train() builds at (mixing, consequents).
+
+    Returns the mixing system, the point and the weighted Grams:
+    ``point.losses(cfg)`` gives the loss and the stopping loss,
+    ``point.weights(eps)`` the (fit, soft) weights, ``point.laplacian``
+    the Laplacian, and ``_solve_consequents(point, grams, cfg)[0]`` and
+    ``system.solve(point, grams)[0]`` the two subproblem solutions.
+    """
+    system = _MixingSystem(labels, cfg)
+    point = _Point(mixing, consequents, fuzzy_x, labels, system.label_gram)
+    return system, point, _Grams(fuzzy_x, labels, point.weights(cfg.epsilon_row))
+
+
 class TestObjective:
     def test_identity_mixing_zero_consequents(self):
         labels = np.array([[1.0, 0.0], [0.0, 1.0]])
         fuzzy_x = np.ones((3, 2))
         cfg = TrainConfig(alpha=0.7, beta=4.0, gamma=9.0)
-        loss = objective(np.eye(2), np.zeros((2, 3)), fuzzy_x, labels, cfg)
+        _, point, _ = _frozen(np.eye(2), np.zeros((2, 3)), fuzzy_x, labels, cfg)
+        loss = point.losses(cfg)[0]
         assert loss.total == pytest.approx(2.0, abs=1e-14)
         assert loss.soft == 0.0 and loss.corr == 0.0 and loss.ridge == 0.0
 
     def test_ridge_term_is_frobenius(self):
         labels = np.array([[1.0, 0.0], [0.0, 1.0]])
         cfg = TrainConfig(alpha=0.25, beta=0.0, gamma=0.0)
-        loss = objective(np.eye(2), np.ones((2, 3)), np.zeros((3, 2)), labels, cfg)
-        assert loss.ridge == pytest.approx(0.25 * 6.0, abs=1e-14)
+        _, point, _ = _frozen(np.eye(2), np.ones((2, 3)), np.zeros((3, 2)), labels, cfg)
+        assert point.losses(cfg)[0].ridge == pytest.approx(0.25 * 6.0, abs=1e-14)
 
     def test_matches_bruteforce_on_random_instances(self):
         rng = np.random.default_rng(1)
@@ -68,7 +80,8 @@ class TestObjective:
             mixing, consequents, fuzzy_x, labels = _random_instance(rng)
             cfg = TrainConfig(alpha=rng.uniform(0, 2), beta=rng.uniform(0, 3),
                               gamma=rng.uniform(0, 1))
-            loss = objective(mixing, consequents, fuzzy_x, labels, cfg)
+            _, point, _ = _frozen(mixing, consequents, fuzzy_x, labels, cfg)
+            loss = point.losses(cfg)[0]
             fit = sum(np.linalg.norm(mixing @ labels[:, i] - consequents @ fuzzy_x[:, i])
                       for i in range(labels.shape[1]))
             soft = sum(np.linalg.norm(labels[:, i] - mixing @ labels[:, i])
@@ -77,54 +90,51 @@ class TestObjective:
             expected = fit + cfg.alpha * np.sum(consequents ** 2) + cfg.beta * soft + corr
             assert loss.total == pytest.approx(expected, rel=1e-12)
 
-    def test_l21_is_column_norm_sum(self):
-        m = np.array([[3.0, 0.0], [4.0, 2.0]])
-        assert l21_columns(m) == pytest.approx(5.0 + 2.0, abs=1e-14)
-
 
 class TestReweightDiagonals:
     def test_zero_residual_hits_floor(self):
         labels = np.array([[1.0], [0.0]])
-        weights = reweight_diagonals(np.eye(2), np.zeros((2, 3)),
-                                     np.zeros((3, 1)), labels, 1e-8)
-        assert weights.soft[0] == pytest.approx(1.0 / (2e-8), rel=1e-12)
+        _, point, _ = _frozen(np.eye(2), np.zeros((2, 3)), np.zeros((3, 1)), labels)
+        _, soft = point.weights(1e-8)
+        assert soft[0] == pytest.approx(1.0 / (2e-8), rel=1e-12)
 
     def test_half_norm_gives_unit_weight(self):
         labels = np.array([[1.0], [0.0]])
         consequents = np.array([[0.5], [0.0]])
-        weights = reweight_diagonals(np.eye(2), consequents, np.ones((1, 1)),
-                                     labels, 1e-8)
-        assert weights.fit[0] == pytest.approx(1.0, rel=1e-12)
+        _, point, _ = _frozen(np.eye(2), consequents, np.ones((1, 1)), labels)
+        fit, _ = point.weights(1e-8)
+        assert fit[0] == pytest.approx(1.0, rel=1e-12)
 
     def test_matches_direct_column_norms(self):
         rng = np.random.default_rng(2)
         mixing, consequents, fuzzy_x, labels = _random_instance(rng)
-        weights = reweight_diagonals(mixing, consequents, fuzzy_x, labels, 1e-8)
+        _, point, _ = _frozen(mixing, consequents, fuzzy_x, labels)
+        fit, soft = point.weights(1e-8)
         for i in range(labels.shape[1]):
             fit_norm = np.linalg.norm(mixing @ labels[:, i] - consequents @ fuzzy_x[:, i])
             soft_norm = np.linalg.norm(labels[:, i] - mixing @ labels[:, i])
-            assert weights.fit[i] == pytest.approx(1 / (2 * max(fit_norm, 1e-8)), rel=1e-12)
-            assert weights.soft[i] == pytest.approx(1 / (2 * max(soft_norm, 1e-8)), rel=1e-12)
+            assert fit[i] == pytest.approx(1 / (2 * max(fit_norm, 1e-8)), rel=1e-12)
+            assert soft[i] == pytest.approx(1 / (2 * max(soft_norm, 1e-8)), rel=1e-12)
 
 
 class TestCorrelationLaplacian:
     def test_zero_consequents(self):
-        lap = correlation_laplacian(np.zeros((3, 4)))
-        np.testing.assert_array_equal(lap.similarity, np.zeros((3, 3)))
-        np.testing.assert_array_equal(lap.laplacian, np.zeros((3, 3)))
+        _, point, _ = _frozen(np.eye(3), np.zeros((3, 4)), np.zeros((4, 1)), np.ones((3, 1)))
+        np.testing.assert_array_equal(point.laplacian, np.zeros((3, 3)))
 
     def test_orthonormal_rows_cancel(self):
-        lap = correlation_laplacian(np.eye(3))
-        np.testing.assert_allclose(lap.laplacian, np.zeros((3, 3)), atol=1e-15)
+        _, point, _ = _frozen(np.eye(3), np.eye(3), np.zeros((3, 1)), np.ones((3, 1)))
+        np.testing.assert_allclose(point.laplacian, np.zeros((3, 3)), atol=1e-15)
 
     def test_rows_sum_to_zero(self):
         rng = np.random.default_rng(3)
         for _ in range(100):
-            consequents = rng.normal(size=(int(rng.integers(2, 6)), 7))
-            lap = correlation_laplacian(consequents)
-            ones = np.ones(consequents.shape[0])
-            assert np.abs(lap.laplacian @ ones).max() <= 1e-12 * max(
-                1.0, np.abs(lap.laplacian).max())
+            n_labels = int(rng.integers(2, 6))
+            consequents = rng.normal(size=(n_labels, 7))
+            lap = _frozen(np.eye(n_labels), consequents, np.zeros((7, 1)),
+                          np.ones((n_labels, 1)))[1].laplacian
+            ones = np.ones(n_labels)
+            assert np.abs(lap @ ones).max() <= 1e-12 * max(1.0, np.abs(lap).max())
 
     def test_double_sum_equals_trace_form(self):
         rng = np.random.default_rng(4)
@@ -134,7 +144,7 @@ class TestCorrelationLaplacian:
             mixing = rng.normal(size=(n_labels, n_labels))
             consequents = rng.normal(size=(n_labels, 4))
             labels = (rng.random((n_labels, n)) < 0.5).astype(float)
-            lap = correlation_laplacian(consequents).laplacian
+            lap = _frozen(mixing, consequents, np.zeros((4, n)), labels)[1].laplacian
             soft = mixing @ labels
             trace_form = 2.0 * np.sum(soft * (lap @ soft))
             double_sum = oracle_correlation_double_sum(mixing, consequents, labels)
@@ -146,17 +156,19 @@ class TestUpdateConsequents:
         rng = np.random.default_rng(5)
         mixing, consequents, fuzzy_x, labels = _random_instance(rng)
         cfg = TrainConfig(alpha=1e6, gamma=0.0)
-        new = update_consequents(mixing, consequents, fuzzy_x, labels, cfg)
+        _, point, grams = _frozen(mixing, consequents, fuzzy_x, labels, cfg)
+        new = _solve_consequents(point, grams, cfg)[0]
         assert np.linalg.norm(new) <= 1e-3
 
     def test_gamma_zero_reduces_to_plain_sylvester(self):
         rng = np.random.default_rng(6)
         mixing, consequents, fuzzy_x, labels = _random_instance(rng)
         cfg = TrainConfig(alpha=0.4, gamma=0.0)
-        new = update_consequents(mixing, consequents, fuzzy_x, labels, cfg)
-        weights = reweight_diagonals(mixing, consequents, fuzzy_x, labels, cfg.epsilon_row)
-        b = (fuzzy_x * weights.fit) @ fuzzy_x.T
-        z = (mixing @ labels * weights.fit) @ fuzzy_x.T
+        _, point, grams = _frozen(mixing, consequents, fuzzy_x, labels, cfg)
+        new = _solve_consequents(point, grams, cfg)[0]
+        w_fit, _ = point.weights(cfg.epsilon_row)
+        b = (fuzzy_x * w_fit) @ fuzzy_x.T
+        z = (mixing @ labels * w_fit) @ fuzzy_x.T
         residual = cfg.alpha * new + new @ b - z
         assert np.abs(residual).max() <= 1e-9 * (1 + np.abs(z).max())
 
@@ -202,7 +214,8 @@ class TestUpdateConsequents:
             labels[:, : n // 3] = 0.0
             consequents[:] = 0.0
         cfg = TrainConfig(alpha=0.1, gamma=0.001)
-        got = update_consequents(mixing, consequents, fuzzy_x, labels, cfg)
+        _, point, grams = _frozen(mixing, consequents, fuzzy_x, labels, cfg)
+        got = _solve_consequents(point, grams, cfg)[0]
         want, w = self._reference(mixing, consequents, fuzzy_x, labels, cfg)
         if case == "weights_at_floor":
             assert w.max() == 1.0 / (2.0 * cfg.epsilon_row) and w.min() < 10.0
@@ -214,11 +227,11 @@ class TestUpdateConsequents:
             mixing, consequents, fuzzy_x, labels = _random_instance(rng)
             cfg = TrainConfig(alpha=rng.uniform(0.05, 1.0), beta=rng.uniform(0, 3),
                               gamma=rng.uniform(0, 0.2))
-            new = update_consequents(mixing, consequents, fuzzy_x, labels, cfg)
-            weights = reweight_diagonals(mixing, consequents, fuzzy_x, labels,
-                                         cfg.epsilon_row)
+            _, point, grams = _frozen(mixing, consequents, fuzzy_x, labels, cfg)
+            new = _solve_consequents(point, grams, cfg)[0]
+            w_fit, _ = point.weights(cfg.epsilon_row)
             grad = oracle_consequent_gradient(mixing, new, fuzzy_x, labels,
-                                              cfg.alpha, cfg.gamma, weights.fit)
+                                              cfg.alpha, cfg.gamma, w_fit)
             assert np.linalg.norm(grad) <= 1e-6 * (1 + np.linalg.norm(new))
 
 
@@ -234,7 +247,8 @@ class TestUpdateMixing:
         mixing = rng.normal(size=(3, 3))
         consequents = rng.normal(size=(3, 4))
         cfg = TrainConfig(beta=1e6, gamma=0.0, ridge_y=0.0)
-        new = update_mixing(mixing, consequents, fuzzy_x, labels, cfg)
+        system, point, grams = _frozen(mixing, consequents, fuzzy_x, labels, cfg)
+        new = system.solve(point, grams)[0]
         assert np.abs(new - np.eye(3)).max() <= 1e-3
 
     def test_zero_consequents_zero_gamma_substitution(self):
@@ -243,11 +257,11 @@ class TestUpdateMixing:
         n_labels = labels.shape[0]
         consequents = np.zeros((n_labels, fuzzy_x.shape[0]))
         cfg = TrainConfig(beta=3.0, gamma=0.0)
-        new = update_mixing(mixing, consequents, fuzzy_x, labels, cfg)
-        weights = reweight_diagonals(mixing, consequents, fuzzy_x, labels,
-                                     cfg.epsilon_row)
-        b_raw = (labels * (weights.fit + cfg.beta * weights.soft)) @ labels.T
-        z_raw = cfg.beta * (labels * weights.soft) @ labels.T
+        system, point, grams = _frozen(mixing, consequents, fuzzy_x, labels, cfg)
+        new = system.solve(point, grams)[0]
+        w_fit, w_soft = point.weights(cfg.epsilon_row)
+        b_raw = (labels * (w_fit + cfg.beta * w_soft)) @ labels.T
+        z_raw = cfg.beta * (labels * w_soft) @ labels.T
         assert np.abs(new @ b_raw - z_raw).max() <= 1e-8 * (1 + np.abs(z_raw).max())
 
     def test_stationarity_with_ridged_gram(self):
@@ -256,13 +270,12 @@ class TestUpdateMixing:
             mixing, consequents, fuzzy_x, labels = _random_instance(rng)
             cfg = TrainConfig(alpha=0.2, beta=rng.uniform(0.1, 5.0),
                               gamma=rng.uniform(0, 0.2))
-            new = update_mixing(mixing, consequents, fuzzy_x, labels, cfg)
-            weights = reweight_diagonals(mixing, consequents, fuzzy_x, labels,
-                                         cfg.epsilon_row)
-            lap = correlation_laplacian(consequents).laplacian
+            system, point, grams = _frozen(mixing, consequents, fuzzy_x, labels, cfg)
+            new = system.solve(point, grams)[0]
+            w_fit, w_soft = point.weights(cfg.epsilon_row)
             grad = oracle_mixing_gradient(
                 new, consequents, fuzzy_x, labels, cfg.beta, cfg.gamma,
-                weights.fit, weights.soft, lap, gram_ridge(labels, cfg.ridge_y))
+                w_fit, w_soft, point.laplacian, gram_ridge(labels, cfg.ridge_y))
             assert np.linalg.norm(grad) <= 1e-6 * (1 + np.linalg.norm(new))
 
     def test_stationarity_above_the_dense_guard(self):
@@ -273,13 +286,12 @@ class TestUpdateMixing:
                 rng, n_labels=n_labels, n_features=3, n_rules=2, n=2 * n_labels)
             assert n_labels * n_labels > KRON_GUARD
             cfg = TrainConfig(beta=rng.uniform(0.1, 5.0), gamma=0.001)
-            new = update_mixing(mixing, consequents, fuzzy_x, labels, cfg)
-            weights = reweight_diagonals(mixing, consequents, fuzzy_x, labels,
-                                         cfg.epsilon_row)
-            lap = correlation_laplacian(consequents).laplacian
+            system, point, grams = _frozen(mixing, consequents, fuzzy_x, labels, cfg)
+            new = system.solve(point, grams)[0]
+            w_fit, w_soft = point.weights(cfg.epsilon_row)
             grad = oracle_mixing_gradient(
                 new, consequents, fuzzy_x, labels, cfg.beta, cfg.gamma,
-                weights.fit, weights.soft, lap, gram_ridge(labels, cfg.ridge_y))
+                w_fit, w_soft, point.laplacian, gram_ridge(labels, cfg.ridge_y))
             assert np.linalg.norm(grad) <= 1e-6 * (1 + np.linalg.norm(new))
 
     def test_handles_duplicated_label_rows(self):
@@ -292,7 +304,8 @@ class TestUpdateMixing:
         mixing = np.ones((3, 3))
         consequents = rng.normal(size=(3, 4))
         cfg = TrainConfig()
-        new = update_mixing(mixing, consequents, fuzzy_x, labels, cfg)
+        system, point, grams = _frozen(mixing, consequents, fuzzy_x, labels, cfg)
+        new = system.solve(point, grams)[0]
         assert np.all(np.isfinite(new))
         # symmetric inputs give symmetric columns for the duplicated labels
         assert np.abs(new[:, 0] - new[:, 1]).max() <= 1e-6
@@ -313,14 +326,14 @@ def _degenerate_label_instance(rng, n_labels):
 
 def _dense_least_norm_mixing(mixing, consequents, fuzzy_x, labels, cfg):
     """The mixing stationarity condition times G^-1, by the dense minimum-norm solve."""
-    weights = reweight_diagonals(mixing, consequents, fuzzy_x, labels, cfg.epsilon_row)
-    lap = correlation_laplacian(consequents).laplacian
+    _, point, _ = _frozen(mixing, consequents, fuzzy_x, labels, cfg)
+    w_fit, w_soft = point.weights(cfg.epsilon_row)
     n_labels = labels.shape[0]
     gram = labels @ labels.T + gram_ridge(labels, cfg.ridge_y) * np.eye(n_labels)
-    b_raw = (labels * (weights.fit + cfg.beta * weights.soft)) @ labels.T
-    z_raw = ((consequents @ fuzzy_x) * weights.fit
-             + cfg.beta * labels * weights.soft) @ labels.T
-    return least_norm_solve(2.0 * cfg.gamma * lap, np.linalg.solve(gram, b_raw.T).T,
+    b_raw = (labels * (w_fit + cfg.beta * w_soft)) @ labels.T
+    z_raw = ((consequents @ fuzzy_x) * w_fit
+             + cfg.beta * labels * w_soft) @ labels.T
+    return least_norm_solve(2.0 * cfg.gamma * point.laplacian, np.linalg.solve(gram, b_raw.T).T,
                             np.linalg.solve(gram, z_raw.T).T)
 
 
@@ -333,12 +346,12 @@ class TestMixingAcrossLabelCounts:
         rng = np.random.default_rng(100 + n_labels)
         mixing, consequents, fuzzy_x, labels = _degenerate_label_instance(rng, n_labels)
         cfg = TrainConfig(beta=2.0, gamma=gamma)
-        new = update_mixing(mixing, consequents, fuzzy_x, labels, cfg)
-        weights = reweight_diagonals(mixing, consequents, fuzzy_x, labels, cfg.epsilon_row)
+        system, point, grams = _frozen(mixing, consequents, fuzzy_x, labels, cfg)
+        new = system.solve(point, grams)[0]
+        w_fit, w_soft = point.weights(cfg.epsilon_row)
         grad = oracle_mixing_gradient(
-            new, consequents, fuzzy_x, labels, cfg.beta, cfg.gamma, weights.fit,
-            weights.soft, correlation_laplacian(consequents).laplacian,
-            gram_ridge(labels, cfg.ridge_y))
+            new, consequents, fuzzy_x, labels, cfg.beta, cfg.gamma, w_fit, w_soft,
+            point.laplacian, gram_ridge(labels, cfg.ridge_y))
         assert np.linalg.norm(grad) <= 1e-6 * (1 + np.linalg.norm(new))
         scale = np.abs(new).max()
         assert np.abs(new[:, 0] - new[:, 1]).max() <= 1e-10 * scale
@@ -351,13 +364,15 @@ class TestMixingAcrossLabelCounts:
         rng = np.random.default_rng(100 + n_labels)
         mixing, consequents, fuzzy_x, labels = _degenerate_label_instance(rng, n_labels)
         cfg = TrainConfig(beta=2.0, gamma=gamma)
-        new = update_mixing(mixing, consequents, fuzzy_x, labels, cfg)
+        system, point, grams = _frozen(mixing, consequents, fuzzy_x, labels, cfg)
+        new = system.solve(point, grams)[0]
         want = _dense_least_norm_mixing(mixing, consequents, fuzzy_x, labels, cfg)
         assert np.linalg.norm(new - want) <= 1e-9 * np.linalg.norm(want)
 
 
 def _surrogate_consequents(candidate, mixing, fuzzy_x, labels, cfg, weights):
-    fit = sum(weights.fit[i] * np.linalg.norm(
+    w_fit, _ = weights
+    fit = sum(w_fit[i] * np.linalg.norm(
         mixing @ labels[:, i] - candidate @ fuzzy_x[:, i]) ** 2
         for i in range(labels.shape[1]))
     soft_gram = (mixing @ labels) @ (mixing @ labels).T
@@ -369,10 +384,11 @@ def _surrogate_consequents(candidate, mixing, fuzzy_x, labels, cfg, weights):
 
 
 def _surrogate_mixing(candidate, consequents, fuzzy_x, labels, cfg, weights, lap):
-    fit = sum(weights.fit[i] * np.linalg.norm(
+    w_fit, w_soft = weights
+    fit = sum(w_fit[i] * np.linalg.norm(
         candidate @ labels[:, i] - consequents @ fuzzy_x[:, i]) ** 2
         for i in range(labels.shape[1]))
-    soft = sum(weights.soft[i] * np.linalg.norm(
+    soft = sum(w_soft[i] * np.linalg.norm(
         labels[:, i] - candidate @ labels[:, i]) ** 2
         for i in range(labels.shape[1]))
     shift = gram_ridge(labels, cfg.ridge_y)
@@ -387,11 +403,11 @@ class TestFrozenWeightGradients:
         for _ in range(10):
             mixing, consequents, fuzzy_x, labels = _random_instance(rng)
             cfg = TrainConfig(alpha=0.3, beta=1.0, gamma=0.1)
-            weights = reweight_diagonals(mixing, consequents, fuzzy_x, labels,
-                                         cfg.epsilon_row)
+            weights = _frozen(mixing, consequents, fuzzy_x, labels, cfg)[1].weights(
+                cfg.epsilon_row)
             point = rng.normal(size=consequents.shape)
             grad = oracle_consequent_gradient(mixing, point, fuzzy_x, labels,
-                                              cfg.alpha, cfg.gamma, weights.fit)
+                                              cfg.alpha, cfg.gamma, weights[0])
             fd = np.zeros_like(point)
             h = 1e-6
             for a in range(point.shape[0]):
@@ -410,13 +426,13 @@ class TestFrozenWeightGradients:
         for _ in range(10):
             mixing, consequents, fuzzy_x, labels = _random_instance(rng)
             cfg = TrainConfig(alpha=0.3, beta=2.0, gamma=0.1)
-            weights = reweight_diagonals(mixing, consequents, fuzzy_x, labels,
-                                         cfg.epsilon_row)
-            lap = correlation_laplacian(consequents).laplacian
+            frozen = _frozen(mixing, consequents, fuzzy_x, labels, cfg)[1]
+            weights = frozen.weights(cfg.epsilon_row)
+            lap = frozen.laplacian
             point = rng.normal(size=mixing.shape)
             grad = oracle_mixing_gradient(
                 point, consequents, fuzzy_x, labels, cfg.beta, cfg.gamma,
-                weights.fit, weights.soft, lap, gram_ridge(labels, cfg.ridge_y))
+                *weights, lap, gram_ridge(labels, cfg.ridge_y))
             fd = np.zeros_like(point)
             h = 1e-6
             for a in range(point.shape[0]):
@@ -438,20 +454,21 @@ class TestExactMinimizerProperty:
         for _ in range(40):
             mixing, consequents, fuzzy_x, labels = _random_instance(rng)
             cfg = TrainConfig(alpha=0.5, beta=1.0, gamma=0.01)
-            weights = reweight_diagonals(mixing, consequents, fuzzy_x, labels,
-                                         cfg.epsilon_row)
+            system, point, grams = _frozen(mixing, consequents, fuzzy_x, labels, cfg)
+            weights = point.weights(cfg.epsilon_row)
+            w_fit, w_soft = weights
             n_labels = labels.shape[0]
 
             soft_gram = (mixing @ labels) @ (mixing @ labels).T
             dm = np.diag(soft_gram)
             coupling = (dm[:, None] + dm[None, :]) - 2 * soft_gram
-            b_cons = (fuzzy_x * weights.fit) @ fuzzy_x.T
+            b_cons = (fuzzy_x * w_fit) @ fuzzy_x.T
             hess_cons = (2 * np.kron(b_cons, np.eye(n_labels))
                          + 2 * cfg.alpha * np.eye(n_labels * b_cons.shape[0])
                          + 2 * cfg.gamma * np.kron(np.eye(b_cons.shape[0]), coupling))
-            lap = correlation_laplacian(consequents).laplacian
+            lap = point.laplacian
             gram_r = labels @ labels.T + gram_ridge(labels, cfg.ridge_y) * np.eye(n_labels)
-            b_mix = (labels * (weights.fit + cfg.beta * weights.soft)) @ labels.T
+            b_mix = (labels * (w_fit + cfg.beta * w_soft)) @ labels.T
             hess_mix = (2 * np.kron(b_mix, np.eye(n_labels))
                         + 4 * cfg.gamma * np.kron(gram_r, lap))
 
@@ -459,11 +476,11 @@ class TestExactMinimizerProperty:
                    np.linalg.eigvalsh((hess_mix + hess_mix.T) / 2).min()) <= 1e-8:
                 continue
             certified += 1
-            new_cons = update_consequents(mixing, consequents, fuzzy_x, labels, cfg)
+            new_cons = _solve_consequents(point, grams, cfg)[0]
             assert (_surrogate_consequents(new_cons, mixing, fuzzy_x, labels, cfg, weights)
                     <= _surrogate_consequents(consequents, mixing, fuzzy_x, labels, cfg, weights)
                     + 1e-9)
-            new_mix = update_mixing(mixing, consequents, fuzzy_x, labels, cfg)
+            new_mix = system.solve(point, grams)[0]
             assert (_surrogate_mixing(new_mix, consequents, fuzzy_x, labels, cfg, weights, lap)
                     <= _surrogate_mixing(mixing, consequents, fuzzy_x, labels, cfg, weights, lap)
                     + 1e-9)
@@ -551,6 +568,12 @@ class TestTrain:
         with pytest.raises(ValueError):
             TrainConfig(min_loss_margin=-0.5)
 
+    @pytest.mark.parametrize("field", ["alpha", "beta", "gamma", "min_loss_margin",
+                                       "epsilon_row", "ridge_y", "width_floor", "tau"])
+    def test_config_rejects_nan(self, field):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: math.nan})
+
     def test_phase_times_fit_in_the_wall_time(self):
         started = time.perf_counter()
         _, trace = train(self._small_data(), TrainConfig(max_iters=5, min_loss_margin=0.0))
@@ -562,15 +585,6 @@ class TestTrain:
             assert all(p >= 0.0 for p in parts)
             spent += sum(parts)
         assert spent <= wall
-
-    @pytest.mark.parametrize("step", [objective, stopping_loss, reweight_diagonals,
-                                      update_consequents, update_mixing])
-    def test_step_functions_reject_mismatched_consequents(self, step):
-        rng = np.random.default_rng(20)
-        mixing, consequents, fuzzy_x, labels = _random_instance(rng)
-        last = 1e-8 if step is reweight_diagonals else TrainConfig()
-        with pytest.raises(ValueError, match=r"consequents must be L x K\(D\+1\)"):
-            step(mixing, consequents[:, 1:], fuzzy_x, labels, last)
 
     def test_operator_minima_are_recorded_per_iteration(self):
         # with gamma = 0 the consequent operator is alpha I + Xg W Xg'
@@ -585,63 +599,11 @@ class TestTrain:
         rng = np.random.default_rng(15)
         mixing, consequents, fuzzy_x, labels = _random_instance(rng)
         cfg = TrainConfig(alpha=0.2, beta=1.5, gamma=0.05)
-        lo = objective(mixing, consequents, fuzzy_x, labels, cfg)
-        fit = l21_columns(mixing @ labels - consequents @ fuzzy_x)
-        soft = l21_columns(labels - mixing @ labels)
+        lo, stopping = _frozen(mixing, consequents, fuzzy_x, labels, cfg)[1].losses(cfg)
+        fit = np.linalg.norm(mixing @ labels - consequents @ fuzzy_x, axis=0).sum()
+        soft = np.linalg.norm(labels - mixing @ labels, axis=0).sum()
         expected = fit ** 2 + lo.ridge + cfg.beta * soft ** 2 + lo.corr
-        assert stopping_loss(mixing, consequents, fuzzy_x, labels, cfg) == pytest.approx(
-            expected, rel=1e-12)
-
-
-class TestFusedIteration:
-    """train() evaluates each iteration once; the public step functions agree.
-
-    End states are not compared: the alternating iteration amplifies
-    rounding differences (about 100x per iteration), so only the first
-    two iterations are held to 1e-10.
-    """
-
-    @staticmethod
-    def _public_path(data, cfg):
-        normed, _ = normalize_features(data)
-        rulebase = fit_antecedents(normed.features, cfg.n_rules, cfg.width_floor)
-        fuzzy_x = fuzzy_feature_matrix(normed.features, rulebase)
-        labels = normed.labels
-        n_labels = labels.shape[0]
-        mixing = np.ones((n_labels, n_labels))
-        consequents = np.full((n_labels, fuzzy_x.shape[0]), 1.0 / n_labels)
-        losses, totals = [], []
-        for _ in range(cfg.max_iters):
-            new_consequents = update_consequents(mixing, consequents, fuzzy_x, labels, cfg)
-            mixing = update_mixing(mixing, consequents, fuzzy_x, labels, cfg)
-            consequents = new_consequents
-            losses.append(objective(mixing, consequents, fuzzy_x, labels, cfg))
-            totals.append(stopping_loss(mixing, consequents, fuzzy_x, labels, cfg))
-        return mixing, consequents, losses, totals
-
-    @pytest.mark.parametrize("n_labels", [5, 70])
-    @pytest.mark.parametrize("iterations", [1, 2])
-    def test_first_iterations_match_the_public_steps(self, n_labels, iterations):
-        rng = np.random.default_rng(17)
-        n = 160
-        if n_labels == 5:
-            data = gen_synthetic(SynthSpec(kind="union", n_samples=n, n_features=4, seed=3))
-        else:  # beyond the dense reference's KRON_GUARD
-            data = Dataset(rng.random((4, n)),
-                           (rng.random((n_labels, n)) < 0.3).astype(float))
-        cfg = TrainConfig(max_iters=iterations, min_loss_margin=0.0)
-        model, trace = train(data, cfg)
-        mixing, consequents, losses, totals = self._public_path(data, cfg)
-        assert trace.n_iterations == iterations
-        np.testing.assert_allclose(model.mixing, mixing, rtol=1e-10,
-                                   atol=1e-10 * np.abs(mixing).max())
-        np.testing.assert_allclose(model.consequents, consequents, rtol=1e-10,
-                                   atol=1e-10 * np.abs(consequents).max())
-        for got, want in zip(trace.iterations, losses):
-            for term in ("fit", "ridge", "soft", "corr", "total"):
-                assert getattr(got, term) == pytest.approx(
-                    getattr(want, term), rel=1e-10, abs=1e-10 * abs(want.total))
-        np.testing.assert_allclose(trace.stopping_totals, totals, rtol=1e-10)
+        assert stopping == pytest.approx(expected, rel=1e-12)
 
     def test_mixing_failure_names_the_subproblem(self, monkeypatch):
         import fuzzml.optimizer as opt
@@ -668,6 +630,8 @@ class TestIterationAgainstTheOracles:
     from the per-sample oracle map, and the weights, the Laplacian, the
     Gram shift and both gradients are formed here and in ``oracles.py``
     from the models of two deterministic runs, of t - 1 and t iterations.
+    The loss terms and the stopping loss the trace records for iterate t
+    are checked against per-sample sums formed here.
     """
 
     ITERATION = 3
@@ -728,5 +692,19 @@ class TestIterationAgainstTheOracles:
 
         corr = cfg.gamma * oracle_correlation_double_sum(cur.mixing, cur.consequents, labels)
         assert cur_trace.iterations[-1].corr == pytest.approx(corr, rel=1e-6)
-        assert objective(cur.mixing, cur.consequents, fuzzy_x, labels, cfg).corr == (
-            pytest.approx(corr, rel=1e-6))
+        _, point, _ = _frozen(cur.mixing, cur.consequents, fuzzy_x, labels, cfg)
+        assert point.losses(cfg)[0].corr == pytest.approx(corr, rel=1e-6)
+
+        # every loss term of the last iteration, from per-sample sums
+        fit = sum(np.linalg.norm(cur.mixing @ labels[:, i] - cur.consequents @ fuzzy_x[:, i])
+                  for i in range(labels.shape[1]))
+        soft = sum(np.linalg.norm(labels[:, i] - cur.mixing @ labels[:, i])
+                   for i in range(labels.shape[1]))
+        ridge = cfg.alpha * np.sum(cur.consequents ** 2)
+        want = dict(fit=fit, ridge=ridge, soft=cfg.beta * soft, corr=corr,
+                    total=fit + ridge + cfg.beta * soft + corr)
+        for term, value in want.items():
+            assert getattr(cur_trace.iterations[-1], term) == pytest.approx(
+                value, rel=1e-10), term
+        assert cur_trace.stopping_totals[-1] == pytest.approx(
+            fit ** 2 + ridge + cfg.beta * soft ** 2 + corr, rel=1e-10)

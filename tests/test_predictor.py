@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,14 @@ class TestPredict:
         assert set(np.unique(out)).issubset({0, 1})
 
 
+def _restamp(path, edit_lines):
+    """Edit the payload lines of a saved model and recompute its checksum."""
+    header, _, *payload = path.read_text().splitlines()
+    text = "\n".join(edit_lines(payload)) + "\n"
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    path.write_text("%s\nchecksum=%s\n%s" % (header, digest, text))
+
+
 class TestPersistence:
     def _trained_model(self, seed=6):
         data = gen_synthetic(SynthSpec(kind="independence", n_samples=40,
@@ -146,6 +156,38 @@ class TestPersistence:
         path.write_text(corrupted)
         with pytest.raises(ModelFormatError, match="checksum failure"):
             load_model(path)
+
+    def test_nan_width_is_rejected(self, tmp_path):
+        model = self._trained_model()
+        path = tmp_path / "model.txt"
+        save_model(model, path)
+
+        def nan_width(lines):
+            first_width = lines.index("[rulebase]") + 2 + model.rulebase.n_rules
+            lines[first_width] = ",".join(["nan"] + lines[first_width].split(",")[1:])
+            return lines
+
+        _restamp(path, nan_width)
+        with pytest.raises(ModelFormatError, match="finite"):
+            load_model(path)
+
+    def test_file_with_a_seed_line_still_loads(self, tmp_path):
+        # the config block of files written before TrainConfig lost its
+        # unread seed field ends in a seed= line
+        path = tmp_path / "model.txt"
+        save_model(self._trained_model(), path)
+        current = path.read_text()
+
+        def add_seed(lines):
+            tau = next(i for i, line in enumerate(lines) if line.startswith("tau="))
+            return lines[:tau + 1] + ["seed=7"] + lines[tau + 1:]
+
+        old = tmp_path / "old.txt"
+        old.write_text(current)
+        _restamp(old, add_seed)
+        assert "\nseed=7\n" in old.read_text()
+        save_model(load_model(old), path)
+        assert path.read_text() == current
 
     def test_not_a_model_file(self, tmp_path):
         path = tmp_path / "nope.txt"

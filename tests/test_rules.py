@@ -172,6 +172,20 @@ def _two_cluster_split_oracle(values):
     return best[1], best[2]
 
 
+class TestRuleBase:
+    @pytest.mark.parametrize("centers,widths,width_floor", [
+        ([[math.nan]], [[1.0]], 1e-4),
+        ([[math.inf]], [[1.0]], 1e-4),
+        ([[0.5]], [[math.nan]], 1e-4),
+        ([[0.5]], [[math.inf]], 1e-4),
+        ([[0.5]], [[1.0]], math.nan),
+        ([[0.5]], [[1.0]], math.inf),
+    ])
+    def test_rejects_non_finite_values(self, centers, widths, width_floor):
+        with pytest.raises(ValueError, match="finite"):
+            RuleBase(centers, widths, width_floor)
+
+
 class TestFitAntecedents:
     def test_single_rule_uses_global_stats(self):
         rng = np.random.default_rng(6)
