@@ -2,7 +2,9 @@
 
 Subcommands: synth, noise, train, predict, eval, cv, grid, noise-curve,
 ablate, export-rules. Shared flags (--seed, --out-dir, --workers,
---config) may appear before or after the subcommand. A config file holds
+--config) may appear before or after the subcommand. --seed is read by
+synth, noise and the experiment commands (cv, grid, noise-curve, ablate),
+--workers by the experiment commands only. A config file holds
 ``key=value`` lines matching flag names (dashes or underscores); explicit
 command-line flags override file values.
 
@@ -12,6 +14,7 @@ Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical failure.
 import argparse
 import os
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -121,6 +124,13 @@ def _summary_lines(report, title):
         % (report.config.alpha, report.config.beta, report.config.gamma,
            report.config.n_rules, report.folds, ",".join(map(str, report.seeds)))
     )
+    reasons = Counter(r.stop_reason for r in report.results)
+    lines.append("stop_reasons: %s" % " ".join(
+        "%s=%d" % item for item in sorted(reasons.items())))
+    iterations = [r.n_iterations for r in report.results]
+    lines.append("mean_iterations: %.2f" % (sum(iterations) / len(iterations)))
+    lines.append("indefinite_steps: %d of %d iterations" % (
+        sum(r.indefinite_steps for r in report.results), sum(iterations)))
     lines.append("wall_seconds: %.2f" % report.wall_seconds)
     return lines
 
@@ -218,6 +228,8 @@ def cmd_grid(args):
         )
     _write_lines(_out_path(args, "grid_cells.csv"), lines)
     _write_lines(_out_path(args, "grid_final.csv"), _fold_rows(result.final))
+    _write_lines(_out_path(args, "grid_summary.txt"),
+                 _summary_lines(result.final, "grid winner summary"))
     best = result.best
     print(
         "best cell: alpha=%g beta=%g gamma=%g rules=%d (mean AP %.4f)"

@@ -4,12 +4,19 @@ Every routine is a deterministic function of (dataset, config): fold
 plans come from the config seeds, per-fold noise seeds are derived from
 (seed, fold) only, and result aggregation sorts work items before
 reduction. Normalization stats and the rule base are refit inside each
-training split, never on held-out data. Work items run on a bounded
-thread pool when ``workers`` exceeds one.
+training split, never on held-out data.
+
+Each public routine lists every fold job it needs, one per (train
+config, noise ratio, seed, fold), and runs them once each, so a job that
+two reports share (a repeated grid value, the enabled arm of both
+ablations) trains once. When ``workers`` exceeds one, all jobs of the
+call share one bounded thread pool; every report of that call carries the
+call's wall time.
 """
 
 import hashlib
 import itertools
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -83,17 +90,30 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class FoldResult:
+    """One trained and evaluated fold.
+
+    ``indefinite_steps`` counts the iterations in which the consequent or
+    the mixing operator had a negative smallest eigenvalue (see
+    :class:`~fuzzml.optimizer.OperatorMinima`).
+    """
+
     seed: int
     fold: int
     metrics: MetricsReport
     stop_reason: str
     n_iterations: int
     train_seconds: float
+    indefinite_steps: int
 
 
 @dataclass(frozen=True)
 class RunReport:
-    """Per-fold metrics plus mean/SD aggregates for one configuration."""
+    """Per-fold metrics plus mean/SD aggregates for one configuration.
+
+    ``wall_seconds`` is the wall time of the call that produced the
+    report; all reports of one ``run_grid``, ``run_noise_curve`` or
+    ``run_ablation`` call share it.
+    """
 
     config: TrainConfig
     folds: int
@@ -146,38 +166,100 @@ def _aggregate(results):
     return means, stds
 
 
-def _run_fold(data: Dataset, config: ExperimentConfig, seed: int, fold: int,
-              noise_ratio: float) -> FoldResult:
-    plan = kfold_split(data.n_samples, config.folds, seed)
-    train_ds = take_samples(data, plan.train_indices(fold))
-    test_ds = take_samples(data, plan.test_indices(fold))
-    if noise_ratio > 0.0:
+@dataclass(frozen=True)
+class _Job:
+    train: TrainConfig
+    noise_ratio: float
+    seed: int
+    fold: int
+
+
+def _run_fold(data: Dataset, folds: int, job: _Job) -> FoldResult:
+    plan = kfold_split(data.n_samples, folds, job.seed)
+    train_ds = take_samples(data, plan.train_indices(job.fold))
+    test_ds = take_samples(data, plan.test_indices(job.fold))
+    if job.noise_ratio > 0.0:
         # Noise touches the training split only; the seed ignores the ratio
         # so different ratios corrupt comparable sample sets.
-        spec = NoiseSpec(ratio=noise_ratio, seed=derive_seed(seed, fold))
+        spec = NoiseSpec(ratio=job.noise_ratio, seed=derive_seed(job.seed, job.fold))
         train_ds = inject_label_noise(train_ds, spec)
     started = time.perf_counter()
     try:
-        model, trace = train(train_ds, config.train)
+        model, trace = train(train_ds, job.train)
     except (SingularProblemError, NumericalError) as exc:
-        raise type(exc)("fold %d (seed %d): %s" % (fold, seed, exc)) from exc
+        cfg = job.train
+        raise type(exc)(
+            "alpha=%g beta=%g gamma=%g rules=%d noise=%g, fold %d (seed %d): %s"
+            % (cfg.alpha, cfg.beta, cfg.gamma, cfg.n_rules, job.noise_ratio,
+               job.fold, job.seed, exc)
+        ) from exc
     elapsed = time.perf_counter() - started
     metrics = evaluate(score(model, test_ds.features), test_ds.labels, model.tau)
     return FoldResult(
-        seed=seed,
-        fold=fold,
+        seed=job.seed,
+        fold=job.fold,
         metrics=metrics,
         stop_reason=trace.stop_reason,
         n_iterations=trace.n_iterations,
         train_seconds=elapsed,
+        indefinite_steps=sum(m.consequent < 0 or m.mixing < 0
+                             for m in trace.operator_minima),
     )
 
 
 def _map_items(config: ExperimentConfig, fn, items):
+    """``[fn(item) for item in items]``, on one pool when ``workers`` exceeds one.
+
+    The first failure stops the pool: items not yet started are skipped,
+    and the failure of the earliest failing item is raised.
+    """
     if config.workers == 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    failed = threading.Event()
+
+    def guarded(item):
+        if failed.is_set():
+            return None  # skipped; map still reaches the failed item and raises
+        try:
+            return fn(item)
+        except BaseException:
+            failed.set()
+            raise
+
     with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        return list(pool.map(fn, items))
+        return list(pool.map(guarded, items))
+
+
+def _run_reports(data: Dataset, config: ExperimentConfig, runs) -> list:
+    """One :class:`RunReport` per (train config, noise ratio) in ``runs``.
+
+    Each distinct fold job runs once, and every report that lists it reads
+    the same :class:`FoldResult`.
+    """
+    started = time.perf_counter()
+    plans = [
+        [_Job(train_cfg, ratio, seed, fold)
+         for seed in config.seeds for fold in range(config.folds)]
+        for train_cfg, ratio in runs
+    ]
+    jobs = list(dict.fromkeys(job for plan in plans for job in plan))
+    results = _map_items(config, lambda job: _run_fold(data, config.folds, job), jobs)
+    done = dict(zip(jobs, results))
+    wall_seconds = time.perf_counter() - started
+    reports = []
+    for (train_cfg, _), plan in zip(runs, plans):
+        fold_results = sorted((done[job] for job in plan), key=lambda r: (r.seed, r.fold))
+        means, stds = _aggregate(fold_results)
+        reports.append(RunReport(
+            config=train_cfg,
+            folds=config.folds,
+            seeds=tuple(config.seeds),
+            results=tuple(fold_results),
+            means=means,
+            stds=stds,
+            wall_seconds=wall_seconds,
+        ))
+    return reports
 
 
 def run_cv(data: Dataset, config: ExperimentConfig, noise_ratio: float = 0.0) -> RunReport:
@@ -186,24 +268,7 @@ def run_cv(data: Dataset, config: ExperimentConfig, noise_ratio: float = 0.0) ->
     Each (seed, fold) pair trains on the in-fold samples (optionally with
     injected label noise) and evaluates on the clean held-out fold.
     """
-    started = time.perf_counter()
-    items = [(seed, fold) for seed in config.seeds for fold in range(config.folds)]
-    results = _map_items(
-        config,
-        lambda it: _run_fold(data, config, it[0], it[1], noise_ratio),
-        items,
-    )
-    results.sort(key=lambda r: (r.seed, r.fold))
-    means, stds = _aggregate(results)
-    return RunReport(
-        config=config.train,
-        folds=config.folds,
-        seeds=tuple(config.seeds),
-        results=tuple(results),
-        means=means,
-        stds=stds,
-        wall_seconds=time.perf_counter() - started,
-    )
+    return _run_reports(data, config, [(config.train, noise_ratio)])[0]
 
 
 def _grid_cells(config: ExperimentConfig):
@@ -226,21 +291,15 @@ def run_grid(data: Dataset, config: ExperimentConfig) -> GridResult:
     report: a re-run would repeat the same deterministic folds.
     """
     cells = _grid_cells(config)
-    evaluated = []
-    for alpha, beta, gamma, n_rules in cells:
-        cell_cfg = replace(
-            config.train, alpha=alpha, beta=beta, gamma=gamma, n_rules=n_rules
-        )
-        report = run_cv(data, replace(config, train=cell_cfg))
-        cell = GridCellResult(
-            alpha=alpha,
-            beta=beta,
-            gamma=gamma,
-            n_rules=n_rules,
-            mean_ap=report.means["ap"],
-            sd_ap=report.stds["ap"],
-        )
-        evaluated.append((cell, report))
+    reports = _run_reports(data, config, [
+        (replace(config.train, alpha=alpha, beta=beta, gamma=gamma, n_rules=n_rules), 0.0)
+        for alpha, beta, gamma, n_rules in cells
+    ])
+    evaluated = [
+        (GridCellResult(alpha=alpha, beta=beta, gamma=gamma, n_rules=n_rules,
+                        mean_ap=report.means["ap"], sd_ap=report.stds["ap"]), report)
+        for (alpha, beta, gamma, n_rules), report in zip(cells, reports)
+    ]
     _, final = min(
         evaluated,
         key=lambda pair: (-pair[0].mean_ap, pair[0].alpha, pair[0].beta, pair[0].gamma,
@@ -254,18 +313,12 @@ def run_noise_curve(data: Dataset, config: ExperimentConfig):
     ratios = sorted(set(config.noise_ratios))
     if not ratios:
         raise ValueError("no noise ratios configured")
-    points = []
-    for ratio in ratios:
-        report = run_cv(data, config, noise_ratio=ratio)
-        points.append(
-            NoisePoint(
-                ratio=ratio,
-                mean_ap=report.means["ap"],
-                sd_ap=report.stds["ap"],
-                report=report,
-            )
-        )
-    return tuple(points)
+    reports = _run_reports(data, config, [(config.train, ratio) for ratio in ratios])
+    return tuple(
+        NoisePoint(ratio=ratio, mean_ap=report.means["ap"], sd_ap=report.stds["ap"],
+                   report=report)
+        for ratio, report in zip(ratios, reports)
+    )
 
 
 def run_ablation(data: Dataset, config: ExperimentConfig, noise_ratio: float = 0.0) -> dict:
@@ -275,19 +328,13 @@ def run_ablation(data: Dataset, config: ExperimentConfig, noise_ratio: float = 0
     comparison isolates the ablated term. Returns a mapping from the
     ablated weight name to its (disabled, enabled) report pair.
     """
-    pairs = {}
-    if config.force_beta_zero:
-        ablated = replace(config, train=replace(config.train, beta=0.0))
-        pairs["beta"] = (
-            run_cv(data, ablated, noise_ratio=noise_ratio),
-            run_cv(data, config, noise_ratio=noise_ratio),
-        )
-    if config.force_gamma_zero:
-        ablated = replace(config, train=replace(config.train, gamma=0.0))
-        pairs["gamma"] = (
-            run_cv(data, ablated, noise_ratio=noise_ratio),
-            run_cv(data, config, noise_ratio=noise_ratio),
-        )
-    if not pairs:
+    terms = [term for term, flag in (("beta", config.force_beta_zero),
+                                     ("gamma", config.force_gamma_zero)) if flag]
+    if not terms:
         raise ValueError("no ablation flag set")
-    return pairs
+    runs = []
+    for term in terms:
+        runs.append((replace(config.train, **{term: 0.0}), noise_ratio))
+        runs.append((config.train, noise_ratio))
+    reports = _run_reports(data, config, runs)
+    return {term: (reports[2 * i], reports[2 * i + 1]) for i, term in enumerate(terms)}

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -111,6 +112,29 @@ class TestExperimentsCommands:
         assert len(report) == 3
         assert (tmp_path / "cv_summary.txt").exists()
 
+    def test_cv_summary_counts_match_the_fold_rows(self, tmp_path):
+        fx, fy = _write_dataset(tmp_path, n=60)
+        assert main([
+            "cv", "--features", str(fx), "--labels", str(fy),
+            "--folds", "3", "--seeds", "0,1", "--rules", "2", "--max-iters", "8",
+            "--out-dir", str(tmp_path), "--workers", "2",
+        ]) == 0
+        rows = (tmp_path / "cv_report.csv").read_text().splitlines()
+        header = rows[0].split(",")
+        fields = [dict(zip(header, row.split(","))) for row in rows[1:]]
+        assert len(fields) == 6
+        summary = dict(line.split(": ", 1) for line in
+                       (tmp_path / "cv_summary.txt").read_text().splitlines()[1:])
+        reasons = Counter(f["stop_reason"] for f in fields)
+        assert summary["stop_reasons"] == " ".join(
+            "%s=%d" % item for item in sorted(reasons.items()))
+        iterations = [int(f["iterations"]) for f in fields]
+        assert float(summary["mean_iterations"]) == pytest.approx(
+            np.mean(iterations), abs=0.005)
+        indefinite, _, total = summary["indefinite_steps"].partition(" of ")
+        assert 0 <= int(indefinite) <= sum(iterations)
+        assert total == "%d iterations" % sum(iterations)
+
     def test_grid_reports_best_cell(self, tmp_path, capsys):
         fx, fy = _write_dataset(tmp_path, n=40)
         capsys.readouterr()
@@ -123,6 +147,12 @@ class TestExperimentsCommands:
         assert "best cell: alpha=0.1" in out
         cells = (tmp_path / "grid_cells.csv").read_text().splitlines()
         assert len(cells) == 3
+        summary = (tmp_path / "grid_summary.txt").read_text().splitlines()
+        assert summary[0] == "grid winner summary"
+        assert any(line.startswith("config: alpha=0.1 ") for line in summary)
+        final = (tmp_path / "grid_final.csv").read_text().splitlines()[1:]
+        iterations = sum(int(row.split(",")[9]) for row in final)
+        assert any(line.endswith(" of %d iterations" % iterations) for line in summary)
 
     def test_noise_curve_sorted(self, tmp_path):
         fx, fy = _write_dataset(tmp_path, n=40)

@@ -1,6 +1,12 @@
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import fuzzml.experiments as exp
 from fuzzml.dataset import kfold_split
 from fuzzml.experiments import (
     ExperimentConfig,
@@ -11,7 +17,8 @@ from fuzzml.experiments import (
     run_noise_curve,
 )
 from fuzzml.metrics import average_precision
-from fuzzml.optimizer import TrainConfig
+from fuzzml.optimizer import OperatorMinima, TrainConfig
+from fuzzml.sylvester import SingularProblemError
 from fuzzml.synthgen import SynthSpec, gen_synthetic
 
 FAST = TrainConfig(n_rules=2, max_iters=3)
@@ -19,6 +26,60 @@ FAST = TrainConfig(n_rules=2, max_iters=3)
 
 def _data(kind="union", n=100, seed=0):
     return gen_synthetic(SynthSpec(kind=kind, n_samples=n, n_features=4, seed=seed))
+
+
+def _report_answers(report):
+    """Everything a report states except its timings."""
+    return (report.config, report.folds, report.seeds, report.means, report.stds,
+            [(r.seed, r.fold, r.metrics, r.stop_reason, r.n_iterations, r.indefinite_steps)
+             for r in report.results])
+
+
+def _cv_answers(data, workers):
+    config = ExperimentConfig(train=FAST, folds=3, seeds=(5,), workers=workers)
+    return _report_answers(run_cv(data, config))
+
+
+def _grid_answers(data, workers):
+    config = ExperimentConfig(train=FAST, folds=3, seeds=(5, 6), grid_alpha=(0.1, 1.0),
+                              grid_rules=(1, 2), workers=workers)
+    result = run_grid(data, config)
+    return result.cells, result.best, _report_answers(result.final)
+
+
+def _noise_answers(data, workers):
+    config = ExperimentConfig(train=FAST, folds=3, seeds=(5,), noise_ratios=(0.3, 0.0),
+                              workers=workers)
+    return [(p.ratio, p.mean_ap, p.sd_ap, _report_answers(p.report))
+            for p in run_noise_curve(data, config)]
+
+
+def _ablation_answers(data, workers):
+    config = ExperimentConfig(train=FAST, folds=3, seeds=(5,), force_beta_zero=True,
+                              force_gamma_zero=True, workers=workers)
+    pairs = run_ablation(data, config, noise_ratio=0.2)
+    return {term: [_report_answers(r) for r in pair] for term, pair in pairs.items()}
+
+
+ANSWERS = {
+    "run_cv": _cv_answers,
+    "run_grid": _grid_answers,
+    "run_noise_curve": _noise_answers,
+    "run_ablation": _ablation_answers,
+}
+
+
+def _counting_train(monkeypatch):
+    """Replace experiments.train with a wrapper that records each config it trains."""
+    original = exp.train
+    calls = []
+
+    def counting_train(data, cfg):
+        calls.append(cfg)
+        return original(data, cfg)
+
+    monkeypatch.setattr(exp, "train", counting_train)
+    return calls
 
 
 class TestRunCV:
@@ -50,13 +111,6 @@ class TestRunCV:
             baseline_terms.append(average_precision(zero_scores, data.labels[:, test]))
         assert report.means["ap"] > np.mean(baseline_terms)
 
-    def test_workers_do_not_change_results(self):
-        data = _data(n=60)
-        base = run_cv(data, ExperimentConfig(train=FAST, folds=3, seeds=(5,), workers=1))
-        pooled = run_cv(data, ExperimentConfig(train=FAST, folds=3, seeds=(5,), workers=3))
-        assert base.means == pooled.means
-        for ra, rb in zip(base.results, pooled.results):
-            assert ra.metrics == rb.metrics
 
     def test_multiple_seeds_multiply_results(self):
         report = run_cv(_data(n=40), ExperimentConfig(train=FAST, folds=2, seeds=(0, 1, 2)))
@@ -72,13 +126,18 @@ class TestRunGrid:
         assert result.best.alpha == 0.7
         assert len(result.cells) == 1
 
-    def test_duplicate_cells_are_harmless(self):
+    def test_duplicate_cells_are_harmless(self, monkeypatch):
         data = _data(n=40)
         base = ExperimentConfig(train=FAST, folds=2, seeds=(0,),
                                 grid_alpha=(0.5, 0.1))
         doubled = ExperimentConfig(train=FAST, folds=2, seeds=(0,),
                                    grid_alpha=(0.5, 0.1, 0.5))
-        assert run_grid(data, base).best == run_grid(data, doubled).best
+        single = run_grid(data, base)
+        calls = _counting_train(monkeypatch)
+        result = run_grid(data, doubled)
+        assert len(calls) == 4  # the repeated value trains once per fold
+        assert result.cells == single.cells + single.cells[:1]
+        assert result.best == single.best
 
     def test_crushing_ridge_loses(self):
         config = ExperimentConfig(train=TrainConfig(n_rules=2, max_iters=5),
@@ -100,16 +159,7 @@ class TestRunGrid:
         assert result.best.alpha == 0.3
 
     def test_final_report_is_the_winning_cell_without_a_rerun(self, monkeypatch):
-        import fuzzml.experiments as exp
-
-        original = exp.train
-        calls = []
-
-        def counting_train(data, cfg):
-            calls.append(cfg)
-            return original(data, cfg)
-
-        monkeypatch.setattr(exp, "train", counting_train)
+        calls = _counting_train(monkeypatch)
         config = ExperimentConfig(train=FAST, folds=3, seeds=(0,), grid_alpha=(0.01, 1.0),
                                   grid_rules=(1, 2))
         data = _data(n=60)
@@ -147,11 +197,13 @@ class TestNoiseCurve:
 
 
 class TestAblation:
-    def test_zero_beta_groups_identical(self):
+    def test_zero_beta_groups_identical(self, monkeypatch):
+        calls = _counting_train(monkeypatch)
         cfg = TrainConfig(n_rules=2, max_iters=3, beta=0.0)
         config = ExperimentConfig(train=cfg, folds=2, seeds=(0,), force_beta_zero=True)
         disabled, enabled = run_ablation(_data(n=40), config)["beta"]
         assert disabled.means == enabled.means
+        assert len(calls) == 2  # both groups read the same folds
 
     def test_groups_share_fold_plans(self):
         config = ExperimentConfig(train=FAST, folds=3, seeds=(4,), force_gamma_zero=True)
@@ -163,11 +215,97 @@ class TestAblation:
         with pytest.raises(ValueError, match="no ablation flag"):
             run_ablation(_data(n=30), ExperimentConfig(train=FAST, folds=2, seeds=(0,)))
 
-    def test_both_flags_give_both_pairs(self):
+    def test_both_flags_give_both_pairs(self, monkeypatch):
+        data = _data(n=40)
         config = ExperimentConfig(train=FAST, folds=2, seeds=(0,),
                                   force_beta_zero=True, force_gamma_zero=True)
-        pairs = run_ablation(_data(n=40), config)
+        calls = _counting_train(monkeypatch)
+        pairs = run_ablation(data, config)
         assert set(pairs) == {"beta", "gamma"}
+        assert len(calls) == 6  # the enabled arm trains once for both pairs
+        for term in ("beta", "gamma"):
+            alone = run_ablation(data, replace(config, force_beta_zero=term == "beta",
+                                               force_gamma_zero=term == "gamma"))[term]
+            assert [_report_answers(r) for r in pairs[term]] == \
+                   [_report_answers(r) for r in alone]
+
+
+class TestSharedPool:
+    @pytest.mark.parametrize("runner", sorted(ANSWERS))
+    def test_workers_do_not_change_results(self, runner):
+        data = _data(n=60)
+        assert ANSWERS[runner](data, 1) == ANSWERS[runner](data, 3)
+
+    @pytest.mark.parametrize("runner", ["run_grid", "run_noise_curve", "run_ablation"])
+    def test_one_pool_per_call(self, monkeypatch, runner):
+        pools = []
+
+        class CountingPool(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(exp, "ThreadPoolExecutor", CountingPool)
+        ANSWERS[runner](_data(n=60), 2)
+        assert len(pools) == 1
+
+    def test_oversubscribed_pool_with_frequent_switches(self):
+        data = _data(n=60)
+        base = _grid_answers(data, 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            stressed = _grid_answers(data, 4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert stressed == base
+
+    def test_all_reports_of_a_call_share_its_wall_time(self):
+        config = ExperimentConfig(train=FAST, folds=2, seeds=(0,),
+                                  noise_ratios=(0.0, 0.2, 0.4))
+        points = run_noise_curve(_data(n=40), config)
+        assert len({p.report.wall_seconds for p in points}) == 1
+        assert points[0].report.wall_seconds >= sum(
+            r.train_seconds for p in points for r in p.report.results)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_fold_names_its_job(self, monkeypatch, workers):
+        original = exp.train
+        lock = threading.Lock()
+        started = []
+
+        def failing_train(data, cfg):
+            with lock:
+                started.append(cfg.alpha)
+            if cfg.alpha == 1.0:
+                raise SingularProblemError("planted failure")
+            return original(data, cfg)
+
+        monkeypatch.setattr(exp, "train", failing_train)
+        config = ExperimentConfig(train=FAST, folds=3, seeds=(0,),
+                                  grid_alpha=(0.1, 1.0, 0.01), grid_rules=(1, 2),
+                                  workers=workers)
+        with pytest.raises(SingularProblemError) as info:
+            run_grid(_data(n=60), config)
+        message = str(info.value)
+        assert message.startswith("alpha=1 beta=10 gamma=0.001 rules=")
+        assert "noise=0, fold " in message and message.endswith(": planted failure")
+        after_failure = len(started) - started.index(1.0) - 1
+        assert after_failure <= workers
+
+    def test_indefinite_steps_count_negative_operator_minima(self, monkeypatch):
+        original = exp.train
+        minima = (OperatorMinima(-1.0, 1.0), OperatorMinima(1.0, 1.0),
+                  OperatorMinima(1.0, -1e-12), OperatorMinima(-1.0, -1.0),
+                  OperatorMinima(0.0, 0.0))
+
+        def planted_train(data, cfg):
+            model, trace = original(data, cfg)
+            return model, replace(trace, operator_minima=minima)
+
+        monkeypatch.setattr(exp, "train", planted_train)
+        report = run_cv(_data(n=40), ExperimentConfig(train=FAST, folds=2, seeds=(0,)))
+        assert [r.indefinite_steps for r in report.results] == [3, 3]
 
 
 class TestConfigValidation:
