@@ -1,17 +1,36 @@
 """Command-line interface.
 
-Subcommands: synth, noise, train, predict, eval, cv, grid, noise-curve,
-ablate, export-rules. Shared flags (--seed, --out-dir, --workers,
---config) may appear before or after the subcommand. --seed is read by
-synth, noise and the experiment commands (cv, grid, noise-curve, ablate),
---workers by the experiment commands only. A config file holds
-``key=value`` lines matching flag names (dashes or underscores); explicit
-command-line flags override file values.
+Every subcommand takes --out-dir and --config; its other flags follow
+the subcommand name:
 
-Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical failure.
+    synth         --kind --n --d --label-prob --out-prefix --seed
+    noise         --features --labels --ratio --out-prefix --seed
+    train         --features --labels, the training flags, --out
+    predict       --model --features --out --threshold --binary
+    eval          --scores --labels --threshold --out
+    cv            --features --labels, the training flags,
+                  --folds --seeds --seed --workers
+    grid          as cv, plus --grid-alpha --grid-beta --grid-gamma --grid-rules
+    noise-curve   as cv, plus --ratios
+    ablate        as cv, plus --ablate --noise-ratio
+    export-rules  --model --out
+
+The training flags are --alpha, --beta, --gamma, --rules, --max-iters,
+--min-margin, --epsilon-row, --ridge-y, --width-floor and --tau; their
+defaults are those of TrainConfig.
+
+A config file holds ``key=value`` lines. A key names an option of the
+chosen command (dashes or underscores) and sets its default, so explicit
+command-line flags override file values. Keys that name no option of the
+chosen command are ignored, and a required flag must be given on the
+command line.
+
+Exit codes: 0 success, 2 usage error, 3 data or config error (a bad
+config value included), 4 numerical failure.
 """
 
 import argparse
+import dataclasses
 import os
 import sys
 from collections import Counter
@@ -24,6 +43,7 @@ from .dataset import (
     load_labels,
     load_matrix,
     save_dataset,
+    save_matrix,
 )
 from .experiments import (
     ExperimentConfig,
@@ -38,8 +58,6 @@ from .predictor import ModelFormatError, load_model, predict, save_model, score
 from .rules import export_rules
 from .sylvester import SingularProblemError
 from .synthgen import SYNTH_KINDS, NoiseSpec, SynthSpec, gen_synthetic, inject_label_noise
-
-_FLOAT_FMT = "%.17g"
 
 
 def _ratio01(text):
@@ -70,18 +88,8 @@ def _out_path(args, name):
 
 
 def _train_config(args) -> TrainConfig:
-    return TrainConfig(
-        alpha=args.alpha,
-        beta=args.beta,
-        gamma=args.gamma,
-        n_rules=args.rules,
-        max_iters=args.max_iters,
-        min_loss_margin=args.min_margin,
-        epsilon_row=args.epsilon_row,
-        ridge_y=args.ridge_y,
-        width_floor=args.width_floor,
-        tau=args.tau,
-    )
+    return TrainConfig(**{f.name: getattr(args, f.name)
+                          for f in dataclasses.fields(TrainConfig)})
 
 
 def _experiment_config(args, **overrides) -> ExperimentConfig:
@@ -174,12 +182,10 @@ def cmd_predict(args):
     features, _ = load_matrix(args.features)
     if args.binary:
         output = predict(model, features, tau=args.threshold)
-        rows = [",".join("%d" % v for v in col) for col in output.T]
+        save_matrix(_out_path(args, args.out), output, model.label_names, "%d")
     else:
         output = score(model, features)
-        rows = [",".join(_FLOAT_FMT % v for v in col) for col in output.T]
-    header = "# " + ",".join(model.label_names)
-    _write_lines(_out_path(args, args.out), [header] + rows)
+        save_matrix(_out_path(args, args.out), output, model.label_names)
     print("wrote %d score rows to %s" % (output.shape[1], _out_path(args, args.out)))
 
 
@@ -279,120 +285,102 @@ def cmd_export_rules(args):
     print("wrote rule text to %s" % _out_path(args, args.out))
 
 
-def _add_train_flags(p):
-    p.add_argument("--alpha", type=float, default=0.1, help="consequent ridge weight")
-    p.add_argument("--beta", type=float, default=10.0, help="soft-label loss weight")
-    p.add_argument("--gamma", type=float, default=0.001, help="correlation penalty weight")
-    p.add_argument("--rules", type=int, default=3, help="fuzzy rule count")
-    p.add_argument("--max-iters", type=int, default=50)
-    p.add_argument("--min-margin", type=float, default=None,
-                   help="stopping margin on the loss change (default: auto)")
-    p.add_argument("--epsilon-row", type=float, default=1e-8)
-    p.add_argument("--ridge-y", type=float, default=1e-6)
-    p.add_argument("--width-floor", type=float, default=1e-4)
-    p.add_argument("--tau", type=float, default=0.5, help="decision threshold")
-
-
-def _add_data_flags(p):
-    p.add_argument("--features", required=True, help="feature CSV (one sample per row)")
-    p.add_argument("--labels", required=True, help="binary label CSV")
-
-
-def _add_cv_flags(p):
-    p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--seeds", type=_int_list, default=(),
-                   help="comma-separated fold seeds (default: the global seed)")
-
-
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="base random seed")
     common.add_argument("--out-dir", default=".", help="directory for outputs")
-    common.add_argument("--workers", type=int, default=1,
-                        help="parallel workers for independent runs")
     common.add_argument("--config", default=None,
-                        help="key=value file supplying flag defaults")
+                        help="key=value file supplying this command's flag defaults")
+
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0, help="base random seed")
+
+    data = argparse.ArgumentParser(add_help=False)
+    data.add_argument("--features", required=True, help="feature CSV (one sample per row)")
+    data.add_argument("--labels", required=True, help="binary label CSV")
+
+    training = argparse.ArgumentParser(add_help=False, parents=[data])
+    training.add_argument("--alpha", type=float, default=TrainConfig.alpha,
+                          help="consequent ridge weight")
+    training.add_argument("--beta", type=float, default=TrainConfig.beta,
+                          help="soft-label loss weight")
+    training.add_argument("--gamma", type=float, default=TrainConfig.gamma,
+                          help="correlation penalty weight")
+    training.add_argument("--rules", dest="n_rules", type=int,
+                          default=TrainConfig.n_rules, help="fuzzy rule count")
+    training.add_argument("--max-iters", type=int, default=TrainConfig.max_iters)
+    training.add_argument("--min-margin", dest="min_loss_margin", type=float,
+                          default=TrainConfig.min_loss_margin,
+                          help="stopping margin on the loss change (default: auto)")
+    training.add_argument("--epsilon-row", type=float, default=TrainConfig.epsilon_row)
+    training.add_argument("--ridge-y", type=float, default=TrainConfig.ridge_y)
+    training.add_argument("--width-floor", type=float, default=TrainConfig.width_floor)
+    training.add_argument("--tau", type=float, default=TrainConfig.tau,
+                          help="decision threshold")
+
+    experiment = argparse.ArgumentParser(add_help=False, parents=[training, seeded])
+    experiment.add_argument("--folds", type=int, default=ExperimentConfig.folds)
+    experiment.add_argument("--seeds", type=_int_list, default=(),
+                            help="comma-separated fold seeds (default: --seed)")
+    experiment.add_argument("--workers", type=int, default=ExperimentConfig.workers,
+                            help="threads that run the folds")
 
     parser = argparse.ArgumentParser(
         prog="fuzzml",
         description="Robust multilabel fuzzy classifier toolkit",
-        parents=[common],
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", parents=[common], help="generate a synthetic dataset")
+    def command(name, func, text, *parents):
+        p = sub.add_parser(name, parents=[common, *parents], help=text)
+        p.set_defaults(func=func, command_parser=p)
+        return p
+
+    p = command("synth", cmd_synth, "generate a synthetic dataset", seeded)
     p.add_argument("--kind", choices=SYNTH_KINDS, required=True)
     p.add_argument("--n", type=int, default=1000, help="sample count")
     p.add_argument("--d", type=int, default=20, help="feature count")
     p.add_argument("--label-prob", type=_ratio01, default=0.4)
     p.add_argument("--out-prefix", required=True)
-    p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("noise", parents=[common], help="inject label noise")
-    _add_data_flags(p)
+    p = command("noise", cmd_noise, "inject label noise", data, seeded)
     p.add_argument("--ratio", type=_ratio01, required=True)
     p.add_argument("--out-prefix", required=True)
-    p.set_defaults(func=cmd_noise)
 
-    p = sub.add_parser("train", parents=[common], help="train a model")
-    _add_data_flags(p)
-    _add_train_flags(p)
+    p = command("train", cmd_train, "train a model", training)
     p.add_argument("--out", default="model.txt")
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("predict", parents=[common], help="score test samples")
+    p = command("predict", cmd_predict, "score test samples")
     p.add_argument("--model", required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--out", default="scores.csv")
     p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--binary", action="store_true", help="emit 0/1 instead of scores")
-    p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("eval", parents=[common], help="evaluate a score file")
+    p = command("eval", cmd_eval, "evaluate a score file")
     p.add_argument("--scores", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("cv", parents=[common], help="k-fold cross-validation")
-    _add_data_flags(p)
-    _add_train_flags(p)
-    _add_cv_flags(p)
-    p.set_defaults(func=cmd_cv)
+    command("cv", cmd_cv, "k-fold cross-validation", experiment)
 
-    p = sub.add_parser("grid", parents=[common], help="hyperparameter grid search")
-    _add_data_flags(p)
-    _add_train_flags(p)
-    _add_cv_flags(p)
+    p = command("grid", cmd_grid, "hyperparameter grid search", experiment)
     p.add_argument("--grid-alpha", type=_float_list, default=())
     p.add_argument("--grid-beta", type=_float_list, default=())
     p.add_argument("--grid-gamma", type=_float_list, default=())
     p.add_argument("--grid-rules", type=_int_list, default=())
-    p.set_defaults(func=cmd_grid)
 
-    p = sub.add_parser("noise-curve", parents=[common],
-                       help="cross-validated AP per training noise ratio")
-    _add_data_flags(p)
-    _add_train_flags(p)
-    _add_cv_flags(p)
+    p = command("noise-curve", cmd_noise_curve,
+                "cross-validated AP per training noise ratio", experiment)
     p.add_argument("--ratios", type=_ratio_list, required=True)
-    p.set_defaults(func=cmd_noise_curve)
 
-    p = sub.add_parser("ablate", parents=[common],
-                       help="paired runs with a loss term disabled")
-    _add_data_flags(p)
-    _add_train_flags(p)
-    _add_cv_flags(p)
+    p = command("ablate", cmd_ablate, "paired runs with a loss term disabled", experiment)
     p.add_argument("--ablate", choices=("beta", "gamma", "both"), required=True)
     p.add_argument("--noise-ratio", type=_ratio01, default=0.0)
-    p.set_defaults(func=cmd_ablate)
 
-    p = sub.add_parser("export-rules", parents=[common],
-                       help="write the rule base as linguistic text")
+    p = command("export-rules", cmd_export_rules, "write the rule base as linguistic text")
     p.add_argument("--model", required=True)
     p.add_argument("--out", default="rules.txt")
-    p.set_defaults(func=cmd_export_rules)
 
     return parser
 
@@ -415,42 +403,31 @@ def _parse_config_file(path):
 
 
 def _apply_file_defaults(parser, values):
+    """Make config values the defaults of the options of ``parser`` they name."""
     for action in parser._actions:
-        if action.dest in values:
-            raw = values[action.dest]
-            if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
-                action.default = raw.lower() in ("1", "true", "yes", "on")
-            elif action.type is not None:
-                action.default = action.type(raw)
-            else:
-                action.default = raw
-
-
-def _scan_config_path(argv):
-    for i, token in enumerate(argv):
-        if token == "--config" and i + 1 < len(argv):
-            return argv[i + 1]
-        if token.startswith("--config="):
-            return token.split("=", 1)[1]
-    return None
+        for option in action.option_strings:
+            key = option.lstrip("-").replace("-", "_")
+            if key not in values:
+                continue
+            raw = values[key]
+            try:
+                if isinstance(action, argparse._StoreTrueAction):
+                    action.default = raw.lower() in ("1", "true", "yes", "on")
+                elif action.type is not None:
+                    action.default = action.type(raw)
+                else:
+                    action.default = raw
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise DataFormatError("config %s=%s: %s" % (option, raw, exc)) from None
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    try:
-        config_path = _scan_config_path(argv)
-        if config_path is not None:
-            values = _parse_config_file(config_path)
-            _apply_file_defaults(parser, values)
-            for action in parser._subparsers._group_actions:
-                for sub in action.choices.values():
-                    _apply_file_defaults(sub, values)
-    except (DataFormatError, ValueError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 3
     args = parser.parse_args(argv)
     try:
+        if args.config is not None:
+            _apply_file_defaults(args.command_parser, _parse_config_file(args.config))
+            args = parser.parse_args(argv)
         args.func(args)
     except (DataFormatError, ModelFormatError, OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)

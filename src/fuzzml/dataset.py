@@ -15,16 +15,13 @@ __all__ = [
     "load_dataset",
     "load_labels",
     "load_matrix",
+    "save_matrix",
     "save_dataset",
     "normalize_features",
     "apply_norm",
     "kfold_split",
     "take_samples",
 ]
-
-# Significant digits used when writing decimals; 17 round-trips float64 exactly.
-_FLOAT_FMT = "%.17g"
-
 
 class DataFormatError(ValueError):
     """Raised when an input file or matrix violates the data contract."""
@@ -198,20 +195,24 @@ def load_labels(labels_path):
     return labels, names
 
 
-def _write_csv(path, matrix, names):
+def save_matrix(path, matrix, names, cell_fmt="%.17g") -> None:
+    """Write a matrix with one column per sample as a sample-major CSV.
+
+    The inverse of :func:`load_matrix`: a ``#`` header line holds the
+    names, then each row is one sample with its cells printed by
+    ``cell_fmt``. The default's 17 significant digits round-trip float64
+    exactly.
+    """
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# " + ",".join(names) + "\n")
         for col in matrix.T:
-            fh.write(",".join(_FLOAT_FMT % v for v in col) + "\n")
+            fh.write(",".join(cell_fmt % v for v in col) + "\n")
 
 
 def save_dataset(data: Dataset, features_path, labels_path) -> None:
     """Write the dataset as two sample-major CSV files with name headers."""
-    _write_csv(features_path, data.features, data.feature_names)
-    with open(labels_path, "w", encoding="utf-8") as fh:
-        fh.write("# " + ",".join(data.label_names) + "\n")
-        for col in data.labels.T:
-            fh.write(",".join("%d" % int(v) for v in col) + "\n")
+    save_matrix(features_path, data.features, data.feature_names)
+    save_matrix(labels_path, data.labels, data.label_names, "%d")
 
 
 def normalize_features(train: Dataset):

@@ -169,7 +169,12 @@ def coverage(scores, truth):
 
 
 def evaluate(scores, truth, tau: float = 0.5) -> MetricsReport:
-    """Compute the full report; Hamming loss thresholds the scores at tau."""
+    """Compute the full report; Hamming loss thresholds the scores at tau.
+
+    A non-finite tau raises ValueError.
+    """
+    if not math.isfinite(tau):
+        raise ValueError("tau must be finite")
     scores, truth = _check_pair(scores, truth)
     predicted = (scores >= tau).astype(np.float64)
     rel_counts = truth.sum(axis=0)

@@ -10,6 +10,7 @@ a content checksum, so files are diffable and corruption is detected.
 """
 
 import hashlib
+import math
 
 import numpy as np
 
@@ -46,8 +47,13 @@ def score(model: ModelParams, features) -> np.ndarray:
 
 
 def predict(model: ModelParams, features, tau: float | None = None) -> np.ndarray:
-    """Binary predictions: 1 where the score is at least the threshold."""
+    """Binary predictions: 1 where the score is at least the threshold.
+
+    ``tau`` overrides the model's threshold and must be finite.
+    """
     threshold = model.tau if tau is None else tau
+    if not math.isfinite(threshold):
+        raise ValueError("tau must be finite")
     return (score(model, features) >= threshold).astype(np.int64)
 
 

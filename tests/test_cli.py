@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -9,6 +10,8 @@ from fuzzml.cli import main
 from fuzzml.dataset import load_dataset
 from fuzzml.predictor import load_model
 
+_COMMANDS = {"synth", "noise", "train", "predict", "eval", "cv", "grid",
+             "noise-curve", "ablate", "export-rules"}
 
 def _write_dataset(tmp_path, prefix="data", n=40, seed=0):
     code = main([
@@ -264,3 +267,82 @@ class TestConfigFileAndExitCodes:
         for command in ("synth", "noise", "train", "predict", "eval", "cv",
                         "grid", "noise-curve", "ablate", "export-rules"):
             assert command in proc.stdout
+
+
+def _usage_error(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    return exc.value.code == 2
+
+
+class TestFlagsGoOnTheCommandsThatReadThem:
+    @pytest.mark.parametrize("command", sorted(_COMMANDS))
+    def test_subcommand_help_lists_only_the_flags_it_reads(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        for flag, readers in (
+            ("--seed", {"synth", "noise", "cv", "grid", "noise-curve", "ablate"}),
+            ("--workers", {"cv", "grid", "noise-curve", "ablate"}),
+            ("--out-dir", _COMMANDS),
+            ("--config", _COMMANDS),
+        ):
+            assert bool(re.search(r"%s\b" % flag, out)) == (command in readers), flag
+
+    @pytest.mark.parametrize("flag", [["--seed", "5"], ["--out-dir", "elsewhere"]])
+    def test_flag_before_the_subcommand_is_usage_error(self, tmp_path, monkeypatch, flag):
+        monkeypatch.chdir(tmp_path)
+        assert _usage_error(flag + ["synth", "--kind", "union", "--n", "20",
+                                    "--out-prefix", "data"])
+        assert not (tmp_path / "data.X.csv").exists()
+
+    def test_seed_and_workers_are_refused_where_nothing_reads_them(self, tmp_path):
+        fx, fy = _write_dataset(tmp_path, n=20)
+        train = ["train", "--features", str(fx), "--labels", str(fy),
+                 "--rules", "2", "--max-iters", "1", "--out-dir", str(tmp_path)]
+        assert _usage_error(train + ["--seed", "1"])
+        assert main(train) == 0
+        assert _usage_error(["predict", "--model", str(tmp_path / "model.txt"),
+                             "--features", str(fx), "--workers", "2",
+                             "--out-dir", str(tmp_path)])
+        assert not (tmp_path / "scores.csv").exists()
+
+    def test_config_key_of_another_command_is_ignored(self, tmp_path):
+        fx, fy = _write_dataset(tmp_path, n=20)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("label-prob=2\nratios=0.1,x\nmax-iters=2\nrules=2\n")
+        assert main([
+            "train", "--features", str(fx), "--labels", str(fy),
+            "--config", str(cfg), "--out", "model.txt", "--out-dir", str(tmp_path),
+        ]) == 0
+        config = load_model(tmp_path / "model.txt").config
+        assert (config.max_iters, config.n_rules) == (2, 2)
+
+    @pytest.mark.parametrize("line", ["label-prob=2", "n=many", "label_prob=x"])
+    def test_bad_config_value_is_config_error(self, tmp_path, capsys, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        assert main(["synth", "--kind", "union", "--out-prefix", "data",
+                     "--config", str(cfg), "--out-dir", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: config --") and "Traceback" not in err
+        assert not (tmp_path / "data.X.csv").exists()
+
+    def test_non_finite_threshold_is_config_error(self, tmp_path, capsys):
+        fx, fy = _write_dataset(tmp_path, n=20)
+        assert main(["train", "--features", str(fx), "--labels", str(fy),
+                     "--rules", "2", "--max-iters", "1", "--out-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert main(["predict", "--model", str(tmp_path / "model.txt"),
+                     "--features", str(fx), "--binary", "--threshold", "nan",
+                     "--out", "bits.csv", "--out-dir", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == "error: tau must be finite\n"
+        assert not (tmp_path / "bits.csv").exists()
+        assert main(["predict", "--model", str(tmp_path / "model.txt"),
+                     "--features", str(fx), "--out-dir", str(tmp_path)]) == 0
+        assert main(["eval", "--scores", str(tmp_path / "scores.csv"), "--labels", str(fy),
+                     "--threshold", "nan", "--out", "eval.csv",
+                     "--out-dir", str(tmp_path)]) == 3
+        assert capsys.readouterr().err.endswith("error: tau must be finite\n")
+        assert not (tmp_path / "eval.csv").exists()

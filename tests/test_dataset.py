@@ -9,8 +9,10 @@ from fuzzml.dataset import (
     kfold_split,
     load_dataset,
     load_labels,
+    load_matrix,
     normalize_features,
     save_dataset,
+    save_matrix,
     take_samples,
 )
 
@@ -84,6 +86,20 @@ class TestRoundTrip:
         np.testing.assert_array_equal(again.labels, data.labels)
         assert again.feature_names == data.feature_names
         assert again.label_names == data.label_names
+
+    def test_save_matrix_round_trip_bit_exact(self, tmp_path):
+        rng = np.random.default_rng(7)
+        matrix = rng.normal(size=(3, 11)) * 10.0 ** rng.integers(-300, 300, size=(3, 11))
+        matrix[0, :3] = (0.1, -0.0, 5e-324)
+        save_matrix(tmp_path / "M.csv", matrix, ("a", "b", "c"))
+        again, names = load_matrix(tmp_path / "M.csv")
+        assert again.tobytes() == matrix.tobytes()
+        assert names == ("a", "b", "c")
+
+    def test_save_matrix_cell_format(self, tmp_path):
+        save_matrix(tmp_path / "B.csv", np.array([[1, 0], [0, 1], [1, 1]]),
+                    ("y1", "y2", "y3"), "%d")
+        assert (tmp_path / "B.csv").read_text() == "# y1,y2,y3\n1,0,1\n0,1,1\n"
 
 
 class TestNormalization:

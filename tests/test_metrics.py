@@ -217,6 +217,13 @@ class TestEvaluate:
         assert evaluate(scores, truth, tau=0.5).hl == 0.0
         assert evaluate(scores, truth, tau=0.7).hl == 0.5
 
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf")])
+    def test_non_finite_threshold_is_rejected(self, tau):
+        scores = np.array([[0.6], [0.4]])
+        truth = np.array([[1.0], [0.0]])
+        with pytest.raises(ValueError, match="tau must be finite"):
+            evaluate(scores, truth, tau=tau)
+
 
 class TestCriticalDifference:
     def test_reported_constant(self):

@@ -94,6 +94,12 @@ class TestPredict:
         out = predict(model, np.array([[0.4, 0.9]]), tau=-100.0)
         np.testing.assert_array_equal(out, np.ones((2, 2), dtype=int))
 
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_threshold_is_rejected(self, tau):
+        model = _manual_model(np.array([[0.5, 0.0]]), n_features=1)
+        with pytest.raises(ValueError, match="tau must be finite"):
+            predict(model, np.array([[0.7]]), tau=tau)
+
     def test_output_is_binary_matrix(self):
         data = gen_synthetic(SynthSpec(kind="equality", n_samples=50, n_features=3, seed=5))
         model, _ = train(data, TrainConfig(n_rules=2, max_iters=2))
