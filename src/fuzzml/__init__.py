@@ -46,7 +46,6 @@ from .optimizer import (
     NumericalError,
     TrainConfig,
     TrainTrace,
-    gram_ridge,
     train,
 )
 from .predictor import ModelFormatError, load_model, predict, save_model, score

@@ -16,8 +16,7 @@ the subcommand name:
     export-rules  --model --out
 
 The training flags are --alpha, --beta, --gamma, --rules, --max-iters,
---min-margin, --epsilon-row, --ridge-y, --width-floor and --tau; their
-defaults are those of TrainConfig.
+--min-margin and --tau; their defaults are those of TrainConfig.
 
 A config file holds ``key=value`` lines. A key names an option of the
 chosen command (dashes or underscores) and sets its default, so explicit
@@ -311,9 +310,6 @@ def build_parser():
     training.add_argument("--min-margin", dest="min_loss_margin", type=float,
                           default=TrainConfig.min_loss_margin,
                           help="stopping margin on the loss change (default: auto)")
-    training.add_argument("--epsilon-row", type=float, default=TrainConfig.epsilon_row)
-    training.add_argument("--ridge-y", type=float, default=TrainConfig.ridge_y)
-    training.add_argument("--width-floor", type=float, default=TrainConfig.width_floor)
     training.add_argument("--tau", type=float, default=TrainConfig.tau,
                           help="decision threshold")
 

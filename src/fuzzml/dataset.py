@@ -106,6 +106,8 @@ class NormStats:
         maximum = np.asarray(maximum, dtype=np.float64)
         if minimum.shape != maximum.shape or minimum.ndim != 1:
             raise ValueError("min and max must be 1-D vectors of equal length")
+        if not (np.isfinite(minimum).all() and np.isfinite(maximum).all()):
+            raise ValueError("per-feature min and max must be finite")
         if np.any(minimum > maximum):
             raise ValueError("per-feature min must not exceed max")
         self.minimum = minimum

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, NormStats, normalize_features
-from .rules import RuleBase, fit_antecedents, fuzzy_feature_matrix, DEFAULT_WIDTH_FLOOR
+from .rules import RuleBase, fit_antecedents, fuzzy_feature_matrix
 from .sylvester import SingularProblemError, _solve_sylvester
 
 __all__ = [
@@ -45,12 +45,17 @@ __all__ = [
     "OperatorMinima",
     "TrainTrace",
     "ModelParams",
-    "gram_ridge",
     "train",
 ]
 
 # Auto stopping margin: this fraction of the first iteration's loss magnitude.
 AUTO_MARGIN_SCALE = 1e-5
+# Column-norm floor of the L2,1 weights: an exactly fitted sample gets a finite weight.
+EPSILON_ROW = 1e-8
+# Label Gram shift of the mixing solve, times trace(Y Y') / L. Not needed for
+# well-posedness, but at 0 tall seed 2 ran to max_iters (AP 0.9973, not a margin
+# stop after 22 iterations at 0.99987) and wide_l96 seed 1 fell from AP 0.573 to 0.476.
+LABEL_GRAM_RIDGE = 1e-6
 
 
 class NumericalError(RuntimeError):
@@ -59,15 +64,13 @@ class NumericalError(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Hyperparameters and numerical guards for one training run.
+    """Hyperparameters of one training run.
 
     ``min_loss_margin=None`` selects the automatic margin
-    ``1e-5 * |loss_1|`` fixed after the first iteration. ``ridge_y`` is a
-    small relative regularizer of the mixing subproblem: the label Gram
-    matrix in its correlation term receives a diagonal shift of
-    ``ridge_y * trace(Y Y^T) / L``. It is not needed for well-posedness;
-    the mixing solve handles a label that never occurs or coinciding label
-    rows at any value, including 0.
+    ``1e-5 * |loss_1|`` fixed after the first iteration. The numerical
+    guards are constants: the L2,1 weight floor :data:`EPSILON_ROW`, the
+    label Gram shift :data:`LABEL_GRAM_RIDGE` of the mixing solve and the
+    rule width floor ``rules.DEFAULT_WIDTH_FLOOR``.
     """
 
     alpha: float = 0.1
@@ -76,9 +79,6 @@ class TrainConfig:
     n_rules: int = 3
     max_iters: int = 50
     min_loss_margin: float | None = None
-    epsilon_row: float = 1e-8
-    ridge_y: float = 1e-6
-    width_floor: float = DEFAULT_WIDTH_FLOOR
     tau: float = 0.5
 
     def __post_init__(self):
@@ -91,12 +91,6 @@ class TrainConfig:
             raise ValueError("max_iters must be at least 1")
         if self.min_loss_margin is not None and not self.min_loss_margin >= 0:
             raise ValueError("min_loss_margin must be nonnegative")
-        if not 0 < self.epsilon_row < math.inf:
-            raise ValueError("epsilon_row must be finite and positive")
-        if not 0 <= self.ridge_y < math.inf:
-            raise ValueError("ridge_y must be finite and nonnegative")
-        if not 0 < self.width_floor < math.inf:
-            raise ValueError("width_floor must be finite and positive")
         if not math.isfinite(self.tau):
             raise ValueError("tau must be finite")
 
@@ -186,13 +180,12 @@ class ModelParams:
 
     Only the consequents, rule base and normalization stats take part in
     prediction; the mixing transform is kept for inspection of learned
-    label interactions.
+    label interactions. The decision threshold is ``config.tau``.
     """
 
     mixing: np.ndarray
     consequents: np.ndarray
     rulebase: RuleBase
-    tau: float
     norm: NormStats
     feature_names: tuple
     label_names: tuple
@@ -205,12 +198,16 @@ class ModelParams:
             raise ValueError("consequent columns must equal K(D+1) of the rule base")
         if self.mixing.shape != (self.consequents.shape[0],) * 2:
             raise ValueError("mixing transform must be L x L")
-        if not math.isfinite(self.tau):
-            raise ValueError("tau must be finite")
+        if not (np.isfinite(self.mixing).all() and np.isfinite(self.consequents).all()):
+            raise ValueError("mixing and consequents must be finite")
 
     @property
     def n_labels(self) -> int:
         return self.consequents.shape[0]
+
+    @property
+    def tau(self) -> float:
+        return self.config.tau
 
 
 def _column_norms(m) -> np.ndarray:
@@ -245,15 +242,15 @@ class _Point:
         similarity = consequents @ consequents.T
         self.laplacian = np.diag(similarity.sum(axis=1)) - similarity
 
-    def weights(self, epsilon_row):
-        """The L2,1 weights 1 / (2 max(column norm, epsilon_row)), one per sample.
+    def weights(self):
+        """The L2,1 weights 1 / (2 max(column norm, EPSILON_ROW)), one per sample.
 
         Returns ``(fit, soft)``: ``fit`` weights the fit residual
         M Y - C Xg in both subproblems, ``soft`` the soft-label residual
         Y - M Y.
         """
-        return (1.0 / (2.0 * np.maximum(self.fit_norms, epsilon_row)),
-                1.0 / (2.0 * np.maximum(self.soft_norms, epsilon_row)))
+        return (1.0 / (2.0 * np.maximum(self.fit_norms, EPSILON_ROW)),
+                1.0 / (2.0 * np.maximum(self.soft_norms, EPSILON_ROW)))
 
     def losses(self, cfg: TrainConfig):
         """The objective term by term and the stopping loss."""
@@ -294,16 +291,6 @@ class _Grams:
         self.soft = label_rows @ label_rows.T
 
 
-def gram_ridge(labels, ridge_y: float) -> float:
-    """Diagonal shift of the label Gram matrix, added to its eigenvalues."""
-    if ridge_y == 0.0:
-        return 0.0
-    trace = float((labels * labels).sum())
-    n_labels = labels.shape[0]
-    scale = trace / n_labels if trace > 0.0 else 1.0
-    return ridge_y * scale
-
-
 def _solve_consequents(point: _Point, grams: _Grams, cfg: TrainConfig):
     """The consequent subproblem's Sylvester equation A C + C B = Z.
 
@@ -328,7 +315,8 @@ def _solve_consequents(point: _Point, grams: _Grams, cfg: TrainConfig):
 class _MixingSystem:
     """The label-side terms of the mixing subproblem, fixed during training.
 
-    With G = Y Y' + r I the ridged label Gram (see :class:`TrainConfig`),
+    With G = Y Y' + r I the ridged label Gram, r = LABEL_GRAM_RIDGE
+    trace(Y Y') / L (stored as ``ridge``; 1 replaces a zero trace),
     stationarity reads 2 gamma Lap M G + M B_raw = Z_raw, with
     B_raw = G_fit + beta G_soft and Z_raw = C K' + beta G_soft (see
     :class:`_Grams`; C is the pre-update consequents). Both end in Y' on
@@ -355,10 +343,12 @@ class _MixingSystem:
     def __init__(self, labels, cfg: TrainConfig):
         self.cfg = cfg
         self.label_gram = labels @ labels.T
+        n_labels = labels.shape[0]
+        trace = float((labels * labels).sum())
+        self.ridge = LABEL_GRAM_RIDGE * (trace / n_labels if trace > 0.0 else 1.0)
         values, vectors = np.linalg.eigh(self.label_gram)
-        keep = values > labels.shape[0] * np.finfo(np.float64).eps * values[-1]
-        self.range_half = vectors[:, keep] / np.sqrt(
-            values[keep] + gram_ridge(labels, cfg.ridge_y))[None, :]
+        keep = values > n_labels * np.finfo(np.float64).eps * values[-1]
+        self.range_half = vectors[:, keep] / np.sqrt(values[keep] + self.ridge)[None, :]
 
     def solve(self, point: _Point, grams: _Grams):
         """The mixing transform and lambda_min + sigma_min of the reduced operator."""
@@ -391,7 +381,7 @@ def train(data: Dataset, cfg: TrainConfig = TrainConfig()):
     (ModelParams, TrainTrace)
     """
     normed, stats = normalize_features(data)
-    rulebase = fit_antecedents(normed.features, cfg.n_rules, cfg.width_floor)
+    rulebase = fit_antecedents(normed.features, cfg.n_rules)
     fuzzy_x = fuzzy_feature_matrix(normed.features, rulebase)
     labels = normed.labels
     n_labels = labels.shape[0]
@@ -410,7 +400,7 @@ def train(data: Dataset, cfg: TrainConfig = TrainConfig()):
     stop_reason = "max_iters"
     for t in range(1, cfg.max_iters + 1):
         started = time.perf_counter()
-        weights = point.weights(cfg.epsilon_row)
+        weights = point.weights()
         weighted = time.perf_counter()
         subproblem = "consequent"
         try:
@@ -452,7 +442,6 @@ def train(data: Dataset, cfg: TrainConfig = TrainConfig()):
         mixing=mixing,
         consequents=consequents,
         rulebase=rulebase,
-        tau=cfg.tau,
         norm=stats,
         feature_names=data.feature_names,
         label_names=data.label_names,

@@ -9,6 +9,7 @@ Models are saved as versioned line-oriented text with named sections and
 a content checksum, so files are diffable and corruption is detected.
 """
 
+import dataclasses
 import hashlib
 import math
 
@@ -23,6 +24,8 @@ __all__ = ["ModelFormatError", "score", "predict", "save_model", "load_model"]
 _MAGIC = "fuzzml-model"
 _VERSION = "v1"
 _FLOAT_FMT = "%.17g"
+# [meta] keys of settings that older files store and that are now fixed or gone
+_RETIRED_KEYS = ("epsilon_row", "ridge_y", "width_floor", "seed")
 
 
 class ModelFormatError(ValueError):
@@ -57,20 +60,11 @@ def predict(model: ModelParams, features, tau: float | None = None) -> np.ndarra
     return (score(model, features) >= threshold).astype(np.int64)
 
 
-def _config_items(cfg: TrainConfig):
-    margin = "auto" if cfg.min_loss_margin is None else _FLOAT_FMT % cfg.min_loss_margin
-    return [
-        ("alpha", _FLOAT_FMT % cfg.alpha),
-        ("beta", _FLOAT_FMT % cfg.beta),
-        ("gamma", _FLOAT_FMT % cfg.gamma),
-        ("n_rules", "%d" % cfg.n_rules),
-        ("max_iters", "%d" % cfg.max_iters),
-        ("min_loss_margin", margin),
-        ("epsilon_row", _FLOAT_FMT % cfg.epsilon_row),
-        ("ridge_y", _FLOAT_FMT % cfg.ridge_y),
-        ("width_floor", _FLOAT_FMT % cfg.width_floor),
-        ("tau", _FLOAT_FMT % cfg.tau),
-    ]
+def _config_value(field, text):
+    """Parse one [meta] value of a TrainConfig field; "auto" stands for None."""
+    if text == "auto" and field.default is None:
+        return None
+    return int(text) if field.type is int else float(text)
 
 
 def _matrix_lines(matrix):
@@ -87,8 +81,10 @@ def save_model(model: ModelParams, path) -> None:
     lines.append("rules=%d" % k)
     lines.append("feature_names=%s" % ",".join(model.feature_names))
     lines.append("label_names=%s" % ",".join(model.label_names))
-    for key, value in _config_items(model.config):
-        lines.append("%s=%s" % (key, value))
+    for field in dataclasses.fields(TrainConfig):
+        value = getattr(model.config, field.name)
+        fmt = "%d" if field.type is int else _FLOAT_FMT
+        lines.append("%s=%s" % (field.name, "auto" if value is None else fmt % value))
     lines.append("[norm]")
     lines.extend(_matrix_lines(model.norm.minimum))
     lines.extend(_matrix_lines(model.norm.maximum))
@@ -134,9 +130,10 @@ class _LineReader:
         if self.next(literal) != literal:
             raise ModelFormatError("malformed model file: expected %s" % literal)
 
-    def skip_keyed(self, key):
-        """Step over the next line if it is a ``key=`` line."""
-        if self.pos < len(self.lines) and self.lines[self.pos].startswith(key + "="):
+    def skip_keyed(self, keys):
+        """Step over the next lines while each is a ``key=`` line of one of ``keys``."""
+        while (self.pos < len(self.lines) and "=" in self.lines[self.pos]
+               and self.lines[self.pos].partition("=")[0] in keys):
             self.pos += 1
 
     def keyed(self, key):
@@ -174,29 +171,13 @@ def load_model(path) -> ModelParams:
         raise ModelFormatError("malformed model file: bad dimensions") from None
     feature_names = tuple(reader.keyed("feature_names").split(","))
     label_names = tuple(reader.keyed("label_names").split(","))
-    raw = {}
-    for key in (
-        "alpha", "beta", "gamma", "n_rules", "max_iters", "min_loss_margin",
-        "epsilon_row", "ridge_y", "width_floor", "tau",
-    ):
-        raw[key] = reader.keyed(key)
-    # files written while TrainConfig had a seed field carry a seed= line
-    reader.skip_keyed("seed")
+    raw = []
+    for field in dataclasses.fields(TrainConfig):
+        reader.skip_keyed(_RETIRED_KEYS)
+        raw.append((field, reader.keyed(field.name)))
+    reader.skip_keyed(_RETIRED_KEYS)
     try:
-        cfg = TrainConfig(
-            alpha=float(raw["alpha"]),
-            beta=float(raw["beta"]),
-            gamma=float(raw["gamma"]),
-            n_rules=int(raw["n_rules"]),
-            max_iters=int(raw["max_iters"]),
-            min_loss_margin=(
-                None if raw["min_loss_margin"] == "auto" else float(raw["min_loss_margin"])
-            ),
-            epsilon_row=float(raw["epsilon_row"]),
-            ridge_y=float(raw["ridge_y"]),
-            width_floor=float(raw["width_floor"]),
-            tau=float(raw["tau"]),
-        )
+        cfg = TrainConfig(**{field.name: _config_value(field, text) for field, text in raw})
     except ValueError as exc:
         raise ModelFormatError("malformed model file: %s" % exc) from None
 
@@ -222,7 +203,6 @@ def load_model(path) -> ModelParams:
             mixing=np.array(mixing),
             consequents=np.array(consequents),
             rulebase=RuleBase(np.array(centers), np.array(widths), width_floor),
-            tau=cfg.tau,
             norm=NormStats(np.array(minimum), np.array(maximum)),
             feature_names=feature_names,
             label_names=label_names,

@@ -54,13 +54,14 @@ class RuleBase:
         return self.centers.shape[1]
 
 
-def fit_antecedents(features, n_rules, width_floor=DEFAULT_WIDTH_FLOOR) -> RuleBase:
+def fit_antecedents(features, n_rules) -> RuleBase:
     """Fit K rule antecedents by deterministic variance partitioning.
 
     Starting from one cluster holding every sample, the cluster with the
     largest total within-cluster variance is split K-1 times at the mean of
     its highest-variance feature. Centers are per-cluster feature means and
-    widths are per-cluster standard deviations floored at ``width_floor``.
+    widths are per-cluster standard deviations floored at
+    ``DEFAULT_WIDTH_FLOOR``.
 
     Parameters
     ----------
@@ -103,8 +104,8 @@ def fit_antecedents(features, n_rules, width_floor=DEFAULT_WIDTH_FLOOR) -> RuleB
     for k, idx in enumerate(clusters):
         centers[k] = x[:, idx].mean(axis=1)
         widths[k] = x[:, idx].std(axis=1)
-    widths = np.maximum(widths, width_floor)
-    return RuleBase(centers, widths, width_floor)
+    widths = np.maximum(widths, DEFAULT_WIDTH_FLOOR)
+    return RuleBase(centers, widths)
 
 
 def membership(x, center, width):
@@ -194,7 +195,7 @@ def _linguistic_terms(n_rules: int) -> list:
     return ["Level %d" % (i + 1) for i in range(n_rules)]
 
 
-def export_rules(model, feature_names=None, label_names=None) -> str:
+def export_rules(model) -> str:
     """Render a trained model's rule base as deterministic text.
 
     Per feature, the K rule centers are sorted ascending (ties broken by
@@ -206,10 +207,6 @@ def export_rules(model, feature_names=None, label_names=None) -> str:
     consequents = model.consequents
     k, d = rulebase.centers.shape
     n_labels = consequents.shape[0]
-    if feature_names is None:
-        feature_names = model.feature_names
-    if label_names is None:
-        label_names = model.label_names
     terms = _linguistic_terms(k)
 
     # term_of[rule][feature]: position of the rule's center in the sorted order
@@ -226,7 +223,7 @@ def export_rules(model, feature_names=None, label_names=None) -> str:
     for r in range(k):
         lines.append("RULE %d" % (r + 1))
         for j in range(d):
-            lines.append("IF %s is %s" % (feature_names[j], terms[term_of[r, j]]))
+            lines.append("IF %s is %s" % (model.feature_names[j], terms[term_of[r, j]]))
         block = consequents[:, r * (d + 1) : (r + 1) * (d + 1)]
         for l in range(n_labels):
             parts = [fmt(block[l, 0])]
@@ -234,6 +231,6 @@ def export_rules(model, feature_names=None, label_names=None) -> str:
                 coef = block[l, j + 1]
                 sign = "-" if coef < 0 else "+"
                 parts.append("%s %s*x%d" % (sign, fmt(abs(coef)), j + 1))
-            lines.append("THEN %s = %s" % (label_names[l], " ".join(parts)))
+            lines.append("THEN %s = %s" % (model.label_names[l], " ".join(parts)))
         lines.append("")
     return "\n".join(lines)

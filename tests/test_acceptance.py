@@ -33,7 +33,6 @@ from fuzzml.optimizer import (
     _MixingSystem,
     _Point,
     _solve_consequents,
-    gram_ridge,
     train,
 )
 from fuzzml.experiments import ExperimentConfig, run_ablation
@@ -186,10 +185,10 @@ def test_criterion_05_subproblem_stationarity():
         # the pieces one iteration of train() builds at (mixing, consequents)
         system = _MixingSystem(labels, cfg)
         point = _Point(mixing, consequents, fuzzy_x, labels, system.label_gram)
-        w_fit, w_soft = point.weights(cfg.epsilon_row)
+        w_fit, w_soft = point.weights()
         grams = _Grams(fuzzy_x, labels, (w_fit, w_soft))
         lap = point.laplacian
-        shift = gram_ridge(labels, cfg.ridge_y)
+        shift = system.ridge
 
         new_cons = _solve_consequents(point, grams, cfg)[0]
         grad_c = oracle_consequent_gradient(mixing, new_cons, fuzzy_x, labels,

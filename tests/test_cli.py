@@ -232,7 +232,7 @@ class TestConfigFileAndExitCodes:
                      "--features", str(ragged), "--out-dir", str(tmp_path)]) == 3
         assert "ragged feature row at %s line 4" % ragged in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--width-floor", "--min-margin", "--alpha"])
+    @pytest.mark.parametrize("flag", ["--tau", "--min-margin", "--alpha"])
     def test_nan_hyperparameter_is_config_error(self, tmp_path, capsys, flag):
         fx, fy = _write_dataset(tmp_path, n=20)
         assert main([
@@ -307,6 +307,13 @@ class TestFlagsGoOnTheCommandsThatReadThem:
                              "--features", str(fx), "--workers", "2",
                              "--out-dir", str(tmp_path)])
         assert not (tmp_path / "scores.csv").exists()
+
+    @pytest.mark.parametrize("flag", ["--ridge-y", "--epsilon-row", "--width-floor"])
+    def test_fixed_training_setting_is_usage_error(self, tmp_path, flag):
+        fx, fy = _write_dataset(tmp_path, n=20)
+        assert _usage_error(["train", "--features", str(fx), "--labels", str(fy),
+                             flag, "0.001", "--out-dir", str(tmp_path)])
+        assert not (tmp_path / "model.txt").exists()
 
     def test_config_key_of_another_command_is_ignored(self, tmp_path):
         fx, fy = _write_dataset(tmp_path, n=20)

@@ -14,12 +14,13 @@ from oracles import (
 from reference_sylvester import KRON_GUARD, least_norm_solve, schur_solve
 
 from fuzzml.optimizer import (
+    EPSILON_ROW,
+    LABEL_GRAM_RIDGE,
     TrainConfig,
     _Grams,
     _MixingSystem,
     _Point,
     _solve_consequents,
-    gram_ridge,
     train,
 )
 from fuzzml.dataset import Dataset
@@ -49,13 +50,13 @@ def _frozen(mixing, consequents, fuzzy_x, labels, cfg=TrainConfig()):
 
     Returns the mixing system, the point and the weighted Grams:
     ``point.losses(cfg)`` gives the loss and the stopping loss,
-    ``point.weights(eps)`` the (fit, soft) weights, ``point.laplacian``
+    ``point.weights()`` the (fit, soft) weights, ``point.laplacian``
     the Laplacian, and ``_solve_consequents(point, grams, cfg)[0]`` and
     ``system.solve(point, grams)[0]`` the two subproblem solutions.
     """
     system = _MixingSystem(labels, cfg)
     point = _Point(mixing, consequents, fuzzy_x, labels, system.label_gram)
-    return system, point, _Grams(fuzzy_x, labels, point.weights(cfg.epsilon_row))
+    return system, point, _Grams(fuzzy_x, labels, point.weights())
 
 
 class TestObjective:
@@ -95,21 +96,21 @@ class TestReweightDiagonals:
     def test_zero_residual_hits_floor(self):
         labels = np.array([[1.0], [0.0]])
         _, point, _ = _frozen(np.eye(2), np.zeros((2, 3)), np.zeros((3, 1)), labels)
-        _, soft = point.weights(1e-8)
+        _, soft = point.weights()
         assert soft[0] == pytest.approx(1.0 / (2e-8), rel=1e-12)
 
     def test_half_norm_gives_unit_weight(self):
         labels = np.array([[1.0], [0.0]])
         consequents = np.array([[0.5], [0.0]])
         _, point, _ = _frozen(np.eye(2), consequents, np.ones((1, 1)), labels)
-        fit, _ = point.weights(1e-8)
+        fit, _ = point.weights()
         assert fit[0] == pytest.approx(1.0, rel=1e-12)
 
     def test_matches_direct_column_norms(self):
         rng = np.random.default_rng(2)
         mixing, consequents, fuzzy_x, labels = _random_instance(rng)
         _, point, _ = _frozen(mixing, consequents, fuzzy_x, labels)
-        fit, soft = point.weights(1e-8)
+        fit, soft = point.weights()
         for i in range(labels.shape[1]):
             fit_norm = np.linalg.norm(mixing @ labels[:, i] - consequents @ fuzzy_x[:, i])
             soft_norm = np.linalg.norm(labels[:, i] - mixing @ labels[:, i])
@@ -166,7 +167,7 @@ class TestUpdateConsequents:
         cfg = TrainConfig(alpha=0.4, gamma=0.0)
         _, point, grams = _frozen(mixing, consequents, fuzzy_x, labels, cfg)
         new = _solve_consequents(point, grams, cfg)[0]
-        w_fit, _ = point.weights(cfg.epsilon_row)
+        w_fit, _ = point.weights()
         b = (fuzzy_x * w_fit) @ fuzzy_x.T
         z = (mixing @ labels * w_fit) @ fuzzy_x.T
         residual = cfg.alpha * new + new @ b - z
@@ -177,7 +178,7 @@ class TestUpdateConsequents:
         """Schur solve of the consequent equation with B and Z formed directly."""
         soft = mixing @ labels
         norms = np.linalg.norm(soft - consequents @ fuzzy_x, axis=0)
-        w = 1.0 / (2.0 * np.maximum(norms, cfg.epsilon_row))
+        w = 1.0 / (2.0 * np.maximum(norms, EPSILON_ROW))
         sq = np.sum(soft ** 2, axis=1)
         a = (cfg.alpha * np.eye(labels.shape[0])
              + cfg.gamma * (sq[:, None] + sq[None, :] - 2.0 * soft @ soft.T))
@@ -218,7 +219,7 @@ class TestUpdateConsequents:
         got = _solve_consequents(point, grams, cfg)[0]
         want, w = self._reference(mixing, consequents, fuzzy_x, labels, cfg)
         if case == "weights_at_floor":
-            assert w.max() == 1.0 / (2.0 * cfg.epsilon_row) and w.min() < 10.0
+            assert w.max() == 1.0 / (2.0 * EPSILON_ROW) and w.min() < 10.0
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
 
     def test_stationarity_on_random_instances(self):
@@ -229,7 +230,7 @@ class TestUpdateConsequents:
                               gamma=rng.uniform(0, 0.2))
             _, point, grams = _frozen(mixing, consequents, fuzzy_x, labels, cfg)
             new = _solve_consequents(point, grams, cfg)[0]
-            w_fit, _ = point.weights(cfg.epsilon_row)
+            w_fit, _ = point.weights()
             grad = oracle_consequent_gradient(mixing, new, fuzzy_x, labels,
                                               cfg.alpha, cfg.gamma, w_fit)
             assert np.linalg.norm(grad) <= 1e-6 * (1 + np.linalg.norm(new))
@@ -246,7 +247,7 @@ class TestUpdateMixing:
         fuzzy_x = rng.normal(size=(4, 6))
         mixing = rng.normal(size=(3, 3))
         consequents = rng.normal(size=(3, 4))
-        cfg = TrainConfig(beta=1e6, gamma=0.0, ridge_y=0.0)
+        cfg = TrainConfig(beta=1e6, gamma=0.0)
         system, point, grams = _frozen(mixing, consequents, fuzzy_x, labels, cfg)
         new = system.solve(point, grams)[0]
         assert np.abs(new - np.eye(3)).max() <= 1e-3
@@ -259,7 +260,7 @@ class TestUpdateMixing:
         cfg = TrainConfig(beta=3.0, gamma=0.0)
         system, point, grams = _frozen(mixing, consequents, fuzzy_x, labels, cfg)
         new = system.solve(point, grams)[0]
-        w_fit, w_soft = point.weights(cfg.epsilon_row)
+        w_fit, w_soft = point.weights()
         b_raw = (labels * (w_fit + cfg.beta * w_soft)) @ labels.T
         z_raw = cfg.beta * (labels * w_soft) @ labels.T
         assert np.abs(new @ b_raw - z_raw).max() <= 1e-8 * (1 + np.abs(z_raw).max())
@@ -272,10 +273,10 @@ class TestUpdateMixing:
                               gamma=rng.uniform(0, 0.2))
             system, point, grams = _frozen(mixing, consequents, fuzzy_x, labels, cfg)
             new = system.solve(point, grams)[0]
-            w_fit, w_soft = point.weights(cfg.epsilon_row)
+            w_fit, w_soft = point.weights()
             grad = oracle_mixing_gradient(
                 new, consequents, fuzzy_x, labels, cfg.beta, cfg.gamma,
-                w_fit, w_soft, point.laplacian, gram_ridge(labels, cfg.ridge_y))
+                w_fit, w_soft, point.laplacian, system.ridge)
             assert np.linalg.norm(grad) <= 1e-6 * (1 + np.linalg.norm(new))
 
     def test_stationarity_above_the_dense_guard(self):
@@ -288,10 +289,10 @@ class TestUpdateMixing:
             cfg = TrainConfig(beta=rng.uniform(0.1, 5.0), gamma=0.001)
             system, point, grams = _frozen(mixing, consequents, fuzzy_x, labels, cfg)
             new = system.solve(point, grams)[0]
-            w_fit, w_soft = point.weights(cfg.epsilon_row)
+            w_fit, w_soft = point.weights()
             grad = oracle_mixing_gradient(
                 new, consequents, fuzzy_x, labels, cfg.beta, cfg.gamma,
-                w_fit, w_soft, point.laplacian, gram_ridge(labels, cfg.ridge_y))
+                w_fit, w_soft, point.laplacian, system.ridge)
             assert np.linalg.norm(grad) <= 1e-6 * (1 + np.linalg.norm(new))
 
     def test_handles_duplicated_label_rows(self):
@@ -326,10 +327,10 @@ def _degenerate_label_instance(rng, n_labels):
 
 def _dense_least_norm_mixing(mixing, consequents, fuzzy_x, labels, cfg):
     """The mixing stationarity condition times G^-1, by the dense minimum-norm solve."""
-    _, point, _ = _frozen(mixing, consequents, fuzzy_x, labels, cfg)
-    w_fit, w_soft = point.weights(cfg.epsilon_row)
+    system, point, _ = _frozen(mixing, consequents, fuzzy_x, labels, cfg)
+    w_fit, w_soft = point.weights()
     n_labels = labels.shape[0]
-    gram = labels @ labels.T + gram_ridge(labels, cfg.ridge_y) * np.eye(n_labels)
+    gram = labels @ labels.T + system.ridge * np.eye(n_labels)
     b_raw = (labels * (w_fit + cfg.beta * w_soft)) @ labels.T
     z_raw = ((consequents @ fuzzy_x) * w_fit
              + cfg.beta * labels * w_soft) @ labels.T
@@ -348,10 +349,10 @@ class TestMixingAcrossLabelCounts:
         cfg = TrainConfig(beta=2.0, gamma=gamma)
         system, point, grams = _frozen(mixing, consequents, fuzzy_x, labels, cfg)
         new = system.solve(point, grams)[0]
-        w_fit, w_soft = point.weights(cfg.epsilon_row)
+        w_fit, w_soft = point.weights()
         grad = oracle_mixing_gradient(
             new, consequents, fuzzy_x, labels, cfg.beta, cfg.gamma, w_fit, w_soft,
-            point.laplacian, gram_ridge(labels, cfg.ridge_y))
+            point.laplacian, system.ridge)
         assert np.linalg.norm(grad) <= 1e-6 * (1 + np.linalg.norm(new))
         scale = np.abs(new).max()
         assert np.abs(new[:, 0] - new[:, 1]).max() <= 1e-10 * scale
@@ -391,7 +392,7 @@ def _surrogate_mixing(candidate, consequents, fuzzy_x, labels, cfg, weights, lap
     soft = sum(w_soft[i] * np.linalg.norm(
         labels[:, i] - candidate @ labels[:, i]) ** 2
         for i in range(labels.shape[1]))
-    shift = gram_ridge(labels, cfg.ridge_y)
+    shift = _MixingSystem(labels, cfg).ridge
     corr = 2 * cfg.gamma * (np.trace(labels.T @ candidate.T @ lap @ candidate @ labels)
                             + shift * np.trace(candidate.T @ lap @ candidate))
     return fit + cfg.beta * soft + corr
@@ -403,8 +404,7 @@ class TestFrozenWeightGradients:
         for _ in range(10):
             mixing, consequents, fuzzy_x, labels = _random_instance(rng)
             cfg = TrainConfig(alpha=0.3, beta=1.0, gamma=0.1)
-            weights = _frozen(mixing, consequents, fuzzy_x, labels, cfg)[1].weights(
-                cfg.epsilon_row)
+            weights = _frozen(mixing, consequents, fuzzy_x, labels, cfg)[1].weights()
             point = rng.normal(size=consequents.shape)
             grad = oracle_consequent_gradient(mixing, point, fuzzy_x, labels,
                                               cfg.alpha, cfg.gamma, weights[0])
@@ -426,13 +426,13 @@ class TestFrozenWeightGradients:
         for _ in range(10):
             mixing, consequents, fuzzy_x, labels = _random_instance(rng)
             cfg = TrainConfig(alpha=0.3, beta=2.0, gamma=0.1)
-            frozen = _frozen(mixing, consequents, fuzzy_x, labels, cfg)[1]
-            weights = frozen.weights(cfg.epsilon_row)
+            system, frozen, _ = _frozen(mixing, consequents, fuzzy_x, labels, cfg)
+            weights = frozen.weights()
             lap = frozen.laplacian
             point = rng.normal(size=mixing.shape)
             grad = oracle_mixing_gradient(
                 point, consequents, fuzzy_x, labels, cfg.beta, cfg.gamma,
-                *weights, lap, gram_ridge(labels, cfg.ridge_y))
+                *weights, lap, system.ridge)
             fd = np.zeros_like(point)
             h = 1e-6
             for a in range(point.shape[0]):
@@ -455,7 +455,7 @@ class TestExactMinimizerProperty:
             mixing, consequents, fuzzy_x, labels = _random_instance(rng)
             cfg = TrainConfig(alpha=0.5, beta=1.0, gamma=0.01)
             system, point, grams = _frozen(mixing, consequents, fuzzy_x, labels, cfg)
-            weights = point.weights(cfg.epsilon_row)
+            weights = point.weights()
             w_fit, w_soft = weights
             n_labels = labels.shape[0]
 
@@ -467,7 +467,7 @@ class TestExactMinimizerProperty:
                          + 2 * cfg.alpha * np.eye(n_labels * b_cons.shape[0])
                          + 2 * cfg.gamma * np.kron(np.eye(b_cons.shape[0]), coupling))
             lap = point.laplacian
-            gram_r = labels @ labels.T + gram_ridge(labels, cfg.ridge_y) * np.eye(n_labels)
+            gram_r = labels @ labels.T + system.ridge * np.eye(n_labels)
             b_mix = (labels * (w_fit + cfg.beta * w_soft)) @ labels.T
             hess_mix = (2 * np.kron(b_mix, np.eye(n_labels))
                         + 4 * cfg.gamma * np.kron(gram_r, lap))
@@ -547,11 +547,11 @@ class TestTrain:
         assert np.all(np.isfinite(model.mixing))
         assert np.abs(model.mixing[:, -1]).max() <= 1e-10 * np.abs(model.mixing).max()
 
-    def test_unridged_label_gram_with_duplicated_labels(self):
-        # equality synth duplicates labels, so Y Y' is singular at ridge_y=0
+    def test_singular_label_gram_with_duplicated_labels(self):
+        # equality synth duplicates labels, so Y Y' is singular
         data = gen_synthetic(SynthSpec(kind="equality", n_samples=200, n_features=5,
                                        seed=4))
-        model, _ = train(data, TrainConfig(ridge_y=0.0, max_iters=5))
+        model, _ = train(data, TrainConfig(max_iters=5))
         mixing = model.mixing
         assert np.all(np.isfinite(mixing))
         scale = np.abs(mixing).max()
@@ -564,12 +564,9 @@ class TestTrain:
         with pytest.raises(ValueError):
             TrainConfig(max_iters=0)
         with pytest.raises(ValueError):
-            TrainConfig(epsilon_row=0.0)
-        with pytest.raises(ValueError):
             TrainConfig(min_loss_margin=-0.5)
 
-    @pytest.mark.parametrize("field", ["alpha", "beta", "gamma", "min_loss_margin",
-                                       "epsilon_row", "ridge_y", "width_floor", "tau"])
+    @pytest.mark.parametrize("field", ["alpha", "beta", "gamma", "min_loss_margin", "tau"])
     def test_config_rejects_nan(self, field):
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: math.nan})
@@ -652,8 +649,8 @@ class TestIterationAgainstTheOracles:
         soft = model.mixing @ labels
         fit_norms = np.sqrt(((soft - model.consequents @ fuzzy_x) ** 2).sum(axis=0))
         soft_norms = np.sqrt(((labels - soft) ** 2).sum(axis=0))
-        d_fit = 1.0 / (2.0 * np.maximum(fit_norms, cfg.epsilon_row))
-        d_soft = 1.0 / (2.0 * np.maximum(soft_norms, cfg.epsilon_row))
+        d_fit = 1.0 / (2.0 * np.maximum(fit_norms, EPSILON_ROW))
+        d_soft = 1.0 / (2.0 * np.maximum(soft_norms, EPSILON_ROW))
         similarity = model.consequents @ model.consequents.T
         laplacian = np.diag(similarity.sum(axis=1)) - similarity
         return d_fit, d_soft, laplacian
@@ -679,7 +676,7 @@ class TestIterationAgainstTheOracles:
         scale = np.linalg.norm(consequent_gradient(np.zeros_like(cur.consequents)))
         assert np.linalg.norm(grad) <= 1e-6 * scale
 
-        shift = cfg.ridge_y * (labels ** 2).sum() / n_labels
+        shift = LABEL_GRAM_RIDGE * (labels ** 2).sum() / n_labels
 
         def mixing_gradient(mixing):
             return oracle_mixing_gradient(mixing, prev.consequents, fuzzy_x, labels,

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -25,11 +26,10 @@ def _manual_model(consequents, n_features=2, n_rules=1, tau=0.5):
         mixing=np.eye(consequents.shape[0]),
         consequents=consequents,
         rulebase=rulebase,
-        tau=tau,
         norm=NormStats(np.zeros(n_features), np.ones(n_features)),
         feature_names=tuple("f%d" % (i + 1) for i in range(n_features)),
         label_names=tuple("y%d" % (i + 1) for i in range(consequents.shape[0])),
-        config=TrainConfig(n_rules=n_rules),
+        config=TrainConfig(n_rules=n_rules, tau=tau),
     )
 
 
@@ -163,37 +163,76 @@ class TestPersistence:
         with pytest.raises(ModelFormatError, match="checksum failure"):
             load_model(path)
 
-    def test_nan_width_is_rejected(self, tmp_path):
+    @pytest.mark.parametrize("row", ["norm min", "width", "S", "C"])
+    def test_nan_width_is_rejected(self, tmp_path, row):
         model = self._trained_model()
         path = tmp_path / "model.txt"
         save_model(model, path)
 
-        def nan_width(lines):
-            first_width = lines.index("[rulebase]") + 2 + model.rulebase.n_rules
-            lines[first_width] = ",".join(["nan"] + lines[first_width].split(",")[1:])
+        def put_nan(lines):
+            first = {
+                "norm min": lines.index("[norm]") + 1,
+                "width": lines.index("[rulebase]") + 2 + model.rulebase.n_rules,
+                "S": lines.index("[S]") + 1,
+                "C": lines.index("[C]") + 1,
+            }[row]
+            lines[first] = ",".join(["nan"] + lines[first].split(",")[1:])
             return lines
 
-        _restamp(path, nan_width)
+        _restamp(path, put_nan)
         with pytest.raises(ModelFormatError, match="finite"):
             load_model(path)
 
-    def test_file_with_a_seed_line_still_loads(self, tmp_path):
-        # the config block of files written before TrainConfig lost its
-        # unread seed field ends in a seed= line
+    @pytest.mark.parametrize("margin", [None, 0.0])
+    def test_config_block_round_trips(self, tmp_path, margin):
+        cfg = TrainConfig(alpha=0.25, beta=3.5, gamma=0, n_rules=2, max_iters=4,
+                          min_loss_margin=margin, tau=0.375)
+        for field in dataclasses.fields(TrainConfig):
+            if field.name != "min_loss_margin":
+                assert getattr(cfg, field.name) != field.default, field.name
+        data = gen_synthetic(SynthSpec(kind="independence", n_samples=40,
+                                       n_features=3, seed=6))
+        model, _ = train(data, cfg)
+        path = tmp_path / "model.txt"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert loaded.config == model.config == cfg
+        assert loaded.tau == 0.375
+
+    # config blocks of files written by earlier versions: one that ends in
+    # the seed= line of the former TrainConfig.seed, and one that stores the
+    # now fixed epsilon_row, ridge_y and width_floor before tau=
+    @pytest.mark.parametrize("before_tau,after_tau", [
+        ([], ["seed=7"]),
+        (["epsilon_row=1e-08", "ridge_y=9.9999999999999995e-07", "width_floor=0.0001"], []),
+    ], ids=["seed", "fixed_settings"])
+    def test_file_with_a_seed_line_still_loads(self, tmp_path, before_tau, after_tau):
         path = tmp_path / "model.txt"
         save_model(self._trained_model(), path)
         current = path.read_text()
 
-        def add_seed(lines):
+        def add_lines(lines):
             tau = next(i for i, line in enumerate(lines) if line.startswith("tau="))
-            return lines[:tau + 1] + ["seed=7"] + lines[tau + 1:]
+            return lines[:tau] + before_tau + [lines[tau]] + after_tau + lines[tau + 1:]
 
         old = tmp_path / "old.txt"
         old.write_text(current)
-        _restamp(old, add_seed)
-        assert "\nseed=7\n" in old.read_text()
+        _restamp(old, add_lines)
+        assert "\n".join(before_tau + ["tau=0.5"] + after_tau) in old.read_text()
         save_model(load_model(old), path)
         assert path.read_text() == current
+
+    def test_unknown_config_key_is_rejected(self, tmp_path):
+        path = tmp_path / "model.txt"
+        save_model(self._trained_model(), path)
+
+        def add_foo(lines):
+            tau = next(i for i, line in enumerate(lines) if line.startswith("tau="))
+            return lines[:tau] + ["foo=1"] + lines[tau:]
+
+        _restamp(path, add_foo)
+        with pytest.raises(ModelFormatError, match="malformed model file"):
+            load_model(path)
 
     def test_not_a_model_file(self, tmp_path):
         path = tmp_path / "nope.txt"

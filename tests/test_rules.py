@@ -209,7 +209,7 @@ class TestFitAntecedents:
     def test_constant_feature_width_is_floored(self):
         rng = np.random.default_rng(8)
         x = np.vstack([rng.random(30), np.full(30, 0.7)])
-        rb = fit_antecedents(x, 3, width_floor=1e-4)
+        rb = fit_antecedents(x, 3)
         np.testing.assert_array_equal(rb.widths[:, 1], np.full(3, 1e-4))
 
     def test_deterministic_and_permutation_invariant(self):
@@ -243,7 +243,6 @@ def _model_for_rulebase(rb, n_labels=2):
         mixing=np.eye(n_labels),
         consequents=consequents,
         rulebase=rb,
-        tau=0.5,
         norm=NormStats(np.zeros(d), np.ones(d)),
         feature_names=tuple("f%d" % (i + 1) for i in range(d)),
         label_names=tuple("y%d" % (i + 1) for i in range(n_labels)),
