@@ -6,10 +6,10 @@ the subcommand name:
     synth         --kind --n --d --label-prob --out-prefix --seed
     noise         --features --labels --ratio --out-prefix --seed
     train         --features --labels, the training flags, --out
-    predict       --model --features --out --threshold --binary
+    predict       --model --features --out --binary
     eval          --scores --labels --threshold --out
     cv            --features --labels, the training flags,
-                  --folds --seeds --seed --workers
+                  --folds --seeds --workers
     grid          as cv, plus --grid-alpha --grid-beta --grid-gamma --grid-rules
     noise-curve   as cv, plus --ratios
     ablate        as cv, plus --ablate --noise-ratio
@@ -92,11 +92,10 @@ def _train_config(args) -> TrainConfig:
 
 
 def _experiment_config(args, **overrides) -> ExperimentConfig:
-    seeds = args.seeds if args.seeds else (args.seed,)
     fields = dict(
         train=_train_config(args),
         folds=args.folds,
-        seeds=seeds,
+        seeds=args.seeds,
         workers=args.workers,
     )
     fields.update(overrides)
@@ -180,7 +179,7 @@ def cmd_predict(args):
     model = load_model(args.model)
     features, _ = load_matrix(args.features)
     if args.binary:
-        output = predict(model, features, tau=args.threshold)
+        output = predict(model, features)
         save_matrix(_out_path(args, args.out), output, model.label_names, "%d")
     else:
         output = score(model, features)
@@ -313,10 +312,10 @@ def build_parser():
     training.add_argument("--tau", type=float, default=TrainConfig.tau,
                           help="decision threshold")
 
-    experiment = argparse.ArgumentParser(add_help=False, parents=[training, seeded])
+    experiment = argparse.ArgumentParser(add_help=False, parents=[training])
     experiment.add_argument("--folds", type=int, default=ExperimentConfig.folds)
-    experiment.add_argument("--seeds", type=_int_list, default=(),
-                            help="comma-separated fold seeds (default: --seed)")
+    experiment.add_argument("--seeds", type=_int_list, default=ExperimentConfig.seeds,
+                            help="comma-separated fold seeds")
     experiment.add_argument("--workers", type=int, default=ExperimentConfig.workers,
                             help="threads that run the folds")
 
@@ -327,7 +326,8 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, func, text, *parents):
-        p = sub.add_parser(name, parents=[common, *parents], help=text)
+        # no abbreviations: "--seed" must not pass for "--seeds"
+        p = sub.add_parser(name, parents=[common, *parents], help=text, allow_abbrev=False)
         p.set_defaults(func=func, command_parser=p)
         return p
 
@@ -349,8 +349,8 @@ def build_parser():
     p.add_argument("--model", required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--out", default="scores.csv")
-    p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--binary", action="store_true", help="emit 0/1 instead of scores")
+    p.add_argument("--binary", action="store_true",
+                   help="emit 0/1, thresholded at the model's tau, instead of scores")
 
     p = command("eval", cmd_eval, "evaluate a score file")
     p.add_argument("--scores", required=True)

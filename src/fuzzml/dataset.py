@@ -27,6 +27,21 @@ class DataFormatError(ValueError):
     """Raised when an input file or matrix violates the data contract."""
 
 
+def _check_names(names, count, kind) -> tuple:
+    """``count`` names as strings, none with a comma or a line break.
+
+    CSV headers and model files join names with "," on one line.
+    """
+    names = tuple(str(s) for s in names)
+    if len(names) != count:
+        raise DataFormatError("%s name count does not match %s rows" % (kind, kind))
+    for name in names:
+        if "," in name or "".join(name.splitlines()) != name:
+            raise DataFormatError("%s name %r contains a comma or a line break"
+                                  % (kind, name))
+    return names
+
+
 class Dataset:
     """Immutable feature/label pair for N samples.
 
@@ -60,12 +75,8 @@ class Dataset:
             feature_names = tuple("f%d" % (d + 1) for d in range(features.shape[0]))
         if label_names is None:
             label_names = tuple("y%d" % (l + 1) for l in range(labels.shape[0]))
-        feature_names = tuple(str(s) for s in feature_names)
-        label_names = tuple(str(s) for s in label_names)
-        if len(feature_names) != features.shape[0]:
-            raise DataFormatError("feature name count does not match feature rows")
-        if len(label_names) != labels.shape[0]:
-            raise DataFormatError("label name count does not match label rows")
+        feature_names = _check_names(feature_names, features.shape[0], "feature")
+        label_names = _check_names(label_names, labels.shape[0], "label")
         features.setflags(write=False)
         labels.setflags(write=False)
         object.__setattr__(self, "features", features)
@@ -217,26 +228,29 @@ def save_dataset(data: Dataset, features_path, labels_path) -> None:
     save_matrix(labels_path, data.labels, data.label_names, "%d")
 
 
-def normalize_features(train: Dataset):
-    """Min-max scale every feature of the training set into [0, 1].
+def normalize_features(features):
+    """Min-max scale every row of a D x N training matrix into [0, 1].
 
-    Constant features map to 0. Returns the scaled dataset and the
-    fitted :class:`NormStats`.
+    Constant features map to 0. Returns the scaled matrix and the fitted
+    :class:`NormStats`.
     """
-    stats = NormStats(train.features.min(axis=1), train.features.max(axis=1))
-    return apply_norm(train, stats), stats
+    features = np.asarray(features, dtype=np.float64)
+    stats = NormStats(features.min(axis=1), features.max(axis=1))
+    return apply_norm(features, stats), stats
 
 
-def apply_norm(data: Dataset, stats: NormStats) -> Dataset:
-    """Apply training min-max stats; out-of-range values clip to [0, 1]."""
-    if stats.minimum.shape[0] != data.n_features:
-        raise ValueError("normalization stats do not match feature count")
+def apply_norm(features, stats: NormStats) -> np.ndarray:
+    """Scale a D x N matrix by training min-max stats, clipping to [0, 1]."""
+    features = np.asarray(features, dtype=np.float64)
+    if features.ndim != 2 or features.shape[0] != stats.minimum.shape[0]:
+        raise ValueError("features must be a %d x N matrix" % stats.minimum.shape[0])
+    if not np.all(np.isfinite(features)):
+        raise DataFormatError("non-numeric feature cell")
     span = stats.maximum - stats.minimum
     safe = np.where(span > 0.0, span, 1.0)
-    scaled = (data.features - stats.minimum[:, None]) / safe[:, None]
+    scaled = (features - stats.minimum[:, None]) / safe[:, None]
     scaled = np.where(span[:, None] > 0.0, scaled, 0.0)
-    scaled = np.clip(scaled, 0.0, 1.0)
-    return Dataset(scaled, data.labels, data.feature_names, data.label_names)
+    return np.clip(scaled, 0.0, 1.0)
 
 
 def kfold_split(n: int, k: int, seed: int) -> FoldPlan:

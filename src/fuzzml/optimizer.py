@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, NormStats, normalize_features
+from .dataset import Dataset, NormStats, _check_names, normalize_features
 from .rules import RuleBase, fit_antecedents, fuzzy_feature_matrix
 from .sylvester import SingularProblemError, _solve_sylvester
 
@@ -180,7 +180,8 @@ class ModelParams:
 
     Only the consequents, rule base and normalization stats take part in
     prediction; the mixing transform is kept for inspection of learned
-    label interactions. The decision threshold is ``config.tau``.
+    label interactions. The decision threshold is ``config.tau``. The
+    names and ``config.n_rules`` must agree with the matrices' D, L and K.
     """
 
     mixing: np.ndarray
@@ -198,6 +199,12 @@ class ModelParams:
             raise ValueError("consequent columns must equal K(D+1) of the rule base")
         if self.mixing.shape != (self.consequents.shape[0],) * 2:
             raise ValueError("mixing transform must be L x L")
+        if self.norm.minimum.shape != (d,):
+            raise ValueError("normalization stats must cover the D features")
+        if self.config.n_rules != k:
+            raise ValueError("config.n_rules is %d for %d rules" % (self.config.n_rules, k))
+        _check_names(self.feature_names, d, "feature")
+        _check_names(self.label_names, self.n_labels, "label")
         if not (np.isfinite(self.mixing).all() and np.isfinite(self.consequents).all()):
             raise ValueError("mixing and consequents must be finite")
 
@@ -380,10 +387,10 @@ def train(data: Dataset, cfg: TrainConfig = TrainConfig()):
     -------
     (ModelParams, TrainTrace)
     """
-    normed, stats = normalize_features(data)
-    rulebase = fit_antecedents(normed.features, cfg.n_rules)
-    fuzzy_x = fuzzy_feature_matrix(normed.features, rulebase)
-    labels = normed.labels
+    features, stats = normalize_features(data.features)
+    rulebase = fit_antecedents(features, cfg.n_rules)
+    fuzzy_x = fuzzy_feature_matrix(features, rulebase)
+    labels = data.labels
     n_labels = labels.shape[0]
     mixing_system = _MixingSystem(labels, cfg)
 

@@ -7,15 +7,16 @@ the model's tau (inclusive).
 
 Models are saved as versioned line-oriented text with named sections and
 a content checksum, so files are diffable and corruption is detected.
+Each count is stored once: L and D are the lengths of the name lists and
+K is the config's ``n_rules``.
 """
 
 import dataclasses
 import hashlib
-import math
 
 import numpy as np
 
-from .dataset import Dataset, NormStats, apply_norm
+from .dataset import NormStats, apply_norm
 from .optimizer import ModelParams, TrainConfig
 from .rules import RuleBase, fuzzy_feature_matrix
 
@@ -24,40 +25,28 @@ __all__ = ["ModelFormatError", "score", "predict", "save_model", "load_model"]
 _MAGIC = "fuzzml-model"
 _VERSION = "v1"
 _FLOAT_FMT = "%.17g"
-# [meta] keys of settings that older files store and that are now fixed or gone
-_RETIRED_KEYS = ("epsilon_row", "ridge_y", "width_floor", "seed")
+_SECTIONS = ("meta", "norm", "rulebase", "S", "C")
+# key lines that older files store: counts now taken from the names and the
+# config, and settings that are now fixed or gone
+_RETIRED_KEYS = frozenset(
+    ("labels", "features", "rules", "width_floor", "epsilon_row", "ridge_y", "seed"))
+_META_KEYS = frozenset(["feature_names", "label_names"]
+                       + [field.name for field in dataclasses.fields(TrainConfig)])
 
 
 class ModelFormatError(ValueError):
     """Raised when a model file cannot be parsed or verified."""
 
 
-def _normalized_features(model: ModelParams, features) -> np.ndarray:
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] != model.rulebase.n_features:
-        raise ValueError(
-            "test features must be a %d x N matrix" % model.rulebase.n_features
-        )
-    dummy_labels = np.zeros((1, x.shape[1]))
-    return apply_norm(Dataset(x, dummy_labels), model.norm).features
-
-
 def score(model: ModelParams, features) -> np.ndarray:
     """Continuous label scores, L x N, for raw (unnormalized) test features."""
-    normed = _normalized_features(model, features)
-    fuzzy_x = fuzzy_feature_matrix(normed, model.rulebase)
+    fuzzy_x = fuzzy_feature_matrix(apply_norm(features, model.norm), model.rulebase)
     return model.consequents @ fuzzy_x
 
 
-def predict(model: ModelParams, features, tau: float | None = None) -> np.ndarray:
-    """Binary predictions: 1 where the score is at least the threshold.
-
-    ``tau`` overrides the model's threshold and must be finite.
-    """
-    threshold = model.tau if tau is None else tau
-    if not math.isfinite(threshold):
-        raise ValueError("tau must be finite")
-    return (score(model, features) >= threshold).astype(np.int64)
+def predict(model: ModelParams, features) -> np.ndarray:
+    """Binary predictions: 1 where the score is at least the model's tau."""
+    return (score(model, features) >= model.tau).astype(np.int64)
 
 
 def _config_value(field, text):
@@ -73,12 +62,7 @@ def _matrix_lines(matrix):
 
 def save_model(model: ModelParams, path) -> None:
     """Write the model to a versioned text file with a payload checksum."""
-    k = model.rulebase.n_rules
-    d = model.rulebase.n_features
     lines = ["[meta]"]
-    lines.append("labels=%d" % model.n_labels)
-    lines.append("features=%d" % d)
-    lines.append("rules=%d" % k)
     lines.append("feature_names=%s" % ",".join(model.feature_names))
     lines.append("label_names=%s" % ",".join(model.label_names))
     for field in dataclasses.fields(TrainConfig):
@@ -89,7 +73,6 @@ def save_model(model: ModelParams, path) -> None:
     lines.extend(_matrix_lines(model.norm.minimum))
     lines.extend(_matrix_lines(model.norm.maximum))
     lines.append("[rulebase]")
-    lines.append("width_floor=%s" % (_FLOAT_FMT % model.rulebase.width_floor))
     lines.extend(_matrix_lines(model.rulebase.centers))
     lines.extend(_matrix_lines(model.rulebase.widths))
     lines.append("[S]")
@@ -104,44 +87,55 @@ def save_model(model: ModelParams, path) -> None:
         fh.write(payload)
 
 
-def _parse_float_row(line, width, what):
-    cells = line.split(",")
-    if len(cells) != width:
-        raise ModelFormatError("malformed model file: bad %s row" % what)
-    try:
-        return [float(c) for c in cells]
-    except ValueError:
-        raise ModelFormatError("malformed model file: bad %s value" % what) from None
+def _sections(lines) -> dict:
+    """The payload's lines by ``[name]`` section, without retired key lines."""
+    names, bodies = [], []
+    for line in lines:
+        if line.startswith("[") and line.endswith("]"):
+            names.append(line[1:-1])
+            bodies.append([])
+        elif not bodies:
+            raise ModelFormatError("malformed model file: expected [meta]")
+        else:
+            key, eq, _ = line.partition("=")
+            if not (eq and key in _RETIRED_KEYS):
+                bodies[-1].append(line)
+    if tuple(names) != _SECTIONS:
+        raise ModelFormatError("malformed model file: sections %s, expected %s"
+                               % (",".join(names), ",".join(_SECTIONS)))
+    return dict(zip(names, bodies))
 
 
-class _LineReader:
-    def __init__(self, lines):
-        self.lines = lines
-        self.pos = 0
+def _meta(rows) -> dict:
+    """The [meta] lines as a key -> text map; each key of _META_KEYS once."""
+    meta = {}
+    for key, _, value in (row.partition("=") for row in rows):
+        if key not in _META_KEYS or key in meta:
+            raise ModelFormatError("malformed model file: %s [meta] key %r"
+                                   % ("repeated" if key in meta else "unknown", key))
+        meta[key] = value
+    missing = sorted(_META_KEYS - meta.keys())
+    if missing:
+        raise ModelFormatError("malformed model file: missing [meta] keys %s"
+                               % ",".join(missing))
+    return meta
 
-    def next(self, what):
-        if self.pos >= len(self.lines):
-            raise ModelFormatError("malformed model file: missing %s" % what)
-        line = self.lines[self.pos]
-        self.pos += 1
-        return line
 
-    def expect(self, literal):
-        if self.next(literal) != literal:
-            raise ModelFormatError("malformed model file: expected %s" % literal)
-
-    def skip_keyed(self, keys):
-        """Step over the next lines while each is a ``key=`` line of one of ``keys``."""
-        while (self.pos < len(self.lines) and "=" in self.lines[self.pos]
-               and self.lines[self.pos].partition("=")[0] in keys):
-            self.pos += 1
-
-    def keyed(self, key):
-        line = self.next(key)
-        prefix = key + "="
-        if not line.startswith(prefix):
-            raise ModelFormatError("malformed model file: expected %s" % key)
-        return line[len(prefix):]
+def _matrix(rows, n_rows, width, what) -> np.ndarray:
+    """Parse the rows of a section as an n_rows x width float matrix."""
+    if len(rows) != n_rows:
+        raise ModelFormatError("malformed model file: %d %s rows, expected %d"
+                               % (len(rows), what, n_rows))
+    matrix = np.empty((n_rows, width))
+    for i, row in enumerate(rows):
+        cells = row.split(",")
+        if len(cells) != width:
+            raise ModelFormatError("malformed model file: bad %s row" % what)
+        try:
+            matrix[i] = [float(c) for c in cells]
+        except ValueError:
+            raise ModelFormatError("malformed model file: bad %s value" % what) from None
+    return matrix
 
 
 def load_model(path) -> ModelParams:
@@ -161,49 +155,26 @@ def load_model(path) -> ModelParams:
     if hashlib.sha256(payload.encode("utf-8")).hexdigest() != stated:
         raise ModelFormatError("checksum failure")
 
-    reader = _LineReader(lines[2:])
-    reader.expect("[meta]")
+    sections = _sections(lines[2:])
+    meta = _meta(sections["meta"])
+    feature_names = tuple(meta["feature_names"].split(","))
+    label_names = tuple(meta["label_names"].split(","))
     try:
-        n_labels = int(reader.keyed("labels"))
-        d = int(reader.keyed("features"))
-        k = int(reader.keyed("rules"))
-    except ValueError:
-        raise ModelFormatError("malformed model file: bad dimensions") from None
-    feature_names = tuple(reader.keyed("feature_names").split(","))
-    label_names = tuple(reader.keyed("label_names").split(","))
-    raw = []
-    for field in dataclasses.fields(TrainConfig):
-        reader.skip_keyed(_RETIRED_KEYS)
-        raw.append((field, reader.keyed(field.name)))
-    reader.skip_keyed(_RETIRED_KEYS)
-    try:
-        cfg = TrainConfig(**{field.name: _config_value(field, text) for field, text in raw})
+        cfg = TrainConfig(**{field.name: _config_value(field, meta[field.name])
+                             for field in dataclasses.fields(TrainConfig)})
     except ValueError as exc:
         raise ModelFormatError("malformed model file: %s" % exc) from None
-
-    reader.expect("[norm]")
-    minimum = _parse_float_row(reader.next("norm min"), d, "norm min")
-    maximum = _parse_float_row(reader.next("norm max"), d, "norm max")
-    reader.expect("[rulebase]")
-    try:
-        width_floor = float(reader.keyed("width_floor"))
-    except ValueError:
-        raise ModelFormatError("malformed model file: bad width_floor") from None
-    centers = [_parse_float_row(reader.next("center"), d, "center") for _ in range(k)]
-    widths = [_parse_float_row(reader.next("width"), d, "width") for _ in range(k)]
-    reader.expect("[S]")
-    mixing = [_parse_float_row(reader.next("S"), n_labels, "S") for _ in range(n_labels)]
-    reader.expect("[C]")
-    consequents = [
-        _parse_float_row(reader.next("C"), k * (d + 1), "C") for _ in range(n_labels)
-    ]
-
+    n_labels, d, k = len(label_names), len(feature_names), cfg.n_rules
+    norm = _matrix(sections["norm"], 2, d, "norm")
+    rulebase = _matrix(sections["rulebase"], 2 * k, d, "rulebase")
+    mixing = _matrix(sections["S"], n_labels, n_labels, "S")
+    consequents = _matrix(sections["C"], n_labels, k * (d + 1), "C")
     try:
         return ModelParams(
-            mixing=np.array(mixing),
-            consequents=np.array(consequents),
-            rulebase=RuleBase(np.array(centers), np.array(widths), width_floor),
-            norm=NormStats(np.array(minimum), np.array(maximum)),
+            mixing=mixing,
+            consequents=consequents,
+            rulebase=RuleBase(rulebase[:k], rulebase[k:]),
+            norm=NormStats(norm[0], norm[1]),
             feature_names=feature_names,
             label_names=label_names,
             config=cfg,

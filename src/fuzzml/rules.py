@@ -22,28 +22,25 @@ DEFAULT_WIDTH_FLOOR = 1e-4
 
 
 class RuleBase:
-    """K Gaussian antecedents: centers and widths are K x D matrices."""
+    """K Gaussian antecedents: K x D matrices of centers and positive widths."""
 
-    __slots__ = ("centers", "widths", "width_floor")
+    __slots__ = ("centers", "widths")
 
-    def __init__(self, centers, widths, width_floor=DEFAULT_WIDTH_FLOOR):
+    def __init__(self, centers, widths):
         centers = np.array(centers, dtype=np.float64)
         widths = np.array(widths, dtype=np.float64)
         if centers.ndim != 2 or centers.shape != widths.shape:
             raise ValueError("centers and widths must be matching K x D matrices")
         if centers.shape[0] < 1 or centers.shape[1] < 1:
             raise ValueError("rule base needs K >= 1 rules and D >= 1 features")
-        if not 0.0 < width_floor < np.inf:  # also false for NaN
-            raise ValueError("width_floor must be finite and positive")
         if not (np.isfinite(centers).all() and np.isfinite(widths).all()):
             raise ValueError("centers and widths must be finite")
-        if np.any(widths < width_floor):
-            raise ValueError("all widths must be at least width_floor")
+        if np.any(widths <= 0.0):
+            raise ValueError("all widths must be positive")
         centers.setflags(write=False)
         widths.setflags(write=False)
         self.centers = centers
         self.widths = widths
-        self.width_floor = float(width_floor)
 
     @property
     def n_rules(self) -> int:

@@ -283,7 +283,7 @@ class TestFlagsGoOnTheCommandsThatReadThem:
         assert exc.value.code == 0
         out = capsys.readouterr().out
         for flag, readers in (
-            ("--seed", {"synth", "noise", "cv", "grid", "noise-curve", "ablate"}),
+            ("--seed", {"synth", "noise"}),
             ("--workers", {"cv", "grid", "noise-curve", "ablate"}),
             ("--out-dir", _COMMANDS),
             ("--config", _COMMANDS),
@@ -307,6 +307,12 @@ class TestFlagsGoOnTheCommandsThatReadThem:
                              "--features", str(fx), "--workers", "2",
                              "--out-dir", str(tmp_path)])
         assert not (tmp_path / "scores.csv").exists()
+
+    def test_seed_on_an_experiment_command_is_usage_error(self, tmp_path):
+        fx, fy = _write_dataset(tmp_path, n=20)
+        assert _usage_error(["cv", "--features", str(fx), "--labels", str(fy),
+                             "--folds", "2", "--seed", "1", "--out-dir", str(tmp_path)])
+        assert not (tmp_path / "cv_report.csv").exists()
 
     @pytest.mark.parametrize("flag", ["--ridge-y", "--epsilon-row", "--width-floor"])
     def test_fixed_training_setting_is_usage_error(self, tmp_path, flag):
@@ -340,12 +346,12 @@ class TestFlagsGoOnTheCommandsThatReadThem:
         fx, fy = _write_dataset(tmp_path, n=20)
         assert main(["train", "--features", str(fx), "--labels", str(fy),
                      "--rules", "2", "--max-iters", "1", "--out-dir", str(tmp_path)]) == 0
-        capsys.readouterr()
-        assert main(["predict", "--model", str(tmp_path / "model.txt"),
-                     "--features", str(fx), "--binary", "--threshold", "nan",
-                     "--out", "bits.csv", "--out-dir", str(tmp_path)]) == 3
-        assert capsys.readouterr().err == "error: tau must be finite\n"
+        # predict thresholds at the model's tau and takes no --threshold
+        assert _usage_error(["predict", "--model", str(tmp_path / "model.txt"),
+                             "--features", str(fx), "--binary", "--threshold", "0.3",
+                             "--out", "bits.csv", "--out-dir", str(tmp_path)])
         assert not (tmp_path / "bits.csv").exists()
+        capsys.readouterr()
         assert main(["predict", "--model", str(tmp_path / "model.txt"),
                      "--features", str(fx), "--out-dir", str(tmp_path)]) == 0
         assert main(["eval", "--scores", str(tmp_path / "scores.csv"), "--labels", str(fy),

@@ -71,6 +71,21 @@ class TestLoadDataset:
         assert data.label_names == ("cat", "dog")
 
 
+class TestNames:
+    @pytest.mark.parametrize("bad", ["a,b", "a\nb", "a\r", "a\u2028b"])
+    def test_name_that_no_file_can_hold_is_rejected(self, bad):
+        with pytest.raises(DataFormatError, match="feature name .* comma or a line break"):
+            Dataset([[0.0, 1.0], [1.0, 0.0]], [[1.0, 0.0]], feature_names=[bad, "c"])
+        with pytest.raises(DataFormatError, match="label name .* comma or a line break"):
+            Dataset([[0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]], label_names=["y", bad])
+
+    def test_other_names_are_kept(self):
+        data = Dataset([[0.0, 1.0], [1.0, 0.0]], [[1.0, 0.0]],
+                       feature_names=["a b", "c=d;e"], label_names=[""])
+        assert data.feature_names == ("a b", "c=d;e")
+        assert data.label_names == ("",)
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("seed", range(5))
     def test_save_load_bit_exact(self, tmp_path, seed):
@@ -104,31 +119,32 @@ class TestRoundTrip:
 
 class TestNormalization:
     def test_min_max_definition(self):
-        data = Dataset([[0.0, 5.0, 10.0]], [[1.0, 0.0, 1.0]])
-        normed, stats = normalize_features(data)
-        np.testing.assert_allclose(normed.features, [[0.0, 0.5, 1.0]])
+        normed, stats = normalize_features(np.array([[0.0, 5.0, 10.0]]))
+        np.testing.assert_allclose(normed, [[0.0, 0.5, 1.0]])
         np.testing.assert_array_equal(stats.minimum, [0.0])
         np.testing.assert_array_equal(stats.maximum, [10.0])
 
     def test_constant_feature_maps_to_zero(self):
-        data = Dataset([[3.0, 3.0, 3.0]], [[1.0, 0.0, 1.0]])
-        normed, _ = normalize_features(data)
-        np.testing.assert_array_equal(normed.features, [[0.0, 0.0, 0.0]])
+        normed, _ = normalize_features(np.array([[3.0, 3.0, 3.0]]))
+        np.testing.assert_array_equal(normed, [[0.0, 0.0, 0.0]])
 
     def test_test_time_clipping(self):
         stats = NormStats([0.0], [10.0])
-        test = Dataset([[12.0, -3.0]], [[1.0, 0.0]])
-        out = apply_norm(test, stats)
-        np.testing.assert_array_equal(out.features, [[1.0, 0.0]])
+        out = apply_norm(np.array([[12.0, -3.0]]), stats)
+        np.testing.assert_array_equal(out, [[1.0, 0.0]])
 
     @pytest.mark.parametrize("seed", range(10))
     def test_output_in_unit_interval(self, seed):
         rng = np.random.default_rng(seed)
         data = Dataset(rng.normal(scale=100, size=(4, 30)),
                        (rng.random((2, 30)) < 0.5).astype(float))
-        normed, _ = normalize_features(data)
-        assert normed.features.min() >= 0.0
-        assert normed.features.max() <= 1.0
+        normed, _ = normalize_features(data.features)
+        assert normed.min() >= 0.0
+        assert normed.max() <= 1.0
+
+    def test_non_finite_test_feature_is_rejected(self):
+        with pytest.raises(DataFormatError, match="non-numeric feature cell"):
+            apply_norm(np.array([[0.5, np.nan]]), NormStats([0.0], [1.0]))
 
 
 class TestKFold:

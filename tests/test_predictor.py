@@ -1,5 +1,7 @@
 import dataclasses
 import hashlib
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,9 @@ from fuzzml.predictor import (
 from fuzzml.rules import RuleBase, firing_strengths
 from fuzzml.synthgen import SynthSpec, gen_synthetic
 
+# a model file that still stores the counts and the width floor
+_COUNTED_FILE = Path(__file__).parent / "data" / "model_with_counts.txt"
+_DROPPED_KEYS = ("labels=", "features=", "rules=", "width_floor=")
 
 def _manual_model(consequents, n_features=2, n_rules=1, tau=0.5):
     consequents = np.asarray(consequents, dtype=float)
@@ -90,15 +95,9 @@ class TestPredict:
 
     def test_low_threshold_marks_everything(self):
         consequents = np.array([[0.1, 0.0], [0.2, 0.0]])
-        model = _manual_model(consequents, n_features=1)
-        out = predict(model, np.array([[0.4, 0.9]]), tau=-100.0)
+        model = _manual_model(consequents, n_features=1, tau=-100.0)
+        out = predict(model, np.array([[0.4, 0.9]]))
         np.testing.assert_array_equal(out, np.ones((2, 2), dtype=int))
-
-    @pytest.mark.parametrize("tau", [float("nan"), float("inf"), -float("inf")])
-    def test_non_finite_threshold_is_rejected(self, tau):
-        model = _manual_model(np.array([[0.5, 0.0]]), n_features=1)
-        with pytest.raises(ValueError, match="tau must be finite"):
-            predict(model, np.array([[0.7]]), tau=tau)
 
     def test_output_is_binary_matrix(self):
         data = gen_synthetic(SynthSpec(kind="equality", n_samples=50, n_features=3, seed=5))
@@ -172,7 +171,7 @@ class TestPersistence:
         def put_nan(lines):
             first = {
                 "norm min": lines.index("[norm]") + 1,
-                "width": lines.index("[rulebase]") + 2 + model.rulebase.n_rules,
+                "width": lines.index("[rulebase]") + 1 + model.rulebase.n_rules,
                 "S": lines.index("[S]") + 1,
                 "C": lines.index("[C]") + 1,
             }[row]
@@ -234,11 +233,77 @@ class TestPersistence:
         with pytest.raises(ModelFormatError, match="malformed model file"):
             load_model(path)
 
+    def test_file_that_stores_the_counts_loads(self, tmp_path):
+        old_text = _COUNTED_FILE.read_text()
+        for key in _DROPPED_KEYS:
+            assert "\n" + key in old_text
+        model = load_model(_COUNTED_FILE)
+        assert model.config == TrainConfig(n_rules=2, max_iters=3, tau=0.375)
+        assert model.feature_names == ("height", "weight", "age")
+        assert model.label_names == ("red", "green", "blue", "cyan", "gray")
+        path = tmp_path / "model.txt"
+        save_model(model, path)
+        kept = [line for line in old_text.splitlines()[2:]
+                if not line.startswith(_DROPPED_KEYS)]
+        assert path.read_text().splitlines()[2:] == kept
+        x = np.random.default_rng(10).random((3, 20))
+        np.testing.assert_array_equal(score(load_model(path), x), score(model, x))
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda lines: [("n_rules=7" if line == "n_rules=2" else line) for line in lines],
+         "4 rulebase rows, expected 14"),
+        (lambda lines: lines[:2] + lines[1:], "repeated [meta] key 'feature_names'"),
+        (lambda lines: [line for line in lines if not line.startswith("gamma=")],
+         "missing [meta] keys gamma"),
+        (lambda lines: [line.replace(",y5", "") for line in lines], "5 S rows, expected 4"),
+        (lambda lines: [line.replace(",f3", "") for line in lines], "bad norm row"),
+        (lambda lines: [line.replace("[S]", "[M]") for line in lines],
+         "sections meta,norm,rulebase,M,C"),
+    ], ids=["n_rules", "repeated_key", "missing_key", "label_count", "feature_count",
+            "section"])
+    def test_counts_that_disagree_are_rejected(self, tmp_path, edit, message):
+        path = tmp_path / "model.txt"
+        save_model(self._trained_model(), path)
+        _restamp(path, edit)
+        with pytest.raises(ModelFormatError, match=re.escape(message)):
+            load_model(path)
+
+    def test_zero_width_is_rejected(self, tmp_path):
+        path = tmp_path / "model.txt"
+        save_model(self._trained_model(), path)
+
+        def zero_width(lines):
+            first_width = lines.index("[rulebase]") + 1 + 2  # after the 2 center rows
+            lines[first_width] = ",".join(["0"] + lines[first_width].split(",")[1:])
+            return lines
+
+        _restamp(path, zero_width)
+        with pytest.raises(ModelFormatError, match="positive"):
+            load_model(path)
+
     def test_not_a_model_file(self, tmp_path):
         path = tmp_path / "nope.txt"
         path.write_text("hello\nworld\n")
         with pytest.raises(ModelFormatError, match="malformed model file"):
             load_model(path)
+
+
+class TestModelParamsConsistency:
+    def test_rule_count_must_match_the_rule_base(self):
+        model = _manual_model(np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="n_rules"):
+            dataclasses.replace(model, config=TrainConfig(n_rules=2))
+
+    @pytest.mark.parametrize("field,names", [
+        ("feature_names", ("f1",)),
+        ("label_names", ("y1", "y2", "y3")),
+        ("feature_names", ("a,b", "c")),
+        ("label_names", ("y1", "y\n2")),
+    ])
+    def test_names_must_fit_the_matrices_and_the_file(self, field, names):
+        model = _manual_model(np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="name"):
+            dataclasses.replace(model, **{field: names})
 
 
 class TestRelabelingEquivariance:

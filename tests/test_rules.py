@@ -173,17 +173,25 @@ def _two_cluster_split_oracle(values):
 
 
 class TestRuleBase:
-    @pytest.mark.parametrize("centers,widths,width_floor", [
-        ([[math.nan]], [[1.0]], 1e-4),
-        ([[math.inf]], [[1.0]], 1e-4),
-        ([[0.5]], [[math.nan]], 1e-4),
-        ([[0.5]], [[math.inf]], 1e-4),
-        ([[0.5]], [[1.0]], math.nan),
-        ([[0.5]], [[1.0]], math.inf),
+    @pytest.mark.parametrize("centers,widths", [
+        ([[math.nan]], [[1.0]]),
+        ([[math.inf]], [[1.0]]),
+        ([[0.5]], [[math.nan]]),
+        ([[0.5]], [[math.inf]]),
     ])
-    def test_rejects_non_finite_values(self, centers, widths, width_floor):
+    def test_rejects_non_finite_values(self, centers, widths):
         with pytest.raises(ValueError, match="finite"):
-            RuleBase(centers, widths, width_floor)
+            RuleBase(centers, widths)
+
+    @pytest.mark.parametrize("width", [0.0, -1e-3])
+    def test_rejects_a_width_that_is_not_positive(self, width):
+        with pytest.raises(ValueError, match="positive"):
+            RuleBase([[0.5, 0.5]], [[1.0, width]])
+
+    def test_accepts_a_width_below_the_fitting_floor(self):
+        # files trained with a smaller width floor keep their widths
+        rb = RuleBase([[0.5]], [[1e-6]])
+        assert rb.widths[0, 0] == 1e-6 and not hasattr(rb, "width_floor")
 
 
 class TestFitAntecedents:
