@@ -28,9 +28,11 @@ class DataFormatError(ValueError):
 
 
 def _check_names(names, count, kind) -> tuple:
-    """``count`` names as strings, none with a comma or a line break.
+    """``count`` names as strings that CSV headers and model files keep.
 
-    CSV headers and model files join names with "," on one line.
+    Both join names with "," on one line, and the CSV reader strips the
+    whitespace around each header name, so a name may not be empty, hold
+    a comma or a line break, or start or end with whitespace.
     """
     names = tuple(str(s) for s in names)
     if len(names) != count:
@@ -39,6 +41,9 @@ def _check_names(names, count, kind) -> tuple:
         if "," in name or "".join(name.splitlines()) != name:
             raise DataFormatError("%s name %r contains a comma or a line break"
                                   % (kind, name))
+        if not name or name.strip() != name:
+            raise DataFormatError("%s name %r is empty or has leading or trailing "
+                                  "whitespace" % (kind, name))
     return names
 
 
@@ -240,17 +245,21 @@ def normalize_features(features):
 
 
 def apply_norm(features, stats: NormStats) -> np.ndarray:
-    """Scale a D x N matrix by training min-max stats, clipping to [0, 1]."""
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[0] != stats.minimum.shape[0]:
+    """Scale a D x N matrix by training min-max stats, clipping to [0, 1].
+
+    Returns a new C-ordered D x N matrix; constant features map to 0.
+    """
+    scaled = np.array(features, dtype=np.float64, order="C")
+    if scaled.ndim != 2 or scaled.shape[0] != stats.minimum.shape[0]:
         raise ValueError("features must be a %d x N matrix" % stats.minimum.shape[0])
-    if not np.all(np.isfinite(features)):
+    if not np.all(np.isfinite(scaled)):
         raise DataFormatError("non-numeric feature cell")
     span = stats.maximum - stats.minimum
-    safe = np.where(span > 0.0, span, 1.0)
-    scaled = (features - stats.minimum[:, None]) / safe[:, None]
-    scaled = np.where(span[:, None] > 0.0, scaled, 0.0)
-    return np.clip(scaled, 0.0, 1.0)
+    varies = span > 0.0
+    scaled -= stats.minimum[:, None]
+    scaled /= np.where(varies, span, 1.0)[:, None]
+    scaled[~varies] = 0.0
+    return np.clip(scaled, 0.0, 1.0, out=scaled)
 
 
 def kfold_split(n: int, k: int, seed: int) -> FoldPlan:

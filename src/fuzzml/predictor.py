@@ -1,9 +1,11 @@
 """Scoring, thresholding and model persistence.
 
-Prediction uses only the consequent matrix: a test column is normalized
-with the stored training stats, mapped through the rule base and
-multiplied by the consequents. The binary output thresholds the scores at
-the model's tau (inclusive).
+Prediction uses only the consequent matrix: a test column x is
+normalized with the stored training stats and scored as
+``sum_k s_k(x) C_k (1, x)``, each rule's normalized firing strength times
+that rule's affine consequent, summed rule by rule without forming the
+K(D+1) x N fuzzy feature matrix. The binary output thresholds the scores
+at the model's tau (inclusive).
 
 Models are saved as versioned line-oriented text with named sections and
 a content checksum, so files are diffable and corruption is detected.
@@ -18,7 +20,7 @@ import numpy as np
 
 from .dataset import NormStats, apply_norm
 from .optimizer import ModelParams, TrainConfig
-from .rules import RuleBase, fuzzy_feature_matrix
+from .rules import RuleBase, _strength_columns
 
 __all__ = ["ModelFormatError", "score", "predict", "save_model", "load_model"]
 
@@ -39,9 +41,26 @@ class ModelFormatError(ValueError):
 
 
 def score(model: ModelParams, features) -> np.ndarray:
-    """Continuous label scores, L x N, for raw (unnormalized) test features."""
-    fuzzy_x = fuzzy_feature_matrix(apply_norm(features, model.norm), model.rulebase)
-    return model.consequents @ fuzzy_x
+    """Continuous label scores, L x N, for raw (unnormalized) test features.
+
+    The score of a normalized column x is ``sum_k s_k(x) C_k (1, x)``: rule
+    k's normalized firing strength times its L x (D+1) consequent block
+    applied to (1, x), added rule by rule. No K(D+1) x N fuzzy matrix is
+    formed. The block products are BLAS calls, which round a one-column
+    call differently from a batch, so a column scored alone agrees with
+    the batch to rounding, not bit for bit.
+    """
+    x = apply_norm(features, model.norm)
+    strengths = _strength_columns(x, model.rulebase)
+    scores = np.zeros((model.n_labels, x.shape[1]))
+    rule_scores = np.empty_like(scores)
+    blocks = np.split(model.consequents, model.rulebase.n_rules, axis=1)  # the L x (D+1) C_k
+    for strength, block in zip(strengths, blocks):
+        np.matmul(block[:, 1:], x, out=rule_scores)
+        rule_scores += block[:, :1]
+        rule_scores *= strength
+        scores += rule_scores
+    return scores
 
 
 def predict(model: ModelParams, features) -> np.ndarray:

@@ -4,6 +4,13 @@ A rule base holds K Gaussian antecedents over D features. An input vector
 is mapped to a K(D+1)-dimensional fuzzy feature vector: each rule's
 normalized firing strength scales the bias-augmented input (1, x), and the
 per-rule blocks are concatenated in rule order.
+
+One private kernel computes the K x N normalized firing strengths of a
+D x N matrix, feature by feature and rule by rule, with element-wise
+operations only. ``firing_strengths``, ``fuzzy_features``,
+``fuzzy_feature_matrix`` and ``predictor.score`` all take their strengths
+from it, so a column's strengths and fuzzy features are the same bits
+alone as inside any batch.
 """
 
 import numpy as np
@@ -115,32 +122,45 @@ def membership(x, center, width):
     return np.exp(-0.5 * z * z)
 
 
-def _strength_rows(xt, rulebase: RuleBase) -> np.ndarray:
-    """Normalized firing strengths of the rows of an N x D matrix, N x K.
+def _strength_columns(x, rulebase: RuleBase) -> np.ndarray:
+    """Normalized firing strengths of the columns of a D x N matrix, K x N.
 
-    Rule by rule, one N x D block of standardized distances gives the N
-    log raw strengths (the log of the product of D memberships). Each row
-    is then normalized with a log-sum-exp over the K rules, so distant
-    inputs do not underflow; a row whose log strengths still overflow to
-    -inf gets the uniform strengths 1/K. Rows are contiguous, so each
-    row's sums run in the same order whatever N is, and a one-row call
-    gives the same bits as the row inside a larger matrix.
+    Feature by feature, in feature order, the squared standardized
+    distances to the K centers are added into one K x N buffer; minus half
+    of it is each column's log raw strengths (the log of the product of D
+    memberships). Each column is then normalized with a log-sum-exp whose
+    max and sum run over the rules in rule order, so distant inputs do not
+    underflow; a column whose log strengths still overflow to -inf gets the
+    uniform strengths 1/K. All of it is element-wise, so every column sees
+    the same operations in the same order whatever N is, and a one-column
+    call gives the same bits as that column inside a larger matrix.
     """
-    n = xt.shape[0]
+    centers, widths = rulebase.centers, rulebase.widths
     k = rulebase.n_rules
-    log_raw = np.empty((n, k))
+    log_raw = np.zeros((k, x.shape[1]))
+    z = np.empty_like(log_raw)
     with np.errstate(over="ignore"):
-        # overflow to -inf is handled by the uniform fallback below
-        for r in range(k):
-            z = (xt - rulebase.centers[r]) / rulebase.widths[r]
-            log_raw[:, r] = -0.5 * np.sum(z * z, axis=1)
-    shift = log_raw.max(axis=1)
+        # overflow to inf is handled by the uniform fallback below
+        for j in range(x.shape[0]):
+            np.subtract(x[j], centers[:, j, None], out=z)
+            z /= widths[:, j, None]
+            z *= z
+            log_raw += z
+    log_raw *= -0.5
+    shift = log_raw[0].copy()
+    for r in range(1, k):
+        np.maximum(shift, log_raw[r], out=shift)
     finite = np.isfinite(shift)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        # rows without a finite shift are overwritten below
-        raw = np.exp(log_raw - np.where(finite, shift, 0.0)[:, None])
-        strengths = raw / raw.sum(axis=1)[:, None]
-    strengths[~finite] = 1.0 / k
+    shift[~finite] = 0.0
+    log_raw -= shift
+    strengths = np.exp(log_raw, out=log_raw)
+    total = strengths[0].copy()
+    for r in range(1, k):
+        total += strengths[r]
+    with np.errstate(invalid="ignore"):
+        # columns without a finite shift are overwritten below
+        strengths /= total
+    strengths[:, ~finite] = 1.0 / k
     return strengths
 
 
@@ -155,7 +175,7 @@ def firing_strengths(x, rulebase: RuleBase) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (rulebase.n_features,):
         raise ValueError("input vector length does not match the rule base")
-    return _strength_rows(x[None, :], rulebase)[0]
+    return _strength_columns(x[:, None], rulebase)[:, 0]
 
 
 def fuzzy_features(x, rulebase: RuleBase) -> np.ndarray:
@@ -175,7 +195,7 @@ def fuzzy_feature_matrix(features, rulebase: RuleBase) -> np.ndarray:
     if x.ndim != 2 or x.shape[0] != rulebase.n_features:
         raise ValueError("features must be a D x N matrix matching the rule base")
     k, d = rulebase.centers.shape
-    strengths = _strength_rows(np.ascontiguousarray(x.T), rulebase).T  # K x N
+    strengths = _strength_columns(x, rulebase)
     out = np.empty((k, d + 1, x.shape[1]))
     out[:, 0, :] = strengths
     np.multiply(strengths[:, None, :], x[None, :, :], out=out[:, 1:, :])

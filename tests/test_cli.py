@@ -1,17 +1,28 @@
+import os
 import re
 import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fuzzml
 from fuzzml.cli import main
 from fuzzml.dataset import load_dataset
 from fuzzml.predictor import load_model
 
 _COMMANDS = {"synth", "noise", "train", "predict", "eval", "cv", "grid",
              "noise-curve", "ablate", "export-rules"}
+
+def _run_module(*args):
+    """``python -m fuzzml ARGS`` on the package these tests import."""
+    path = [str(Path(fuzzml.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    return subprocess.run([sys.executable, "-m", "fuzzml", *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
 
 def _write_dataset(tmp_path, prefix="data", n=40, seed=0):
     code = main([
@@ -252,17 +263,12 @@ class TestConfigFileAndExitCodes:
         ]) == 4
 
     def test_usage_error_exit_code(self, tmp_path):
-        proc = subprocess.run(
-            [sys.executable, "-m", "fuzzml", "synth", "--kind", "not-a-kind",
-             "--out-prefix", "x", "--out-dir", str(tmp_path)],
-            capture_output=True,
-        )
+        proc = _run_module("synth", "--kind", "not-a-kind",
+                           "--out-prefix", "x", "--out-dir", str(tmp_path))
         assert proc.returncode == 2
 
     def test_entrypoint_help(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "fuzzml", "--help"], capture_output=True, text=True
-        )
+        proc = _run_module("--help")
         assert proc.returncode == 0
         for command in ("synth", "noise", "train", "predict", "eval", "cv",
                         "grid", "noise-curve", "ablate", "export-rules"):

@@ -81,9 +81,25 @@ class TestNames:
 
     def test_other_names_are_kept(self):
         data = Dataset([[0.0, 1.0], [1.0, 0.0]], [[1.0, 0.0]],
-                       feature_names=["a b", "c=d;e"], label_names=[""])
+                       feature_names=["a b", "c=d;e"], label_names=["#y\t1"])
         assert data.feature_names == ("a b", "c=d;e")
-        assert data.label_names == ("",)
+        assert data.label_names == ("#y\t1",)
+
+    @pytest.mark.parametrize("bad", ["", " a", "b ", "\tc", " "])
+    def test_name_that_a_csv_header_cannot_keep_is_rejected(self, bad):
+        match = "name .* is empty or has leading or trailing whitespace"
+        with pytest.raises(DataFormatError, match="feature " + match):
+            Dataset([[0.0, 1.0], [1.0, 0.0]], [[1.0, 0.0]], feature_names=[bad, "c"])
+        with pytest.raises(DataFormatError, match="label " + match):
+            Dataset([[0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]], label_names=["y", bad])
+
+    def test_names_round_trip_exactly_through_csv(self, tmp_path):
+        data = Dataset([[0.0, 1.0], [1.0, 0.0]], [[1.0, 0.0]],
+                       feature_names=["a b", "#c=d;e"], label_names=["y\t1"])
+        save_dataset(data, tmp_path / "X.csv", tmp_path / "Y.csv")
+        again = load_dataset(tmp_path / "X.csv", tmp_path / "Y.csv")
+        assert again.feature_names == ("a b", "#c=d;e")
+        assert again.label_names == ("y\t1",)
 
 
 class TestRoundTrip:
@@ -142,9 +158,25 @@ class TestNormalization:
         assert normed.min() >= 0.0
         assert normed.max() <= 1.0
 
-    def test_non_finite_test_feature_is_rejected(self):
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_test_feature_is_rejected(self, bad):
         with pytest.raises(DataFormatError, match="non-numeric feature cell"):
-            apply_norm(np.array([[0.5, np.nan]]), NormStats([0.0], [1.0]))
+            apply_norm(np.array([[0.5, bad]]), NormStats([0.0], [1.0]))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_apply_norm_is_the_clipped_formula_in_c_order(self, order):
+        rng = np.random.default_rng(11)
+        stats = NormStats([0.0, 2.0, -1e3, 5.0], [1.0, 2.0, 1e3, 5.0])  # two constant
+        span = stats.maximum - stats.minimum
+        safe = np.where(span > 0, span, 1.0)
+        # about a third of the cells below, inside and above the training range
+        x = stats.minimum[:, None] + rng.uniform(-1.0, 2.0, size=(4, 50)) * safe[:, None]
+        x = np.asarray(x, order=order)
+        want = np.clip(np.where(span[:, None] > 0,
+                                (x - stats.minimum[:, None]) / safe[:, None], 0.0), 0.0, 1.0)
+        got = apply_norm(x, stats)
+        assert got.flags.c_contiguous
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 class TestKFold:

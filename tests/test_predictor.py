@@ -1,12 +1,15 @@
 import dataclasses
 import hashlib
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fuzzml.dataset import Dataset, NormStats
+from oracles import oracle_fuzzy_feature_matrix
+
+from fuzzml.dataset import Dataset, NormStats, apply_norm, normalize_features
 from fuzzml.optimizer import ModelParams, TrainConfig, train
 from fuzzml.predictor import (
     ModelFormatError,
@@ -15,7 +18,7 @@ from fuzzml.predictor import (
     save_model,
     score,
 )
-from fuzzml.rules import RuleBase, firing_strengths
+from fuzzml.rules import RuleBase, firing_strengths, fit_antecedents, fuzzy_feature_matrix
 from fuzzml.synthgen import SynthSpec, gen_synthetic
 
 # a model file that still stores the counts and the width floor
@@ -35,6 +38,23 @@ def _manual_model(consequents, n_features=2, n_rules=1, tau=0.5):
         feature_names=tuple("f%d" % (i + 1) for i in range(n_features)),
         label_names=tuple("y%d" % (i + 1) for i in range(consequents.shape[0])),
         config=TrainConfig(n_rules=n_rules, tau=tau),
+    )
+
+
+def _fitted_model(n_rules, n_features, n_labels, seed):
+    """Rules fitted on a training sample with one constant feature, random C."""
+    rng = np.random.default_rng(seed)
+    x = rng.random((n_features, 200))
+    x[1] = 0.25
+    normed, stats = normalize_features(x)
+    return ModelParams(
+        mixing=np.eye(n_labels),
+        consequents=rng.normal(size=(n_labels, n_rules * (n_features + 1))),
+        rulebase=fit_antecedents(normed, n_rules),
+        norm=stats,
+        feature_names=tuple("f%d" % (i + 1) for i in range(n_features)),
+        label_names=tuple("y%d" % (i + 1) for i in range(n_labels)),
+        config=TrainConfig(n_rules=n_rules),
     )
 
 
@@ -73,6 +93,38 @@ class TestScore:
                     block = model.consequents[l, r * (d + 1):(r + 1) * (d + 1)]
                     acc += strengths[r] * float(block @ x_ext)
                 assert got[l, i] == pytest.approx(acc, abs=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 9])
+    def test_matches_the_fuzzy_matrix_product_and_the_reference(self, k):
+        model = _fitted_model(k, n_features=6, n_labels=4, seed=40 + k)
+        # test columns reach past the training range on both sides
+        x = np.random.default_rng(k).uniform(-1.0, 2.0, size=(6, 300))
+        x[:, -1] = 1e200
+        batch = score(model, x)
+        alone = np.hstack([score(model, x[:, i:i + 1]) for i in range(x.shape[1])])
+        fuzzy_x = fuzzy_feature_matrix(apply_norm(x, model.norm), model.rulebase)
+        lo = model.norm.minimum[:, None]
+        span = model.norm.maximum[:, None] - lo
+        scaled = np.divide(x - lo, span, out=np.zeros_like(x), where=span > 0.0)
+        oracle_x = oracle_fuzzy_feature_matrix(np.clip(scaled, 0.0, 1.0),
+                                               model.rulebase.centers, model.rulebase.widths)
+        # a sum of K(D+1) products is exact to a few eps of its absolute terms
+        bound = 1e-14 * (np.abs(model.consequents) @ np.abs(fuzzy_x))
+        for got in (batch, alone):
+            for fuzzy in (fuzzy_x, oracle_x):
+                assert np.all(np.abs(got - model.consequents @ fuzzy) <= bound)
+
+    def test_peak_memory_stays_below_one_fuzzy_matrix(self):
+        k, d, n = 3, 20, 10_000
+        model = _fitted_model(k, n_features=d, n_labels=5, seed=60)
+        x = np.random.default_rng(6).random((d, n))
+        tracemalloc.start()
+        try:
+            score(model, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < k * (d + 1) * n * 8
 
     def test_rejects_wrong_dimension(self):
         model = _manual_model(np.zeros((2, 3)))
@@ -299,6 +351,8 @@ class TestModelParamsConsistency:
         ("label_names", ("y1", "y2", "y3")),
         ("feature_names", ("a,b", "c")),
         ("label_names", ("y1", "y\n2")),
+        ("feature_names", ("a", "")),
+        ("label_names", ("y1", " y2")),
     ])
     def test_names_must_fit_the_matrices_and_the_file(self, field, names):
         model = _manual_model(np.zeros((2, 3)))

@@ -125,16 +125,24 @@ class TestFuzzyFeatureMatrix:
         np.testing.assert_array_equal(out[0], np.ones(7))
         np.testing.assert_array_equal(out[1:], x)
 
-    def test_columns_recompute_via_firing_strengths(self):
-        rng = np.random.default_rng(5)
-        x = rng.random((3, 5))
-        rb = RuleBase(rng.random((2, 3)), rng.uniform(0.1, 0.5, size=(2, 3)))
+    @pytest.mark.parametrize("k", [1, 2, 3, 9, 12])
+    def test_columns_recompute_via_firing_strengths(self, k):
+        # one column alone gives the same bits as inside the batch; K > 8
+        # is where a pairwise sum over the rules would change the order
+        rng = np.random.default_rng(5 + k)
+        d = 4
+        x = rng.random((d, 40))
+        x[1] = 0.5  # a constant feature
+        rb = fit_antecedents(x, k)
+        far = np.array([1e3, -1e6, 1e200])  # the last one hits the 1/K fallback
+        x = np.hstack([x, np.tile(far, (d, 1))])
         out = fuzzy_feature_matrix(x, rb)
-        for i in range(5):
+        for i in range(x.shape[1]):
             s = firing_strengths(x[:, i], rb)
             x_ext = np.concatenate(([1.0], x[:, i]))
-            np.testing.assert_array_equal(out[:, i].reshape(2, 4),
+            np.testing.assert_array_equal(out[:, i].reshape(k, d + 1),
                                           s[:, None] * x_ext[None, :])
+        np.testing.assert_array_equal(out[::d + 1, -1], np.full(k, 1.0 / k))
 
     @pytest.mark.parametrize("k", [1, 2, 3, 9])
     def test_matches_per_sample_reference(self, k):
