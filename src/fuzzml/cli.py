@@ -24,6 +24,11 @@ command-line flags override file values. Keys that name no option of the
 chosen command are ignored, and a required flag must be given on the
 command line.
 
+Every metric column and line (the fold rows, the summaries, the ablate
+tables, the eval line) lists the metrics of ``metrics.METRICS`` in that
+order. Grid values are checked by TrainConfig and data cells by the CSV
+reader, so a NaN or infinite one exits 3.
+
 Exit codes: 0 success, 2 usage error, 3 data or config error (a bad
 config value included), 4 numerical failure.
 """
@@ -51,7 +56,7 @@ from .experiments import (
     run_grid,
     run_noise_curve,
 )
-from .metrics import evaluate
+from .metrics import METRICS, evaluate
 from .optimizer import NumericalError, TrainConfig, train
 from .predictor import ModelFormatError, load_model, predict, save_model, score
 from .rules import export_rules
@@ -107,13 +112,19 @@ def _write_lines(path, lines):
         fh.write("\n".join(lines) + "\n")
 
 
+def _metric_cells(values):
+    """The METRICS values of one report as CSV cells."""
+    return ",".join("%.6f" % v for v in values)
+
+
 def _fold_rows(report):
-    lines = ["seed,fold,ap,hl,rl,cv_raw,cv_norm,n_skipped,stop_reason,iterations,train_seconds"]
+    lines = ["seed,fold,%s,n_skipped,stop_reason,iterations,train_seconds"
+             % ",".join(METRICS)]
     for r in report.results:
         m = r.metrics
         lines.append(
-            "%d,%d,%.6f,%.6f,%.6f,%.6f,%.6f,%d,%s,%d,%.3f"
-            % (r.seed, r.fold, m.ap, m.hl, m.rl, m.cv_raw, m.cv_norm,
+            "%d,%d,%s,%d,%s,%d,%.3f"
+            % (r.seed, r.fold, _metric_cells(getattr(m, key) for key in METRICS),
                m.n_skipped_ap_rl, r.stop_reason, r.n_iterations, r.train_seconds)
         )
     return lines
@@ -121,7 +132,7 @@ def _fold_rows(report):
 
 def _summary_lines(report, title):
     lines = [title]
-    for key in ("ap", "hl", "rl", "cv_raw", "cv_norm"):
+    for key in METRICS:
         lines.append(
             "%s: %.4f (%.4f)" % (key, report.means[key], report.stds[key])
         )
@@ -195,10 +206,8 @@ def cmd_eval(args):
             "scores are %s but labels are %s" % (scores.shape, labels.shape)
         )
     report = evaluate(scores, labels, tau=args.threshold)
-    line = "%.6f,%.6f,%.6f,%.6f,%.6f,%d" % (
-        report.ap, report.hl, report.rl, report.cv_raw, report.cv_norm,
-        report.n_skipped_ap_rl,
-    )
+    line = "%s,%d" % (_metric_cells(getattr(report, key) for key in METRICS),
+                      report.n_skipped_ap_rl)
     print(line)
     if args.out:
         _write_lines(_out_path(args, args.out), [line])
@@ -262,13 +271,9 @@ def cmd_ablate(args):
     )
     pairs = run_ablation(data, config, noise_ratio=args.noise_ratio)
     for term, (disabled, enabled) in sorted(pairs.items()):
-        lines = ["group,%s" % ",".join(("ap", "hl", "rl", "cv_raw", "cv_norm"))]
+        lines = ["group,%s" % ",".join(METRICS)]
         for name, rep in (("disabled", disabled), ("enabled", enabled)):
-            lines.append(
-                "%s,%.6f,%.6f,%.6f,%.6f,%.6f"
-                % (name, rep.means["ap"], rep.means["hl"], rep.means["rl"],
-                   rep.means["cv_raw"], rep.means["cv_norm"])
-            )
+            lines.append("%s,%s" % (name, _metric_cells(rep.means[key] for key in METRICS)))
         _write_lines(_out_path(args, "ablation_%s.csv" % term), lines)
         print(
             "%s: AP %.4f disabled vs %.4f enabled"

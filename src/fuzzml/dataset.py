@@ -5,6 +5,8 @@ L x N with entries in {0, 1}. CSV files on disk are sample-major (one
 sample per row) with an optional leading ``#`` header naming the columns.
 """
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -22,6 +24,10 @@ __all__ = [
     "kfold_split",
     "take_samples",
 ]
+
+# 17 significant digits round-trip float64 exactly
+FLOAT_FMT = "%.17g"
+
 
 class DataFormatError(ValueError):
     """Raised when an input file or matrix violates the data contract."""
@@ -156,8 +162,8 @@ def load_matrix(path, kind="feature"):
     """Read a sample-major numeric CSV as a matrix with one column per sample.
 
     Returns the matrix and the header names (None without a header).
-    Blank lines are skipped. A non-numeric cell, a row whose width differs
-    from the first row's, or a file without rows raises
+    Blank lines are skipped. A non-numeric or non-finite cell, a row whose
+    width differs from the first row's, or a file without rows raises
     :class:`DataFormatError` naming the path and the line; ``kind`` names
     the cells in those messages.
     """
@@ -176,8 +182,9 @@ def load_matrix(path, kind="feature"):
         try:
             row = [float(c) for c in line.split(",")]
         except ValueError:
-            raise DataFormatError(
-                "non-numeric %s cell at %s line %d" % (kind, path, lineno)) from None
+            row = None
+        if row is None or not all(map(math.isfinite, row)):
+            raise DataFormatError("non-numeric %s cell at %s line %d" % (kind, path, lineno))
         if rows and len(row) != len(rows[0]):
             raise DataFormatError("ragged %s row at %s line %d" % (kind, path, lineno))
         rows.append(row)
@@ -194,11 +201,6 @@ def load_dataset(features_path, labels_path) -> Dataset:
     """
     features, feat_names = load_matrix(features_path)
     labels, lab_names = load_labels(labels_path)
-    if features.shape[1] != labels.shape[1]:
-        raise DataFormatError(
-            "sample count mismatch: %d feature rows vs %d label rows"
-            % (features.shape[1], labels.shape[1])
-        )
     return Dataset(features, labels, feature_names=feat_names, label_names=lab_names)
 
 
@@ -213,13 +215,12 @@ def load_labels(labels_path):
     return labels, names
 
 
-def save_matrix(path, matrix, names, cell_fmt="%.17g") -> None:
+def save_matrix(path, matrix, names, cell_fmt=FLOAT_FMT) -> None:
     """Write a matrix with one column per sample as a sample-major CSV.
 
     The inverse of :func:`load_matrix`: a ``#`` header line holds the
     names, then each row is one sample with its cells printed by
-    ``cell_fmt``. The default's 17 significant digits round-trip float64
-    exactly.
+    ``cell_fmt``, by default :data:`FLOAT_FMT`.
     """
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# " + ",".join(names) + "\n")

@@ -12,6 +12,10 @@ two reports share (a repeated grid value, the enabled arm of both
 ablations) trains once. When ``workers`` exceeds one, all jobs of the
 call share one bounded thread pool; every report of that call carries the
 call's wall time.
+
+Grid values and noise ratios are checked by the types that own them,
+:class:`~fuzzml.optimizer.TrainConfig` and :class:`~fuzzml.synthgen.NoiseSpec`,
+before any fold trains; reports aggregate :data:`fuzzml.metrics.METRICS`.
 """
 
 import hashlib
@@ -24,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dataset import Dataset, kfold_split, take_samples
-from .metrics import MetricsReport, evaluate
+from .metrics import METRICS, MetricsReport, evaluate
 from .optimizer import NumericalError, TrainConfig, train
 from .predictor import score
 from .sylvester import SingularProblemError
@@ -44,8 +48,6 @@ __all__ = [
     "run_ablation",
 ]
 
-_METRIC_KEYS = ("ap", "hl", "rl", "cv_raw", "cv_norm")
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -53,7 +55,9 @@ class ExperimentConfig:
 
     Grid lists that are left empty fall back to the singleton value from
     ``train``; at least one grid dimension must be populated for a grid
-    search.
+    search. Each grid cell must be a valid :class:`TrainConfig` and each
+    noise ratio a valid :class:`NoiseSpec` ratio; construction builds
+    them, so their own checks refuse a bad value.
     """
 
     train: TrainConfig = TrainConfig()
@@ -73,19 +77,11 @@ class ExperimentConfig:
             raise ValueError("folds must be at least 2")
         if not self.seeds:
             raise ValueError("at least one seed is required")
-        for name, values in (
-            ("grid_alpha", self.grid_alpha),
-            ("grid_beta", self.grid_beta),
-            ("grid_gamma", self.grid_gamma),
-        ):
-            if any(v < 0 for v in values):
-                raise ValueError("%s values must be nonnegative" % name)
-        if any(k < 1 for k in self.grid_rules):
-            raise ValueError("grid_rules values must be at least 1")
-        if any(not 0.0 <= r <= 1.0 for r in self.noise_ratios):
-            raise ValueError("noise ratios must lie in [0, 1]")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
+        _grid_configs(self)
+        for ratio in self.noise_ratios:
+            NoiseSpec(ratio)
 
 
 @dataclass(frozen=True)
@@ -159,7 +155,7 @@ def derive_seed(*parts) -> int:
 def _aggregate(results):
     means = {}
     stds = {}
-    for key in _METRIC_KEYS:
+    for key in METRICS:
         values = np.array([getattr(r.metrics, key) for r in results])
         means[key] = float(values.mean())
         stds[key] = float(values.std())
@@ -262,24 +258,23 @@ def _run_reports(data: Dataset, config: ExperimentConfig, runs) -> list:
     return reports
 
 
-def run_cv(data: Dataset, config: ExperimentConfig, noise_ratio: float = 0.0) -> RunReport:
+def run_cv(data: Dataset, config: ExperimentConfig) -> RunReport:
     """K-fold cross-validation over every configured seed.
 
-    Each (seed, fold) pair trains on the in-fold samples (optionally with
-    injected label noise) and evaluates on the clean held-out fold.
+    Each (seed, fold) pair trains on the in-fold samples and evaluates on
+    the held-out fold.
     """
-    return _run_reports(data, config, [(config.train, noise_ratio)])[0]
+    return _run_reports(data, config, [(config.train, 0.0)])[0]
 
 
-def _grid_cells(config: ExperimentConfig):
-    if not (config.grid_alpha or config.grid_beta or config.grid_gamma
-            or config.grid_rules):
-        raise ValueError("empty grid")
+def _grid_configs(config: ExperimentConfig) -> list:
+    """The :class:`TrainConfig` of every grid cell, alpha varying slowest."""
     alphas = config.grid_alpha or (config.train.alpha,)
     betas = config.grid_beta or (config.train.beta,)
     gammas = config.grid_gamma or (config.train.gamma,)
     rules = config.grid_rules or (config.train.n_rules,)
-    return list(itertools.product(alphas, betas, gammas, rules))
+    return [replace(config.train, alpha=alpha, beta=beta, gamma=gamma, n_rules=n_rules)
+            for alpha, beta, gamma, n_rules in itertools.product(alphas, betas, gammas, rules)]
 
 
 def run_grid(data: Dataset, config: ExperimentConfig) -> GridResult:
@@ -290,15 +285,15 @@ def run_grid(data: Dataset, config: ExperimentConfig) -> GridResult:
     count. The final report is the winning cell's own cross-validation
     report: a re-run would repeat the same deterministic folds.
     """
-    cells = _grid_cells(config)
-    reports = _run_reports(data, config, [
-        (replace(config.train, alpha=alpha, beta=beta, gamma=gamma, n_rules=n_rules), 0.0)
-        for alpha, beta, gamma, n_rules in cells
-    ])
+    if not (config.grid_alpha or config.grid_beta or config.grid_gamma
+            or config.grid_rules):
+        raise ValueError("empty grid")
+    reports = _run_reports(data, config, [(cfg, 0.0) for cfg in _grid_configs(config)])
     evaluated = [
-        (GridCellResult(alpha=alpha, beta=beta, gamma=gamma, n_rules=n_rules,
+        (GridCellResult(alpha=report.config.alpha, beta=report.config.beta,
+                        gamma=report.config.gamma, n_rules=report.config.n_rules,
                         mean_ap=report.means["ap"], sd_ap=report.stds["ap"]), report)
-        for (alpha, beta, gamma, n_rules), report in zip(cells, reports)
+        for report in reports
     ]
     _, final = min(
         evaluated,
@@ -326,8 +321,10 @@ def run_ablation(data: Dataset, config: ExperimentConfig, noise_ratio: float = 0
 
     Both groups share seeds, fold plans and injected noise, so the
     comparison isolates the ablated term. Returns a mapping from the
-    ablated weight name to its (disabled, enabled) report pair.
+    ablated weight name to its (disabled, enabled) report pair. A noise
+    ratio that :class:`NoiseSpec` refuses raises before any fold trains.
     """
+    NoiseSpec(noise_ratio)
     terms = [term for term, flag in (("beta", config.force_beta_zero),
                                      ("gamma", config.force_gamma_zero)) if flag]
     if not terms:

@@ -8,12 +8,13 @@ loss and coverage; ranking loss additionally skips samples whose relevant
 set covers every label. Skipped samples are counted in the report.
 """
 
+import dataclasses
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
+    "METRICS",
     "MetricsReport",
     "rank_labels",
     "average_precision",
@@ -24,8 +25,11 @@ __all__ = [
     "critical_difference",
 ]
 
+# the MetricsReport fields that reports aggregate and print, in print order
+METRICS = ("ap", "hl", "rl", "cv_raw", "cv_norm")
 
-@dataclass(frozen=True)
+
+@dataclasses.dataclass(frozen=True)
 class MetricsReport:
     """The four metrics for one scored test set.
 
@@ -43,14 +47,7 @@ class MetricsReport:
     n_skipped_ap_rl: int
 
     def as_dict(self) -> dict:
-        return {
-            "ap": self.ap,
-            "hl": self.hl,
-            "rl": self.rl,
-            "cv_raw": self.cv_raw,
-            "cv_norm": self.cv_norm,
-            "n_skipped_ap_rl": self.n_skipped_ap_rl,
-        }
+        return dataclasses.asdict(self)
 
 
 def _check_pair(scores, truth):

@@ -18,7 +18,7 @@ import hashlib
 
 import numpy as np
 
-from .dataset import NormStats, apply_norm
+from .dataset import FLOAT_FMT, NormStats, apply_norm
 from .optimizer import ModelParams, TrainConfig
 from .rules import RuleBase, _strength_columns
 
@@ -26,7 +26,6 @@ __all__ = ["ModelFormatError", "score", "predict", "save_model", "load_model"]
 
 _MAGIC = "fuzzml-model"
 _VERSION = "v1"
-_FLOAT_FMT = "%.17g"
 _SECTIONS = ("meta", "norm", "rulebase", "S", "C")
 # key lines that older files store: counts now taken from the names and the
 # config, and settings that are now fixed or gone
@@ -76,7 +75,7 @@ def _config_value(field, text):
 
 
 def _matrix_lines(matrix):
-    return [",".join(_FLOAT_FMT % v for v in row) for row in np.atleast_2d(matrix)]
+    return [",".join(FLOAT_FMT % v for v in row) for row in np.atleast_2d(matrix)]
 
 
 def save_model(model: ModelParams, path) -> None:
@@ -86,7 +85,7 @@ def save_model(model: ModelParams, path) -> None:
     lines.append("label_names=%s" % ",".join(model.label_names))
     for field in dataclasses.fields(TrainConfig):
         value = getattr(model.config, field.name)
-        fmt = "%d" if field.type is int else _FLOAT_FMT
+        fmt = "%d" if field.type is int else FLOAT_FMT
         lines.append("%s=%s" % (field.name, "auto" if value is None else fmt % value))
     lines.append("[norm]")
     lines.extend(_matrix_lines(model.norm.minimum))

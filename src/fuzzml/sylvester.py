@@ -78,22 +78,6 @@ def _relative_norm(r, z) -> float:
     return math.sqrt(np.vdot(r, r)) / max(math.sqrt(np.vdot(z, z)), _TINY)
 
 
-def _check_solution(a, b, z, w, gaps):
-    """Raise unless W is finite and meets the residual contract."""
-    if not np.isfinite(w).all():
-        raise SingularProblemError(
-            "singular problem: non-finite solution; smallest |lambda_i + sigma_j| %.2e"
-            % np.min(np.abs(gaps))
-        )
-    residual = residual_norm(a, b, z, w)
-    if residual > RESIDUAL_RTOL:
-        raise SingularProblemError(
-            "singular problem: relative residual %.2e exceeds %.1e; "
-            "smallest |lambda_i + sigma_j| %.2e"
-            % (residual, RESIDUAL_RTOL, np.min(np.abs(gaps)))
-        )
-
-
 def solve_sylvester(a, b, z) -> np.ndarray:
     """Solve A W + W B = Z for symmetric A and B by diagonalization.
 
@@ -129,14 +113,22 @@ def _solve_sylvester(a, b, z):
 
     def apply_inverse(rhs):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            # a zero gap gives inf or nan here, which _check_solution reports
+            # a zero gap gives inf or nan here, which the exit check reports
             return a_vecs @ ((a_vecs.T @ rhs @ b_vecs) / gaps) @ b_vecs.T
 
     w = apply_inverse(z)
-    if np.isfinite(w).all():
+    finite = np.isfinite(w).all()
+    if finite:
         residual = a @ w + w @ b - z
-        if _relative_norm(residual, z) <= RESIDUAL_RTOL:
-            return w, lowest
-        w = w - apply_inverse(residual)
-    _check_solution(a, b, z, w, gaps)
+        relative = _relative_norm(residual, z)
+        if not relative <= RESIDUAL_RTOL:  # a NaN residual gets the step too
+            w = w - apply_inverse(residual)
+            finite = np.isfinite(w).all()
+            if finite:
+                relative = residual_norm(a, b, z, w)
+    if not (finite and relative <= RESIDUAL_RTOL):
+        cause = ("relative residual %.2e exceeds %.1e" % (relative, RESIDUAL_RTOL)
+                 if finite else "non-finite solution")
+        raise SingularProblemError("singular problem: %s; smallest |lambda_i + sigma_j| %.2e"
+                                   % (cause, np.min(np.abs(gaps))))
     return w, lowest

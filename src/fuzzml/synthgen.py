@@ -91,12 +91,7 @@ def gen_synthetic(spec: SynthSpec) -> Dataset:
     base = (prototypes.T @ labels) / active_counts[None, :]
     features = base + rng.normal(0.0, _FEATURE_JITTER_SD, size=base.shape)
     features = np.clip(features, 0.0, 1.0)
-    return Dataset(
-        features,
-        labels,
-        feature_names=["f%d" % (d + 1) for d in range(spec.n_features)],
-        label_names=["y%d" % (l + 1) for l in range(_N_LABELS)],
-    )
+    return Dataset(features, labels)
 
 
 def inject_label_noise(data: Dataset, spec: NoiseSpec) -> Dataset:

@@ -77,9 +77,10 @@ class TestTrainPredictEval:
         capsys.readouterr()
         assert main([
             "eval", "--scores", str(tmp_path / "scores.csv"),
-            "--labels", str(fy), "--out-dir", str(tmp_path),
+            "--labels", str(fy), "--out", "eval.csv", "--out-dir", str(tmp_path),
         ]) == 0
         line = capsys.readouterr().out.strip()
+        assert (tmp_path / "eval.csv").read_text() == line + "\n"
         fields = line.split(",")
         assert len(fields) == 6
         ap = float(fields[0])
@@ -197,12 +198,38 @@ class TestConfigFileAndExitCodes:
     def test_config_file_supplies_defaults(self, tmp_path):
         fx, fy = _write_dataset(tmp_path, n=30)
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("alpha=5.0\nmax-iters=2\nrules=2\n")
+        cfg.write_text("# comment\nalpha=5.0\n\n  \nmax-iters=2\n  # indented\nrules=2\n")
         assert main([
             "train", "--features", str(fx), "--labels", str(fy),
             "--config", str(cfg), "--out", "model.txt", "--out-dir", str(tmp_path),
         ]) == 0
-        assert load_model(tmp_path / "model.txt").config.alpha == 5.0
+        config = load_model(tmp_path / "model.txt").config
+        assert (config.alpha, config.max_iters, config.n_rules) == (5.0, 2, 2)
+
+    @pytest.mark.parametrize("text, message", [
+        ("max-iters=2\nalpha 5\n", "config line without '=': 'alpha 5'"),
+        (None, "cannot read config file"),
+    ])
+    def test_malformed_or_unreadable_config_is_config_error(self, tmp_path, capsys,
+                                                            text, message):
+        cfg = tmp_path / "run.cfg"
+        if text is not None:
+            cfg.write_text(text)
+        assert main(["synth", "--kind", "union", "--out-prefix", "data",
+                     "--config", str(cfg), "--out-dir", str(tmp_path)]) == 3
+        assert capsys.readouterr().err.startswith("error: " + message)
+        assert not (tmp_path / "data.X.csv").exists()
+
+    def test_config_file_sets_binary_for_predict(self, tmp_path):
+        fx, fy = _write_dataset(tmp_path, n=20)
+        assert main(["train", "--features", str(fx), "--labels", str(fy),
+                     "--rules", "2", "--max-iters", "1", "--out-dir", str(tmp_path)]) == 0
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("binary=true\n")
+        assert main(["predict", "--model", str(tmp_path / "model.txt"), "--features", str(fx),
+                     "--config", str(cfg), "--out", "bits.csv", "--out-dir", str(tmp_path)]) == 0
+        bits = (tmp_path / "bits.csv").read_text().splitlines()[1:]
+        assert len(bits) == 20 and set(",".join(bits).split(",")) <= {"0", "1"}
 
     def test_cli_flag_overrides_config_file(self, tmp_path):
         fx, fy = _write_dataset(tmp_path, n=30)
@@ -242,6 +269,16 @@ class TestConfigFileAndExitCodes:
         assert main(["predict", "--model", str(tmp_path / "model.txt"),
                      "--features", str(ragged), "--out-dir", str(tmp_path)]) == 3
         assert "ragged feature row at %s line 4" % ragged in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_score_cell_names_its_path_and_line(self, tmp_path, capsys, cell):
+        _, fy = _write_dataset(tmp_path, n=2)
+        scores = tmp_path / "scores.csv"
+        scores.write_text("# y1,y2,y3,y4,y5\n0.5,0.5,0.5,0.5,0.5\n0.5,0.5,%s,0.5,0.5\n" % cell)
+        capsys.readouterr()
+        assert main(["eval", "--scores", str(scores), "--labels", str(fy)]) == 3
+        assert capsys.readouterr().err == \
+            "error: non-numeric score cell at %s line 3\n" % scores
 
     @pytest.mark.parametrize("flag", ["--tau", "--min-margin", "--alpha"])
     def test_nan_hyperparameter_is_config_error(self, tmp_path, capsys, flag):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -42,7 +44,8 @@ class TestLoadDataset:
         fy = tmp_path / "Y.csv"
         fx.write_text("1.0\n2.0\n3.0\n")
         fy.write_text("1\n0\n")
-        with pytest.raises(DataFormatError, match="sample count mismatch"):
+        with pytest.raises(DataFormatError, match="sample count mismatch: features have 3 "
+                                                  "samples, labels have 2$"):
             load_dataset(fx, fy)
 
     def test_non_numeric_feature(self, tmp_path):
@@ -51,6 +54,18 @@ class TestLoadDataset:
         fx.write_text("1.0,oops\n")
         fy.write_text("1\n")
         with pytest.raises(DataFormatError, match="non-numeric feature cell"):
+            load_dataset(fx, fy)
+
+    @pytest.mark.parametrize("cell", ["abc", "nan", "inf", "-inf"])
+    @pytest.mark.parametrize("kind", ["feature", "label"])
+    def test_bad_cell_names_its_path_and_line(self, tmp_path, kind, cell):
+        fx = tmp_path / "X.csv"
+        fy = tmp_path / "Y.csv"
+        fx.write_text("# a,b\n1.0,2.0\n%s,4.0\n" % (cell if kind == "feature" else "3.0"))
+        fy.write_text("# y\n1\n%s\n" % (cell if kind == "label" else "0"))
+        path = fx if kind == "feature" else fy
+        with pytest.raises(DataFormatError,
+                           match=re.escape("non-numeric %s cell at %s line 3" % (kind, path))):
             load_dataset(fx, fy)
 
     def test_empty_file(self, tmp_path):

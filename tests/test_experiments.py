@@ -1,3 +1,4 @@
+import math
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -229,6 +230,14 @@ class TestAblation:
             assert [_report_answers(r) for r in pairs[term]] == \
                    [_report_answers(r) for r in alone]
 
+    @pytest.mark.parametrize("ratio", [-0.2, math.nan, 1.5])
+    def test_bad_noise_ratio_raises_before_any_fold_trains(self, monkeypatch, ratio):
+        calls = _counting_train(monkeypatch)
+        config = ExperimentConfig(train=FAST, folds=2, seeds=(0,), force_beta_zero=True)
+        with pytest.raises(ValueError, match="noise ratio must lie in"):
+            run_ablation(_data(n=30), config, noise_ratio=ratio)
+        assert calls == []
+
 
 class TestSharedPool:
     @pytest.mark.parametrize("runner", sorted(ANSWERS))
@@ -320,6 +329,12 @@ class TestConfigValidation:
             ExperimentConfig(noise_ratios=(1.2,))
         with pytest.raises(ValueError):
             ExperimentConfig(workers=0)
+
+    @pytest.mark.parametrize("field", ["grid_alpha", "grid_beta", "grid_gamma"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_grid_values(self, field, value):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            ExperimentConfig(**{field: (0.1, value)})
 
 
 def test_derive_seed_is_stable():

@@ -10,6 +10,7 @@ from oracles import (
 )
 
 from fuzzml.metrics import (
+    METRICS,
     average_precision,
     coverage,
     critical_difference,
@@ -193,6 +194,8 @@ class TestEvaluate:
         assert report.cv_norm == pytest.approx(report.cv_raw / 3, abs=1e-15)
         assert 0.0 <= report.ap <= 1.0
         assert 0.0 <= report.hl <= 1.0
+        assert report.as_dict() == {key: getattr(report, key)
+                                    for key in METRICS + ("n_skipped_ap_rl",)}
 
     def test_ranges_hold_even_with_ties(self):
         rng = np.random.default_rng(11)

@@ -285,6 +285,15 @@ class TestExportRules:
         assert "IF f1 is Small" in blocks[1]
         assert "IF f1 is Medium" in blocks[2]
 
+    @pytest.mark.parametrize("terms", [("Small", "Large"),
+                                       ("Level 1", "Level 2", "Level 3", "Level 4")])
+    def test_two_and_four_rules_get_their_terms(self, terms):
+        k = len(terms)
+        rb = RuleBase(np.arange(k, 0, -1.0)[:, None], np.ones((k, 1)))  # descending
+        blocks = export_rules(_model_for_rulebase(rb)).strip().split("\n\n")
+        assert [block.splitlines()[1] for block in blocks] == \
+               ["IF f1 is %s" % term for term in reversed(terms)]
+
     def test_single_rule_is_medium(self):
         rb = RuleBase([[0.5, 0.2]], [[1.0, 1.0]])
         text = export_rules(_model_for_rulebase(rb))

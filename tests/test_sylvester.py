@@ -83,6 +83,8 @@ class TestExamples:
         for solver in (solve_sylvester, kron_oracle):
             with pytest.raises(SingularProblemError, match="singular problem"):
                 solver([[1.0]], [[-1.0]], [[1.0]])
+        with pytest.raises(SingularProblemError, match="non-finite solution; smallest"):
+            solve_sylvester([[1.0]], [[-1.0]], [[1.0]])
 
 
 class TestSweep:
@@ -140,6 +142,7 @@ class TestConsequentLikeProblems:
         with pytest.raises(SingularProblemError) as info:
             solve_sylvester(a, b, z)
         message = str(info.value)
+        assert message.startswith("singular problem: relative residual ")
         assert "smallest |lambda_i + sigma_j|" in message
         assert float(message.rsplit(" ", 1)[1]) <= 1e-12
 
