@@ -26,8 +26,9 @@ command line.
 
 Every metric column and line (the fold rows, the summaries, the ablate
 tables, the eval line) lists the metrics of ``metrics.METRICS`` in that
-order. Grid values are checked by TrainConfig and data cells by the CSV
-reader, so a NaN or infinite one exits 3.
+order. Grid values are checked by TrainConfig, the label probability by
+SynthSpec, noise ratios by NoiseSpec and data cells by the CSV reader,
+so an out-of-range, NaN or infinite one exits 3 with that type's message.
 
 Exit codes: 0 success, 2 usage error, 3 data or config error (a bad
 config value included), 4 numerical failure.
@@ -64,26 +65,12 @@ from .sylvester import SingularProblemError
 from .synthgen import SYNTH_KINDS, NoiseSpec, SynthSpec, gen_synthetic, inject_label_noise
 
 
-def _ratio01(text):
-    value = float(text)
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError("must lie in [0, 1]")
-    return value
-
-
 def _int_list(text):
     return tuple(int(s) for s in text.split(",") if s.strip())
 
 
 def _float_list(text):
     return tuple(float(s) for s in text.split(",") if s.strip())
-
-
-def _ratio_list(text):
-    values = tuple(float(s) for s in text.split(",") if s.strip())
-    if any(not 0.0 <= v <= 1.0 for v in values):
-        raise argparse.ArgumentTypeError("ratios must lie in [0, 1]")
-    return values
 
 
 def _out_path(args, name):
@@ -340,11 +327,11 @@ def build_parser():
     p.add_argument("--kind", choices=SYNTH_KINDS, required=True)
     p.add_argument("--n", type=int, default=1000, help="sample count")
     p.add_argument("--d", type=int, default=20, help="feature count")
-    p.add_argument("--label-prob", type=_ratio01, default=0.4)
+    p.add_argument("--label-prob", type=float, default=0.4)
     p.add_argument("--out-prefix", required=True)
 
     p = command("noise", cmd_noise, "inject label noise", data, seeded)
-    p.add_argument("--ratio", type=_ratio01, required=True)
+    p.add_argument("--ratio", type=float, required=True)
     p.add_argument("--out-prefix", required=True)
 
     p = command("train", cmd_train, "train a model", training)
@@ -373,11 +360,11 @@ def build_parser():
 
     p = command("noise-curve", cmd_noise_curve,
                 "cross-validated AP per training noise ratio", experiment)
-    p.add_argument("--ratios", type=_ratio_list, required=True)
+    p.add_argument("--ratios", type=_float_list, required=True)
 
     p = command("ablate", cmd_ablate, "paired runs with a loss term disabled", experiment)
     p.add_argument("--ablate", choices=("beta", "gamma", "both"), required=True)
-    p.add_argument("--noise-ratio", type=_ratio01, default=0.0)
+    p.add_argument("--noise-ratio", type=float, default=0.0)
 
     p = command("export-rules", cmd_export_rules, "write the rule base as linguistic text")
     p.add_argument("--model", required=True)
@@ -418,7 +405,7 @@ def _apply_file_defaults(parser, values):
                     action.default = action.type(raw)
                 else:
                     action.default = raw
-            except (ValueError, argparse.ArgumentTypeError) as exc:
+            except ValueError as exc:
                 raise DataFormatError("config %s=%s: %s" % (option, raw, exc)) from None
 
 

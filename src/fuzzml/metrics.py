@@ -1,11 +1,15 @@
 """Multilabel evaluation metrics and the critical-difference statistic.
 
 All four metrics operate on an L x N score matrix and an L x N binary
-truth matrix. Ranking ties are broken by label index: among equal scores
-the smaller index receives the better (smaller) rank. Samples whose
-relevant label set is empty are skipped by average precision, ranking
-loss and coverage; ranking loss additionally skips samples whose relevant
-set covers every label. Skipped samples are counted in the report.
+truth matrix. The ranking metrics read one ranked view of the checked
+pair: one stable descending argsort per column (among equal scores the
+smaller label index ranks better) and truth gathered in that order. Its
+running sum down each column gives average precision's precision sums,
+the relevant counts (the last row) and coverage's depth; the rank minus
+it gives the irrelevant counts ranking loss reads at the end of each run
+of tied scores. :func:`evaluate` builds the view once. Samples without
+relevant labels are skipped by all three, and ranking loss also skips
+samples whose every label is relevant; the report counts both.
 """
 
 import dataclasses
@@ -13,17 +17,8 @@ import math
 
 import numpy as np
 
-__all__ = [
-    "METRICS",
-    "MetricsReport",
-    "rank_labels",
-    "average_precision",
-    "hamming_loss",
-    "ranking_loss",
-    "coverage",
-    "evaluate",
-    "critical_difference",
-]
+__all__ = ["METRICS", "MetricsReport", "rank_labels", "average_precision", "hamming_loss",
+           "ranking_loss", "coverage", "evaluate", "critical_difference"]
 
 # the MetricsReport fields that reports aggregate and print, in print order
 METRICS = ("ap", "hl", "rl", "cv_raw", "cv_norm")
@@ -62,6 +57,11 @@ def _check_pair(scores, truth):
     return scores, truth
 
 
+def _rank_order(scores) -> np.ndarray:
+    """Label indices best first along axis 0; equal scores keep index order."""
+    return np.argsort(-scores, axis=0, kind="stable")
+
+
 def rank_labels(score_column) -> np.ndarray:
     """Ranks 1..L of one score column, higher score meaning better rank.
 
@@ -71,27 +71,54 @@ def rank_labels(score_column) -> np.ndarray:
     f = np.asarray(score_column, dtype=np.float64)
     if f.ndim != 1:
         raise ValueError("rank_labels expects a single score column")
-    order = np.argsort(-f, kind="stable")
-    ranks = np.empty(len(f), dtype=np.int64)
-    ranks[order] = np.arange(1, len(f) + 1)
-    return ranks
-
-
-def _by_rank(scores, *matrices):
-    """The matrices with each column reordered by rank, best first.
-
-    Row r then holds the label of rank r+1: one stable descending argsort
-    per column gives the tie-broken ranking of :func:`rank_labels` for
-    every sample at once.
-    """
-    order = np.argsort(-scores, axis=0, kind="stable")
-    return [np.take_along_axis(m, order, axis=0) for m in matrices]
+    return np.argsort(_rank_order(f)) + 1  # the inverse permutation, from 1
 
 
 def _mean_terms(terms) -> float:
     if terms.size == 0:
         raise ValueError("no evaluable samples")
     return float(np.mean(terms))
+
+
+class _Ranking:
+    """The ranked view; ``run_end`` marks the last rank of each run of tied scores."""
+
+    def __init__(self, scores, truth):
+        order = _rank_order(scores)
+        self.hits = np.take_along_axis(truth, order, axis=0)
+        sorted_scores = np.take_along_axis(scores, order, axis=0)
+        self.run_end = np.ones(scores.shape, dtype=bool)
+        self.run_end[:-1] = sorted_scores[1:] != sorted_scores[:-1]
+        self.found = np.cumsum(self.hits, axis=0)
+        self.n_rel = self.found[-1]
+        self.n_labels = len(scores)
+        self.ranks = np.arange(1, self.n_labels + 1, dtype=np.float64)[:, None]
+
+    def average_precision(self) -> float:
+        precision = (self.hits * self.found / self.ranks).sum(axis=0)
+        keep = self.n_rel > 0
+        return _mean_terms(precision[keep] / self.n_rel[keep])
+
+    def ranking_loss(self) -> float:
+        # A relevant label is beaten by every irrelevant one ranked before the
+        # end of its run of equal scores: rank minus relevant count at that end.
+        at_end = self.ranks - self.found
+        at_end[~self.run_end] = np.inf
+        beaten_by = np.minimum.accumulate(at_end[::-1], axis=0)[::-1]
+        bad = (self.hits * beaten_by).sum(axis=0)
+        n_rel = self.n_rel
+        keep = (n_rel > 0) & (n_rel < self.n_labels)
+        return _mean_terms(bad[keep] / (n_rel[keep] * (self.n_labels - n_rel[keep])))
+
+    def coverage(self):
+        # depth: the ranks that have not yet found every relevant label
+        depth = np.count_nonzero(self.found < self.n_rel, axis=0)
+        cv_raw = _mean_terms(depth[self.n_rel > 0].astype(np.float64))
+        return cv_raw, cv_raw / self.n_labels
+
+
+def _hamming(predicted, relevant) -> float:
+    return float(np.mean(predicted != relevant))
 
 
 def average_precision(scores, truth) -> float:
@@ -104,13 +131,7 @@ def average_precision(scores, truth) -> float:
     in [0, 1]. Samples without relevant labels are skipped; if every
     sample is skipped a ValueError is raised.
     """
-    scores, truth = _check_pair(scores, truth)
-    (hits,) = _by_rank(scores, truth)
-    ranks = np.arange(1, scores.shape[0] + 1, dtype=np.float64)[:, None]
-    precision = (hits * np.cumsum(hits, axis=0) / ranks).sum(axis=0)
-    n_rel = hits.sum(axis=0)
-    keep = n_rel > 0
-    return _mean_terms(precision[keep] / n_rel[keep])
+    return _Ranking(*_check_pair(scores, truth)).average_precision()
 
 
 def hamming_loss(predicted, truth) -> float:
@@ -122,7 +143,7 @@ def hamming_loss(predicted, truth) -> float:
     for name, m in (("predictions", predicted), ("truth", truth)):
         if not np.all((m == 0.0) | (m == 1.0)):
             raise ValueError("%s must be binary" % name)
-    return float(np.mean(predicted != truth))
+    return _hamming(predicted == 1.0, truth == 1.0)
 
 
 def ranking_loss(scores, truth) -> float:
@@ -131,20 +152,7 @@ def ranking_loss(scores, truth) -> float:
     A pair counts when the relevant label does not score strictly higher.
     Samples lacking either relevant or irrelevant labels are skipped.
     """
-    scores, truth = _check_pair(scores, truth)
-    hits, sorted_scores = _by_rank(scores, truth, scores)
-    n_labels = scores.shape[0]
-    # A relevant label is beaten by every irrelevant one ranked before the
-    # end of its run of equal scores: the irrelevant count up to that end.
-    misses = np.cumsum(1.0 - hits, axis=0)
-    run_end = np.ones(scores.shape, dtype=bool)
-    run_end[:-1] = sorted_scores[1:] != sorted_scores[:-1]
-    at_end = np.where(run_end, misses, np.inf)
-    beaten_by = np.minimum.accumulate(at_end[::-1], axis=0)[::-1]
-    bad = (hits * beaten_by).sum(axis=0)
-    n_rel = hits.sum(axis=0)
-    keep = (n_rel > 0) & (n_rel < n_labels)
-    return _mean_terms(bad[keep] / (n_rel[keep] * (n_labels - n_rel[keep])))
+    return _Ranking(*_check_pair(scores, truth)).ranking_loss()
 
 
 def coverage(scores, truth):
@@ -153,16 +161,7 @@ def coverage(scores, truth):
     Returns (cv_raw, cv_norm) where cv_raw averages (worst relevant rank
     minus one) over samples with relevant labels and cv_norm divides by L.
     """
-    scores, truth = _check_pair(scores, truth)
-    n_labels = scores.shape[0]
-    (hits,) = _by_rank(scores, truth)
-    found = np.cumsum(hits, axis=0)
-    n_rel = found[-1]
-    # ranks before the last relevant label are those that have not yet
-    # found every relevant label
-    depth = np.count_nonzero(found < n_rel[None, :], axis=0)
-    cv_raw = _mean_terms(depth[n_rel > 0].astype(np.float64))
-    return cv_raw, cv_raw / n_labels
+    return _Ranking(*_check_pair(scores, truth)).coverage()
 
 
 def evaluate(scores, truth, tau: float = 0.5) -> MetricsReport:
@@ -173,18 +172,16 @@ def evaluate(scores, truth, tau: float = 0.5) -> MetricsReport:
     if not math.isfinite(tau):
         raise ValueError("tau must be finite")
     scores, truth = _check_pair(scores, truth)
-    predicted = (scores >= tau).astype(np.float64)
-    rel_counts = truth.sum(axis=0)
-    n_labels = scores.shape[0]
-    skipped = int(np.count_nonzero((rel_counts == 0) | (rel_counts == n_labels)))
-    cv_raw, cv_norm = coverage(scores, truth)
+    ranking = _Ranking(scores, truth)
+    cv_raw, cv_norm = ranking.coverage()
+    n_rel = ranking.n_rel
     return MetricsReport(
-        ap=average_precision(scores, truth),
-        hl=hamming_loss(predicted, truth),
-        rl=ranking_loss(scores, truth),
+        ap=ranking.average_precision(),
+        hl=_hamming(scores >= tau, truth == 1.0),
+        rl=ranking.ranking_loss(),
         cv_raw=cv_raw,
         cv_norm=cv_norm,
-        n_skipped_ap_rl=skipped,
+        n_skipped_ap_rl=int(np.count_nonzero((n_rel == 0) | (n_rel == ranking.n_labels))),
     )
 
 

@@ -375,7 +375,7 @@ class TestFlagsGoOnTheCommandsThatReadThem:
         config = load_model(tmp_path / "model.txt").config
         assert (config.max_iters, config.n_rules) == (2, 2)
 
-    @pytest.mark.parametrize("line", ["label-prob=2", "n=many", "label_prob=x"])
+    @pytest.mark.parametrize("line", ["n=many", "label_prob=x"])
     def test_bad_config_value_is_config_error(self, tmp_path, capsys, line):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(line + "\n")
@@ -384,6 +384,41 @@ class TestFlagsGoOnTheCommandsThatReadThem:
         err = capsys.readouterr().err
         assert err.startswith("error: config --") and "Traceback" not in err
         assert not (tmp_path / "data.X.csv").exists()
+
+    def test_out_of_range_config_value_is_refused_by_its_spec(self, tmp_path, capsys):
+        # the value parses as a float; SynthSpec owns the range
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("label-prob=2\n")
+        assert main(["synth", "--kind", "union", "--out-prefix", "data",
+                     "--config", str(cfg), "--out-dir", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: base_label_prob must lie in (0, 1)\n"
+        assert "Traceback" not in err
+        assert not (tmp_path / "data.X.csv").exists()
+
+    @pytest.mark.parametrize("args, message", [
+        (["synth", "--kind", "union", "--label-prob", "0", "--out-prefix", "bad"],
+         "base_label_prob must lie in (0, 1)"),
+        (["synth", "--kind", "union", "--label-prob", "2", "--out-prefix", "bad"],
+         "base_label_prob must lie in (0, 1)"),
+        (["synth", "--kind", "union", "--label-prob", "nan", "--out-prefix", "bad"],
+         "base_label_prob must lie in (0, 1)"),
+        (["noise", "DATA", "--ratio", "1.5", "--out-prefix", "bad"],
+         "noise ratio must lie in [0, 1]"),
+        (["noise-curve", "DATA", "--ratios", "0.1,2"], "noise ratio must lie in [0, 1]"),
+        (["ablate", "DATA", "--ablate", "beta", "--noise-ratio", "nan"],
+         "noise ratio must lie in [0, 1]"),
+    ], ids=["label-prob-0", "label-prob-2", "label-prob-nan", "ratio-1.5", "ratios-0.1,2",
+            "noise-ratio-nan"])
+    def test_out_of_range_ratio_is_refused_by_its_spec(self, tmp_path, capsys, args, message):
+        fx, fy = _write_dataset(tmp_path, n=20)
+        written = set(os.listdir(tmp_path))
+        data = ["--features", str(fx), "--labels", str(fy)]
+        argv = [item for arg in args for item in (data if arg == "DATA" else [arg])]
+        capsys.readouterr()
+        assert main(argv + ["--out-dir", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == "error: %s\n" % message
+        assert set(os.listdir(tmp_path)) == written
 
     def test_non_finite_threshold_is_config_error(self, tmp_path, capsys):
         fx, fy = _write_dataset(tmp_path, n=20)

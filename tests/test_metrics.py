@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from oracles import (
 
 from fuzzml.metrics import (
     METRICS,
+    MetricsReport,
     average_precision,
     coverage,
     critical_difference,
@@ -226,6 +229,98 @@ class TestEvaluate:
         truth = np.array([[1.0], [0.0]])
         with pytest.raises(ValueError, match="tau must be finite"):
             evaluate(scores, truth, tau=tau)
+
+
+def _report_from_the_metric_functions(scores, truth, tau):
+    truth_f = np.asarray(truth, dtype=np.float64)
+    rel = truth_f.sum(axis=0)
+    cv_raw, cv_norm = coverage(scores, truth)
+    return MetricsReport(
+        ap=average_precision(scores, truth),
+        hl=hamming_loss((scores >= tau).astype(np.float64), truth),
+        rl=ranking_loss(scores, truth),
+        cv_raw=cv_raw,
+        cv_norm=cv_norm,
+        n_skipped_ap_rl=int(np.count_nonzero((rel == 0) | (rel == truth_f.shape[0]))),
+    )
+
+
+class TestEvaluateAgreesWithTheMetricFunctions:
+    """evaluate ranks once for all fields; each field must equal, bit for
+    bit, what the public function computes from the pair on its own."""
+
+    @pytest.mark.parametrize("layout", ["float", "fortran", "bool", "int"])
+    def test_bit_identical_fields(self, layout):
+        rng = np.random.default_rng(16)
+        shapes = [(1, 1), (1, 6), (5, 1), (2, 1), (2, 9), (5, 40), (24, 30), (96, 12)]
+        n_compared = 0
+        for n_labels, n in shapes:
+            for decimals in (None, 1, 0):  # rounded scores tie
+                scores = rng.normal(size=(n_labels, n))
+                if decimals is not None:
+                    scores = np.round(scores, decimals)
+                truth = rng.random((n_labels, n)) < rng.uniform(0.05, 0.95, size=n)
+                if n >= 4:
+                    truth[:, 1] = False  # an all-zero column
+                    truth[:, 2] = True  # an all-one column
+                if n_labels >= 2:  # one evaluable sample, so every field exists
+                    truth[0, 0], truth[-1, 0] = True, False
+                if layout == "fortran":  # the layout take_samples returns
+                    truth = np.asfortranarray(truth.astype(np.float64))
+                else:
+                    truth = truth.astype({"float": np.float64, "bool": bool, "int": int}[layout])
+                tau = float(scores[0, 0])  # a score on the threshold
+                if n_labels == 1:  # every sample is empty or complete
+                    with pytest.raises(ValueError, match="^no evaluable samples$"):
+                        ranking_loss(scores, truth)
+                    with pytest.raises(ValueError, match="^no evaluable samples$"):
+                        evaluate(scores, truth, tau)
+                    continue
+                assert evaluate(scores, truth, tau) == \
+                    _report_from_the_metric_functions(scores, truth, tau)
+                n_compared += 1
+        assert n_compared == 3 * (len(shapes) - 2)
+
+
+_SCORES = np.array([[0.6, 0.2, 0.7], [0.4, 0.9, 0.1]])
+_TRUTH = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+
+
+class TestErrors:
+    @pytest.mark.parametrize("metric", [evaluate, average_precision, ranking_loss, coverage])
+    @pytest.mark.parametrize("scores, truth, message", [
+        (np.where(_SCORES == 0.9, np.nan, _SCORES), _TRUTH, "scores must be finite"),
+        (np.where(_SCORES == 0.1, -np.inf, _SCORES), _TRUTH, "scores must be finite"),
+        (_SCORES, np.where(_TRUTH == 1.0, 2.0, _TRUTH), "truth matrix must be binary"),
+        (_SCORES, _TRUTH[:, :2], "scores and truth must be matching L x N matrices"),
+        (_SCORES[0], _TRUTH[0], "scores and truth must be matching L x N matrices"),
+        (_SCORES, np.zeros_like(_TRUTH), "no evaluable samples"),
+    ], ids=["nan-score", "inf-score", "non-binary", "shape", "one-dim", "no-relevant"])
+    def test_each_error_keeps_its_type_and_message(self, metric, scores, truth, message):
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            metric(scores, truth)
+
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_tau_comes_before_the_pair_check(self, tau):
+        with pytest.raises(ValueError, match="^tau must be finite$"):
+            evaluate(np.full((2, 1), np.nan), _TRUTH[:, :1], tau)
+
+    def test_all_labels_relevant_leaves_only_ranking_loss_unevaluable(self):
+        truth = np.ones_like(_TRUTH)
+        assert average_precision(_SCORES, truth) == 1.0
+        assert coverage(_SCORES, truth) == (1.0, 0.5)
+        for metric in (ranking_loss, evaluate):
+            with pytest.raises(ValueError, match="^no evaluable samples$"):
+                metric(_SCORES, truth)
+
+    @pytest.mark.parametrize("predicted, truth, message", [
+        (_TRUTH, _TRUTH[:, :2], "predictions and truth must be matching L x N matrices"),
+        (_TRUTH * 0.5, _TRUTH, "predictions must be binary"),
+        (_TRUTH, _TRUTH - 1.0, "truth must be binary"),
+    ])
+    def test_hamming_loss_errors(self, predicted, truth, message):
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            hamming_loss(predicted, truth)
 
 
 class TestCriticalDifference:
