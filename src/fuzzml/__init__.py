@@ -37,7 +37,6 @@ from .metrics import (
     critical_difference,
     evaluate,
     hamming_loss,
-    rank_labels,
     ranking_loss,
 )
 from .optimizer import (
@@ -52,11 +51,8 @@ from .predictor import ModelFormatError, load_model, predict, save_model, score
 from .rules import (
     RuleBase,
     export_rules,
-    firing_strengths,
     fit_antecedents,
     fuzzy_feature_matrix,
-    fuzzy_features,
-    membership,
 )
 from .sylvester import SingularProblemError, solve_sylvester
 from .synthgen import NoiseSpec, SynthSpec, gen_synthetic, inject_label_noise

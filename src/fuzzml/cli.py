@@ -29,6 +29,8 @@ tables, the eval line) lists the metrics of ``metrics.METRICS`` in that
 order. Grid values are checked by TrainConfig, the label probability by
 SynthSpec, noise ratios by NoiseSpec and data cells by the CSV reader,
 so an out-of-range, NaN or infinite one exits 3 with that type's message.
+A ``#`` header that ``predict`` or ``eval`` reads must name the model's
+features, or the label file's labels, in order; otherwise they exit 3.
 
 Exit codes: 0 success, 2 usage error, 3 data or config error (a bad
 config value included), 4 numerical failure.
@@ -173,9 +175,17 @@ def cmd_train(args):
     print("model written to %s" % _out_path(args, args.out))
 
 
+def _check_header(what, names, expected, owner):
+    """Refuse a CSV header that names other columns, or the same in another order."""
+    if names is not None and names != expected:
+        raise DataFormatError("%s header %s does not match %s %s"
+                              % (what, ",".join(names), owner, ",".join(expected)))
+
+
 def cmd_predict(args):
     model = load_model(args.model)
-    features, _ = load_matrix(args.features)
+    features, names = load_matrix(args.features)
+    _check_header("feature", names, model.feature_names, "the model's features")
     if args.binary:
         output = predict(model, features)
         save_matrix(_out_path(args, args.out), output, model.label_names, "%d")
@@ -186,8 +196,10 @@ def cmd_predict(args):
 
 
 def cmd_eval(args):
-    scores, _ = load_matrix(args.scores, "score")
-    labels, _ = load_labels(args.labels)
+    scores, score_names = load_matrix(args.scores, "score")
+    labels, label_names = load_labels(args.labels)
+    if label_names is not None:
+        _check_header("score", score_names, label_names, "the label header")
     if scores.shape != labels.shape:
         raise DataFormatError(
             "scores are %s but labels are %s" % (scores.shape, labels.shape)

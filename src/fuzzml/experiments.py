@@ -171,26 +171,27 @@ class _Job:
 
 
 def _run_fold(data: Dataset, folds: int, job: _Job) -> FoldResult:
-    plan = kfold_split(data.n_samples, folds, job.seed)
-    train_ds = take_samples(data, plan.train_indices(job.fold))
-    test_ds = take_samples(data, plan.test_indices(job.fold))
-    if job.noise_ratio > 0.0:
-        # Noise touches the training split only; the seed ignores the ratio
-        # so different ratios corrupt comparable sample sets.
-        spec = NoiseSpec(ratio=job.noise_ratio, seed=derive_seed(job.seed, job.fold))
-        train_ds = inject_label_noise(train_ds, spec)
-    started = time.perf_counter()
+    """Train and evaluate one fold; a failure's message names the job."""
     try:
+        plan = kfold_split(data.n_samples, folds, job.seed)
+        train_ds = take_samples(data, plan.train_indices(job.fold))
+        test_ds = take_samples(data, plan.test_indices(job.fold))
+        if job.noise_ratio > 0.0:
+            # Noise touches the training split only; the seed ignores the ratio
+            # so different ratios corrupt comparable sample sets.
+            spec = NoiseSpec(ratio=job.noise_ratio, seed=derive_seed(job.seed, job.fold))
+            train_ds = inject_label_noise(train_ds, spec)
+        started = time.perf_counter()
         model, trace = train(train_ds, job.train)
-    except (SingularProblemError, NumericalError) as exc:
+        elapsed = time.perf_counter() - started
+        metrics = evaluate(score(model, test_ds.features), test_ds.labels, model.tau)
+    except (ValueError, SingularProblemError, NumericalError) as exc:
         cfg = job.train
         raise type(exc)(
             "alpha=%g beta=%g gamma=%g rules=%d noise=%g, fold %d (seed %d): %s"
             % (cfg.alpha, cfg.beta, cfg.gamma, cfg.n_rules, job.noise_ratio,
                job.fold, job.seed, exc)
         ) from exc
-    elapsed = time.perf_counter() - started
-    metrics = evaluate(score(model, test_ds.features), test_ds.labels, model.tau)
     return FoldResult(
         seed=job.seed,
         fold=job.fold,

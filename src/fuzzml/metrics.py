@@ -17,8 +17,8 @@ import math
 
 import numpy as np
 
-__all__ = ["METRICS", "MetricsReport", "rank_labels", "average_precision", "hamming_loss",
-           "ranking_loss", "coverage", "evaluate", "critical_difference"]
+__all__ = ["METRICS", "MetricsReport", "average_precision", "hamming_loss", "ranking_loss",
+           "coverage", "evaluate", "critical_difference"]
 
 # the MetricsReport fields that reports aggregate and print, in print order
 METRICS = ("ap", "hl", "rl", "cv_raw", "cv_norm")
@@ -57,23 +57,6 @@ def _check_pair(scores, truth):
     return scores, truth
 
 
-def _rank_order(scores) -> np.ndarray:
-    """Label indices best first along axis 0; equal scores keep index order."""
-    return np.argsort(-scores, axis=0, kind="stable")
-
-
-def rank_labels(score_column) -> np.ndarray:
-    """Ranks 1..L of one score column, higher score meaning better rank.
-
-    rank(l) = 1 + #{l' : f(l') > f(l)} + #{l' < l : f(l') = f(l)}, so the
-    output is always a permutation of 1..L.
-    """
-    f = np.asarray(score_column, dtype=np.float64)
-    if f.ndim != 1:
-        raise ValueError("rank_labels expects a single score column")
-    return np.argsort(_rank_order(f)) + 1  # the inverse permutation, from 1
-
-
 def _mean_terms(terms) -> float:
     if terms.size == 0:
         raise ValueError("no evaluable samples")
@@ -84,7 +67,7 @@ class _Ranking:
     """The ranked view; ``run_end`` marks the last rank of each run of tied scores."""
 
     def __init__(self, scores, truth):
-        order = _rank_order(scores)
+        order = np.argsort(-scores, axis=0, kind="stable")
         self.hits = np.take_along_axis(truth, order, axis=0)
         sorted_scores = np.take_along_axis(scores, order, axis=0)
         self.run_end = np.ones(scores.shape, dtype=bool)

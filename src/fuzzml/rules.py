@@ -1,14 +1,15 @@
 """Gaussian fuzzy rule antecedents and the rule-generated feature map.
 
-A rule base holds K Gaussian antecedents over D features. An input vector
-is mapped to a K(D+1)-dimensional fuzzy feature vector: each rule's
-normalized firing strength scales the bias-augmented input (1, x), and the
-per-rule blocks are concatenated in rule order.
+A rule base holds K Gaussian antecedents over D features. Rule k's raw
+firing strength at x is the product over features of the memberships
+exp(-((x_j - c_kj) / w_kj)^2 / 2); normalized, the K strengths sum to 1.
+The feature map takes a D x N matrix to its K(D+1) x N fuzzy features:
+each column's normalized strengths scale the bias-augmented column
+(1, x), and the per-rule blocks are stacked in rule order.
 
-One private kernel computes the K x N normalized firing strengths of a
-D x N matrix, feature by feature and rule by rule, with element-wise
-operations only. ``firing_strengths``, ``fuzzy_features``,
-``fuzzy_feature_matrix`` and ``predictor.score`` all take their strengths
+One private kernel computes the K x N normalized firing strengths, feature
+by feature and rule by rule, with element-wise operations only.
+``fuzzy_feature_matrix`` and ``predictor.score`` both take their strengths
 from it, so a column's strengths and fuzzy features are the same bits
 alone as inside any batch.
 """
@@ -18,9 +19,6 @@ import numpy as np
 __all__ = [
     "RuleBase",
     "fit_antecedents",
-    "membership",
-    "firing_strengths",
-    "fuzzy_features",
     "fuzzy_feature_matrix",
     "export_rules",
 ]
@@ -112,16 +110,6 @@ def fit_antecedents(features, n_rules) -> RuleBase:
     return RuleBase(centers, widths)
 
 
-def membership(x, center, width):
-    """Gaussian membership exp(-((x - center) / width)^2 / 2).
-
-    Accepts scalars or broadcastable arrays; the peak value 1 is reached
-    at the center and the value decreases strictly with distance.
-    """
-    z = (np.asarray(x, dtype=np.float64) - center) / width
-    return np.exp(-0.5 * z * z)
-
-
 def _strength_columns(x, rulebase: RuleBase) -> np.ndarray:
     """Normalized firing strengths of the columns of a D x N matrix, K x N.
 
@@ -164,33 +152,12 @@ def _strength_columns(x, rulebase: RuleBase) -> np.ndarray:
     return strengths
 
 
-def firing_strengths(x, rulebase: RuleBase) -> np.ndarray:
-    """Normalized per-rule firing strengths for one input vector.
-
-    The raw strength of a rule is the product of its D membership values;
-    the returned vector is normalized to sum to 1. Products are evaluated
-    in the log domain so distant inputs do not underflow; if every raw
-    strength still underflows to zero the uniform vector 1/K is returned.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (rulebase.n_features,):
-        raise ValueError("input vector length does not match the rule base")
-    return _strength_columns(x[:, None], rulebase)[:, 0]
-
-
-def fuzzy_features(x, rulebase: RuleBase) -> np.ndarray:
-    """Map one input to its K(D+1) fuzzy feature vector.
-
-    Block k equals the rule's normalized firing strength times (1, x).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (rulebase.n_features,):
-        raise ValueError("input vector length does not match the rule base")
-    return fuzzy_feature_matrix(x[:, None], rulebase)[:, 0]
-
-
 def fuzzy_feature_matrix(features, rulebase: RuleBase) -> np.ndarray:
-    """Column-wise fuzzy feature map of a D x N matrix, K(D+1) x N."""
+    """Column-wise fuzzy feature map of a D x N matrix, K(D+1) x N.
+
+    Row k(D+1) holds rule k's normalized firing strength, and the next D
+    rows hold that strength times x.
+    """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != rulebase.n_features:
         raise ValueError("features must be a D x N matrix matching the rule base")

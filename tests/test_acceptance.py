@@ -37,14 +37,7 @@ from fuzzml.optimizer import (
 )
 from fuzzml.experiments import ExperimentConfig, run_ablation
 from fuzzml.predictor import load_model, predict, save_model
-from fuzzml.rules import (
-    RuleBase,
-    firing_strengths,
-    fit_antecedents,
-    fuzzy_feature_matrix,
-    fuzzy_features,
-    membership,
-)
+from fuzzml.rules import RuleBase, fit_antecedents, fuzzy_feature_matrix
 from fuzzml.sylvester import residual_norm, solve_sylvester
 from fuzzml.synthgen import SYNTH_KINDS, SynthSpec, gen_synthetic
 
@@ -253,14 +246,16 @@ def test_criterion_06_fuzzy_layer_invariants():
     blocks_exact = True
     for _ in range(1000):
         x = rng.random(5)
-        strengths = firing_strengths(x, rulebase)
+        blocks = fuzzy_feature_matrix(x[:, None], rulebase)[:, 0].reshape(3, 6)
+        strengths = blocks[:, 0]
         worst_sum = max(worst_sum, abs(float(strengths.sum()) - 1.0))
-        vec = fuzzy_features(x, rulebase)
         x_ext = np.concatenate(([1.0], x))
         expected = strengths[:, None] * x_ext[None, :]
-        blocks_exact = blocks_exact and np.array_equal(vec.reshape(3, 6), expected)
-    hand = max(abs(membership(1.0, 0.0, 1.0) - math.exp(-0.5)),
-               abs(membership(2.0, 0.0, 1.0) - math.exp(-2.0)))
+        blocks_exact = blocks_exact and np.array_equal(blocks, expected)
+    # rule 0 sits at the input, so the strength ratios s1/s0 and s2/s0 are
+    # the Gaussian memberships one and two widths out
+    s = fuzzy_feature_matrix([[2.0]], RuleBase([[2.0], [1.0], [0.0]], np.ones((3, 1))))[::2, 0]
+    hand = max(abs(s[1] / s[0] - math.exp(-0.5)), abs(s[2] / s[0] - math.exp(-2.0)))
     ok = worst_sum <= 1e-12 and blocks_exact and hand <= 1e-12
     _report(6, "fuzzy layer invariants", ok,
             "max |sum-1| %.2e, blocks exact %s, membership gap %.2e"

@@ -34,6 +34,18 @@ def _write_dataset(tmp_path, prefix="data", n=40, seed=0):
     return tmp_path / ("%s.X.csv" % prefix), tmp_path / ("%s.Y.csv" % prefix)
 
 
+def _swap_first_columns(src, dst):
+    """Copy a CSV with its first two columns, header names included, swapped."""
+    lines = []
+    for line in src.read_text().splitlines():
+        head = "# " if line.startswith("# ") else ""
+        cells = line[len(head):].split(",")
+        cells[0], cells[1] = cells[1], cells[0]
+        lines.append(head + ",".join(cells))
+    dst.write_text("\n".join(lines) + "\n")
+    return dst
+
+
 class TestSynthAndNoise:
     def test_synth_writes_loadable_files(self, tmp_path):
         fx, fy = _write_dataset(tmp_path)
@@ -98,6 +110,48 @@ class TestTrainPredictEval:
         ]) == 0
         bits = np.loadtxt(tmp_path / "bits.csv", delimiter=",", ndmin=2)
         assert set(np.unique(bits)).issubset({0.0, 1.0})
+
+    def test_predict_refuses_a_reordered_feature_header(self, tmp_path, capsys):
+        fx, fy = _write_dataset(tmp_path, n=30)
+        main(["train", "--features", str(fx), "--labels", str(fy),
+              "--rules", "2", "--max-iters", "2",
+              "--out", "model.txt", "--out-dir", str(tmp_path)])
+        model = str(tmp_path / "model.txt")
+        swapped = _swap_first_columns(fx, tmp_path / "swapped.X.csv")
+        capsys.readouterr()
+        assert main(["predict", "--model", model, "--features", str(swapped),
+                     "--out", "swapped.csv", "--out-dir", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == ("error: feature header f2,f1,f3,f4 does not "
+                                           "match the model's features f1,f2,f3,f4\n")
+        assert not (tmp_path / "swapped.csv").exists()
+        # a file without a header is still taken in the model's column order
+        bare = tmp_path / "bare.X.csv"
+        bare.write_text(fx.read_text().split("\n", 1)[1])
+        for name, path in (("scores.csv", fx), ("bare.csv", bare)):
+            assert main(["predict", "--model", model, "--features", str(path),
+                         "--out", name, "--out-dir", str(tmp_path)]) == 0
+        assert (tmp_path / "bare.csv").read_text() == (tmp_path / "scores.csv").read_text()
+
+    def test_eval_refuses_a_reordered_label_header(self, tmp_path, capsys):
+        fx, fy = _write_dataset(tmp_path, n=30)
+        main(["train", "--features", str(fx), "--labels", str(fy),
+              "--rules", "2", "--max-iters", "2",
+              "--out", "model.txt", "--out-dir", str(tmp_path)])
+        main(["predict", "--model", str(tmp_path / "model.txt"), "--features", str(fx),
+              "--out", "scores.csv", "--out-dir", str(tmp_path)])
+        scores = str(tmp_path / "scores.csv")
+        swapped = _swap_first_columns(fy, tmp_path / "swapped.Y.csv")
+        capsys.readouterr()
+        assert main(["eval", "--scores", scores, "--labels", str(swapped)]) == 3
+        assert capsys.readouterr().err == ("error: score header y1,y2,y3,y4,y5 does not "
+                                           "match the label header y2,y1,y3,y4,y5\n")
+        # either file may go without a header
+        bare = tmp_path / "bare.Y.csv"
+        bare.write_text(fy.read_text().split("\n", 1)[1])
+        assert main(["eval", "--scores", scores, "--labels", str(fy)]) == 0
+        line = capsys.readouterr().out
+        assert main(["eval", "--scores", scores, "--labels", str(bare)]) == 0
+        assert capsys.readouterr().out == line
 
     def test_export_rules(self, tmp_path):
         fx, fy = _write_dataset(tmp_path, n=30)
@@ -289,6 +343,16 @@ class TestConfigFileAndExitCodes:
         ]) == 3
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "model.txt").exists()
+
+    def test_failed_fold_names_its_cell_fold_and_seed(self, tmp_path, capsys):
+        fx, fy = _write_dataset(tmp_path, n=60)
+        capsys.readouterr()
+        assert main(["grid", "--features", str(fx), "--labels", str(fy),
+                     "--folds", "2", "--max-iters", "1", "--grid-rules", "3,70",
+                     "--out-dir", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == (
+            "error: alpha=0.1 beta=10 gamma=0.001 rules=70 noise=0, fold 0 (seed 0): "
+            "n_rules exceeds the sample count (70 > 30)\n")
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numerical_failure_exit_code(self, tmp_path):

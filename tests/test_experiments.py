@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import fuzzml.experiments as exp
-from fuzzml.dataset import kfold_split
+from fuzzml.dataset import Dataset, kfold_split
 from fuzzml.experiments import (
     ExperimentConfig,
     derive_seed,
@@ -301,6 +301,18 @@ class TestSharedPool:
         assert "noise=0, fold " in message and message.endswith(": planted failure")
         after_failure = len(started) - started.index(1.0) - 1
         assert after_failure <= workers
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_fold_without_evaluable_samples_names_its_job(self, workers):
+        data = _data(n=40)
+        labels = data.labels.copy()
+        labels[:, kfold_split(40, 4, 0).test_indices(3)] = 0.0  # fold 3 holds out no label
+        data = Dataset(data.features, labels, data.feature_names, data.label_names)
+        config = ExperimentConfig(train=FAST, folds=4, seeds=(0,), workers=workers)
+        with pytest.raises(ValueError) as info:
+            run_cv(data, config)
+        assert str(info.value) == ("alpha=0.1 beta=10 gamma=0.001 rules=2 noise=0, "
+                                   "fold 3 (seed 0): no evaluable samples")
 
     def test_indefinite_steps_count_negative_operator_minima(self, monkeypatch):
         original = exp.train

@@ -7,7 +7,6 @@ from oracles import (
     oracle_average_precision,
     oracle_coverage,
     oracle_hamming_loss,
-    oracle_rank,
     oracle_ranking_loss,
 )
 
@@ -19,29 +18,8 @@ from fuzzml.metrics import (
     critical_difference,
     evaluate,
     hamming_loss,
-    rank_labels,
     ranking_loss,
 )
-
-
-class TestRankLabels:
-    def test_strict_ordering(self):
-        np.testing.assert_array_equal(rank_labels([0.9, 0.5, 0.1]), [1, 2, 3])
-
-    def test_tie_break_by_index(self):
-        np.testing.assert_array_equal(rank_labels([0.5, 0.5]), [1, 2])
-
-    def test_hand_worked_tie_case(self):
-        np.testing.assert_array_equal(rank_labels([0.1, 0.9, 0.9]), [3, 1, 2])
-
-    def test_always_a_permutation(self):
-        rng = np.random.default_rng(0)
-        for _ in range(300):
-            n = int(rng.integers(1, 8))
-            scores = np.round(rng.normal(size=n), 1)  # rounded to force ties
-            ranks = rank_labels(scores)
-            assert sorted(ranks.tolist()) == list(range(1, n + 1))
-            np.testing.assert_array_equal(ranks, oracle_rank(scores))
 
 
 class TestAveragePrecision:

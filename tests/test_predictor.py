@@ -18,7 +18,7 @@ from fuzzml.predictor import (
     save_model,
     score,
 )
-from fuzzml.rules import RuleBase, firing_strengths, fit_antecedents, fuzzy_feature_matrix
+from fuzzml.rules import RuleBase, fit_antecedents, fuzzy_feature_matrix
 from fuzzml.synthgen import SynthSpec, gen_synthetic
 
 # a model file that still stores the counts and the width floor
@@ -85,7 +85,7 @@ class TestScore:
             x = np.clip((x_test[:, i] - model.norm.minimum) / np.where(span > 0, span, 1.0),
                         0.0, 1.0)
             x = np.where(span > 0, x, 0.0)
-            strengths = firing_strengths(x, model.rulebase)
+            strengths = fuzzy_feature_matrix(x[:, None], model.rulebase)[::d + 1, 0]
             x_ext = np.concatenate(([1.0], x))
             for l in range(model.n_labels):
                 acc = 0.0

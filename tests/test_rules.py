@@ -7,36 +7,51 @@ from oracles import oracle_fuzzy_feature_matrix
 
 from fuzzml.optimizer import ModelParams, TrainConfig
 from fuzzml.dataset import NormStats
-from fuzzml.rules import (
-    RuleBase,
-    export_rules,
-    firing_strengths,
-    fit_antecedents,
-    fuzzy_feature_matrix,
-    fuzzy_features,
-    membership,
-)
+from fuzzml.rules import RuleBase, export_rules, fit_antecedents, fuzzy_feature_matrix
+
+
+def _column(x, rb):
+    """The fuzzy features of one input, mapped as a one-column matrix."""
+    return fuzzy_feature_matrix(np.asarray(x, dtype=np.float64)[:, None], rb)[:, 0]
+
+
+def _strengths(x, rb):
+    """One input's normalized rule strengths: rows k(D+1) of its fuzzy features."""
+    return _column(x, rb)[::rb.n_features + 1]
 
 
 class TestMembership:
+    # Rule 0 sits at the input, so its Gaussian membership is exp(0) = 1 and
+    # the strength ratio s1 / s0 is rule 1's membership.
     def test_peak_at_center(self):
-        assert membership(3.0, 3.0, 0.7) == 1.0
+        rb = RuleBase([[3.0], [3.0]], [[0.7], [5.0]])
+        s = _strengths([3.0], rb)
+        assert s[1] / s[0] == 1.0
 
     def test_one_width_out(self):
-        assert membership(1.5, 0.5, 1.0) == pytest.approx(math.exp(-0.5), abs=1e-12)
+        s = _strengths([1.5], RuleBase([[1.5], [0.5]], [[1.0], [1.0]]))
+        assert s[1] / s[0] == pytest.approx(math.exp(-0.5), abs=1e-12)
 
     def test_two_widths_out(self):
-        assert membership(2.5, 0.5, 1.0) == pytest.approx(math.exp(-2.0), abs=1e-12)
+        s = _strengths([2.5], RuleBase([[2.5], [0.5]], [[1.0], [1.0]]))
+        assert s[1] / s[0] == pytest.approx(math.exp(-2.0), abs=1e-12)
 
     def test_symmetric_and_decreasing(self):
         # offsets stay within 10 widths so float64 can still distinguish
-        # successive values (beyond ~38 widths the Gaussian underflows to 0)
+        # successive values (beyond ~38 widths the Gaussian underflows to 0);
+        # rule 1 shares the center with a width of 1e3, so the strength ratio
+        # is the ratio of the two rules' Gaussians
         rng = np.random.default_rng(0)
         for _ in range(200):
             m, d = rng.normal(), rng.uniform(0.1, 3.0)
+            rb = RuleBase([[m], [m]], [[d], [1e3]])
             offsets = np.sort(rng.uniform(0.01, 10.0, size=8)) * d
-            left = membership(m - offsets, m, d)
-            right = membership(m + offsets, m, d)
+            x = np.concatenate([m - offsets, m + offsets])[None, :]
+            s = fuzzy_feature_matrix(x, rb)[::2]
+            ratio = s[0] / s[1]
+            left, right = ratio[:8], ratio[8:]
+            want = np.exp(-0.5 * (offsets / d) ** 2) / np.exp(-0.5 * (offsets / 1e3) ** 2)
+            np.testing.assert_allclose(right, want, rtol=1e-12)
             np.testing.assert_allclose(left, right, rtol=1e-12)
             assert np.all(np.diff(right) < 0)
 
@@ -44,15 +59,15 @@ class TestMembership:
 class TestFiringStrengths:
     def test_single_rule_normalizes_to_one(self):
         rb = RuleBase([[0.3, 0.4]], [[0.2, 0.2]])
-        np.testing.assert_array_equal(firing_strengths([5.0, -1.0], rb), [1.0])
+        np.testing.assert_array_equal(_strengths([5.0, -1.0], rb), [1.0])
 
     def test_identical_rules_share_strength(self):
         rb = RuleBase([[0.5], [0.5]], [[0.3], [0.3]])
-        np.testing.assert_array_equal(firing_strengths([0.9], rb), [0.5, 0.5])
+        np.testing.assert_array_equal(_strengths([0.9], rb), [0.5, 0.5])
 
     def test_hand_worked_two_rule_case(self):
         rb = RuleBase([[0.0], [1.0]], [[1.0], [1.0]])
-        got = firing_strengths([0.0], rb)
+        got = _strengths([0.0], rb)
         e = math.exp(-0.5)
         np.testing.assert_allclose(got, [1 / (1 + e), e / (1 + e)], atol=1e-12)
         np.testing.assert_allclose(got, [0.62246, 0.37754], atol=5e-6)
@@ -61,37 +76,36 @@ class TestFiringStrengths:
         rng = np.random.default_rng(1)
         rb = RuleBase(rng.random((4, 6)), rng.uniform(0.05, 0.5, size=(4, 6)))
         for _ in range(1000):
-            s = firing_strengths(rng.random(6), rb)
+            s = _strengths(rng.random(6), rb)
             assert abs(s.sum() - 1.0) <= 1e-12
             assert np.all(s >= 0.0)
 
     def test_far_input_does_not_underflow(self):
         rb = RuleBase([[0.0], [1.0]], [[1e-4], [1e-4]])
-        s = firing_strengths([1e6], rb)
+        s = _strengths([1e6], rb)
         assert np.all(np.isfinite(s))
         assert abs(s.sum() - 1.0) <= 1e-12
 
     def test_total_underflow_returns_uniform(self):
         # distances so extreme that even the log-domain strengths overflow
         rb = RuleBase([[0.0], [0.0], [0.0]], [[1e-4], [1e-4], [1e-4]])
-        np.testing.assert_array_equal(firing_strengths([1e200], rb),
-                                      np.full(3, 1.0 / 3.0))
+        np.testing.assert_array_equal(_strengths([1e200], rb), np.full(3, 1.0 / 3.0))
 
 
 class TestFuzzyFeatures:
     def test_single_rule_is_augmented_input(self):
         rb = RuleBase([[0.0, 0.0]], [[1.0, 1.0]])
-        np.testing.assert_array_equal(fuzzy_features([2.0, 3.0], rb), [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(_column([2.0, 3.0], rb), [1.0, 2.0, 3.0])
 
     def test_identical_rules_split_weight(self):
         rb = RuleBase([[0.0, 0.0], [0.0, 0.0]], [[1.0, 1.0], [1.0, 1.0]])
         np.testing.assert_array_equal(
-            fuzzy_features([2.0, 3.0], rb), [0.5, 1.0, 1.5, 0.5, 1.0, 1.5]
+            _column([2.0, 3.0], rb), [0.5, 1.0, 1.5, 0.5, 1.0, 1.5]
         )
 
     def test_hand_worked_case(self):
         rb = RuleBase([[0.0], [1.0]], [[1.0], [1.0]])
-        got = fuzzy_features([0.0], rb)
+        got = _column([0.0], rb)
         np.testing.assert_allclose(got, [0.62246, 0.0, 0.37754, 0.0], atol=5e-6)
 
     def test_blocks_equal_strength_times_extended_input(self):
@@ -99,23 +113,21 @@ class TestFuzzyFeatures:
         rb = RuleBase(rng.random((3, 4)), rng.uniform(0.1, 0.6, size=(3, 4)))
         for _ in range(1000):
             x = rng.random(4)
-            vec = fuzzy_features(x, rb)
-            strengths = firing_strengths(x, rb)
+            blocks = _column(x, rb).reshape(3, 5)
             x_ext = np.concatenate(([1.0], x))
-            blocks = vec.reshape(3, 5)
             # exact: the same products, not merely close
-            np.testing.assert_array_equal(blocks, strengths[:, None] * x_ext[None, :])
+            np.testing.assert_array_equal(blocks, blocks[:, :1] * x_ext[None, :])
             assert abs(blocks[:, 0].sum() - 1.0) <= 1e-12
 
 
 class TestFuzzyFeatureMatrix:
-    def test_single_column_matches_vector_map(self):
+    def test_single_column_matches_batch_column(self):
         rng = np.random.default_rng(3)
         rb = RuleBase(rng.random((2, 3)), rng.uniform(0.1, 0.5, size=(2, 3)))
-        x = rng.random((3, 1))
-        np.testing.assert_array_equal(
-            fuzzy_feature_matrix(x, rb)[:, 0], fuzzy_features(x[:, 0], rb)
-        )
+        x = rng.random((3, 5))
+        batch = fuzzy_feature_matrix(x, rb)
+        for i in range(x.shape[1]):
+            np.testing.assert_array_equal(_column(x[:, i], rb), batch[:, i])
 
     def test_single_rule_stacks_ones_over_input(self):
         rng = np.random.default_rng(4)
@@ -126,7 +138,7 @@ class TestFuzzyFeatureMatrix:
         np.testing.assert_array_equal(out[1:], x)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 9, 12])
-    def test_columns_recompute_via_firing_strengths(self, k):
+    def test_columns_recompute_from_one_column_strengths(self, k):
         # one column alone gives the same bits as inside the batch; K > 8
         # is where a pairwise sum over the rules would change the order
         rng = np.random.default_rng(5 + k)
@@ -138,7 +150,7 @@ class TestFuzzyFeatureMatrix:
         x = np.hstack([x, np.tile(far, (d, 1))])
         out = fuzzy_feature_matrix(x, rb)
         for i in range(x.shape[1]):
-            s = firing_strengths(x[:, i], rb)
+            s = _strengths(x[:, i], rb)
             x_ext = np.concatenate(([1.0], x[:, i]))
             np.testing.assert_array_equal(out[:, i].reshape(k, d + 1),
                                           s[:, None] * x_ext[None, :])
