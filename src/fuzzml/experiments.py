@@ -55,9 +55,10 @@ class ExperimentConfig:
 
     Grid lists that are left empty fall back to the singleton value from
     ``train``; at least one grid dimension must be populated for a grid
-    search. Each grid cell must be a valid :class:`TrainConfig` and each
-    noise ratio a valid :class:`NoiseSpec` ratio; construction builds
-    them, so their own checks refuse a bad value.
+    search. Each seed must be an integer >= 0. Each grid cell must be a
+    valid :class:`TrainConfig` and each noise ratio a valid
+    :class:`NoiseSpec` ratio; construction builds them, so their own
+    checks refuse a bad value.
     """
 
     train: TrainConfig = TrainConfig()
@@ -77,6 +78,9 @@ class ExperimentConfig:
             raise ValueError("folds must be at least 2")
         if not self.seeds:
             raise ValueError("at least one seed is required")
+        for seed in self.seeds:
+            if not isinstance(seed, (int, np.integer)) or seed < 0:
+                raise ValueError("seeds must be integers >= 0, got %r" % (seed,))
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
         _grid_configs(self)

@@ -3,13 +3,16 @@
 All four metrics operate on an L x N score matrix and an L x N binary
 truth matrix. The ranking metrics read one ranked view of the checked
 pair: one stable descending argsort per column (among equal scores the
-smaller label index ranks better) and truth gathered in that order. Its
-running sum down each column gives average precision's precision sums,
+smaller label index ranks better), turned into one flat index that
+gathers truth and scores in that order. Every later step works on whole
+label rows: adding each row of gathered truth into the next gives the
+running relevant counts, which feed average precision's precision sums,
 the relevant counts (the last row) and coverage's depth; the rank minus
-it gives the irrelevant counts ranking loss reads at the end of each run
-of tied scores. :func:`evaluate` builds the view once. Samples without
-relevant labels are skipped by all three, and ranking loss also skips
-samples whose every label is relevant; the report counts both.
+them gives the irrelevant counts, and a minimum walked up from the last
+row gives ranking loss the count at the end of each run of tied scores.
+:func:`evaluate` builds the view once. Samples without relevant labels
+are skipped by all three, and ranking loss also skips samples whose
+every label is relevant; the report counts both.
 """
 
 import dataclasses
@@ -50,6 +53,8 @@ def _check_pair(scores, truth):
     truth = np.asarray(truth, dtype=np.float64)
     if scores.ndim != 2 or scores.shape != truth.shape:
         raise ValueError("scores and truth must be matching L x N matrices")
+    if len(scores) == 0:
+        raise ValueError("scores and truth must have at least one label")
     if not np.all(np.isfinite(scores)):
         raise ValueError("scores must be finite")
     if not np.all((truth == 0.0) | (truth == 1.0)):
@@ -64,17 +69,32 @@ def _mean_terms(terms) -> float:
 
 
 class _Ranking:
-    """The ranked view; ``run_end`` marks the last rank of each run of tied scores."""
+    """The ranked view, built by walking the L label rows.
+
+    ``order`` becomes the flat index ``order * N + column``, so one
+    ``take`` of each raveled matrix gives ``hits`` and the sorted scores.
+    ``run_end`` marks the last rank of each run of tied scores, and
+    ``found[r]`` is ``hits[0] + ... + hits[r]``, summed row into row.
+    Every walked value is an exact integer, so the order of the sums
+    does not change a bit. The walk needs L >= 1, which ``_check_pair``
+    ensures.
+    """
 
     def __init__(self, scores, truth):
+        self.n_labels, n_samples = scores.shape
         order = np.argsort(-scores, axis=0, kind="stable")
-        self.hits = np.take_along_axis(truth, order, axis=0)
-        sorted_scores = np.take_along_axis(scores, order, axis=0)
+        order *= n_samples
+        order += np.arange(n_samples)
+        self.hits = truth.take(order)
+        sorted_scores = scores.take(order)
+        del order  # freed as soon as read, so later buffers can reuse the memory
         self.run_end = np.ones(scores.shape, dtype=bool)
         self.run_end[:-1] = sorted_scores[1:] != sorted_scores[:-1]
-        self.found = np.cumsum(self.hits, axis=0)
+        del sorted_scores
+        self.found = self.hits.copy()
+        for above, row in zip(self.found, self.found[1:]):
+            row += above
         self.n_rel = self.found[-1]
-        self.n_labels = len(scores)
         self.ranks = np.arange(1, self.n_labels + 1, dtype=np.float64)[:, None]
 
     def average_precision(self) -> float:
@@ -85,9 +105,11 @@ class _Ranking:
     def ranking_loss(self) -> float:
         # A relevant label is beaten by every irrelevant one ranked before the
         # end of its run of equal scores: rank minus relevant count at that end.
-        at_end = self.ranks - self.found
-        at_end[~self.run_end] = np.inf
-        beaten_by = np.minimum.accumulate(at_end[::-1], axis=0)[::-1]
+        # Walked up from the last row, each row keeps the least count at or below it.
+        beaten_by = self.ranks - self.found
+        beaten_by[~self.run_end] = np.inf
+        for row, below in zip(beaten_by[-2::-1], beaten_by[:0:-1]):
+            np.minimum(row, below, out=row)
         bad = (self.hits * beaten_by).sum(axis=0)
         n_rel = self.n_rel
         keep = (n_rel > 0) & (n_rel < self.n_labels)
@@ -118,11 +140,13 @@ def average_precision(scores, truth) -> float:
 
 
 def hamming_loss(predicted, truth) -> float:
-    """Mean fraction of label bits that disagree."""
+    """Mean fraction of label bits that disagree; an empty pair raises ValueError."""
     predicted = np.asarray(predicted, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
     if predicted.shape != truth.shape or predicted.ndim != 2:
         raise ValueError("predictions and truth must be matching L x N matrices")
+    if predicted.size == 0:
+        raise ValueError("predictions and truth must not be empty")
     for name, m in (("predictions", predicted), ("truth", truth)):
         if not np.all((m == 0.0) | (m == 1.0)):
             raise ValueError("%s must be binary" % name)

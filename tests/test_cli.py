@@ -302,6 +302,16 @@ class TestConfigFileAndExitCodes:
             "--labels", str(tmp_path / "nope2.csv"), "--out-dir", str(tmp_path),
         ]) == 3
 
+    def test_negative_seed_is_config_error(self, tmp_path, capsys):
+        fx, fy = _write_dataset(tmp_path, n=20)
+        capsys.readouterr()
+        assert main([
+            "cv", "--features", str(fx), "--labels", str(fy), "--seeds=-1",
+            "--folds", "2", "--rules", "2", "--max-iters", "2", "--out-dir", str(tmp_path),
+        ]) == 3
+        assert capsys.readouterr().err == "error: seeds must be integers >= 0, got -1\n"
+        assert not (tmp_path / "cv_report.csv").exists()
+
     def test_bad_label_file_is_data_error(self, tmp_path):
         fx, fy = _write_dataset(tmp_path, n=10)
         fy.write_text("2\n" * 10)

@@ -342,6 +342,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ExperimentConfig(workers=0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_rejects_a_bad_seed_before_any_fold_trains(self, monkeypatch, seed):
+        calls = _counting_train(monkeypatch)
+        with pytest.raises(ValueError, match=r"^seeds must be integers >= 0, got %s$" % seed):
+            run_cv(_data(n=30), ExperimentConfig(train=FAST, folds=2, seeds=(0, seed)))
+        assert calls == []
+
     @pytest.mark.parametrize("field", ["grid_alpha", "grid_beta", "grid_gamma"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_rejects_non_finite_grid_values(self, field, value):

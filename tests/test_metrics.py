@@ -9,10 +9,12 @@ from oracles import (
     oracle_hamming_loss,
     oracle_ranking_loss,
 )
+from reference_ranking import ColumnRanking, reference_evaluate
 
 from fuzzml.metrics import (
     METRICS,
     MetricsReport,
+    _Ranking,
     average_precision,
     coverage,
     critical_difference,
@@ -260,6 +262,44 @@ class TestEvaluateAgreesWithTheMetricFunctions:
         assert n_compared == 3 * (len(shapes) - 2)
 
 
+def _outcome(call, *args):
+    """The value of ``call(*args)``, or the message of the ValueError it raises."""
+    try:
+        return call(*args)
+    except ValueError as exc:
+        return "ValueError: %s" % exc
+
+
+class TestRowWalkMatchesTheColumnReference:
+    """The row walk of ``_Ranking`` must give, bit for bit, what the per-column
+    accumulations of ``reference_ranking.ColumnRanking`` give."""
+
+    @pytest.mark.parametrize("n_labels", [1, 2, 5, 24, 64, 200])
+    @pytest.mark.parametrize("decimals", [None, 1, 0])
+    def test_equal_reports(self, n_labels, decimals):
+        rng = np.random.default_rng([n_labels, 9 if decimals is None else decimals])
+        n = 60
+        scores = rng.normal(size=(n_labels, n))
+        if decimals is not None:  # rounded scores tie, many of them at 0 decimals
+            scores = np.round(scores, decimals)
+        truth = (rng.random((n_labels, n)) < rng.uniform(0.05, 0.95, size=n)).astype(float)
+        truth[:, 0] = 0.0  # no relevant label
+        truth[:, 1] = 1.0  # every label relevant
+        scores[:, 2:5] = 0.25  # fully tied columns, the last one all relevant
+        truth[:, 4] = 1.0
+        tau = float(np.median(scores))
+        report = _outcome(evaluate, scores, truth, tau)
+        assert report == _outcome(reference_evaluate, scores, truth, tau)
+        # with one label every sample is empty or complete, so ranking loss
+        # and the report are refused on both sides
+        assert isinstance(report, MetricsReport) == (n_labels > 1)
+        got, want = _Ranking(scores, truth), ColumnRanking(scores, truth)
+        for name in ("hits", "run_end", "found", "n_rel"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        for name in ("average_precision", "ranking_loss", "coverage"):
+            assert _outcome(getattr(got, name)) == _outcome(getattr(want, name)), name
+
+
 _SCORES = np.array([[0.6, 0.2, 0.7], [0.4, 0.9, 0.1]])
 _TRUTH = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
 
@@ -273,7 +313,10 @@ class TestErrors:
         (_SCORES, _TRUTH[:, :2], "scores and truth must be matching L x N matrices"),
         (_SCORES[0], _TRUTH[0], "scores and truth must be matching L x N matrices"),
         (_SCORES, np.zeros_like(_TRUTH), "no evaluable samples"),
-    ], ids=["nan-score", "inf-score", "non-binary", "shape", "one-dim", "no-relevant"])
+        (_SCORES[:0], _TRUTH[:0], "scores and truth must have at least one label"),
+        (_SCORES[:, :0], _TRUTH[:, :0], "no evaluable samples"),
+    ], ids=["nan-score", "inf-score", "non-binary", "shape", "one-dim", "no-relevant",
+            "no-labels", "no-samples"])
     def test_each_error_keeps_its_type_and_message(self, metric, scores, truth, message):
         with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
             metric(scores, truth)
@@ -295,6 +338,8 @@ class TestErrors:
         (_TRUTH, _TRUTH[:, :2], "predictions and truth must be matching L x N matrices"),
         (_TRUTH * 0.5, _TRUTH, "predictions must be binary"),
         (_TRUTH, _TRUTH - 1.0, "truth must be binary"),
+        (_TRUTH[:0], _TRUTH[:0], "predictions and truth must not be empty"),
+        (_TRUTH[:, :0], _TRUTH[:, :0], "predictions and truth must not be empty"),
     ])
     def test_hamming_loss_errors(self, predicted, truth, message):
         with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
