@@ -9,7 +9,6 @@ robustness harness.
 from .dataset import (
     DataFormatError,
     Dataset,
-    FoldPlan,
     NormStats,
     apply_norm,
     kfold_split,

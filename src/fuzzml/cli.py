@@ -85,15 +85,9 @@ def _train_config(args) -> TrainConfig:
                           for f in dataclasses.fields(TrainConfig)})
 
 
-def _experiment_config(args, **overrides) -> ExperimentConfig:
-    fields = dict(
-        train=_train_config(args),
-        folds=args.folds,
-        seeds=args.seeds,
-        workers=args.workers,
-    )
-    fields.update(overrides)
-    return ExperimentConfig(**fields)
+def _experiment_config(args, **grid) -> ExperimentConfig:
+    return ExperimentConfig(train=_train_config(args), folds=args.folds, seeds=args.seeds,
+                            workers=args.workers, **grid)
 
 
 def _write_lines(path, lines):
@@ -223,13 +217,8 @@ def cmd_cv(args):
 
 def cmd_grid(args):
     data = load_dataset(args.features, args.labels)
-    config = _experiment_config(
-        args,
-        grid_alpha=args.grid_alpha,
-        grid_beta=args.grid_beta,
-        grid_gamma=args.grid_gamma,
-        grid_rules=args.grid_rules,
-    )
+    config = _experiment_config(args, grid_alpha=args.grid_alpha, grid_beta=args.grid_beta,
+                                grid_gamma=args.grid_gamma, grid_rules=args.grid_rules)
     result = run_grid(data, config)
     lines = ["alpha,beta,gamma,rules,mean_ap,sd_ap"]
     for cell in result.cells:
@@ -252,8 +241,7 @@ def cmd_grid(args):
 
 def cmd_noise_curve(args):
     data = load_dataset(args.features, args.labels)
-    config = _experiment_config(args, noise_ratios=args.ratios)
-    points = run_noise_curve(data, config)
+    points = run_noise_curve(data, _experiment_config(args), args.ratios)
     lines = ["ratio,mean_ap,sd_ap"]
     for p in points:
         lines.append("%g,%.6f,%.6f" % (p.ratio, p.mean_ap, p.sd_ap))
@@ -263,12 +251,8 @@ def cmd_noise_curve(args):
 
 def cmd_ablate(args):
     data = load_dataset(args.features, args.labels)
-    config = _experiment_config(
-        args,
-        force_beta_zero=args.ablate in ("beta", "both"),
-        force_gamma_zero=args.ablate in ("gamma", "both"),
-    )
-    pairs = run_ablation(data, config, noise_ratio=args.noise_ratio)
+    terms = ("beta", "gamma") if args.ablate == "both" else (args.ablate,)
+    pairs = run_ablation(data, _experiment_config(args), terms, args.noise_ratio)
     for term, (disabled, enabled) in sorted(pairs.items()):
         lines = ["group,%s" % ",".join(METRICS)]
         for name, rep in (("disabled", disabled), ("enabled", enabled)):

@@ -13,7 +13,6 @@ __all__ = [
     "DataFormatError",
     "Dataset",
     "NormStats",
-    "FoldPlan",
     "load_dataset",
     "load_labels",
     "load_matrix",
@@ -31,6 +30,12 @@ FLOAT_FMT = "%.17g"
 
 class DataFormatError(ValueError):
     """Raised when an input file or matrix violates the data contract."""
+
+
+def _check_int(name, value) -> None:
+    """Refuse a ``value`` that is not a Python or numpy integer, naming ``name``."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError("%s must be an integer, got %r" % (name, value))
 
 
 def _check_names(names, count, kind) -> tuple:
@@ -134,28 +139,6 @@ class NormStats:
             raise ValueError("per-feature min must not exceed max")
         self.minimum = minimum
         self.maximum = maximum
-
-
-class FoldPlan:
-    """Assignment of N samples to k cross-validation folds."""
-
-    __slots__ = ("k", "assignments")
-
-    def __init__(self, k, assignments):
-        assignments = np.asarray(assignments, dtype=np.int64)
-        counts = np.bincount(assignments, minlength=k)
-        if len(counts) != k or np.any(counts == 0):
-            raise ValueError("every fold index in [0, k) must appear")
-        if counts.max() - counts.min() > 1:
-            raise ValueError("fold sizes may differ by at most 1")
-        self.k = int(k)
-        self.assignments = assignments
-
-    def test_indices(self, fold: int) -> np.ndarray:
-        return np.flatnonzero(self.assignments == fold)
-
-    def train_indices(self, fold: int) -> np.ndarray:
-        return np.flatnonzero(self.assignments != fold)
 
 
 def load_matrix(path, kind="feature"):
@@ -263,20 +246,24 @@ def apply_norm(features, stats: NormStats) -> np.ndarray:
     return np.clip(scaled, 0.0, 1.0, out=scaled)
 
 
-def kfold_split(n: int, k: int, seed: int) -> FoldPlan:
-    """Assign n samples to k folds by a seeded uniform shuffle.
+def kfold_split(n: int, k: int, seed: int) -> np.ndarray:
+    """The fold id in [0, k) of each of n samples, by a seeded uniform shuffle.
 
-    Folds are disjoint, cover all samples and differ in size by at most
-    one. Identical (n, k, seed) always produces the same plan.
+    Returns an int64 vector of length n: fold f tests on the samples with
+    id f and trains on the rest. The shuffle assigns ids ``0, 1, ..., k-1,
+    0, ...`` in permuted order, so every fold is non-empty and fold sizes
+    differ by at most one. Identical (n, k, seed) always gives the same ids.
     """
+    _check_int("n", n)
+    _check_int("k", k)
     if k < 2:
         raise ValueError("k must be at least 2")
     if k > n:
         raise ValueError("k must not exceed the sample count")
     rng = np.random.default_rng(seed)
-    assignments = np.empty(n, dtype=np.int64)
-    assignments[rng.permutation(n)] = np.arange(n) % k
-    return FoldPlan(k, assignments)
+    fold_of = np.empty(n, dtype=np.int64)
+    fold_of[rng.permutation(n)] = np.arange(n) % k
+    return fold_of
 
 
 def take_samples(data: Dataset, indices) -> Dataset:

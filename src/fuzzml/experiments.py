@@ -1,21 +1,24 @@
 """Cross-validation, grid search, noise curves and ablation runs.
 
-Every routine is a deterministic function of (dataset, config): fold
-plans come from the config seeds, per-fold noise seeds are derived from
+Every routine is a deterministic function of its arguments: fold ids
+come from the config seeds, per-fold noise seeds are derived from
 (seed, fold) only, and result aggregation sorts work items before
 reduction. Normalization stats and the rule base are refit inside each
 training split, never on held-out data.
+
+:class:`ExperimentConfig` holds the settings every routine reads, plus
+the grid lists of :func:`run_grid`; :func:`run_noise_curve` takes its
+noise ratios and :func:`run_ablation` its terms and noise ratio as
+arguments. Each routine checks its inputs before any fold trains, grid
+values through :class:`~fuzzml.optimizer.TrainConfig` and noise ratios
+through :class:`~fuzzml.synthgen.NoiseSpec`.
 
 Each public routine lists every fold job it needs, one per (train
 config, noise ratio, seed, fold), and runs them once each, so a job that
 two reports share (a repeated grid value, the enabled arm of both
 ablations) trains once. When ``workers`` exceeds one, all jobs of the
 call share one bounded thread pool; every report of that call carries the
-call's wall time.
-
-Grid values and noise ratios are checked by the types that own them,
-:class:`~fuzzml.optimizer.TrainConfig` and :class:`~fuzzml.synthgen.NoiseSpec`,
-before any fold trains; reports aggregate :data:`fuzzml.metrics.METRICS`.
+call's wall time. Reports aggregate :data:`fuzzml.metrics.METRICS`.
 """
 
 import hashlib
@@ -27,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import Dataset, kfold_split, take_samples
+from .dataset import Dataset, _check_int, kfold_split, take_samples
 from .metrics import METRICS, MetricsReport, evaluate
 from .optimizer import NumericalError, TrainConfig, train
 from .predictor import score
@@ -51,14 +54,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Settings shared by the experiment commands.
+    """Settings of the experiment routines.
 
-    Grid lists that are left empty fall back to the singleton value from
-    ``train``; at least one grid dimension must be populated for a grid
-    search. Each seed must be an integer >= 0. Each grid cell must be a
-    valid :class:`TrainConfig` and each noise ratio a valid
-    :class:`NoiseSpec` ratio; construction builds them, so their own
-    checks refuse a bad value.
+    ``train``, ``folds``, ``seeds`` and ``workers`` apply to every routine;
+    the four ``grid_*`` lists are read by :func:`run_grid` only. A grid list
+    left empty falls back to the singleton value from ``train``; at least
+    one must be populated for a grid search. ``folds`` and ``workers`` must
+    be integers and each seed an integer >= 0. Each grid cell must be a
+    valid :class:`TrainConfig`; construction builds the cells, so its own
+    checks refuse a bad grid value.
     """
 
     train: TrainConfig = TrainConfig()
@@ -68,12 +72,10 @@ class ExperimentConfig:
     grid_beta: tuple = ()
     grid_gamma: tuple = ()
     grid_rules: tuple = ()
-    noise_ratios: tuple = ()
-    force_beta_zero: bool = False
-    force_gamma_zero: bool = False
     workers: int = 1
 
     def __post_init__(self):
+        _check_int("folds", self.folds)
         if self.folds < 2:
             raise ValueError("folds must be at least 2")
         if not self.seeds:
@@ -81,11 +83,10 @@ class ExperimentConfig:
         for seed in self.seeds:
             if not isinstance(seed, (int, np.integer)) or seed < 0:
                 raise ValueError("seeds must be integers >= 0, got %r" % (seed,))
+        _check_int("workers", self.workers)
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
         _grid_configs(self)
-        for ratio in self.noise_ratios:
-            NoiseSpec(ratio)
 
 
 @dataclass(frozen=True)
@@ -177,9 +178,9 @@ class _Job:
 def _run_fold(data: Dataset, folds: int, job: _Job) -> FoldResult:
     """Train and evaluate one fold; a failure's message names the job."""
     try:
-        plan = kfold_split(data.n_samples, folds, job.seed)
-        train_ds = take_samples(data, plan.train_indices(job.fold))
-        test_ds = take_samples(data, plan.test_indices(job.fold))
+        fold_of = kfold_split(data.n_samples, folds, job.seed)
+        train_ds = take_samples(data, np.flatnonzero(fold_of != job.fold))
+        test_ds = take_samples(data, np.flatnonzero(fold_of == job.fold))
         if job.noise_ratio > 0.0:
             # Noise touches the training split only; the seed ignores the ratio
             # so different ratios corrupt comparable sample sets.
@@ -285,7 +286,7 @@ def _grid_configs(config: ExperimentConfig) -> list:
 def run_grid(data: Dataset, config: ExperimentConfig) -> GridResult:
     """Select hyperparameters by cross-validated mean average precision.
 
-    Every cell is scored with the same fold plans, so comparisons are
+    Every cell is scored on the same folds, so comparisons are
     paired. Ties go to the smaller alpha, then beta, then gamma, then rule
     count. The final report is the winning cell's own cross-validation
     report: a re-run would repeat the same deterministic folds.
@@ -308,11 +309,18 @@ def run_grid(data: Dataset, config: ExperimentConfig) -> GridResult:
     return GridResult(best=final.config, cells=tuple(c for c, _ in evaluated), final=final)
 
 
-def run_noise_curve(data: Dataset, config: ExperimentConfig):
-    """Cross-validated average precision per noise ratio, sorted ascending."""
-    ratios = sorted(set(config.noise_ratios))
+def run_noise_curve(data: Dataset, config: ExperimentConfig, ratios) -> tuple:
+    """Cross-validated average precision per noise ratio, sorted ascending.
+
+    Each ratio corrupts the training split of every fold; a repeated ratio
+    runs once, and one that :class:`NoiseSpec` refuses raises before any
+    fold trains.
+    """
+    for ratio in ratios:
+        NoiseSpec(ratio)
+    ratios = sorted(set(ratios))
     if not ratios:
-        raise ValueError("no noise ratios configured")
+        raise ValueError("no noise ratios given")
     reports = _run_reports(data, config, [(config.train, ratio) for ratio in ratios])
     return tuple(
         NoisePoint(ratio=ratio, mean_ap=report.means["ap"], sd_ap=report.stds["ap"],
@@ -321,19 +329,21 @@ def run_noise_curve(data: Dataset, config: ExperimentConfig):
     )
 
 
-def run_ablation(data: Dataset, config: ExperimentConfig, noise_ratio: float = 0.0) -> dict:
+def run_ablation(data: Dataset, config: ExperimentConfig, terms,
+                 noise_ratio: float = 0.0) -> dict:
     """Paired runs with a loss term disabled (group A) and enabled (group B).
 
-    Both groups share seeds, fold plans and injected noise, so the
-    comparison isolates the ablated term. Returns a mapping from the
-    ablated weight name to its (disabled, enabled) report pair. A noise
-    ratio that :class:`NoiseSpec` refuses raises before any fold trains.
+    ``terms`` is a non-empty selection of ``"beta"`` and ``"gamma"``, the
+    weights ablated one at a time. Both groups share seeds, folds and
+    injected noise, so the comparison isolates the ablated term. Returns a
+    mapping from each term to its (disabled, enabled) report pair. Any
+    other term, or a noise ratio that :class:`NoiseSpec` refuses, raises
+    before any fold trains.
     """
     NoiseSpec(noise_ratio)
-    terms = [term for term, flag in (("beta", config.force_beta_zero),
-                                     ("gamma", config.force_gamma_zero)) if flag]
-    if not terms:
-        raise ValueError("no ablation flag set")
+    if not terms or not set(terms) <= {"beta", "gamma"}:
+        raise ValueError("terms must be a non-empty selection of 'beta' and 'gamma', "
+                         "got %r" % (terms,))
     runs = []
     for term in terms:
         runs.append((replace(config.train, **{term: 0.0}), noise_ratio))

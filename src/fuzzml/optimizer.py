@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, NormStats, _check_names, normalize_features
+from .dataset import Dataset, NormStats, _check_int, _check_names, normalize_features
 from .rules import RuleBase, fit_antecedents, fuzzy_feature_matrix
 from .sylvester import SingularProblemError, _solve_sylvester
 
@@ -85,6 +85,8 @@ class TrainConfig:
         # every comparison with NaN is false, so these checks reject it
         if not all(0 <= v < math.inf for v in (self.alpha, self.beta, self.gamma)):
             raise ValueError("alpha, beta and gamma must be finite and nonnegative")
+        _check_int("n_rules", self.n_rules)
+        _check_int("max_iters", self.max_iters)
         if self.n_rules < 1:
             raise ValueError("n_rules must be at least 1")
         if self.max_iters < 1:

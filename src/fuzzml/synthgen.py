@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, _check_int
 
 __all__ = ["SYNTH_KINDS", "SynthSpec", "NoiseSpec", "gen_synthetic", "inject_label_noise"]
 
@@ -28,9 +28,18 @@ _N_LABELS = 5
 _FEATURE_JITTER_SD = 0.1
 
 
+def _check_seed(seed) -> None:
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError("seed must be an integer >= 0, got %r" % (seed,))
+
+
 @dataclass(frozen=True)
 class SynthSpec:
-    """Recipe for one synthetic dataset. Label dimension is fixed at 5."""
+    """Recipe for one synthetic dataset. Label dimension is fixed at 5.
+
+    ``n_samples`` and ``n_features`` must be positive integers and ``seed``
+    an integer >= 0.
+    """
 
     kind: str
     n_samples: int = 1000
@@ -41,6 +50,9 @@ class SynthSpec:
     def __post_init__(self):
         if self.kind not in SYNTH_KINDS:
             raise ValueError("kind must be one of %s" % (SYNTH_KINDS,))
+        _check_int("n_samples", self.n_samples)
+        _check_int("n_features", self.n_features)
+        _check_seed(self.seed)
         if self.n_samples < 1 or self.n_features < 1:
             raise ValueError("n_samples and n_features must be positive")
         if not 0.0 < self.base_label_prob < 1.0:
@@ -49,7 +61,10 @@ class SynthSpec:
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Per-sample label corruption: a seeded fraction of samples is flipped."""
+    """Per-sample label corruption: a seeded fraction of samples is flipped.
+
+    ``ratio`` must lie in [0, 1] and ``seed`` be an integer >= 0.
+    """
 
     ratio: float
     seed: int = 0
@@ -57,6 +72,7 @@ class NoiseSpec:
     def __post_init__(self):
         if not 0.0 <= self.ratio <= 1.0:
             raise ValueError("noise ratio must lie in [0, 1]")
+        _check_seed(self.seed)
 
 
 def _draw_labels(spec: SynthSpec, rng) -> np.ndarray:

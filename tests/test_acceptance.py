@@ -317,9 +317,8 @@ def test_criterion_09_soft_label_symmetry():
 def test_criterion_10_soft_label_ablation_direction():
     data = gen_synthetic(SynthSpec(kind="equality", n_samples=1000,
                                    n_features=20, seed=SYNTH_SEED))
-    config = ExperimentConfig(train=TrainConfig(), folds=5,
-                              seeds=(0, 1, 2, 3, 4), force_beta_zero=True)
-    disabled, enabled = run_ablation(data, config, noise_ratio=0.2)["beta"]
+    config = ExperimentConfig(train=TrainConfig(), folds=5, seeds=(0, 1, 2, 3, 4))
+    disabled, enabled = run_ablation(data, config, ("beta",), noise_ratio=0.2)["beta"]
     ok = enabled.means["ap"] >= disabled.means["ap"] - 0.01
     _report(10, "soft-label learning helps under 20% label noise", ok,
             "AP %.4f with vs %.4f without" % (enabled.means["ap"],

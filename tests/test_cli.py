@@ -482,8 +482,12 @@ class TestFlagsGoOnTheCommandsThatReadThem:
         (["noise-curve", "DATA", "--ratios", "0.1,2"], "noise ratio must lie in [0, 1]"),
         (["ablate", "DATA", "--ablate", "beta", "--noise-ratio", "nan"],
          "noise ratio must lie in [0, 1]"),
+        (["synth", "--kind", "union", "--seed", "-1", "--out-prefix", "bad"],
+         "seed must be an integer >= 0, got -1"),
+        (["noise", "DATA", "--ratio", "0.5", "--seed", "-1", "--out-prefix", "bad"],
+         "seed must be an integer >= 0, got -1"),
     ], ids=["label-prob-0", "label-prob-2", "label-prob-nan", "ratio-1.5", "ratios-0.1,2",
-            "noise-ratio-nan"])
+            "noise-ratio-nan", "synth-seed--1", "noise-seed--1"])
     def test_out_of_range_ratio_is_refused_by_its_spec(self, tmp_path, capsys, args, message):
         fx, fy = _write_dataset(tmp_path, n=20)
         written = set(os.listdir(tmp_path))

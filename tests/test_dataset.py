@@ -196,26 +196,29 @@ class TestNormalization:
 
 class TestKFold:
     def test_even_split(self):
-        plan = kfold_split(10, 5, seed=3)
-        counts = np.bincount(plan.assignments, minlength=5)
+        counts = np.bincount(kfold_split(10, 5, seed=3), minlength=5)
         np.testing.assert_array_equal(counts, [2] * 5)
 
     def test_uneven_split(self):
-        plan = kfold_split(11, 5, seed=3)
-        counts = sorted(np.bincount(plan.assignments, minlength=5))
+        counts = sorted(np.bincount(kfold_split(11, 5, seed=3), minlength=5))
         assert counts == [2, 2, 2, 2, 3]
 
     def test_determinism(self):
-        a = kfold_split(37, 4, seed=9)
-        b = kfold_split(37, 4, seed=9)
-        np.testing.assert_array_equal(a.assignments, b.assignments)
+        np.testing.assert_array_equal(kfold_split(37, 4, seed=9), kfold_split(37, 4, seed=9))
+
+    def test_split_is_pinned(self):
+        # every cross-validated number depends on these ids staying the same
+        fold_of = kfold_split(23, 4, seed=1)
+        assert fold_of.dtype == np.int64
+        assert fold_of.tolist() == [0, 0, 1, 0, 1, 2, 1, 0, 3, 1, 3, 2, 1, 0, 2, 3, 3, 0,
+                                    3, 2, 1, 2, 2]
+        assert kfold_split(10, 5, seed=3).tolist() == [2, 4, 3, 3, 0, 2, 1, 1, 4, 0]
 
     def test_partition_property_sweep(self):
         # exhaustive over all 2 <= k <= n <= 200
         for n in range(2, 201):
             for k in range(2, n + 1):
-                plan = kfold_split(n, k, seed=n * 211 + k)
-                counts = np.bincount(plan.assignments, minlength=k)
+                counts = np.bincount(kfold_split(n, k, seed=n * 211 + k), minlength=k)
                 assert counts.sum() == n
                 assert counts.min() >= 1
                 assert counts.max() - counts.min() <= 1
@@ -226,13 +229,20 @@ class TestKFold:
         with pytest.raises(ValueError):
             kfold_split(3, 4, seed=0)
 
-    def test_indices_cover_all_samples(self):
-        plan = kfold_split(23, 4, seed=1)
-        seen = np.concatenate([plan.test_indices(f) for f in range(4)])
-        assert sorted(seen.tolist()) == list(range(23))
-        for f in range(4):
-            joined = np.concatenate([plan.test_indices(f), plan.train_indices(f)])
-            assert sorted(joined.tolist()) == list(range(23))
+    @pytest.mark.parametrize("n, k, name", [(10, 2.5, "k"), (10, 2.0, "k"), (10.0, 2, "n"),
+                                            (np.float64(10), 2, "n")])
+    def test_rejects_non_integer_counts(self, n, k, name):
+        with pytest.raises(ValueError, match=r"^%s must be an integer, got " % name):
+            kfold_split(n, k, seed=0)
+
+    def test_accepts_numpy_integers(self):
+        np.testing.assert_array_equal(kfold_split(np.int64(23), np.int32(4), seed=1),
+                                      kfold_split(23, 4, seed=1))
+
+    def test_every_sample_has_a_fold_in_range(self):
+        fold_of = kfold_split(23, 4, seed=1)
+        assert fold_of.shape == (23,)
+        assert set(fold_of.tolist()) == {0, 1, 2, 3}
 
 
 class TestDatasetInvariants:

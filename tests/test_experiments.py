@@ -2,7 +2,7 @@ import math
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -49,16 +49,14 @@ def _grid_answers(data, workers):
 
 
 def _noise_answers(data, workers):
-    config = ExperimentConfig(train=FAST, folds=3, seeds=(5,), noise_ratios=(0.3, 0.0),
-                              workers=workers)
+    config = ExperimentConfig(train=FAST, folds=3, seeds=(5,), workers=workers)
     return [(p.ratio, p.mean_ap, p.sd_ap, _report_answers(p.report))
-            for p in run_noise_curve(data, config)]
+            for p in run_noise_curve(data, config, (0.3, 0.0))]
 
 
 def _ablation_answers(data, workers):
-    config = ExperimentConfig(train=FAST, folds=3, seeds=(5,), force_beta_zero=True,
-                              force_gamma_zero=True, workers=workers)
-    pairs = run_ablation(data, config, noise_ratio=0.2)
+    config = ExperimentConfig(train=FAST, folds=3, seeds=(5,), workers=workers)
+    pairs = run_ablation(data, config, ("beta", "gamma"), noise_ratio=0.2)
     return {term: [_report_answers(r) for r in pair] for term, pair in pairs.items()}
 
 
@@ -87,9 +85,9 @@ class TestRunCV:
     def test_five_folds_of_twenty(self):
         report = run_cv(_data(n=100), ExperimentConfig(train=FAST, folds=5, seeds=(3,)))
         assert len(report.results) == 5
-        plan = kfold_split(100, 5, 3)
+        fold_of = kfold_split(100, 5, 3)
         for r in report.results:
-            assert len(plan.test_indices(r.fold)) == 20
+            assert np.count_nonzero(fold_of == r.fold) == 20
 
     def test_deterministic(self):
         config = ExperimentConfig(train=FAST, folds=3, seeds=(1, 2))
@@ -104,10 +102,10 @@ class TestRunCV:
         data = _data(kind="union", n=120)
         config = ExperimentConfig(train=TrainConfig(), folds=4, seeds=(0,))
         report = run_cv(data, config)
-        plan = kfold_split(120, 4, 0)
+        fold_of = kfold_split(120, 4, 0)
         baseline_terms = []
         for fold in range(4):
-            test = plan.test_indices(fold)
+            test = np.flatnonzero(fold_of == fold)
             zero_scores = np.zeros((5, len(test)))
             baseline_terms.append(average_precision(zero_scores, data.labels[:, test]))
         assert report.means["ap"] > np.mean(baseline_terms)
@@ -179,63 +177,72 @@ class TestRunGrid:
 class TestNoiseCurve:
     def test_zero_ratio_matches_plain_cv(self):
         data = _data(n=60)
-        config = ExperimentConfig(train=FAST, folds=3, seeds=(2,),
-                                  noise_ratios=(0.0, 0.3))
-        points = run_noise_curve(data, config)
-        plain = run_cv(data, ExperimentConfig(train=FAST, folds=3, seeds=(2,)))
+        config = ExperimentConfig(train=FAST, folds=3, seeds=(2,))
+        points = run_noise_curve(data, config, (0.0, 0.3))
+        plain = run_cv(data, config)
         assert points[0].ratio == 0.0
         assert points[0].mean_ap == plain.means["ap"]
 
     def test_output_sorted_ascending(self):
-        config = ExperimentConfig(train=FAST, folds=2, seeds=(0,),
-                                  noise_ratios=(0.4, 0.0, 0.2))
-        points = run_noise_curve(_data(n=40), config)
+        config = ExperimentConfig(train=FAST, folds=2, seeds=(0,))
+        points = run_noise_curve(_data(n=40), config, (0.4, 0.0, 0.2, 0.0))
         assert [p.ratio for p in points] == [0.0, 0.2, 0.4]
 
     def test_requires_ratios(self):
-        with pytest.raises(ValueError):
-            run_noise_curve(_data(n=30), ExperimentConfig(train=FAST, folds=2, seeds=(0,)))
+        with pytest.raises(ValueError, match="no noise ratios given"):
+            run_noise_curve(_data(n=30), ExperimentConfig(train=FAST, folds=2, seeds=(0,)), ())
+
+    @pytest.mark.parametrize("ratio", [-0.2, math.nan, 1.5, 1.2])
+    def test_bad_noise_ratio_raises_before_any_fold_trains(self, monkeypatch, ratio):
+        calls = _counting_train(monkeypatch)
+        config = ExperimentConfig(train=FAST, folds=2, seeds=(0,))
+        with pytest.raises(ValueError, match="noise ratio must lie in"):
+            run_noise_curve(_data(n=30), config, (0.0, ratio))
+        assert calls == []
 
 
 class TestAblation:
     def test_zero_beta_groups_identical(self, monkeypatch):
         calls = _counting_train(monkeypatch)
         cfg = TrainConfig(n_rules=2, max_iters=3, beta=0.0)
-        config = ExperimentConfig(train=cfg, folds=2, seeds=(0,), force_beta_zero=True)
-        disabled, enabled = run_ablation(_data(n=40), config)["beta"]
+        config = ExperimentConfig(train=cfg, folds=2, seeds=(0,))
+        disabled, enabled = run_ablation(_data(n=40), config, ("beta",))["beta"]
         assert disabled.means == enabled.means
         assert len(calls) == 2  # both groups read the same folds
 
     def test_groups_share_fold_plans(self):
-        config = ExperimentConfig(train=FAST, folds=3, seeds=(4,), force_gamma_zero=True)
-        disabled, enabled = run_ablation(_data(n=60), config)["gamma"]
+        config = ExperimentConfig(train=FAST, folds=3, seeds=(4,))
+        disabled, enabled = run_ablation(_data(n=60), config, ("gamma",))["gamma"]
         assert [(r.seed, r.fold) for r in disabled.results] == \
                [(r.seed, r.fold) for r in enabled.results]
 
-    def test_requires_a_flag(self):
-        with pytest.raises(ValueError, match="no ablation flag"):
-            run_ablation(_data(n=30), ExperimentConfig(train=FAST, folds=2, seeds=(0,)))
-
-    def test_both_flags_give_both_pairs(self, monkeypatch):
-        data = _data(n=40)
-        config = ExperimentConfig(train=FAST, folds=2, seeds=(0,),
-                                  force_beta_zero=True, force_gamma_zero=True)
+    @pytest.mark.parametrize("terms", [(), ("alpha",), ("beta", "alpha"), "beta"])
+    def test_bad_terms_raise_before_any_fold_trains(self, monkeypatch, terms):
         calls = _counting_train(monkeypatch)
-        pairs = run_ablation(data, config)
+        config = ExperimentConfig(train=FAST, folds=2, seeds=(0,))
+        with pytest.raises(ValueError, match="terms must be a non-empty selection of "
+                                             "'beta' and 'gamma', got "):
+            run_ablation(_data(n=30), config, terms)
+        assert calls == []
+
+    def test_both_terms_give_both_pairs(self, monkeypatch):
+        data = _data(n=40)
+        config = ExperimentConfig(train=FAST, folds=2, seeds=(0,))
+        calls = _counting_train(monkeypatch)
+        pairs = run_ablation(data, config, ("beta", "gamma"))
         assert set(pairs) == {"beta", "gamma"}
         assert len(calls) == 6  # the enabled arm trains once for both pairs
         for term in ("beta", "gamma"):
-            alone = run_ablation(data, replace(config, force_beta_zero=term == "beta",
-                                               force_gamma_zero=term == "gamma"))[term]
+            alone = run_ablation(data, config, (term,))[term]
             assert [_report_answers(r) for r in pairs[term]] == \
                    [_report_answers(r) for r in alone]
 
     @pytest.mark.parametrize("ratio", [-0.2, math.nan, 1.5])
     def test_bad_noise_ratio_raises_before_any_fold_trains(self, monkeypatch, ratio):
         calls = _counting_train(monkeypatch)
-        config = ExperimentConfig(train=FAST, folds=2, seeds=(0,), force_beta_zero=True)
+        config = ExperimentConfig(train=FAST, folds=2, seeds=(0,))
         with pytest.raises(ValueError, match="noise ratio must lie in"):
-            run_ablation(_data(n=30), config, noise_ratio=ratio)
+            run_ablation(_data(n=30), config, ("beta",), noise_ratio=ratio)
         assert calls == []
 
 
@@ -270,9 +277,8 @@ class TestSharedPool:
         assert stressed == base
 
     def test_all_reports_of_a_call_share_its_wall_time(self):
-        config = ExperimentConfig(train=FAST, folds=2, seeds=(0,),
-                                  noise_ratios=(0.0, 0.2, 0.4))
-        points = run_noise_curve(_data(n=40), config)
+        config = ExperimentConfig(train=FAST, folds=2, seeds=(0,))
+        points = run_noise_curve(_data(n=40), config, (0.0, 0.2, 0.4))
         assert len({p.report.wall_seconds for p in points}) == 1
         assert points[0].report.wall_seconds >= sum(
             r.train_seconds for p in points for r in p.report.results)
@@ -306,7 +312,7 @@ class TestSharedPool:
     def test_fold_without_evaluable_samples_names_its_job(self, workers):
         data = _data(n=40)
         labels = data.labels.copy()
-        labels[:, kfold_split(40, 4, 0).test_indices(3)] = 0.0  # fold 3 holds out no label
+        labels[:, kfold_split(40, 4, 0) == 3] = 0.0  # fold 3 holds out no label
         data = Dataset(data.features, labels, data.feature_names, data.label_names)
         config = ExperimentConfig(train=FAST, folds=4, seeds=(0,), workers=workers)
         with pytest.raises(ValueError) as info:
@@ -338,9 +344,22 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ExperimentConfig(grid_alpha=(-0.1,))
         with pytest.raises(ValueError):
-            ExperimentConfig(noise_ratios=(1.2,))
-        with pytest.raises(ValueError):
             ExperimentConfig(workers=0)
+
+    def test_has_only_the_shared_settings_and_the_grid(self):
+        assert [f.name for f in fields(ExperimentConfig)] == [
+            "train", "folds", "seeds", "grid_alpha", "grid_beta", "grid_gamma",
+            "grid_rules", "workers"]
+
+    @pytest.mark.parametrize("field", ["folds", "workers"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, np.float64(3.0), "3"])
+    def test_rejects_a_non_integer_count(self, field, value):
+        with pytest.raises(ValueError, match=r"^%s must be an integer, got " % field):
+            ExperimentConfig(**{field: value})
+
+    def test_accepts_numpy_integer_counts(self):
+        config = ExperimentConfig(folds=np.int64(3), workers=np.int32(2))
+        assert (config.folds, config.workers) == (3, 2)
 
     @pytest.mark.parametrize("seed", [-1, 1.5])
     def test_rejects_a_bad_seed_before_any_fold_trains(self, monkeypatch, seed):

@@ -566,6 +566,13 @@ class TestTrain:
         with pytest.raises(ValueError):
             TrainConfig(min_loss_margin=-0.5)
 
+    @pytest.mark.parametrize("field", ["n_rules", "max_iters"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, np.float64(3.0)])
+    def test_config_rejects_non_integer_counts(self, field, value):
+        with pytest.raises(ValueError, match=r"^%s must be an integer, got " % field):
+            TrainConfig(**{field: value})
+        assert getattr(TrainConfig(**{field: np.int64(2)}), field) == 2
+
     @pytest.mark.parametrize("field", ["alpha", "beta", "gamma", "min_loss_margin", "tau"])
     def test_config_rejects_nan(self, field):
         with pytest.raises(ValueError, match=field):

@@ -50,6 +50,18 @@ class TestGeneration:
         with pytest.raises(ValueError):
             SynthSpec(kind="union", n_samples=0)
 
+    @pytest.mark.parametrize("field", ["n_samples", "n_features"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, np.float64(3.0)])
+    def test_rejects_non_integer_sizes(self, field, value):
+        with pytest.raises(ValueError, match=r"^%s must be an integer, got " % field):
+            SynthSpec(kind="union", **{field: value})
+        assert getattr(SynthSpec(kind="union", **{field: np.int64(4)}), field) == 4
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, 2.0])
+    def test_rejects_a_bad_seed(self, seed):
+        with pytest.raises(ValueError, match=r"^seed must be an integer >= 0, got %s$" % seed):
+            SynthSpec(kind="union", seed=seed)
+
 
 class TestNoiseInjection:
     def _data(self, n=10, seed=0):
@@ -98,3 +110,9 @@ class TestNoiseInjection:
     def test_rejects_bad_ratio(self):
         with pytest.raises(ValueError):
             NoiseSpec(ratio=1.5)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, 2.0])
+    def test_rejects_a_bad_seed(self, seed):
+        with pytest.raises(ValueError, match=r"^seed must be an integer >= 0, got %s$" % seed):
+            NoiseSpec(ratio=0.5, seed=seed)
+        assert NoiseSpec(ratio=0.5, seed=np.uint64(2 ** 63)).seed == 2 ** 63
