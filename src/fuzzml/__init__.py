@@ -39,7 +39,7 @@ from .metrics import (
     ranking_loss,
 )
 from .optimizer import (
-    LossBreakdown,
+    IterationRecord,
     ModelParams,
     NumericalError,
     TrainConfig,

@@ -38,6 +38,12 @@ def _check_int(name, value) -> None:
         raise ValueError("%s must be an integer, got %r" % (name, value))
 
 
+def _check_seed(seed) -> None:
+    """Refuse a random seed that is not a Python or numpy integer >= 0."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError("seed must be an integer >= 0, got %r" % (seed,))
+
+
 def _check_names(names, count, kind) -> tuple:
     """``count`` names as strings that CSV headers and model files keep.
 
@@ -253,9 +259,11 @@ def kfold_split(n: int, k: int, seed: int) -> np.ndarray:
     id f and trains on the rest. The shuffle assigns ids ``0, 1, ..., k-1,
     0, ...`` in permuted order, so every fold is non-empty and fold sizes
     differ by at most one. Identical (n, k, seed) always gives the same ids.
+    ``n`` and ``k`` must be integers and ``seed`` an integer >= 0.
     """
     _check_int("n", n)
     _check_int("k", k)
+    _check_seed(seed)
     if k < 2:
         raise ValueError("k must be at least 2")
     if k > n:

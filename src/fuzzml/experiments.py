@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import Dataset, _check_int, kfold_split, take_samples
+from .dataset import Dataset, _check_int, _check_seed, kfold_split, take_samples
 from .metrics import METRICS, MetricsReport, evaluate
 from .optimizer import NumericalError, TrainConfig, train
 from .predictor import score
@@ -81,8 +81,7 @@ class ExperimentConfig:
         if not self.seeds:
             raise ValueError("at least one seed is required")
         for seed in self.seeds:
-            if not isinstance(seed, (int, np.integer)) or seed < 0:
-                raise ValueError("seeds must be integers >= 0, got %r" % (seed,))
+            _check_seed(seed)
         _check_int("workers", self.workers)
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
@@ -94,8 +93,9 @@ class FoldResult:
     """One trained and evaluated fold.
 
     ``indefinite_steps`` counts the iterations in which the consequent or
-    the mixing operator had a negative smallest eigenvalue (see
-    :class:`~fuzzml.optimizer.OperatorMinima`).
+    the mixing operator had a negative smallest eigenvalue: the records of
+    the fold's trace whose ``consequent_min`` or ``mixing_min`` is below
+    zero (see :class:`~fuzzml.optimizer.IterationRecord`).
     """
 
     seed: int
@@ -204,8 +204,8 @@ def _run_fold(data: Dataset, folds: int, job: _Job) -> FoldResult:
         stop_reason=trace.stop_reason,
         n_iterations=trace.n_iterations,
         train_seconds=elapsed,
-        indefinite_steps=sum(m.consequent < 0 or m.mixing < 0
-                             for m in trace.operator_minima),
+        indefinite_steps=sum(r.consequent_min < 0 or r.mixing_min < 0
+                             for r in trace.iterations),
     )
 
 

@@ -40,9 +40,7 @@ from .sylvester import SingularProblemError, _solve_sylvester
 __all__ = [
     "NumericalError",
     "TrainConfig",
-    "LossBreakdown",
-    "PhaseTimes",
-    "OperatorMinima",
+    "IterationRecord",
     "TrainTrace",
     "ModelParams",
     "train",
@@ -98,74 +96,58 @@ class TrainConfig:
 
 
 @dataclass(frozen=True)
-class LossBreakdown:
-    """One evaluation of the training objective, term by term."""
+class IterationRecord:
+    """What one training iteration produced, read at the committed pair.
+
+    ``fit``, ``ridge``, ``soft`` and ``corr`` are the terms of the declared
+    objective and ``total`` their sum. ``stopping_total`` is the
+    bookkeeping loss the stop rules read; the first record's fixes the
+    automatic margin. It equals the objective except that the two
+    column-norm sums enter squared. The square keeps the early iterations
+    (whose residuals are huge under the all-ones initialization) far above
+    the converged plateau, so the relative stopping margin separates the
+    two regimes cleanly. The declared objective itself can dip below zero
+    through the indefinite correlation term long before the iterates
+    settle, which would end training at an arbitrary point.
+
+    The four ``*_s`` fields are wall seconds per phase. ``weights_s``
+    computes the reweighting diagonals. ``consequent_s`` holds the
+    iteration's one weighted Gram pass over the N samples (see the module
+    docstring) and the consequent solve; ``mixing_s`` is the mixing solve,
+    which reads only L x L and L x K(D+1) matrices. ``point_s`` evaluates
+    the residual column norms, the soft-label Gram, the Laplacian and the
+    losses at the committed pair.
+
+    ``consequent_min`` and ``mixing_min`` are the smallest eigenvalue
+    lambda_min(A) + sigma_min(B) of each solve's Sylvester operator
+    W -> A W + W B. The operator is positive definite exactly when this
+    value is positive; then the solve returns the subproblem's minimizer,
+    otherwise a stationary point that is not one. The mixing value is that
+    of the operator on the range of Y, which is what the mixing solve
+    diagonalizes (see :class:`_MixingSystem`). With gamma = 0 the
+    consequent value is at least alpha.
+    """
 
     fit: float
     ridge: float
     soft: float
     corr: float
     total: float
-
-
-@dataclass(frozen=True)
-class PhaseTimes:
-    """Wall seconds of one training iteration, phase by phase.
-
-    ``weights`` computes the reweighting diagonals. ``consequent`` holds
-    the iteration's one weighted Gram pass over the N samples (see the
-    module docstring) and the consequent solve; ``mixing`` is the mixing
-    solve, which reads only L x L and L x K(D+1) matrices. ``point``
-    evaluates the residual column norms, the soft-label Gram, the
-    Laplacian and the losses at the committed pair.
-    """
-
-    weights: float
-    consequent: float
-    mixing: float
-    point: float
-
-
-@dataclass(frozen=True)
-class OperatorMinima:
-    """Smallest eigenvalue lambda_min(A) + sigma_min(B) of each solve's operator.
-
-    The Sylvester operator W -> A W + W B of a subproblem is positive
-    definite exactly when this value is positive; then the solve returns
-    the subproblem's minimizer, otherwise a stationary point that is not
-    one. The mixing value is that of the operator on the range of Y,
-    which is what the mixing solve diagonalizes (see
-    :class:`_MixingSystem`). With gamma = 0 the consequent value is at
-    least alpha.
-    """
-
-    consequent: float
-    mixing: float
+    stopping_total: float
+    weights_s: float
+    consequent_s: float
+    mixing_s: float
+    point_s: float
+    consequent_min: float
+    mixing_min: float
 
 
 @dataclass(frozen=True)
 class TrainTrace:
-    """Per-iteration loss values and the reason training stopped.
-
-    ``iterations`` holds the declared objective term by term.
-    ``stopping_totals`` holds the bookkeeping loss the stop rules read;
-    its first value fixes the automatic margin. It equals the objective
-    except that the two column-norm sums enter squared. The square keeps
-    the early iterations (whose residuals are huge under the all-ones
-    initialization) far above the converged plateau, so the relative
-    stopping margin separates the two regimes cleanly. The declared
-    objective itself can dip below zero through the indefinite
-    correlation term long before the iterates settle, which would end
-    training at an arbitrary point. ``phases`` holds one
-    :class:`PhaseTimes` and ``operator_minima`` one
-    :class:`OperatorMinima` per iteration.
-    """
+    """One :class:`IterationRecord` per training iteration and the stop reason."""
 
     iterations: tuple
-    stopping_totals: tuple
     stop_reason: str  # "margin", "nonpositive_loss" or "max_iters"
-    phases: tuple = ()
-    operator_minima: tuple = ()
 
     @property
     def n_iterations(self) -> int:
@@ -174,6 +156,10 @@ class TrainTrace:
     @property
     def totals(self) -> list:
         return [it.total for it in self.iterations]
+
+    @property
+    def stopping_totals(self) -> tuple:
+        return tuple(it.stopping_total for it in self.iterations)
 
 
 @dataclass(frozen=True)
@@ -261,16 +247,16 @@ class _Point:
         return (1.0 / (2.0 * np.maximum(self.fit_norms, EPSILON_ROW)),
                 1.0 / (2.0 * np.maximum(self.soft_norms, EPSILON_ROW)))
 
-    def losses(self, cfg: TrainConfig):
-        """The objective term by term and the stopping loss."""
+    def losses(self, cfg: TrainConfig) -> dict:
+        """The loss fields of an :class:`IterationRecord`, by name."""
         fit = float(self.fit_norms.sum())
         soft = float(self.soft_norms.sum())
         ridge = cfg.alpha * float((self.consequents * self.consequents).sum())
         # tr(Y'M' Lap M Y) = <Lap, S> with S = M (Y Y') M'
         corr = 2.0 * cfg.gamma * float(np.vdot(self.laplacian, self.soft_gram))
-        loss = LossBreakdown(fit=fit, ridge=ridge, soft=cfg.beta * soft, corr=corr,
-                             total=fit + ridge + cfg.beta * soft + corr)
-        return loss, fit * fit + ridge + cfg.beta * soft * soft + corr
+        return dict(fit=fit, ridge=ridge, soft=cfg.beta * soft, corr=corr,
+                    total=fit + ridge + cfg.beta * soft + corr,
+                    stopping_total=fit * fit + ridge + cfg.beta * soft * soft + corr)
 
 
 class _Grams:
@@ -377,8 +363,8 @@ def train(data: Dataset, cfg: TrainConfig = TrainConfig()):
     the mixing solve freezes its weights and Laplacian at the same pair,
     including the old consequents in its right-hand side. Both results are
     then committed together. Training stops when the change in the
-    bookkeeping loss (see :class:`TrainTrace`) drops to the margin, that
-    loss becomes nonpositive, or the iteration budget runs out.
+    bookkeeping loss (see :class:`IterationRecord`) drops to the margin,
+    that loss becomes nonpositive, or the iteration budget runs out.
 
     The residuals, weights, soft-label Gram and Laplacian are evaluated
     once per iteration, at the committed pair, and the weighted Grams
@@ -402,10 +388,7 @@ def train(data: Dataset, cfg: TrainConfig = TrainConfig()):
 
     margin = cfg.min_loss_margin
     prev_total = 0.0
-    iterations = []
-    stopping_totals = []
-    phases = []
-    operator_minima = []
+    records = []
     stop_reason = "max_iters"
     for t in range(1, cfg.max_iters + 1):
         started = time.perf_counter()
@@ -424,19 +407,18 @@ def train(data: Dataset, cfg: TrainConfig = TrainConfig()):
         mixing_done = time.perf_counter()
 
         point = _Point(mixing, consequents, fuzzy_x, labels, mixing_system.label_gram)
-        loss, total = point.losses(cfg)
-        phases.append(PhaseTimes(weights=weighted - started,
-                                 consequent=consequent_done - weighted,
-                                 mixing=mixing_done - consequent_done,
-                                 point=time.perf_counter() - mixing_done))
-        operator_minima.append(OperatorMinima(consequent=consequent_min, mixing=mixing_min))
-        if not (math.isfinite(loss.total) and math.isfinite(total)):
+        record = IterationRecord(**point.losses(cfg), weights_s=weighted - started,
+                                 consequent_s=consequent_done - weighted,
+                                 mixing_s=mixing_done - consequent_done,
+                                 point_s=time.perf_counter() - mixing_done,
+                                 consequent_min=consequent_min, mixing_min=mixing_min)
+        total = record.stopping_total
+        if not (math.isfinite(record.total) and math.isfinite(total)):
             raise NumericalError(
                 "non-finite loss at iteration %d: fit=%r ridge=%r soft=%r corr=%r"
-                % (t, loss.fit, loss.ridge, loss.soft, loss.corr)
+                % (t, record.fit, record.ridge, record.soft, record.corr)
             )
-        iterations.append(loss)
-        stopping_totals.append(total)
+        records.append(record)
         if margin is None:
             margin = AUTO_MARGIN_SCALE * abs(total)
         if abs(total - prev_total) <= margin:
@@ -456,5 +438,4 @@ def train(data: Dataset, cfg: TrainConfig = TrainConfig()):
         label_names=data.label_names,
         config=cfg,
     )
-    return model, TrainTrace(tuple(iterations), tuple(stopping_totals), stop_reason,
-                             tuple(phases), tuple(operator_minima))
+    return model, TrainTrace(tuple(records), stop_reason)

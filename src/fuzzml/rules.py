@@ -16,6 +16,8 @@ alone as inside any batch.
 
 import numpy as np
 
+from .dataset import _check_int
+
 __all__ = [
     "RuleBase",
     "fit_antecedents",
@@ -74,6 +76,7 @@ def fit_antecedents(features, n_rules) -> RuleBase:
     if x.ndim != 2:
         raise ValueError("features must be a D x N matrix")
     d, n = x.shape
+    _check_int("n_rules", n_rules)
     if n_rules < 1:
         raise ValueError("n_rules must be at least 1")
     if n_rules > n:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, _check_int
+from .dataset import Dataset, _check_int, _check_seed
 
 __all__ = ["SYNTH_KINDS", "SynthSpec", "NoiseSpec", "gen_synthetic", "inject_label_noise"]
 
@@ -26,11 +26,6 @@ SYNTH_KINDS = ("independence", "equality", "union")
 
 _N_LABELS = 5
 _FEATURE_JITTER_SD = 0.1
-
-
-def _check_seed(seed) -> None:
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError("seed must be an integer >= 0, got %r" % (seed,))
 
 
 @dataclass(frozen=True)

@@ -309,7 +309,7 @@ class TestConfigFileAndExitCodes:
             "cv", "--features", str(fx), "--labels", str(fy), "--seeds=-1",
             "--folds", "2", "--rules", "2", "--max-iters", "2", "--out-dir", str(tmp_path),
         ]) == 3
-        assert capsys.readouterr().err == "error: seeds must be integers >= 0, got -1\n"
+        assert capsys.readouterr().err == "error: seed must be an integer >= 0, got -1\n"
         assert not (tmp_path / "cv_report.csv").exists()
 
     def test_bad_label_file_is_data_error(self, tmp_path):

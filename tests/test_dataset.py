@@ -235,6 +235,11 @@ class TestKFold:
         with pytest.raises(ValueError, match=r"^%s must be an integer, got " % name):
             kfold_split(n, k, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, 2.0])
+    def test_rejects_a_seed_that_is_not_an_integer_at_least_zero(self, seed):
+        with pytest.raises(ValueError, match=r"^seed must be an integer >= 0, got %s$" % seed):
+            kfold_split(10, 2, seed=seed)
+
     def test_accepts_numpy_integers(self):
         np.testing.assert_array_equal(kfold_split(np.int64(23), np.int32(4), seed=1),
                                       kfold_split(23, 4, seed=1))

@@ -18,7 +18,7 @@ from fuzzml.experiments import (
     run_noise_curve,
 )
 from fuzzml.metrics import average_precision
-from fuzzml.optimizer import OperatorMinima, TrainConfig
+from fuzzml.optimizer import TrainConfig
 from fuzzml.sylvester import SingularProblemError
 from fuzzml.synthgen import SynthSpec, gen_synthetic
 
@@ -322,13 +322,14 @@ class TestSharedPool:
 
     def test_indefinite_steps_count_negative_operator_minima(self, monkeypatch):
         original = exp.train
-        minima = (OperatorMinima(-1.0, 1.0), OperatorMinima(1.0, 1.0),
-                  OperatorMinima(1.0, -1e-12), OperatorMinima(-1.0, -1.0),
-                  OperatorMinima(0.0, 0.0))
+        minima = ((-1.0, 1.0), (1.0, 1.0), (1.0, -1e-12), (-1.0, -1.0), (0.0, 0.0))
 
         def planted_train(data, cfg):
             model, trace = original(data, cfg)
-            return model, replace(trace, operator_minima=minima)
+            first = trace.iterations[0]
+            planted = tuple(replace(first, consequent_min=c, mixing_min=m)
+                            for c, m in minima)
+            return model, replace(trace, iterations=planted)
 
         monkeypatch.setattr(exp, "train", planted_train)
         report = run_cv(_data(n=40), ExperimentConfig(train=FAST, folds=2, seeds=(0,)))
@@ -364,7 +365,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("seed", [-1, 1.5])
     def test_rejects_a_bad_seed_before_any_fold_trains(self, monkeypatch, seed):
         calls = _counting_train(monkeypatch)
-        with pytest.raises(ValueError, match=r"^seeds must be integers >= 0, got %s$" % seed):
+        with pytest.raises(ValueError, match=r"^seed must be an integer >= 0, got %s$" % seed):
             run_cv(_data(n=30), ExperimentConfig(train=FAST, folds=2, seeds=(0, seed)))
         assert calls == []
 

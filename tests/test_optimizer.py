@@ -16,6 +16,7 @@ from reference_sylvester import KRON_GUARD, least_norm_solve, schur_solve
 from fuzzml.optimizer import (
     EPSILON_ROW,
     LABEL_GRAM_RIDGE,
+    NumericalError,
     TrainConfig,
     _Grams,
     _MixingSystem,
@@ -49,7 +50,7 @@ def _frozen(mixing, consequents, fuzzy_x, labels, cfg=TrainConfig()):
     """What one iteration of train() builds at (mixing, consequents).
 
     Returns the mixing system, the point and the weighted Grams:
-    ``point.losses(cfg)`` gives the loss and the stopping loss,
+    ``point.losses(cfg)`` gives the loss terms and the stopping loss by name,
     ``point.weights()`` the (fit, soft) weights, ``point.laplacian``
     the Laplacian, and ``_solve_consequents(point, grams, cfg)[0]`` and
     ``system.solve(point, grams)[0]`` the two subproblem solutions.
@@ -65,15 +66,15 @@ class TestObjective:
         fuzzy_x = np.ones((3, 2))
         cfg = TrainConfig(alpha=0.7, beta=4.0, gamma=9.0)
         _, point, _ = _frozen(np.eye(2), np.zeros((2, 3)), fuzzy_x, labels, cfg)
-        loss = point.losses(cfg)[0]
-        assert loss.total == pytest.approx(2.0, abs=1e-14)
-        assert loss.soft == 0.0 and loss.corr == 0.0 and loss.ridge == 0.0
+        loss = point.losses(cfg)
+        assert loss["total"] == pytest.approx(2.0, abs=1e-14)
+        assert loss["soft"] == 0.0 and loss["corr"] == 0.0 and loss["ridge"] == 0.0
 
     def test_ridge_term_is_frobenius(self):
         labels = np.array([[1.0, 0.0], [0.0, 1.0]])
         cfg = TrainConfig(alpha=0.25, beta=0.0, gamma=0.0)
         _, point, _ = _frozen(np.eye(2), np.ones((2, 3)), np.zeros((3, 2)), labels, cfg)
-        assert point.losses(cfg)[0].ridge == pytest.approx(0.25 * 6.0, abs=1e-14)
+        assert point.losses(cfg)["ridge"] == pytest.approx(0.25 * 6.0, abs=1e-14)
 
     def test_matches_bruteforce_on_random_instances(self):
         rng = np.random.default_rng(1)
@@ -82,14 +83,14 @@ class TestObjective:
             cfg = TrainConfig(alpha=rng.uniform(0, 2), beta=rng.uniform(0, 3),
                               gamma=rng.uniform(0, 1))
             _, point, _ = _frozen(mixing, consequents, fuzzy_x, labels, cfg)
-            loss = point.losses(cfg)[0]
+            loss = point.losses(cfg)
             fit = sum(np.linalg.norm(mixing @ labels[:, i] - consequents @ fuzzy_x[:, i])
                       for i in range(labels.shape[1]))
             soft = sum(np.linalg.norm(labels[:, i] - mixing @ labels[:, i])
                        for i in range(labels.shape[1]))
             corr = cfg.gamma * oracle_correlation_double_sum(mixing, consequents, labels)
             expected = fit + cfg.alpha * np.sum(consequents ** 2) + cfg.beta * soft + corr
-            assert loss.total == pytest.approx(expected, rel=1e-12)
+            assert loss["total"] == pytest.approx(expected, rel=1e-12)
 
 
 class TestReweightDiagonals:
@@ -519,7 +520,48 @@ class TestTrain:
         for it in trace.iterations:
             assert it.total == pytest.approx(
                 it.fit + it.ridge + it.soft + it.corr, rel=1e-12)
-        assert len(trace.stopping_totals) == trace.n_iterations
+
+    def test_trace_fields_the_benchmark_reads(self):
+        # benchmarks/tracer.py reads these three and slices stopping_totals
+        _, trace = train(self._small_data(), TrainConfig(max_iters=4, min_loss_margin=0.0))
+        assert trace.stop_reason == "max_iters"
+        assert trace.n_iterations == 4
+        totals = trace.stopping_totals
+        assert len(totals) == 4 and all(isinstance(t, float) for t in totals)
+        assert list(totals[1:]) == [r.stopping_total for r in trace.iterations[1:]]
+
+    @staticmethod
+    def _plant_losses(monkeypatch, iteration, **planted):
+        """Make ``_Point.losses`` return ``planted`` over its values at ``iteration``."""
+        import fuzzml.optimizer as opt
+
+        losses = opt._Point.losses
+        calls = []
+
+        def planted_losses(point, cfg):
+            calls.append(None)
+            out = losses(point, cfg)
+            return {**out, **planted} if len(calls) == iteration else out
+
+        monkeypatch.setattr(opt._Point, "losses", planted_losses)
+
+    def test_nonpositive_stopping_loss_stops_and_keeps_its_record(self, monkeypatch):
+        self._plant_losses(monkeypatch, 3, stopping_total=-2.5)
+        _, trace = train(self._small_data(), TrainConfig(max_iters=9, min_loss_margin=0.0))
+        assert trace.stop_reason == "nonpositive_loss"
+        assert trace.n_iterations == 3
+        assert trace.iterations[-1].stopping_total == -2.5
+        assert all(t > 0.0 for t in trace.stopping_totals[:2])
+
+    @pytest.mark.parametrize("planted", [dict(total=math.inf),
+                                         dict(stopping_total=math.nan)])
+    def test_non_finite_loss_names_the_iteration_and_every_term(self, monkeypatch, planted):
+        self._plant_losses(monkeypatch, 2, fit=1.5, ridge=0.25, soft=-0.0, corr=-3e-7,
+                           **planted)
+        with pytest.raises(NumericalError) as info:
+            train(self._small_data(), TrainConfig(max_iters=9, min_loss_margin=0.0))
+        assert str(info.value) == ("non-finite loss at iteration 2: "
+                                   "fit=1.5 ridge=0.25 soft=-0.0 corr=-3e-07")
 
     def test_rejects_more_rules_than_samples(self):
         data = self._small_data(n=6)
@@ -582,10 +624,11 @@ class TestTrain:
         started = time.perf_counter()
         _, trace = train(self._small_data(), TrainConfig(max_iters=5, min_loss_margin=0.0))
         wall = time.perf_counter() - started
-        assert len(trace.phases) == trace.n_iterations == 5
+        assert trace.n_iterations == 5
         spent = 0.0
-        for phase in trace.phases:
-            parts = (phase.weights, phase.consequent, phase.mixing, phase.point)
+        for record in trace.iterations:
+            parts = (record.weights_s, record.consequent_s, record.mixing_s,
+                     record.point_s)
             assert all(p >= 0.0 for p in parts)
             spent += sum(parts)
         assert spent <= wall
@@ -594,20 +637,20 @@ class TestTrain:
         # with gamma = 0 the consequent operator is alpha I + Xg W Xg'
         cfg = TrainConfig(gamma=0.0, max_iters=6, min_loss_margin=0.0)
         _, trace = train(self._small_data(), cfg)
-        assert len(trace.operator_minima) == trace.n_iterations == 6
-        for minima in trace.operator_minima:
-            assert minima.consequent >= cfg.alpha
-            assert math.isfinite(minima.mixing)
+        assert trace.n_iterations == 6
+        for record in trace.iterations:
+            assert record.consequent_min >= cfg.alpha
+            assert math.isfinite(record.mixing_min)
 
     def test_stopping_loss_squares_the_residual_norms(self):
         rng = np.random.default_rng(15)
         mixing, consequents, fuzzy_x, labels = _random_instance(rng)
         cfg = TrainConfig(alpha=0.2, beta=1.5, gamma=0.05)
-        lo, stopping = _frozen(mixing, consequents, fuzzy_x, labels, cfg)[1].losses(cfg)
+        lo = _frozen(mixing, consequents, fuzzy_x, labels, cfg)[1].losses(cfg)
         fit = np.linalg.norm(mixing @ labels - consequents @ fuzzy_x, axis=0).sum()
         soft = np.linalg.norm(labels - mixing @ labels, axis=0).sum()
-        expected = fit ** 2 + lo.ridge + cfg.beta * soft ** 2 + lo.corr
-        assert stopping == pytest.approx(expected, rel=1e-12)
+        expected = fit ** 2 + lo["ridge"] + cfg.beta * soft ** 2 + lo["corr"]
+        assert lo["stopping_total"] == pytest.approx(expected, rel=1e-12)
 
     def test_mixing_failure_names_the_subproblem(self, monkeypatch):
         import fuzzml.optimizer as opt
@@ -697,7 +740,7 @@ class TestIterationAgainstTheOracles:
         corr = cfg.gamma * oracle_correlation_double_sum(cur.mixing, cur.consequents, labels)
         assert cur_trace.iterations[-1].corr == pytest.approx(corr, rel=1e-6)
         _, point, _ = _frozen(cur.mixing, cur.consequents, fuzzy_x, labels, cfg)
-        assert point.losses(cfg)[0].corr == pytest.approx(corr, rel=1e-6)
+        assert point.losses(cfg)["corr"] == pytest.approx(corr, rel=1e-6)
 
         # every loss term of the last iteration, from per-sample sums
         fit = sum(np.linalg.norm(cur.mixing @ labels[:, i] - cur.consequents @ fuzzy_x[:, i])

@@ -262,6 +262,12 @@ class TestFitAntecedents:
         with pytest.raises(ValueError, match="exceeds"):
             fit_antecedents(np.zeros((2, 3)), 4)
 
+    @pytest.mark.parametrize("value", [2.0, 2.5, np.float64(2.0)])
+    def test_rejects_a_non_integer_rule_count(self, value):
+        with pytest.raises(ValueError, match=r"^n_rules must be an integer, got "):
+            fit_antecedents(np.zeros((2, 3)), value)
+        assert fit_antecedents(np.zeros((2, 3)), np.int64(2)).n_rules == 2
+
 
 def _model_for_rulebase(rb, n_labels=2):
     d = rb.n_features
