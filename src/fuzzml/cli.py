@@ -1,23 +1,5 @@
 """Command-line interface.
 
-Every subcommand takes --out-dir and --config; its other flags follow
-the subcommand name:
-
-    synth         --kind --n --d --label-prob --out-prefix --seed
-    noise         --features --labels --ratio --out-prefix --seed
-    train         --features --labels, the training flags, --out
-    predict       --model --features --out --binary
-    eval          --scores --labels --threshold --out
-    cv            --features --labels, the training flags,
-                  --folds --seeds --workers
-    grid          as cv, plus --grid-alpha --grid-beta --grid-gamma --grid-rules
-    noise-curve   as cv, plus --ratios
-    ablate        as cv, plus --ablate --noise-ratio
-    export-rules  --model --out
-
-The training flags are --alpha, --beta, --gamma, --rules, --max-iters,
---min-margin and --tau; their defaults are those of TrainConfig.
-
 A config file holds ``key=value`` lines. A key names an option of the
 chosen command (dashes or underscores) and sets its default, so explicit
 command-line flags override file values. Keys that name no option of the

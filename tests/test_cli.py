@@ -153,6 +153,14 @@ class TestTrainPredictEval:
         assert main(["eval", "--scores", scores, "--labels", str(bare)]) == 0
         assert capsys.readouterr().out == line
 
+    def test_eval_refuses_a_headerless_score_file_of_another_shape(self, tmp_path, capsys):
+        _, fy = _write_dataset(tmp_path, n=2)
+        scores = tmp_path / "scores.csv"
+        scores.write_text("0.5,0.5,0.5,0.5\n0.5,0.5,0.5,0.5\n")
+        capsys.readouterr()
+        assert main(["eval", "--scores", str(scores), "--labels", str(fy)]) == 3
+        assert capsys.readouterr().err == "error: scores are (4, 2) but labels are (5, 2)\n"
+
     def test_export_rules(self, tmp_path):
         fx, fy = _write_dataset(tmp_path, n=30)
         main(["train", "--features", str(fx), "--labels", str(fy),
@@ -284,6 +292,15 @@ class TestConfigFileAndExitCodes:
                      "--config", str(cfg), "--out", "bits.csv", "--out-dir", str(tmp_path)]) == 0
         bits = (tmp_path / "bits.csv").read_text().splitlines()[1:]
         assert len(bits) == 20 and set(",".join(bits).split(",")) <= {"0", "1"}
+
+    def test_config_file_sets_an_untyped_option(self, tmp_path):
+        fx, fy = _write_dataset(tmp_path, n=20)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("out=m2.txt\nrules=2\nmax-iters=1\n")
+        assert main(["train", "--features", str(fx), "--labels", str(fy),
+                     "--config", str(cfg), "--out-dir", str(tmp_path)]) == 0
+        assert load_model(tmp_path / "m2.txt").config.n_rules == 2
+        assert not (tmp_path / "model.txt").exists()
 
     def test_cli_flag_overrides_config_file(self, tmp_path):
         fx, fy = _write_dataset(tmp_path, n=30)

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -178,6 +179,14 @@ class TestNormalization:
         with pytest.raises(DataFormatError, match="non-numeric feature cell"):
             apply_norm(np.array([[0.5, bad]]), NormStats([0.0], [1.0]))
 
+    @pytest.mark.parametrize("minimum,maximum,message", [
+        ([0.0, 0.0], [1.0], "equal length"),
+        ([2.0], [1.0], "must not exceed"),
+    ])
+    def test_norm_stats_rejects_bounds_that_do_not_pair_up(self, minimum, maximum, message):
+        with pytest.raises(ValueError, match=message):
+            NormStats(minimum, maximum)
+
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_apply_norm_is_the_clipped_formula_in_c_order(self, order):
         rng = np.random.default_rng(11)
@@ -258,6 +267,16 @@ class TestDatasetInvariants:
     def test_rejects_mismatched_counts(self):
         with pytest.raises(DataFormatError, match="mismatch"):
             Dataset([[1.0, 2.0]], [[1.0]])
+
+    @pytest.mark.parametrize("features,labels,message", [
+        ([1.0, 2.0], [[1.0, 0.0]], "2-D"),
+        (np.zeros((1, 0)), np.zeros((1, 0)), "empty dataset"),
+        ([[1.0]], np.zeros((0, 1)), "empty dataset"),
+        ([[math.nan]], [[1.0]], "non-numeric feature cell"),
+    ], ids=["1d_features", "no_samples", "no_labels", "nan_feature"])
+    def test_rejects_malformed_matrices(self, features, labels, message):
+        with pytest.raises(DataFormatError, match=message):
+            Dataset(features, labels)
 
     def test_immutable(self):
         data = Dataset([[1.0]], [[1.0]])

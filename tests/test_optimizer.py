@@ -12,6 +12,7 @@ from oracles import (
     oracle_mixing_gradient,
 )
 from reference_sylvester import KRON_GUARD, least_norm_solve, schur_solve
+from wide import duplicated_pair, gen_wide
 
 from fuzzml.optimizer import (
     EPSILON_ROW,
@@ -24,10 +25,12 @@ from fuzzml.optimizer import (
     _solve_consequents,
     train,
 )
-from fuzzml.dataset import Dataset
+from fuzzml.dataset import Dataset, take_samples
+from fuzzml.metrics import evaluate
+from fuzzml.predictor import score
 from fuzzml.rules import fit_antecedents, fuzzy_feature_matrix
 from fuzzml.sylvester import SingularProblemError
-from fuzzml.synthgen import SynthSpec, gen_synthetic
+from fuzzml.synthgen import SYNTH_KINDS, NoiseSpec, SynthSpec, gen_synthetic, inject_label_noise
 
 
 def _random_instance(rng, n_labels=None, n_features=None, n_rules=None, n=None):
@@ -605,6 +608,8 @@ class TestTrain:
             TrainConfig(alpha=-1.0)
         with pytest.raises(ValueError):
             TrainConfig(max_iters=0)
+        with pytest.raises(ValueError, match="n_rules must be at least 1"):
+            TrainConfig(n_rules=0)
         with pytest.raises(ValueError):
             TrainConfig(min_loss_margin=-0.5)
 
@@ -668,6 +673,60 @@ class TestTrain:
         data = gen_synthetic(SynthSpec(kind="union", n_samples=60, n_features=5, seed=0))
         with pytest.raises(SingularProblemError, match="iteration 1, mixing solve"):
             train(data, TrainConfig())
+
+
+class TestManyLabels:
+    """Training at the north star's label counts, L = 64 and 200, at gamma = 0.
+
+    The default config is left out until ROADMAP item 1 lands: on seed 1 it
+    raises in the consequent solve at both sizes.
+    """
+
+    @staticmethod
+    def _train_wide(n_labels, seed):
+        data = gen_wide(n_labels, 2000, 20, seed)
+        train_set = take_samples(data, np.arange(1000))
+        held_out = take_samples(data, np.arange(1000, 2000))
+        model, trace = train(train_set, TrainConfig(gamma=0.0))
+        return model, trace, train_set, held_out
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("n_labels", [64, 200])
+    def test_margin_stop_with_equal_duplicated_and_zero_absent_columns(self, n_labels, seed):
+        model, trace, _, _ = self._train_wide(n_labels, seed)
+        assert trace.stop_reason == "margin"
+        mixing = model.mixing
+        first, copy = duplicated_pair(n_labels)
+        assert np.abs(mixing[:, first] - mixing[:, copy]).max() <= 1e-6 * np.abs(mixing).max()
+        assert np.all(mixing[:, -1] == 0.0)  # label L-1 never occurs
+
+    # not at L = 200, where held-out AP and the prior agree to 0.001
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_held_out_ap_beats_the_label_prior_at_64_labels(self, seed):
+        model, _, train_set, held_out = self._train_wide(64, seed)
+        prior = np.repeat(train_set.labels.mean(axis=1)[:, None], held_out.n_samples, axis=1)
+        ap = evaluate(score(model, held_out.features), held_out.labels).ap
+        assert ap > evaluate(prior, held_out.labels).ap
+
+
+def _range_projector(labels):
+    """Orthogonal projector onto the span of the columns of Y, of rank rank(Y)."""
+    basis = np.linalg.svd(labels, full_matrices=False)[0][:, :np.linalg.matrix_rank(labels)]
+    return basis @ basis.T
+
+
+@pytest.mark.parametrize("kind", SYNTH_KINDS)
+def test_default_mixing_is_the_projector_onto_the_label_range(kind):
+    """At the default beta the soft labels are the noisy labels: M = P, so SY = Y.
+
+    ROADMAP item 7, which makes the soft-label mechanism do something, must
+    update this test and README's account of the soft-label transform. At
+    N = 300, a run that stopped at max_iters read 1.1e-5, so N stays at 600.
+    """
+    data = inject_label_noise(gen_synthetic(SynthSpec(kind=kind, n_samples=600, seed=0)),
+                              NoiseSpec(0.2, seed=1))
+    model, _ = train(data, TrainConfig())
+    assert np.linalg.norm(model.mixing - _range_projector(data.labels)) <= 1e-6
 
 
 class TestIterationAgainstTheOracles:

@@ -214,6 +214,14 @@ class TestPersistence:
         with pytest.raises(ModelFormatError, match="checksum failure"):
             load_model(path)
 
+    def test_missing_checksum_line(self, tmp_path):
+        path = tmp_path / "model.txt"
+        save_model(self._trained_model(), path)
+        header, _, payload = path.read_text().split("\n", 2)
+        path.write_text(header + "\n" + payload)
+        with pytest.raises(ModelFormatError, match="missing checksum"):
+            load_model(path)
+
     @pytest.mark.parametrize("row", ["norm min", "width", "S", "C"])
     def test_nan_width_is_rejected(self, tmp_path, row):
         model = self._trained_model()
@@ -311,8 +319,12 @@ class TestPersistence:
         (lambda lines: [line.replace(",f3", "") for line in lines], "bad norm row"),
         (lambda lines: [line.replace("[S]", "[M]") for line in lines],
          "sections meta,norm,rulebase,M,C"),
+        (lambda lines: ["stray=1"] + lines, "expected [meta]"),
+        (lambda lines: lines[:-1] + ["x" + lines[-1][lines[-1].index(","):]], "bad C value"),
+        (lambda lines: [("alpha=-1" if line.startswith("alpha=") else line) for line in lines],
+         "alpha, beta and gamma must be finite and nonnegative"),
     ], ids=["n_rules", "repeated_key", "missing_key", "label_count", "feature_count",
-            "section"])
+            "section", "line_before_meta", "non_numeric_cell", "refused_config"])
     def test_counts_that_disagree_are_rejected(self, tmp_path, edit, message):
         path = tmp_path / "model.txt"
         save_model(self._trained_model(), path)
@@ -345,6 +357,16 @@ class TestModelParamsConsistency:
         model = _manual_model(np.zeros((2, 3)))
         with pytest.raises(ValueError, match="n_rules"):
             dataclasses.replace(model, config=TrainConfig(n_rules=2))
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("consequents", np.zeros((2, 4)), "K(D+1)"),
+        ("mixing", np.zeros((2, 3)), "L x L"),
+        ("norm", NormStats([0.0], [1.0]), "the D features"),
+    ])
+    def test_matrices_must_fit_the_rule_base_and_the_labels(self, field, value, message):
+        model = _manual_model(np.zeros((2, 3)))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            dataclasses.replace(model, **{field: value})
 
     @pytest.mark.parametrize("field,names", [
         ("feature_names", ("f1",)),

@@ -203,6 +203,15 @@ class TestRuleBase:
         with pytest.raises(ValueError, match="finite"):
             RuleBase(centers, widths)
 
+    @pytest.mark.parametrize("centers,widths,message", [
+        ([[0.5, 0.5]], [[1.0]], "matching K x D"),
+        (np.zeros((0, 2)), np.zeros((0, 2)), "K >= 1"),
+        (np.zeros((2, 0)), np.zeros((2, 0)), "D >= 1"),
+    ], ids=["shapes_differ", "no_rules", "no_features"])
+    def test_rejects_matrices_that_are_not_k_by_d(self, centers, widths, message):
+        with pytest.raises(ValueError, match=message):
+            RuleBase(centers, widths)
+
     @pytest.mark.parametrize("width", [0.0, -1e-3])
     def test_rejects_a_width_that_is_not_positive(self, width):
         with pytest.raises(ValueError, match="positive"):
@@ -261,6 +270,12 @@ class TestFitAntecedents:
     def test_rejects_too_many_rules(self):
         with pytest.raises(ValueError, match="exceeds"):
             fit_antecedents(np.zeros((2, 3)), 4)
+
+    def test_rejects_1d_features_and_no_rules(self):
+        with pytest.raises(ValueError, match="D x N matrix"):
+            fit_antecedents(np.zeros(3), 1)
+        with pytest.raises(ValueError, match="n_rules must be at least 1"):
+            fit_antecedents(np.zeros((2, 3)), 0)
 
     @pytest.mark.parametrize("value", [2.0, 2.5, np.float64(2.0)])
     def test_rejects_a_non_integer_rule_count(self, value):

@@ -228,6 +228,17 @@ class TestGuards:
             solve_sylvester(np.zeros((2, 3)), np.eye(3), np.zeros((2, 3)))
         with pytest.raises(ValueError):
             solve_sylvester(np.eye(2), np.eye(3), np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="B must be square"):
+            solve_sylvester(np.eye(2), np.zeros((3, 2)), np.zeros((2, 3)))
+
+    def test_failed_eigendecomposition_is_a_numerical_failure(self, monkeypatch):
+        def fail(m):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(SingularProblemError,
+                           match="eigendecomposition failed: Eigenvalues did not converge"):
+            solve_sylvester(np.eye(2), np.eye(2), np.ones((2, 2)))
 
     def test_rejects_non_symmetric_coefficients(self):
         skew = np.array([[1.0, 2.0], [0.0, 1.0]])
