@@ -2,9 +2,10 @@
 
 A config file holds ``key=value`` lines. A key names an option of the
 chosen command (dashes or underscores) and sets its default, so explicit
-command-line flags override file values. Keys that name no option of the
-chosen command are ignored, and a required flag must be given on the
-command line.
+command-line flags override file values. A flag such as ``binary`` takes
+1, true, yes or on, or 0, false, no or off, in any case. Keys that name
+no option of the chosen command are ignored, and a required flag must be
+given on the command line.
 
 Every metric column and line (the fold rows, the summaries, the ablate
 tables, the eval line) lists the metrics of ``metrics.METRICS`` in that
@@ -178,7 +179,8 @@ def cmd_eval(args):
         _check_header("score", score_names, label_names, "the label header")
     if scores.shape != labels.shape:
         raise DataFormatError(
-            "scores are %s but labels are %s" % (scores.shape, labels.shape)
+            "scores have %d rows of %d cells but labels have %d rows of %d cells"
+            % (scores.shape[::-1] + labels.shape[::-1])
         )
     report = evaluate(scores, labels, tau=args.threshold)
     line = "%s,%d" % (_metric_cells(getattr(report, key) for key in METRICS),
@@ -378,7 +380,12 @@ def _apply_file_defaults(parser, values):
             raw = values[key]
             try:
                 if isinstance(action, argparse._StoreTrueAction):
-                    action.default = raw.lower() in ("1", "true", "yes", "on")
+                    if raw.lower() in ("1", "true", "yes", "on"):
+                        action.default = True
+                    elif raw.lower() in ("0", "false", "no", "off"):
+                        action.default = False
+                    else:
+                        raise ValueError("expected one of 1, true, yes, on, 0, false, no, off")
                 elif action.type is not None:
                     action.default = action.type(raw)
                 else:

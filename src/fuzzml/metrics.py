@@ -1,18 +1,19 @@
 """Multilabel evaluation metrics and the critical-difference statistic.
 
-All four metrics operate on an L x N score matrix and an L x N binary
-truth matrix. The ranking metrics read one ranked view of the checked
-pair: one stable descending argsort per column (among equal scores the
-smaller label index ranks better), turned into one flat index that
-gathers truth and scores in that order. Every later step works on whole
-label rows: adding each row of gathered truth into the next gives the
-running relevant counts, which feed average precision's precision sums,
-the relevant counts (the last row) and coverage's depth; the rank minus
-them gives the irrelevant counts, and a minimum walked up from the last
-row gives ranking loss the count at the end of each run of tied scores.
-:func:`evaluate` builds the view once. Samples without relevant labels
-are skipped by all three, and ranking loss also skips samples whose
-every label is relevant; the report counts both.
+:func:`evaluate` is the one entry to the four metrics: it takes an L x N
+score matrix and an L x N binary truth matrix and returns every field of
+a :class:`MetricsReport`. The three ranking metrics read one ranked view
+of the checked pair, built once: one stable descending argsort per
+column (among equal scores the smaller label index ranks better), turned
+into one flat index that gathers truth and scores in that order. Every
+later step works on whole label rows: adding each row of gathered truth
+into the next gives the running relevant counts, which feed average
+precision's precision sums, the relevant counts (the last row) and
+coverage's depth; the rank minus them gives the irrelevant counts, and a
+minimum walked up from the last row gives ranking loss the count at the
+end of each run of tied scores. Samples without relevant labels are
+skipped by all three, and ranking loss also skips samples whose every
+label is relevant; the report counts both.
 """
 
 import dataclasses
@@ -20,8 +21,7 @@ import math
 
 import numpy as np
 
-__all__ = ["METRICS", "MetricsReport", "average_precision", "hamming_loss", "ranking_loss",
-           "coverage", "evaluate", "critical_difference"]
+__all__ = ["METRICS", "MetricsReport", "evaluate", "critical_difference"]
 
 # the MetricsReport fields that reports aggregate and print, in print order
 METRICS = ("ap", "hl", "rl", "cv_raw", "cv_norm")
@@ -122,59 +122,20 @@ class _Ranking:
         return cv_raw, cv_raw / self.n_labels
 
 
-def _hamming(predicted, relevant) -> float:
-    return float(np.mean(predicted != relevant))
-
-
-def average_precision(scores, truth) -> float:
-    """Mean over samples of the average per-relevant-label precision.
-
-    For each relevant label, the number of relevant labels ranked at
-    least as well, divided by the label's rank. The tie-broken ranking is
-    used on both sides, so for tie-free scores this counts exactly the
-    relevant labels scoring at least as high, and the value always lies
-    in [0, 1]. Samples without relevant labels are skipped; if every
-    sample is skipped a ValueError is raised.
-    """
-    return _Ranking(*_check_pair(scores, truth)).average_precision()
-
-
-def hamming_loss(predicted, truth) -> float:
-    """Mean fraction of label bits that disagree; an empty pair raises ValueError."""
-    predicted = np.asarray(predicted, dtype=np.float64)
-    truth = np.asarray(truth, dtype=np.float64)
-    if predicted.shape != truth.shape or predicted.ndim != 2:
-        raise ValueError("predictions and truth must be matching L x N matrices")
-    if predicted.size == 0:
-        raise ValueError("predictions and truth must not be empty")
-    for name, m in (("predictions", predicted), ("truth", truth)):
-        if not np.all((m == 0.0) | (m == 1.0)):
-            raise ValueError("%s must be binary" % name)
-    return _hamming(predicted == 1.0, truth == 1.0)
-
-
-def ranking_loss(scores, truth) -> float:
-    """Mean fraction of (relevant, irrelevant) pairs ranked in the wrong order.
-
-    A pair counts when the relevant label does not score strictly higher.
-    Samples lacking either relevant or irrelevant labels are skipped.
-    """
-    return _Ranking(*_check_pair(scores, truth)).ranking_loss()
-
-
-def coverage(scores, truth):
-    """Mean depth needed to cover all relevant labels, raw and normalized.
-
-    Returns (cv_raw, cv_norm) where cv_raw averages (worst relevant rank
-    minus one) over samples with relevant labels and cv_norm divides by L.
-    """
-    return _Ranking(*_check_pair(scores, truth)).coverage()
-
-
 def evaluate(scores, truth, tau: float = 0.5) -> MetricsReport:
     """Compute the full report; Hamming loss thresholds the scores at tau.
 
-    A non-finite tau raises ValueError.
+    ``ap`` averages, over each relevant label, the number of relevant
+    labels ranked at least as well divided by the label's rank; with
+    the tie-broken ranking on both sides it lies in [0, 1]. ``hl`` is the
+    fraction of label bits where ``scores >= tau`` disagrees with truth.
+    ``rl`` is the fraction of (relevant, irrelevant) pairs in which the
+    relevant label does not score strictly higher. Each ranking metric is
+    a mean over the samples the module docstring says it reads; one left
+    without such a sample raises ValueError("no evaluable samples"), so
+    a pair with L = 1, or with every label of every sample relevant, has
+    no report. A non-finite tau, a non-finite score or non-binary truth
+    raises ValueError.
     """
     if not math.isfinite(tau):
         raise ValueError("tau must be finite")
@@ -184,7 +145,7 @@ def evaluate(scores, truth, tau: float = 0.5) -> MetricsReport:
     n_rel = ranking.n_rel
     return MetricsReport(
         ap=ranking.average_precision(),
-        hl=_hamming(scores >= tau, truth == 1.0),
+        hl=float(np.mean((scores >= tau) != (truth == 1.0))),
         rl=ranking.ranking_loss(),
         cv_raw=cv_raw,
         cv_norm=cv_norm,

@@ -12,7 +12,7 @@ must give a report ``==`` to ``fuzzml.metrics.evaluate``.
 
 import numpy as np
 
-from fuzzml.metrics import MetricsReport, _check_pair, _hamming, _mean_terms
+from fuzzml.metrics import MetricsReport, _check_pair, _mean_terms
 
 
 class ColumnRanking:
@@ -57,7 +57,7 @@ def reference_evaluate(scores, truth, tau: float = 0.5) -> MetricsReport:
     n_rel = ranking.n_rel
     return MetricsReport(
         ap=ranking.average_precision(),
-        hl=_hamming(scores >= tau, truth == 1.0),
+        hl=float(np.mean((scores >= tau) != (truth == 1.0))),
         rl=ranking.ranking_loss(),
         cv_raw=cv_raw,
         cv_norm=cv_norm,

@@ -20,13 +20,7 @@ from oracles import (
 from reference_sylvester import kron_oracle
 
 from fuzzml.dataset import Dataset, load_dataset, save_dataset
-from fuzzml.metrics import (
-    average_precision,
-    coverage,
-    critical_difference,
-    hamming_loss,
-    ranking_loss,
-)
+from fuzzml.metrics import _check_pair, _Ranking, critical_difference, evaluate
 from fuzzml.optimizer import (
     TrainConfig,
     _Grams,
@@ -90,26 +84,33 @@ def test_criterion_03_metrics_oracle_equivalence():
         n = int(rng.integers(1, 9))
         scores = np.round(rng.normal(size=(n_labels, n)), 1)
         truth = (rng.random((n_labels, n)) < 0.5).astype(float)
-        pred = (rng.random((n_labels, n)) < 0.5).astype(float)
+        # a threshold equal to one of the scores, so some scores tie with it
+        tau = float(scores.flat[np.argmax(rng.random((n_labels, n)))])
         rel = truth.sum(axis=0)
         if np.all(rel == 0):
             continue
         checked += 1
-        worst = max(worst, abs(average_precision(scores, truth)
-                               - oracle_average_precision(scores, truth)))
-        worst = max(worst, abs(hamming_loss(pred, truth)
-                               - oracle_hamming_loss(pred, truth)))
-        raw, norm = coverage(scores, truth)
+        try:
+            report = evaluate(scores, truth, tau)
+        except ValueError as exc:
+            # refused only when ranking loss has no sample to read
+            assert str(exc) == "no evaluable samples"
+            assert not np.any((rel > 0) & (rel < n_labels))
+            ranking = _Ranking(*_check_pair(scores, truth))
+            ap, (cv_raw, cv_norm) = ranking.average_precision(), ranking.coverage()
+        else:
+            ap, cv_raw, cv_norm = report.ap, report.cv_raw, report.cv_norm
+            worst = max(worst, abs(report.hl - oracle_hamming_loss(
+                (scores >= tau).astype(float), truth)))
+            worst = max(worst, abs(report.rl - oracle_ranking_loss(scores, truth)))
+        worst = max(worst, abs(ap - oracle_average_precision(scores, truth)))
         oracle_raw, oracle_norm = oracle_coverage(scores, truth)
-        worst = max(worst, abs(raw - oracle_raw), abs(norm - oracle_norm))
-        if np.any((rel > 0) & (rel < n_labels)):
-            worst = max(worst, abs(ranking_loss(scores, truth)
-                                   - oracle_ranking_loss(scores, truth)))
+        worst = max(worst, abs(cv_raw - oracle_raw), abs(cv_norm - oracle_norm))
     scores = np.array([[0.9], [0.5], [0.1]])
     hand = (
-        abs(average_precision(scores, np.array([[1.0], [0.0], [1.0]])) - 5 / 6),
-        abs(ranking_loss(scores, np.array([[0.0], [1.0], [0.0]])) - 0.5),
-        abs(coverage(scores, np.array([[1.0], [0.0], [1.0]]))[0] - 2.0),
+        abs(evaluate(scores, np.array([[1.0], [0.0], [1.0]])).ap - 5 / 6),
+        abs(evaluate(scores, np.array([[0.0], [1.0], [0.0]])).rl - 0.5),
+        abs(evaluate(scores, np.array([[1.0], [0.0], [1.0]])).cv_raw - 2.0),
     )
     ok = checked >= 900 and worst <= 1e-12 and max(hand) <= 1e-12
     _report(3, "metrics match brute-force evaluator", ok,

@@ -159,7 +159,8 @@ class TestTrainPredictEval:
         scores.write_text("0.5,0.5,0.5,0.5\n0.5,0.5,0.5,0.5\n")
         capsys.readouterr()
         assert main(["eval", "--scores", str(scores), "--labels", str(fy)]) == 3
-        assert capsys.readouterr().err == "error: scores are (4, 2) but labels are (5, 2)\n"
+        assert capsys.readouterr().err == \
+            "error: scores have 2 rows of 4 cells but labels have 2 rows of 5 cells\n"
 
     def test_export_rules(self, tmp_path):
         fx, fy = _write_dataset(tmp_path, n=30)
@@ -287,11 +288,31 @@ class TestConfigFileAndExitCodes:
         assert main(["train", "--features", str(fx), "--labels", str(fy),
                      "--rules", "2", "--max-iters", "1", "--out-dir", str(tmp_path)]) == 0
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("binary=true\n")
+        for i, (value, binary) in enumerate([("true", True), ("YES", True), ("off", False)]):
+            cfg.write_text("binary=%s\n" % value)
+            out = tmp_path / ("out%d.csv" % i)
+            assert main(["predict", "--model", str(tmp_path / "model.txt"),
+                         "--features", str(fx), "--config", str(cfg),
+                         "--out", out.name, "--out-dir", str(tmp_path)]) == 0, value
+            rows = out.read_text().splitlines()[1:]
+            assert len(rows) == 20
+            assert (set(",".join(rows).split(",")) <= {"0", "1"}) == binary, value
+
+    @pytest.mark.parametrize("value", ["ture", "2", ""], ids=["ture", "2", "empty"])
+    def test_config_file_refuses_a_misspelt_boolean(self, tmp_path, capsys, value):
+        # a misspelt value is refused, not read as false
+        fx, fy = _write_dataset(tmp_path, n=20)
+        assert main(["train", "--features", str(fx), "--labels", str(fy),
+                     "--rules", "2", "--max-iters", "1", "--out-dir", str(tmp_path)]) == 0
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("binary=%s\n" % value)
+        capsys.readouterr()
         assert main(["predict", "--model", str(tmp_path / "model.txt"), "--features", str(fx),
-                     "--config", str(cfg), "--out", "bits.csv", "--out-dir", str(tmp_path)]) == 0
-        bits = (tmp_path / "bits.csv").read_text().splitlines()[1:]
-        assert len(bits) == 20 and set(",".join(bits).split(",")) <= {"0", "1"}
+                     "--config", str(cfg), "--out", "bits.csv", "--out-dir", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == (
+            "error: config --binary=%s: expected one of 1, true, yes, on, 0, false, no, off\n"
+            % value)
+        assert not (tmp_path / "bits.csv").exists()
 
     def test_config_file_sets_an_untyped_option(self, tmp_path):
         fx, fy = _write_dataset(tmp_path, n=20)

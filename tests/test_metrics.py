@@ -11,96 +11,112 @@ from oracles import (
 )
 from reference_ranking import ColumnRanking, reference_evaluate
 
+from fuzzml import metrics
 from fuzzml.metrics import (
     METRICS,
     MetricsReport,
+    _check_pair,
     _Ranking,
-    average_precision,
-    coverage,
     critical_difference,
     evaluate,
-    hamming_loss,
-    ranking_loss,
 )
+
+
+def _ranking(scores, truth):
+    """The ranked view ``evaluate`` reads, for pairs it refuses as a whole."""
+    return _Ranking(*_check_pair(scores, truth))
 
 
 class TestAveragePrecision:
     def test_top_ranked_relevant(self):
         scores = np.array([[0.9], [0.5], [0.1]])
         truth = np.array([[1.0], [0.0], [0.0]])
-        assert average_precision(scores, truth) == pytest.approx(1.0, abs=1e-12)
+        assert evaluate(scores, truth).ap == pytest.approx(1.0, abs=1e-12)
 
     def test_bottom_ranked_relevant(self):
         scores = np.array([[0.9], [0.5], [0.1]])
         truth = np.array([[0.0], [0.0], [1.0]])
-        assert average_precision(scores, truth) == pytest.approx(1 / 3, abs=1e-12)
+        assert evaluate(scores, truth).ap == pytest.approx(1 / 3, abs=1e-12)
 
     def test_two_relevant(self):
         scores = np.array([[0.9], [0.5], [0.1]])
         truth = np.array([[1.0], [0.0], [1.0]])
-        assert average_precision(scores, truth) == pytest.approx(5 / 6, abs=1e-12)
+        assert evaluate(scores, truth).ap == pytest.approx(5 / 6, abs=1e-12)
 
     def test_all_skipped_raises(self):
         with pytest.raises(ValueError, match="no evaluable samples"):
-            average_precision(np.zeros((2, 3)), np.zeros((2, 3)))
+            evaluate(np.zeros((2, 3)), np.zeros((2, 3)))
 
 
 class TestHammingLoss:
+    # the scores are 0/1 bits, so thresholding at 0.5 returns them unchanged
     def test_identical(self):
         y = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert hamming_loss(y, y) == 0.0
+        assert evaluate(y, y, tau=0.5).hl == 0.0
 
     def test_complement(self):
         y = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert hamming_loss(1.0 - y, y) == 1.0
+        assert evaluate(1.0 - y, y, tau=0.5).hl == 1.0
 
     def test_one_of_three_bits(self):
         truth = np.array([[1.0], [0.0], [1.0]])
         pred = np.array([[1.0], [1.0], [1.0]])
-        assert hamming_loss(pred, truth) == pytest.approx(1 / 3, abs=1e-12)
+        assert evaluate(pred, truth, tau=0.5).hl == pytest.approx(1 / 3, abs=1e-12)
 
-    def test_rejects_non_binary(self):
-        with pytest.raises(ValueError, match="binary"):
-            hamming_loss(np.array([[0.5]]), np.array([[1.0]]))
+    def test_thresholds_non_binary_scores(self):
+        scores = np.array([[0.5], [0.2]])
+        truth = np.array([[1.0], [0.0]])
+        assert evaluate(scores, truth, tau=0.5).hl == 0.0
+        assert evaluate(scores, truth, tau=0.6).hl == 0.5
+        assert evaluate(scores, truth, tau=0.2).hl == 0.5
 
 
 class TestRankingLoss:
     def test_perfect_separation(self):
         scores = np.array([[0.9], [0.5], [0.1]])
         truth = np.array([[1.0], [0.0], [0.0]])
-        assert ranking_loss(scores, truth) == 0.0
+        assert evaluate(scores, truth).rl == 0.0
 
     def test_worst_case(self):
         scores = np.array([[0.9], [0.5], [0.1]])
         truth = np.array([[0.0], [0.0], [1.0]])
-        assert ranking_loss(scores, truth) == 1.0
+        assert evaluate(scores, truth).rl == 1.0
 
     def test_half_violated(self):
         scores = np.array([[0.9], [0.5], [0.1]])
         truth = np.array([[0.0], [1.0], [0.0]])
-        assert ranking_loss(scores, truth) == pytest.approx(0.5, abs=1e-12)
+        assert evaluate(scores, truth).rl == pytest.approx(0.5, abs=1e-12)
 
 
 class TestCoverage:
     def test_top_rank(self):
         scores = np.array([[0.9], [0.5], [0.1]])
         truth = np.array([[1.0], [0.0], [0.0]])
-        assert coverage(scores, truth) == (0.0, 0.0)
+        report = evaluate(scores, truth)
+        assert (report.cv_raw, report.cv_norm) == (0.0, 0.0)
 
     def test_worst_relevant_at_rank_three(self):
         scores = np.array([[0.9], [0.5], [0.1]])
         truth = np.array([[1.0], [0.0], [1.0]])
-        raw, norm = coverage(scores, truth)
-        assert raw == pytest.approx(2.0, abs=1e-12)
-        assert norm == pytest.approx(2 / 3, abs=1e-12)
+        report = evaluate(scores, truth)
+        assert report.cv_raw == pytest.approx(2.0, abs=1e-12)
+        assert report.cv_norm == pytest.approx(2 / 3, abs=1e-12)
 
     def test_all_relevant_forces_maximum(self):
         rng = np.random.default_rng(1)
         scores = rng.normal(size=(4, 6))
         truth = np.ones((4, 6))
-        raw, norm = coverage(scores, truth)
+        raw, norm = _ranking(scores, truth).coverage()
         assert raw == 3.0
         assert norm == 0.75
+
+
+def _outcome(call, *args):
+    """The value of ``call(*args)``, or the message of the ValueError it raises."""
+    try:
+        return call(*args)
+    except ValueError as exc:
+        return "ValueError: %s" % exc
 
 
 class TestOracleEquivalence:
@@ -112,21 +128,27 @@ class TestOracleEquivalence:
             # quantized scores so ties genuinely occur
             scores = np.round(rng.normal(size=(n_labels, n)), 1)
             truth = (rng.random((n_labels, n)) < 0.5).astype(float)
-            pred = (rng.random((n_labels, n)) < 0.5).astype(float)
+            # a threshold equal to one of the scores, so some scores tie with it
+            tau = float(scores.flat[np.argmax(rng.random((n_labels, n)))])
             rel = truth.sum(axis=0)
             if np.all((rel == 0)):
                 continue
-            assert average_precision(scores, truth) == pytest.approx(
-                oracle_average_precision(scores, truth), abs=1e-12)
-            assert hamming_loss(pred, truth) == pytest.approx(
-                oracle_hamming_loss(pred, truth), abs=1e-12)
-            raw, norm = coverage(scores, truth)
+            report = _outcome(evaluate, scores, truth, tau)
+            if isinstance(report, MetricsReport):
+                ap, raw, norm = report.ap, report.cv_raw, report.cv_norm
+                assert report.hl == pytest.approx(
+                    oracle_hamming_loss((scores >= tau).astype(float), truth), abs=1e-12)
+                assert report.rl == pytest.approx(
+                    oracle_ranking_loss(scores, truth), abs=1e-12)
+            else:  # refused only when ranking loss has no sample to read
+                assert report == "ValueError: no evaluable samples"
+                assert not np.any((rel > 0) & (rel < n_labels))
+                ranking = _ranking(scores, truth)
+                ap, (raw, norm) = ranking.average_precision(), ranking.coverage()
+            assert ap == pytest.approx(oracle_average_precision(scores, truth), abs=1e-12)
             oraw, onorm = oracle_coverage(scores, truth)
             assert raw == pytest.approx(oraw, abs=1e-12)
             assert norm == pytest.approx(onorm, abs=1e-12)
-            if np.any((rel > 0) & (rel < n_labels)):
-                assert ranking_loss(scores, truth) == pytest.approx(
-                    oracle_ranking_loss(scores, truth), abs=1e-12)
 
     @pytest.mark.parametrize("n_labels", [2, 5, 64, 200])
     @pytest.mark.parametrize("decimals", [None, 1, 0])
@@ -140,15 +162,17 @@ class TestOracleEquivalence:
         truth[:, 0] = 0.0  # empty relevant set: skipped by AP, RL and coverage
         truth[:, 1] = 1.0  # full relevant set: skipped by RL
         truth[0, 2], truth[1:, 2] = 1.0, 0.0
-        scores[:, 3] = 0.5  # one sample with every score tied
-        assert average_precision(scores, truth) == pytest.approx(
+        scores[:, 3] = 0.5  # one sample with every score tied, on the threshold
+        report = evaluate(scores, truth, tau=0.5)
+        assert report.ap == pytest.approx(
             oracle_average_precision(scores, truth), abs=1e-12)
-        assert ranking_loss(scores, truth) == pytest.approx(
+        assert report.hl == pytest.approx(
+            oracle_hamming_loss((scores >= 0.5).astype(float), truth), abs=1e-12)
+        assert report.rl == pytest.approx(
             oracle_ranking_loss(scores, truth), abs=1e-12)
-        raw, norm = coverage(scores, truth)
         oraw, onorm = oracle_coverage(scores, truth)
-        assert raw == pytest.approx(oraw, abs=1e-12)
-        assert norm == pytest.approx(onorm, abs=1e-12)
+        assert report.cv_raw == pytest.approx(oraw, abs=1e-12)
+        assert report.cv_norm == pytest.approx(onorm, abs=1e-12)
 
     def test_label_permutation_invariance(self):
         rng = np.random.default_rng(7)
@@ -159,15 +183,18 @@ class TestOracleEquivalence:
             truth[0, :] = 1.0  # keep every sample evaluable
             truth[1, :] = 0.0
             perm = rng.permutation(n_labels)
-            assert average_precision(scores[perm], truth[perm]) == pytest.approx(
-                average_precision(scores, truth), abs=1e-12)
-            assert ranking_loss(scores[perm], truth[perm]) == pytest.approx(
-                ranking_loss(scores, truth), abs=1e-12)
-            assert coverage(scores[perm], truth[perm])[0] == pytest.approx(
-                coverage(scores, truth)[0], abs=1e-12)
+            permuted, report = evaluate(scores[perm], truth[perm]), evaluate(scores, truth)
+            for name in ("ap", "rl", "cv_raw"):
+                assert getattr(permuted, name) == pytest.approx(
+                    getattr(report, name), abs=1e-12), name
 
 
 class TestEvaluate:
+    def test_evaluate_is_the_one_metric_entry(self):
+        # the single-metric functions are not a second path to the report fields
+        assert sorted(metrics.__all__) == \
+            ["METRICS", "MetricsReport", "critical_difference", "evaluate"]
+
     def test_report_fields_and_skip_count(self):
         scores = np.array([[0.9, 0.2, 0.7], [0.1, 0.8, 0.6], [0.4, 0.3, 0.5]])
         truth = np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
@@ -186,16 +213,16 @@ class TestEvaluate:
             scores = np.round(rng.normal(size=(4, 5)), 1)
             truth = (rng.random((4, 5)) < 0.5).astype(float)
             truth[0, :] = 1.0
-            assert 0.0 <= average_precision(scores, truth) <= 1.0
-            raw, norm = coverage(scores, truth)
-            assert 0.0 <= norm <= 1.0
+            report = evaluate(scores, truth)
+            assert 0.0 <= report.ap <= 1.0
+            assert 0.0 <= report.cv_norm <= 1.0
 
     def test_fully_tied_scores_follow_index_order(self):
         # ties resolve by label index on both sides of the precision
         # fraction, so an all-tied, all-relevant column is perfect
         scores = np.full((3, 1), 0.6)
         truth = np.ones((3, 1))
-        assert average_precision(scores, truth) == pytest.approx(1.0, abs=1e-12)
+        assert _ranking(scores, truth).average_precision() == pytest.approx(1.0, abs=1e-12)
 
     def test_threshold_feeds_hamming(self):
         scores = np.array([[0.6], [0.4]])
@@ -211,23 +238,10 @@ class TestEvaluate:
             evaluate(scores, truth, tau=tau)
 
 
-def _report_from_the_metric_functions(scores, truth, tau):
-    truth_f = np.asarray(truth, dtype=np.float64)
-    rel = truth_f.sum(axis=0)
-    cv_raw, cv_norm = coverage(scores, truth)
-    return MetricsReport(
-        ap=average_precision(scores, truth),
-        hl=hamming_loss((scores >= tau).astype(np.float64), truth),
-        rl=ranking_loss(scores, truth),
-        cv_raw=cv_raw,
-        cv_norm=cv_norm,
-        n_skipped_ap_rl=int(np.count_nonzero((rel == 0) | (rel == truth_f.shape[0]))),
-    )
-
-
 class TestEvaluateAgreesWithTheMetricFunctions:
-    """evaluate ranks once for all fields; each field must equal, bit for
-    bit, what the public function computes from the pair on its own."""
+    """Truth of any layout or dtype gives, bit for bit, the report of float64
+    truth and the report of the column-wise metric functions of
+    ``reference_ranking``."""
 
     @pytest.mark.parametrize("layout", ["float", "fortran", "bool", "int"])
     def test_bit_identical_fields(self, layout):
@@ -245,29 +259,23 @@ class TestEvaluateAgreesWithTheMetricFunctions:
                     truth[:, 2] = True  # an all-one column
                 if n_labels >= 2:  # one evaluable sample, so every field exists
                     truth[0, 0], truth[-1, 0] = True, False
+                float_truth = truth.astype(np.float64)
                 if layout == "fortran":  # the layout take_samples returns
-                    truth = np.asfortranarray(truth.astype(np.float64))
+                    truth = np.asfortranarray(float_truth)
                 else:
                     truth = truth.astype({"float": np.float64, "bool": bool, "int": int}[layout])
                 tau = float(scores[0, 0])  # a score on the threshold
                 if n_labels == 1:  # every sample is empty or complete
                     with pytest.raises(ValueError, match="^no evaluable samples$"):
-                        ranking_loss(scores, truth)
+                        _ranking(scores, truth).ranking_loss()
                     with pytest.raises(ValueError, match="^no evaluable samples$"):
                         evaluate(scores, truth, tau)
                     continue
-                assert evaluate(scores, truth, tau) == \
-                    _report_from_the_metric_functions(scores, truth, tau)
+                report = evaluate(scores, truth, tau)
+                assert report == evaluate(scores, float_truth, tau)
+                assert report == reference_evaluate(scores, truth, tau)
                 n_compared += 1
         assert n_compared == 3 * (len(shapes) - 2)
-
-
-def _outcome(call, *args):
-    """The value of ``call(*args)``, or the message of the ValueError it raises."""
-    try:
-        return call(*args)
-    except ValueError as exc:
-        return "ValueError: %s" % exc
 
 
 class TestRowWalkMatchesTheColumnReference:
@@ -304,8 +312,16 @@ _SCORES = np.array([[0.6, 0.2, 0.7], [0.4, 0.9, 0.1]])
 _TRUTH = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
 
 
+def _ranked_field(name):
+    """The ``_Ranking`` method ``name`` as a call on a (scores, truth) pair."""
+    return lambda scores, truth: getattr(_ranking(scores, truth), name)()
+
+
 class TestErrors:
-    @pytest.mark.parametrize("metric", [evaluate, average_precision, ranking_loss, coverage])
+    # each ranked field refuses a bad pair as evaluate does
+    @pytest.mark.parametrize("metric", [evaluate] + [
+        pytest.param(_ranked_field(name), id=name)
+        for name in ("average_precision", "ranking_loss", "coverage")])
     @pytest.mark.parametrize("scores, truth, message", [
         (np.where(_SCORES == 0.9, np.nan, _SCORES), _TRUTH, "scores must be finite"),
         (np.where(_SCORES == 0.1, -np.inf, _SCORES), _TRUTH, "scores must be finite"),
@@ -328,22 +344,12 @@ class TestErrors:
 
     def test_all_labels_relevant_leaves_only_ranking_loss_unevaluable(self):
         truth = np.ones_like(_TRUTH)
-        assert average_precision(_SCORES, truth) == 1.0
-        assert coverage(_SCORES, truth) == (1.0, 0.5)
-        for metric in (ranking_loss, evaluate):
+        ranking = _ranking(_SCORES, truth)
+        assert ranking.average_precision() == 1.0
+        assert ranking.coverage() == (1.0, 0.5)
+        for metric in (ranking.ranking_loss, lambda: evaluate(_SCORES, truth)):
             with pytest.raises(ValueError, match="^no evaluable samples$"):
-                metric(_SCORES, truth)
-
-    @pytest.mark.parametrize("predicted, truth, message", [
-        (_TRUTH, _TRUTH[:, :2], "predictions and truth must be matching L x N matrices"),
-        (_TRUTH * 0.5, _TRUTH, "predictions must be binary"),
-        (_TRUTH, _TRUTH - 1.0, "truth must be binary"),
-        (_TRUTH[:0], _TRUTH[:0], "predictions and truth must not be empty"),
-        (_TRUTH[:, :0], _TRUTH[:, :0], "predictions and truth must not be empty"),
-    ])
-    def test_hamming_loss_errors(self, predicted, truth, message):
-        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
-            hamming_loss(predicted, truth)
+                metric()
 
 
 class TestCriticalDifference:

@@ -179,6 +179,14 @@ class TestFuzzyFeatureMatrix:
             got, oracle_fuzzy_feature_matrix(x, rb.centers, rb.widths), rtol=1e-14, atol=1e-14)
         np.testing.assert_array_equal(got[::3, :], np.full((3, 4), 1.0 / 3.0))
 
+    @pytest.mark.parametrize("features", [np.zeros((3, 4)), np.zeros(2)],
+                             ids=["other-D", "one-dim"])
+    def test_refuses_features_that_do_not_match_the_rule_base(self, features):
+        rb = RuleBase([[0.5, 0.5]], [[1.0, 1.0]])
+        with pytest.raises(ValueError,
+                           match="^features must be a D x N matrix matching the rule base$"):
+            fuzzy_feature_matrix(features, rb)
+
 
 def _two_cluster_split_oracle(values):
     """Exhaustive best 1-D split into two contiguous-in-order clusters."""
