@@ -43,10 +43,10 @@ from .experiments import (
     run_noise_curve,
 )
 from .metrics import METRICS, evaluate
-from .optimizer import NumericalError, TrainConfig, train
+from .optimizer import TrainConfig, train
 from .predictor import ModelFormatError, load_model, predict, save_model, score
 from .rules import export_rules
-from .sylvester import SingularProblemError
+from .sylvester import NumericalError
 from .synthgen import SYNTH_KINDS, NoiseSpec, SynthSpec, gen_synthetic, inject_label_noise
 
 
@@ -163,6 +163,9 @@ def cmd_predict(args):
     model = load_model(args.model)
     features, names = load_matrix(args.features)
     _check_header("feature", names, model.feature_names, "the model's features")
+    if features.shape[0] != len(model.feature_names):
+        raise DataFormatError("feature file has %d cells per row but the model has %d features"
+                              % (features.shape[0], len(model.feature_names)))
     if args.binary:
         output = predict(model, features)
         save_matrix(_out_path(args, args.out), output, model.label_names, "%d")
@@ -225,10 +228,11 @@ def cmd_grid(args):
 
 def cmd_noise_curve(args):
     data = load_dataset(args.features, args.labels)
-    points = run_noise_curve(data, _experiment_config(args), args.ratios)
+    reports = run_noise_curve(data, _experiment_config(args), args.ratios)
     lines = ["ratio,mean_ap,sd_ap"]
-    for p in points:
-        lines.append("%g,%.6f,%.6f" % (p.ratio, p.mean_ap, p.sd_ap))
+    for report in reports:
+        lines.append("%g,%.6f,%.6f"
+                     % (report.noise_ratio, report.means["ap"], report.stds["ap"]))
     _write_lines(_out_path(args, "noise_curve.csv"), lines)
     print("\n".join(lines))
 
@@ -405,7 +409,7 @@ def main(argv=None) -> int:
     except (DataFormatError, ModelFormatError, OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
-    except (SingularProblemError, NumericalError) as exc:
+    except NumericalError as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)
         return 4
     return 0

@@ -9,9 +9,10 @@ training split, never on held-out data.
 :class:`ExperimentConfig` holds the settings every routine reads, plus
 the grid lists of :func:`run_grid`; :func:`run_noise_curve` takes its
 noise ratios and :func:`run_ablation` its terms and noise ratio as
-arguments. Each routine checks its inputs before any fold trains, grid
-values through :class:`~fuzzml.optimizer.TrainConfig` and noise ratios
-through :class:`~fuzzml.synthgen.NoiseSpec`.
+arguments. Each routine checks its inputs before any fold trains: grid
+values through :class:`~fuzzml.optimizer.TrainConfig`, noise ratios
+through :class:`~fuzzml.synthgen.NoiseSpec`, and the fold count against
+the sample count.
 
 Each public routine lists every fold job it needs, one per (train
 config, noise ratio, seed, fold), and runs them once each, so a job that
@@ -32,9 +33,9 @@ import numpy as np
 
 from .dataset import Dataset, _check_int, _check_seed, kfold_split, take_samples
 from .metrics import METRICS, MetricsReport, evaluate
-from .optimizer import NumericalError, TrainConfig, train
+from .optimizer import TrainConfig, train
 from .predictor import score
-from .sylvester import SingularProblemError
+from .sylvester import NumericalError
 from .synthgen import NoiseSpec, inject_label_noise
 
 __all__ = [
@@ -43,7 +44,6 @@ __all__ = [
     "RunReport",
     "GridCellResult",
     "GridResult",
-    "NoisePoint",
     "derive_seed",
     "run_cv",
     "run_grid",
@@ -111,12 +111,14 @@ class FoldResult:
 class RunReport:
     """Per-fold metrics plus mean/SD aggregates for one configuration.
 
-    ``wall_seconds`` is the wall time of the call that produced the
-    report; all reports of one ``run_grid``, ``run_noise_curve`` or
-    ``run_ablation`` call share it.
+    ``noise_ratio`` is the label noise injected into every training split
+    (0.0 from :func:`run_cv` and :func:`run_grid`). ``wall_seconds`` is
+    the wall time of the call that produced the report; all reports of one
+    ``run_grid``, ``run_noise_curve`` or ``run_ablation`` call share it.
     """
 
     config: TrainConfig
+    noise_ratio: float
     folds: int
     seeds: tuple
     results: tuple
@@ -140,14 +142,6 @@ class GridResult:
     best: TrainConfig
     cells: tuple
     final: RunReport
-
-
-@dataclass(frozen=True)
-class NoisePoint:
-    ratio: float
-    mean_ap: float
-    sd_ap: float
-    report: RunReport
 
 
 def derive_seed(*parts) -> int:
@@ -190,7 +184,7 @@ def _run_fold(data: Dataset, folds: int, job: _Job) -> FoldResult:
         model, trace = train(train_ds, job.train)
         elapsed = time.perf_counter() - started
         metrics = evaluate(score(model, test_ds.features), test_ds.labels, model.tau)
-    except (ValueError, SingularProblemError, NumericalError) as exc:
+    except (ValueError, NumericalError) as exc:
         cfg = job.train
         raise type(exc)(
             "alpha=%g beta=%g gamma=%g rules=%d noise=%g, fold %d (seed %d): %s"
@@ -238,6 +232,9 @@ def _run_reports(data: Dataset, config: ExperimentConfig, runs) -> list:
     Each distinct fold job runs once, and every report that lists it reads
     the same :class:`FoldResult`.
     """
+    if config.folds > data.n_samples:
+        raise ValueError("folds must not exceed the sample count (%d > %d)"
+                         % (config.folds, data.n_samples))
     started = time.perf_counter()
     plans = [
         [_Job(train_cfg, ratio, seed, fold)
@@ -249,11 +246,12 @@ def _run_reports(data: Dataset, config: ExperimentConfig, runs) -> list:
     done = dict(zip(jobs, results))
     wall_seconds = time.perf_counter() - started
     reports = []
-    for (train_cfg, _), plan in zip(runs, plans):
+    for (train_cfg, ratio), plan in zip(runs, plans):
         fold_results = sorted((done[job] for job in plan), key=lambda r: (r.seed, r.fold))
         means, stds = _aggregate(fold_results)
         reports.append(RunReport(
             config=train_cfg,
+            noise_ratio=ratio,
             folds=config.folds,
             seeds=tuple(config.seeds),
             results=tuple(fold_results),
@@ -310,7 +308,7 @@ def run_grid(data: Dataset, config: ExperimentConfig) -> GridResult:
 
 
 def run_noise_curve(data: Dataset, config: ExperimentConfig, ratios) -> tuple:
-    """Cross-validated average precision per noise ratio, sorted ascending.
+    """One cross-validation :class:`RunReport` per noise ratio, sorted ascending.
 
     Each ratio corrupts the training split of every fold; a repeated ratio
     runs once, and one that :class:`NoiseSpec` refuses raises before any
@@ -321,12 +319,7 @@ def run_noise_curve(data: Dataset, config: ExperimentConfig, ratios) -> tuple:
     ratios = sorted(set(ratios))
     if not ratios:
         raise ValueError("no noise ratios given")
-    reports = _run_reports(data, config, [(config.train, ratio) for ratio in ratios])
-    return tuple(
-        NoisePoint(ratio=ratio, mean_ap=report.means["ap"], sd_ap=report.stds["ap"],
-                   report=report)
-        for ratio, report in zip(ratios, reports)
-    )
+    return tuple(_run_reports(data, config, [(config.train, ratio) for ratio in ratios]))
 
 
 def run_ablation(data: Dataset, config: ExperimentConfig, terms,

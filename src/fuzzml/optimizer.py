@@ -35,10 +35,9 @@ import numpy as np
 
 from .dataset import Dataset, NormStats, _check_int, _check_names, normalize_features
 from .rules import RuleBase, fit_antecedents, fuzzy_feature_matrix
-from .sylvester import SingularProblemError, _solve_sylvester
+from .sylvester import NumericalError, SingularProblemError, _solve_sylvester
 
 __all__ = [
-    "NumericalError",
     "TrainConfig",
     "IterationRecord",
     "TrainTrace",
@@ -54,10 +53,6 @@ EPSILON_ROW = 1e-8
 # well-posedness, but at 0 tall seed 2 ran to max_iters (AP 0.9973, not a margin
 # stop after 22 iterations at 0.99987) and wide_l96 seed 1 fell from AP 0.573 to 0.476.
 LABEL_GRAM_RIDGE = 1e-6
-
-
-class NumericalError(RuntimeError):
-    """Raised when training produces non-finite values."""
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ import math
 import numpy as np
 
 __all__ = [
+    "NumericalError",
     "SingularProblemError",
     "solve_sylvester",
     "residual_norm",
@@ -41,7 +42,11 @@ _SYMMETRY_RTOL = 1e-10
 _TINY = np.finfo(np.float64).tiny
 
 
-class SingularProblemError(RuntimeError):
+class NumericalError(RuntimeError):
+    """A numerical failure: a singular solve or non-finite training values."""
+
+
+class SingularProblemError(NumericalError):
     """The Sylvester operator is singular (spectra of A and -B overlap)."""
 
 

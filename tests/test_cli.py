@@ -162,6 +162,21 @@ class TestTrainPredictEval:
         assert capsys.readouterr().err == \
             "error: scores have 2 rows of 4 cells but labels have 2 rows of 5 cells\n"
 
+    def test_predict_refuses_a_headerless_feature_file_of_another_width(self, tmp_path,
+                                                                        capsys):
+        fx, fy = _write_dataset(tmp_path, n=30)
+        main(["train", "--features", str(fx), "--labels", str(fy), "--rules", "2",
+              "--max-iters", "2", "--out", "model.txt", "--out-dir", str(tmp_path)])
+        narrow = tmp_path / "narrow.X.csv"
+        narrow.write_text("0.5,0.5\n0.1,0.9\n")
+        capsys.readouterr()
+        assert main(["predict", "--model", str(tmp_path / "model.txt"),
+                     "--features", str(narrow), "--out", "narrow.csv",
+                     "--out-dir", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == \
+            "error: feature file has 2 cells per row but the model has 4 features\n"
+        assert not (tmp_path / "narrow.csv").exists()
+
     def test_export_rules(self, tmp_path):
         fx, fy = _write_dataset(tmp_path, n=30)
         main(["train", "--features", str(fx), "--labels", str(fy),
@@ -401,6 +416,15 @@ class TestConfigFileAndExitCodes:
         assert capsys.readouterr().err == (
             "error: alpha=0.1 beta=10 gamma=0.001 rules=70 noise=0, fold 0 (seed 0): "
             "n_rules exceeds the sample count (70 > 30)\n")
+
+    def test_more_folds_than_samples_is_config_error(self, tmp_path, capsys):
+        fx, fy = _write_dataset(tmp_path, n=60)
+        capsys.readouterr()
+        assert main(["cv", "--features", str(fx), "--labels", str(fy), "--folds", "61",
+                     "--out-dir", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == \
+            "error: folds must not exceed the sample count (61 > 60)\n"
+        assert not (tmp_path / "cv_report.csv").exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numerical_failure_exit_code(self, tmp_path):

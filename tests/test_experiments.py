@@ -31,7 +31,8 @@ def _data(kind="union", n=100, seed=0):
 
 def _report_answers(report):
     """Everything a report states except its timings."""
-    return (report.config, report.folds, report.seeds, report.means, report.stds,
+    return (report.config, report.noise_ratio, report.folds, report.seeds, report.means,
+            report.stds,
             [(r.seed, r.fold, r.metrics, r.stop_reason, r.n_iterations, r.indefinite_steps)
              for r in report.results])
 
@@ -50,8 +51,7 @@ def _grid_answers(data, workers):
 
 def _noise_answers(data, workers):
     config = ExperimentConfig(train=FAST, folds=3, seeds=(5,), workers=workers)
-    return [(p.ratio, p.mean_ap, p.sd_ap, _report_answers(p.report))
-            for p in run_noise_curve(data, config, (0.3, 0.0))]
+    return [_report_answers(r) for r in run_noise_curve(data, config, (0.3, 0.0))]
 
 
 def _ablation_answers(data, workers):
@@ -174,19 +174,32 @@ class TestRunGrid:
         assert [r.metrics for r in rerun.results] == [r.metrics for r in result.final.results]
 
 
+class TestReportsRecordTheirNoiseRatio:
+    def test_each_routine_fills_the_ratio_it_trained_under(self):
+        data = _data(n=40)
+        config = ExperimentConfig(train=FAST, folds=2, seeds=(0,))
+        assert run_cv(data, config).noise_ratio == 0.0
+        grid = run_grid(data, replace(config, grid_alpha=(0.1, 1.0)))
+        assert grid.final.noise_ratio == 0.0
+        pairs = run_ablation(data, config, ("beta", "gamma"), noise_ratio=0.2)
+        assert [r.noise_ratio for pair in pairs.values() for r in pair] == [0.2] * 4
+        reports = run_noise_curve(data, config, (0.3, 0.0, 0.1))
+        assert [r.noise_ratio for r in reports] == [0.0, 0.1, 0.3]
+
+
 class TestNoiseCurve:
     def test_zero_ratio_matches_plain_cv(self):
         data = _data(n=60)
         config = ExperimentConfig(train=FAST, folds=3, seeds=(2,))
-        points = run_noise_curve(data, config, (0.0, 0.3))
+        reports = run_noise_curve(data, config, (0.0, 0.3))
         plain = run_cv(data, config)
-        assert points[0].ratio == 0.0
-        assert points[0].mean_ap == plain.means["ap"]
+        assert reports[0].noise_ratio == 0.0
+        assert reports[0].means["ap"] == plain.means["ap"]
 
     def test_output_sorted_ascending(self):
         config = ExperimentConfig(train=FAST, folds=2, seeds=(0,))
-        points = run_noise_curve(_data(n=40), config, (0.4, 0.0, 0.2, 0.0))
-        assert [p.ratio for p in points] == [0.0, 0.2, 0.4]
+        reports = run_noise_curve(_data(n=40), config, (0.4, 0.0, 0.2, 0.0))
+        assert [r.noise_ratio for r in reports] == [0.0, 0.2, 0.4]
 
     def test_requires_ratios(self):
         with pytest.raises(ValueError, match="no noise ratios given"):
@@ -278,10 +291,10 @@ class TestSharedPool:
 
     def test_all_reports_of_a_call_share_its_wall_time(self):
         config = ExperimentConfig(train=FAST, folds=2, seeds=(0,))
-        points = run_noise_curve(_data(n=40), config, (0.0, 0.2, 0.4))
-        assert len({p.report.wall_seconds for p in points}) == 1
-        assert points[0].report.wall_seconds >= sum(
-            r.train_seconds for p in points for r in p.report.results)
+        reports = run_noise_curve(_data(n=40), config, (0.0, 0.2, 0.4))
+        assert len({report.wall_seconds for report in reports}) == 1
+        assert reports[0].wall_seconds >= sum(
+            r.train_seconds for report in reports for r in report.results)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failed_fold_names_its_job(self, monkeypatch, workers):
@@ -361,6 +374,13 @@ class TestConfigValidation:
     def test_accepts_numpy_integer_counts(self):
         config = ExperimentConfig(folds=np.int64(3), workers=np.int32(2))
         assert (config.folds, config.workers) == (3, 2)
+
+    def test_rejects_more_folds_than_samples_before_any_fold_trains(self, monkeypatch):
+        calls = _counting_train(monkeypatch)
+        with pytest.raises(ValueError) as info:
+            run_cv(_data(n=60), ExperimentConfig(train=FAST, folds=61, seeds=(0,)))
+        assert str(info.value) == "folds must not exceed the sample count (61 > 60)"
+        assert calls == []
 
     @pytest.mark.parametrize("seed", [-1, 1.5])
     def test_rejects_a_bad_seed_before_any_fold_trains(self, monkeypatch, seed):

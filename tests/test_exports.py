@@ -24,3 +24,9 @@ def test_package_reexports_each_module_all():
     for mod in mods:
         for name in mod.__all__:
             assert getattr(fuzzml, name) is getattr(mod, name), name
+
+
+def test_every_numerical_failure_is_one_type():
+    assert issubclass(fuzzml.SingularProblemError, fuzzml.NumericalError)
+    assert fuzzml.NumericalError is fuzzml.optimizer.NumericalError
+    assert fuzzml.NumericalError is fuzzml.sylvester.NumericalError

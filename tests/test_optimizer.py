@@ -709,6 +709,47 @@ class TestManyLabels:
         assert ap > evaluate(prior, held_out.labels).ap
 
 
+class TestDegenerateInputs:
+    """The default config trains to a margin stop on the inputs ROADMAP aim 3 names."""
+
+    @staticmethod
+    def _case(name):
+        data = gen_synthetic(SynthSpec(kind="union", n_samples=30, n_features=4, seed=0))
+        constant = np.full_like(data.features, 0.5)
+        features, labels, n_rules = {
+            "rules_equal_samples": (data.features, data.labels, 30),
+            "constant_features": (constant, data.labels, 3),
+            "constant_features_rules_equal_samples": (constant, data.labels, 30),
+            "all_zero_labels": (data.features, np.zeros_like(data.labels), 3),
+            "all_one_labels": (data.features, np.ones_like(data.labels), 3),
+            "one_sample_one_rule": (data.features[:, :1], data.labels[:, :1], 1),
+        }[name]
+        return (Dataset(features, labels, data.feature_names, data.label_names),
+                TrainConfig(n_rules=n_rules))
+
+    @pytest.mark.parametrize("name", [
+        "rules_equal_samples", "constant_features", "constant_features_rules_equal_samples",
+        "all_zero_labels", "all_one_labels", "one_sample_one_rule"])
+    def test_margin_stop_with_finite_scores(self, name):
+        data, cfg = self._case(name)
+        model, trace = train(data, cfg)
+        assert trace.stop_reason == "margin"
+        assert trace.n_iterations <= 11
+        assert np.isfinite(score(model, data.features)).all()
+
+    def test_all_zero_labels_give_exactly_zero(self):
+        data, cfg = self._case("all_zero_labels")
+        model, _ = train(data, cfg)
+        assert not model.mixing.any() and not model.consequents.any()
+        assert not score(model, data.features).any()
+
+    def test_all_one_labels_mix_to_the_projector(self):
+        # Y = 1 1', whose range projector is 1 1' / L
+        data, cfg = self._case("all_one_labels")
+        model, _ = train(data, cfg)
+        assert np.abs(model.mixing - 1.0 / data.labels.shape[0]).max() <= 1e-6
+
+
 def _range_projector(labels):
     """Orthogonal projector onto the span of the columns of Y, of rank rank(Y)."""
     basis = np.linalg.svd(labels, full_matrices=False)[0][:, :np.linalg.matrix_rank(labels)]
