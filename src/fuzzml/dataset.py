@@ -152,7 +152,8 @@ def load_matrix(path, kind="feature"):
 
     Returns the matrix and the header names (None without a header).
     Blank lines are skipped. A non-numeric or non-finite cell, a row whose
-    width differs from the first row's, or a file without rows raises
+    width differs from the first row's, a header that names another number
+    of columns than the rows hold, or a file without rows raises
     :class:`DataFormatError` naming the path and the line; ``kind`` names
     the cells in those messages.
     """
@@ -179,6 +180,9 @@ def load_matrix(path, kind="feature"):
         rows.append(row)
     if not rows:
         raise DataFormatError("empty file: %s" % path)
+    if names is not None and len(names) != len(rows[0]):
+        raise DataFormatError("%s header names %d columns but rows have %d cells at %s line 1"
+                              % (kind, len(names), len(rows[0]), path))
     return np.array(rows, dtype=np.float64).T, names
 
 

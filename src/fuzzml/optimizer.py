@@ -19,11 +19,12 @@ Every coefficient of both solves and of the loss is a small Gram matrix.
 With W and W_soft the diagonal weights of the two residuals, an
 iteration makes one pass over the N samples: the symmetric product of
 R = [Xg; Y] W^1/2 gives B = Xg W Xg', K = Y W Xg' and G_fit = Y W Y' as
-its blocks, and one L x L product gives G_soft = Y W_soft Y'. Together
-with the label Gram Y Y', fixed per run, and the soft-label Gram
-S = M (Y Y') M', the consequent solve reads (S, B, M K), the mixing solve
-(Lap, G_fit, G_soft, C K') and the correlation term 2 gamma <Lap, S>. The
-only other products over N are M Y and C Xg, for the two residual column
+its blocks, and one L x L product gives G_soft = Y W_soft Y'. The
+consequent solve reads (A, B, M K) and the mixing solve
+(2 gamma Lap, G_fit, G_soft, C K'); :class:`_Correlation` forms A,
+2 gamma Lap and the correlation term 2 gamma <Lap, S> from the label Gram
+Y Y', fixed per run, and the soft-label Gram S = M (Y Y') M'. The only
+other products over N are M Y and C Xg, for the two residual column
 norms.
 """
 
@@ -110,8 +111,9 @@ class IterationRecord:
     iteration's one weighted Gram pass over the N samples (see the module
     docstring) and the consequent solve; ``mixing_s`` is the mixing solve,
     which reads only L x L and L x K(D+1) matrices. ``point_s`` evaluates
-    the residual column norms, the soft-label Gram, the Laplacian and the
-    losses at the committed pair.
+    the residual column norms, the correlation term with the next
+    iteration's A and 2 gamma Lap (:class:`_Correlation`) and the losses
+    at the committed pair.
 
     ``consequent_min`` and ``mixing_min`` are the smallest eigenvalue
     lambda_min(A) + sigma_min(B) of each solve's Sylvester operator
@@ -204,33 +206,56 @@ def _column_norms(m) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->j", m, m))
 
 
+class _Correlation:
+    """The correlation term at one (mixing, consequents) pair and its share of both solves.
+
+    With S = M (Y Y') M', s its diagonal and Lap = diag(C C' 1) - C C':
+    ``loss`` is 2 gamma tr(Y'M' Lap M Y) = 2 gamma <Lap, S>, and the
+    symmetric left coefficients of the two solves are ``consequent_left``,
+    A = alpha I + gamma (s 1' + 1 s') - 2 gamma S, and ``mixing_left``,
+    2 gamma Lap. Lap's rows sum to zero, and it is indefinite when
+    consequent rows have negative inner products.
+    """
+
+    __slots__ = ("loss", "consequent_left", "mixing_left")
+
+    def __init__(self, mixing, consequents, label_gram, cfg: TrainConfig):
+        soft_gram = mixing @ label_gram @ mixing.T
+        similarity = consequents @ consequents.T
+        laplacian = np.diag(similarity.sum(axis=1)) - similarity
+        self.loss = 2.0 * cfg.gamma * float(np.vdot(laplacian, soft_gram))
+        diag = np.diag(soft_gram)
+        self.consequent_left = (
+            cfg.alpha * np.eye(soft_gram.shape[0])
+            + cfg.gamma * (diag[:, None] + diag[None, :])
+            - 2.0 * cfg.gamma * soft_gram
+        )
+        self.mixing_left = 2.0 * cfg.gamma * laplacian
+
+
 class _Point:
     """What the loss, the weights and both solves read at one (mixing, consequents) pair.
 
     :func:`train` evaluates one point per iteration, after committing
     both updates: its loss and stopping loss come from it, and so do the
-    next iteration's weights, Laplacian and soft-label Gram. M Y and
-    C Xg live only while the two residual column norms are taken, so no
-    L x N array outlives the point's construction.
+    next iteration's weights and correlation term. M Y and C Xg live only
+    while the two residual column norms are taken, so no L x N array
+    outlives the point's construction.
     """
 
-    __slots__ = ("mixing", "consequents", "soft_gram", "fit_norms", "soft_norms",
-                 "laplacian")
+    __slots__ = ("mixing", "consequents", "cfg", "fit_norms", "soft_norms", "correlation")
 
-    def __init__(self, mixing, consequents, fuzzy_x, labels, label_gram):
+    def __init__(self, mixing, consequents, fuzzy_x, labels, label_gram, cfg: TrainConfig):
         self.mixing = mixing
         self.consequents = consequents
+        self.cfg = cfg
         soft_labels = mixing @ labels
         fit_residual = consequents @ fuzzy_x
         np.subtract(soft_labels, fit_residual, out=fit_residual)
         self.fit_norms = _column_norms(fit_residual)
         np.subtract(labels, soft_labels, out=soft_labels)
         self.soft_norms = _column_norms(soft_labels)
-        self.soft_gram = mixing @ label_gram @ mixing.T
-        # diag(C C' 1) - C C'; its rows sum to zero, and it is indefinite
-        # when consequent rows have negative inner products
-        similarity = consequents @ consequents.T
-        self.laplacian = np.diag(similarity.sum(axis=1)) - similarity
+        self.correlation = _Correlation(mixing, consequents, label_gram, cfg)
 
     def weights(self):
         """The L2,1 weights 1 / (2 max(column norm, EPSILON_ROW)), one per sample.
@@ -242,13 +267,13 @@ class _Point:
         return (1.0 / (2.0 * np.maximum(self.fit_norms, EPSILON_ROW)),
                 1.0 / (2.0 * np.maximum(self.soft_norms, EPSILON_ROW)))
 
-    def losses(self, cfg: TrainConfig) -> dict:
+    def losses(self) -> dict:
         """The loss fields of an :class:`IterationRecord`, by name."""
+        cfg = self.cfg
         fit = float(self.fit_norms.sum())
         soft = float(self.soft_norms.sum())
         ridge = cfg.alpha * float((self.consequents * self.consequents).sum())
-        # tr(Y'M' Lap M Y) = <Lap, S> with S = M (Y Y') M'
-        corr = 2.0 * cfg.gamma * float(np.vdot(self.laplacian, self.soft_gram))
+        corr = self.correlation.loss
         return dict(fit=fit, ridge=ridge, soft=cfg.beta * soft, corr=corr,
                     total=fit + ridge + cfg.beta * soft + corr,
                     stopping_total=fit * fit + ridge + cfg.beta * soft * soft + corr)
@@ -281,25 +306,18 @@ class _Grams:
         self.soft = label_rows @ label_rows.T
 
 
-def _solve_consequents(point: _Point, grams: _Grams, cfg: TrainConfig):
+def _solve_consequents(point: _Point, grams: _Grams):
     """The consequent subproblem's Sylvester equation A C + C B = Z.
 
-    Both coefficients are symmetric: A = alpha I + gamma (s 1' + 1 s')
-    - 2 gamma S from the soft-label Gram S and its diagonal s, and
-    B = Xg W Xg'. The right-hand side Z = (M Y) W Xg' is M K. Returns the
-    consequents and lambda_min(A) + sigma_min(B). The consequents are a
-    stationary point of the subproblem with frozen weights, its minimizer
-    when the operator is positive definite; the correlation term can
-    make it indefinite.
+    Both coefficients are symmetric: A is the point's
+    ``correlation.consequent_left`` and B = Xg W Xg'. The right-hand side
+    Z = (M Y) W Xg' is M K. Returns the consequents and
+    lambda_min(A) + sigma_min(B). The consequents are a stationary point
+    of the subproblem with frozen weights, its minimizer when the operator
+    is positive definite; the correlation term can make it indefinite.
     """
-    soft_gram = point.soft_gram
-    diag = np.diag(soft_gram)
-    a = (
-        cfg.alpha * np.eye(soft_gram.shape[0])
-        + cfg.gamma * (diag[:, None] + diag[None, :])
-        - 2.0 * cfg.gamma * soft_gram
-    )
-    return _solve_sylvester(a, grams.terms, point.mixing @ grams.cross)
+    return _solve_sylvester(point.correlation.consequent_left, grams.terms,
+                            point.mixing @ grams.cross)
 
 
 class _MixingSystem:
@@ -309,7 +327,8 @@ class _MixingSystem:
     trace(Y Y') / L (stored as ``ridge``; 1 replaces a zero trace),
     stationarity reads 2 gamma Lap M G + M B_raw = Z_raw, with
     B_raw = G_fit + beta G_soft and Z_raw = C K' + beta G_soft (see
-    :class:`_Grams`; C is the pre-update consequents). Both end in Y' on
+    :class:`_Grams`; C is the pre-update consequents, and 2 gamma Lap is
+    the point's ``correlation.mixing_left``). Both end in Y' on
     the right, so a direction w with Y' w = 0 (a label that never occurs,
     duplicated or dependent label rows) has B_raw w = 0 and Z_raw w = 0:
     M w = 0 satisfies the equation there and is its minimum-norm choice.
@@ -345,7 +364,7 @@ class _MixingSystem:
         half = self.range_half
         soft = self.cfg.beta * grams.soft
         reduced, lowest = _solve_sylvester(
-            2.0 * self.cfg.gamma * point.laplacian, half.T @ (grams.fit + soft) @ half,
+            point.correlation.mixing_left, half.T @ (grams.fit + soft) @ half,
             (point.consequents @ grams.cross.T + soft) @ half)
         return reduced @ half.T, lowest
 
@@ -361,8 +380,8 @@ def train(data: Dataset, cfg: TrainConfig = TrainConfig()):
     bookkeeping loss (see :class:`IterationRecord`) drops to the margin,
     that loss becomes nonpositive, or the iteration budget runs out.
 
-    The residuals, weights, soft-label Gram and Laplacian are evaluated
-    once per iteration, at the committed pair, and the weighted Grams
+    The residuals, weights and correlation term are evaluated once per
+    iteration, at the committed pair, and the weighted Grams
     once per iteration, before both solves. A failed solve raises
     :class:`SingularProblemError` naming the iteration and the subproblem.
 
@@ -379,7 +398,7 @@ def train(data: Dataset, cfg: TrainConfig = TrainConfig()):
 
     mixing = np.ones((n_labels, n_labels))
     consequents = np.full((n_labels, fuzzy_x.shape[0]), 1.0 / n_labels)
-    point = _Point(mixing, consequents, fuzzy_x, labels, mixing_system.label_gram)
+    point = _Point(mixing, consequents, fuzzy_x, labels, mixing_system.label_gram, cfg)
 
     margin = cfg.min_loss_margin
     prev_total = 0.0
@@ -392,7 +411,7 @@ def train(data: Dataset, cfg: TrainConfig = TrainConfig()):
         subproblem = "consequent"
         try:
             grams = _Grams(fuzzy_x, labels, weights)
-            consequents, consequent_min = _solve_consequents(point, grams, cfg)
+            consequents, consequent_min = _solve_consequents(point, grams)
             consequent_done = time.perf_counter()
             subproblem = "mixing"
             mixing, mixing_min = mixing_system.solve(point, grams)
@@ -401,8 +420,8 @@ def train(data: Dataset, cfg: TrainConfig = TrainConfig()):
                 "iteration %d, %s solve: %s" % (t, subproblem, exc)) from exc
         mixing_done = time.perf_counter()
 
-        point = _Point(mixing, consequents, fuzzy_x, labels, mixing_system.label_gram)
-        record = IterationRecord(**point.losses(cfg), weights_s=weighted - started,
+        point = _Point(mixing, consequents, fuzzy_x, labels, mixing_system.label_gram, cfg)
+        record = IterationRecord(**point.losses(), weights_s=weighted - started,
                                  consequent_s=consequent_done - weighted,
                                  mixing_s=mixing_done - consequent_done,
                                  point_s=time.perf_counter() - mixing_done,

@@ -94,6 +94,19 @@ def oracle_correlation_double_sum(mixing, consequents, labels):
     return total
 
 
+def oracle_laplacian(consequents):
+    """Literal Laplacian of the consequent rows: -c_i.c_j off the diagonal, rows summing to 0."""
+    n_labels = consequents.shape[0]
+    lap = np.zeros((n_labels, n_labels))
+    for i in range(n_labels):
+        for j in range(n_labels):
+            if i != j:
+                inner = float(consequents[i] @ consequents[j])
+                lap[i, j] = -inner
+                lap[i, i] += inner
+    return lap
+
+
 def oracle_consequent_gradient(mixing, consequents, fuzzy_x, labels, alpha, gamma, d_cons):
     """Stationarity residual of the consequent subproblem, term by term."""
     soft = mixing @ labels

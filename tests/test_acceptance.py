@@ -14,6 +14,7 @@ from oracles import (
     oracle_correlation_double_sum,
     oracle_coverage,
     oracle_hamming_loss,
+    oracle_laplacian,
     oracle_mixing_gradient,
     oracle_ranking_loss,
 )
@@ -23,6 +24,7 @@ from fuzzml.dataset import Dataset, load_dataset, save_dataset
 from fuzzml.metrics import _check_pair, _Ranking, critical_difference, evaluate
 from fuzzml.optimizer import (
     TrainConfig,
+    _Correlation,
     _Grams,
     _MixingSystem,
     _Point,
@@ -119,26 +121,31 @@ def test_criterion_03_metrics_oracle_equivalence():
 
 def test_criterion_04_correlation_trace_identity():
     rng = np.random.default_rng(20240404)
+    cfg = TrainConfig(alpha=0.3, gamma=1.0)
     worst_identity = 0.0
     worst_rowsum = 0.0
+    worst_left = 0.0
     for _ in range(100):
         n_labels = int(rng.integers(2, 6))
         n = int(rng.integers(1, 7))
         mixing = rng.normal(size=(n_labels, n_labels))
         consequents = rng.normal(size=(n_labels, int(rng.integers(1, 7))))
         labels = (rng.random((n_labels, n)) < 0.5).astype(float)
-        # the Laplacian train() builds; the fuzzy features do not enter it
-        lap = _Point(mixing, consequents, np.zeros((consequents.shape[1], n)), labels,
-                     labels @ labels.T).laplacian
-        soft = mixing @ labels
-        trace_form = 2.0 * float(np.sum(soft * (lap @ soft)))
+        # the correlation term train() builds at (mixing, consequents)
+        corr = _Correlation(mixing, consequents, labels @ labels.T, cfg)
         double_sum = oracle_correlation_double_sum(mixing, consequents, labels)
-        worst_identity = max(worst_identity, abs(trace_form - double_sum))
+        worst_identity = max(worst_identity, abs(corr.loss - cfg.gamma * double_sum))
         worst_rowsum = max(worst_rowsum,
-                           float(np.abs(lap @ np.ones(n_labels)).max()))
-    ok = worst_identity <= 1e-10 and worst_rowsum <= 1e-10
+                           float(np.abs(corr.mixing_left @ np.ones(n_labels)).max()))
+        soft = mixing @ labels
+        sq = np.sum(soft ** 2, axis=1)
+        left = (cfg.alpha * np.eye(n_labels)
+                + cfg.gamma * (sq[:, None] + sq[None, :] - 2.0 * soft @ soft.T))
+        worst_left = max(worst_left, float(np.abs(corr.consequent_left - left).max()))
+    ok = worst_identity <= 1e-10 and worst_rowsum <= 1e-10 and worst_left <= 1e-10
     _report(4, "pairwise sum equals laplacian trace form", ok,
-            "max identity gap %.2e, max row sum %.2e" % (worst_identity, worst_rowsum))
+            "max identity gap %.2e, max row sum %.2e, max left coefficient gap %.2e"
+            % (worst_identity, worst_rowsum, worst_left))
 
 
 def _random_small_instance(rng):
@@ -178,13 +185,13 @@ def test_criterion_05_subproblem_stationarity():
                           gamma=float(rng.uniform(0.0, 0.2)))
         # the pieces one iteration of train() builds at (mixing, consequents)
         system = _MixingSystem(labels, cfg)
-        point = _Point(mixing, consequents, fuzzy_x, labels, system.label_gram)
+        point = _Point(mixing, consequents, fuzzy_x, labels, system.label_gram, cfg)
         w_fit, w_soft = point.weights()
         grams = _Grams(fuzzy_x, labels, (w_fit, w_soft))
-        lap = point.laplacian
+        lap = oracle_laplacian(consequents)
         shift = system.ridge
 
-        new_cons = _solve_consequents(point, grams, cfg)[0]
+        new_cons = _solve_consequents(point, grams)[0]
         grad_c = oracle_consequent_gradient(mixing, new_cons, fuzzy_x, labels,
                                             cfg.alpha, cfg.gamma, w_fit)
         worst_stat = max(worst_stat, np.linalg.norm(grad_c)

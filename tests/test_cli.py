@@ -162,6 +162,16 @@ class TestTrainPredictEval:
         assert capsys.readouterr().err == \
             "error: scores have 2 rows of 4 cells but labels have 2 rows of 5 cells\n"
 
+    def test_eval_refuses_a_header_of_another_width(self, tmp_path, capsys):
+        scores = tmp_path / "scores.csv"
+        labels = tmp_path / "labels.csv"
+        scores.write_text("# a,b\n0.9,0.2,0.4\n0.1,0.8,0.3\n")
+        labels.write_text("# a,b\n1,0,1\n0,1,0\n")
+        capsys.readouterr()
+        assert main(["eval", "--scores", str(scores), "--labels", str(labels)]) == 3
+        assert capsys.readouterr() == ("", "error: score header names 2 columns but rows "
+                                           "have 3 cells at %s line 1\n" % scores)
+
     def test_predict_refuses_a_headerless_feature_file_of_another_width(self, tmp_path,
                                                                         capsys):
         fx, fy = _write_dataset(tmp_path, n=30)

@@ -77,6 +77,29 @@ class TestLoadDataset:
         with pytest.raises(DataFormatError, match="empty file"):
             load_dataset(fx, fy)
 
+    @pytest.mark.parametrize("header,n_names", [("# a,b", 2), ("# a,b,c,d", 4)])
+    def test_header_of_another_width_names_its_path_and_line(self, tmp_path, header,
+                                                             n_names):
+        path = tmp_path / "X.csv"
+        path.write_text("%s\n1.0,2.0,3.0\n4.0,5.0,6.0\n" % header)
+        message = ("feature header names %d columns but rows have 3 cells at %s line 1"
+                   % (n_names, path))
+        with pytest.raises(DataFormatError, match="^%s$" % re.escape(message)):
+            load_matrix(path)
+
+    @pytest.mark.parametrize("kind", ["feature", "label"])
+    def test_dataset_file_with_a_header_of_another_width(self, tmp_path, kind):
+        fx = tmp_path / "X.csv"
+        fy = tmp_path / "Y.csv"
+        fx.write_text("# %s\n1.0,2.0,3.0\n4.0,5.0,6.0\n"
+                      % ("a,b" if kind == "feature" else "a,b,c"))
+        fy.write_text("# %s\n1,0\n0,1\n" % ("y" if kind == "label" else "y,z"))
+        path, n_names, width = (fx, 2, 3) if kind == "feature" else (fy, 1, 2)
+        message = ("%s header names %d columns but rows have %d cells at %s line 1"
+                   % (kind, n_names, width, path))
+        with pytest.raises(DataFormatError, match="^%s$" % re.escape(message)):
+            load_dataset(fx, fy)
+
     def test_header_names(self, tmp_path):
         fx = tmp_path / "X.csv"
         fy = tmp_path / "Y.csv"

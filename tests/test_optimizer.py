@@ -9,6 +9,7 @@ from oracles import (
     oracle_consequent_gradient,
     oracle_correlation_double_sum,
     oracle_fuzzy_feature_matrix,
+    oracle_laplacian,
     oracle_mixing_gradient,
 )
 from reference_sylvester import KRON_GUARD, least_norm_solve, schur_solve
@@ -19,6 +20,7 @@ from fuzzml.optimizer import (
     LABEL_GRAM_RIDGE,
     NumericalError,
     TrainConfig,
+    _Correlation,
     _Grams,
     _MixingSystem,
     _Point,
@@ -53,13 +55,14 @@ def _frozen(mixing, consequents, fuzzy_x, labels, cfg=TrainConfig()):
     """What one iteration of train() builds at (mixing, consequents).
 
     Returns the mixing system, the point and the weighted Grams:
-    ``point.losses(cfg)`` gives the loss terms and the stopping loss by name,
-    ``point.weights()`` the (fit, soft) weights, ``point.laplacian``
-    the Laplacian, and ``_solve_consequents(point, grams, cfg)[0]`` and
-    ``system.solve(point, grams)[0]`` the two subproblem solutions.
+    ``point.losses()`` gives the loss terms and the stopping loss by name,
+    ``point.weights()`` the (fit, soft) weights, ``point.correlation`` the
+    correlation term's loss and both solves' left coefficients, and
+    ``_solve_consequents(point, grams)[0]`` and ``system.solve(point, grams)[0]``
+    the two subproblem solutions.
     """
     system = _MixingSystem(labels, cfg)
-    point = _Point(mixing, consequents, fuzzy_x, labels, system.label_gram)
+    point = _Point(mixing, consequents, fuzzy_x, labels, system.label_gram, cfg)
     return system, point, _Grams(fuzzy_x, labels, point.weights())
 
 
@@ -69,7 +72,7 @@ class TestObjective:
         fuzzy_x = np.ones((3, 2))
         cfg = TrainConfig(alpha=0.7, beta=4.0, gamma=9.0)
         _, point, _ = _frozen(np.eye(2), np.zeros((2, 3)), fuzzy_x, labels, cfg)
-        loss = point.losses(cfg)
+        loss = point.losses()
         assert loss["total"] == pytest.approx(2.0, abs=1e-14)
         assert loss["soft"] == 0.0 and loss["corr"] == 0.0 and loss["ridge"] == 0.0
 
@@ -77,7 +80,7 @@ class TestObjective:
         labels = np.array([[1.0, 0.0], [0.0, 1.0]])
         cfg = TrainConfig(alpha=0.25, beta=0.0, gamma=0.0)
         _, point, _ = _frozen(np.eye(2), np.ones((2, 3)), np.zeros((3, 2)), labels, cfg)
-        assert point.losses(cfg)["ridge"] == pytest.approx(0.25 * 6.0, abs=1e-14)
+        assert point.losses()["ridge"] == pytest.approx(0.25 * 6.0, abs=1e-14)
 
     def test_matches_bruteforce_on_random_instances(self):
         rng = np.random.default_rng(1)
@@ -86,7 +89,7 @@ class TestObjective:
             cfg = TrainConfig(alpha=rng.uniform(0, 2), beta=rng.uniform(0, 3),
                               gamma=rng.uniform(0, 1))
             _, point, _ = _frozen(mixing, consequents, fuzzy_x, labels, cfg)
-            loss = point.losses(cfg)
+            loss = point.losses()
             fit = sum(np.linalg.norm(mixing @ labels[:, i] - consequents @ fuzzy_x[:, i])
                       for i in range(labels.shape[1]))
             soft = sum(np.linalg.norm(labels[:, i] - mixing @ labels[:, i])
@@ -122,38 +125,65 @@ class TestReweightDiagonals:
             assert soft[i] == pytest.approx(1 / (2 * max(soft_norm, 1e-8)), rel=1e-12)
 
 
+def _correlation(mixing, consequents, labels, cfg=TrainConfig()):
+    """The correlation term train() builds at (mixing, consequents)."""
+    return _Correlation(mixing, consequents, labels @ labels.T, cfg)
+
+
 class TestCorrelationLaplacian:
     def test_zero_consequents(self):
-        _, point, _ = _frozen(np.eye(3), np.zeros((3, 4)), np.zeros((4, 1)), np.ones((3, 1)))
-        np.testing.assert_array_equal(point.laplacian, np.zeros((3, 3)))
+        corr = _correlation(np.eye(3), np.zeros((3, 4)), np.ones((3, 1)))
+        np.testing.assert_array_equal(corr.mixing_left, np.zeros((3, 3)))
 
     def test_orthonormal_rows_cancel(self):
-        _, point, _ = _frozen(np.eye(3), np.eye(3), np.zeros((3, 1)), np.ones((3, 1)))
-        np.testing.assert_allclose(point.laplacian, np.zeros((3, 3)), atol=1e-15)
+        corr = _correlation(np.eye(3), np.eye(3), np.ones((3, 1)))
+        np.testing.assert_allclose(corr.mixing_left, np.zeros((3, 3)), atol=1e-15)
 
     def test_rows_sum_to_zero(self):
         rng = np.random.default_rng(3)
         for _ in range(100):
             n_labels = int(rng.integers(2, 6))
             consequents = rng.normal(size=(n_labels, 7))
-            lap = _frozen(np.eye(n_labels), consequents, np.zeros((7, 1)),
-                          np.ones((n_labels, 1)))[1].laplacian
+            lap = _correlation(np.eye(n_labels), consequents, np.ones((n_labels, 1))).mixing_left
             ones = np.ones(n_labels)
             assert np.abs(lap @ ones).max() <= 1e-12 * max(1.0, np.abs(lap).max())
 
     def test_double_sum_equals_trace_form(self):
         rng = np.random.default_rng(4)
+        cfg = TrainConfig(gamma=1.0)
         for _ in range(100):
             n_labels = int(rng.integers(2, 6))
             n = int(rng.integers(1, 7))
             mixing = rng.normal(size=(n_labels, n_labels))
             consequents = rng.normal(size=(n_labels, 4))
             labels = (rng.random((n_labels, n)) < 0.5).astype(float)
-            lap = _frozen(mixing, consequents, np.zeros((4, n)), labels)[1].laplacian
-            soft = mixing @ labels
-            trace_form = 2.0 * np.sum(soft * (lap @ soft))
+            loss = _correlation(mixing, consequents, labels, cfg).loss
             double_sum = oracle_correlation_double_sum(mixing, consequents, labels)
-            assert trace_form == pytest.approx(double_sum, abs=1e-10)
+            assert loss == pytest.approx(cfg.gamma * double_sum, abs=1e-10)
+
+    def test_consequent_left_is_formed_from_the_soft_labels(self):
+        rng = np.random.default_rng(17)
+        for _ in range(100):
+            n_labels = int(rng.integers(1, 6))
+            n = int(rng.integers(1, 7))
+            cfg = TrainConfig(alpha=rng.uniform(0, 2), gamma=rng.uniform(0, 1))
+            mixing = rng.normal(size=(n_labels, n_labels))
+            labels = (rng.random((n_labels, n)) < 0.5).astype(float)
+            got = _correlation(mixing, rng.normal(size=(n_labels, 4)), labels, cfg)
+            soft = mixing @ labels
+            sq = np.sum(soft ** 2, axis=1)
+            want = (cfg.alpha * np.eye(n_labels)
+                    + cfg.gamma * (sq[:, None] + sq[None, :] - 2.0 * soft @ soft.T))
+            assert np.abs(got.consequent_left - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_gamma_zero_leaves_only_the_ridge(self):
+        rng = np.random.default_rng(18)
+        mixing, consequents, _, labels = _random_instance(rng)
+        corr = _correlation(mixing, consequents, labels, TrainConfig(alpha=0.3, gamma=0.0))
+        n_labels = labels.shape[0]
+        assert corr.loss == 0.0
+        np.testing.assert_array_equal(corr.consequent_left, 0.3 * np.eye(n_labels))
+        np.testing.assert_array_equal(corr.mixing_left, np.zeros((n_labels, n_labels)))
 
 
 class TestUpdateConsequents:
@@ -162,7 +192,7 @@ class TestUpdateConsequents:
         mixing, consequents, fuzzy_x, labels = _random_instance(rng)
         cfg = TrainConfig(alpha=1e6, gamma=0.0)
         _, point, grams = _frozen(mixing, consequents, fuzzy_x, labels, cfg)
-        new = _solve_consequents(point, grams, cfg)[0]
+        new = _solve_consequents(point, grams)[0]
         assert np.linalg.norm(new) <= 1e-3
 
     def test_gamma_zero_reduces_to_plain_sylvester(self):
@@ -170,7 +200,7 @@ class TestUpdateConsequents:
         mixing, consequents, fuzzy_x, labels = _random_instance(rng)
         cfg = TrainConfig(alpha=0.4, gamma=0.0)
         _, point, grams = _frozen(mixing, consequents, fuzzy_x, labels, cfg)
-        new = _solve_consequents(point, grams, cfg)[0]
+        new = _solve_consequents(point, grams)[0]
         w_fit, _ = point.weights()
         b = (fuzzy_x * w_fit) @ fuzzy_x.T
         z = (mixing @ labels * w_fit) @ fuzzy_x.T
@@ -220,7 +250,7 @@ class TestUpdateConsequents:
             consequents[:] = 0.0
         cfg = TrainConfig(alpha=0.1, gamma=0.001)
         _, point, grams = _frozen(mixing, consequents, fuzzy_x, labels, cfg)
-        got = _solve_consequents(point, grams, cfg)[0]
+        got = _solve_consequents(point, grams)[0]
         want, w = self._reference(mixing, consequents, fuzzy_x, labels, cfg)
         if case == "weights_at_floor":
             assert w.max() == 1.0 / (2.0 * EPSILON_ROW) and w.min() < 10.0
@@ -233,7 +263,7 @@ class TestUpdateConsequents:
             cfg = TrainConfig(alpha=rng.uniform(0.05, 1.0), beta=rng.uniform(0, 3),
                               gamma=rng.uniform(0, 0.2))
             _, point, grams = _frozen(mixing, consequents, fuzzy_x, labels, cfg)
-            new = _solve_consequents(point, grams, cfg)[0]
+            new = _solve_consequents(point, grams)[0]
             w_fit, _ = point.weights()
             grad = oracle_consequent_gradient(mixing, new, fuzzy_x, labels,
                                               cfg.alpha, cfg.gamma, w_fit)
@@ -280,7 +310,7 @@ class TestUpdateMixing:
             w_fit, w_soft = point.weights()
             grad = oracle_mixing_gradient(
                 new, consequents, fuzzy_x, labels, cfg.beta, cfg.gamma,
-                w_fit, w_soft, point.laplacian, system.ridge)
+                w_fit, w_soft, oracle_laplacian(consequents), system.ridge)
             assert np.linalg.norm(grad) <= 1e-6 * (1 + np.linalg.norm(new))
 
     def test_stationarity_above_the_dense_guard(self):
@@ -296,7 +326,7 @@ class TestUpdateMixing:
             w_fit, w_soft = point.weights()
             grad = oracle_mixing_gradient(
                 new, consequents, fuzzy_x, labels, cfg.beta, cfg.gamma,
-                w_fit, w_soft, point.laplacian, system.ridge)
+                w_fit, w_soft, oracle_laplacian(consequents), system.ridge)
             assert np.linalg.norm(grad) <= 1e-6 * (1 + np.linalg.norm(new))
 
     def test_handles_duplicated_label_rows(self):
@@ -338,7 +368,8 @@ def _dense_least_norm_mixing(mixing, consequents, fuzzy_x, labels, cfg):
     b_raw = (labels * (w_fit + cfg.beta * w_soft)) @ labels.T
     z_raw = ((consequents @ fuzzy_x) * w_fit
              + cfg.beta * labels * w_soft) @ labels.T
-    return least_norm_solve(2.0 * cfg.gamma * point.laplacian, np.linalg.solve(gram, b_raw.T).T,
+    return least_norm_solve(2.0 * cfg.gamma * oracle_laplacian(consequents),
+                            np.linalg.solve(gram, b_raw.T).T,
                             np.linalg.solve(gram, z_raw.T).T)
 
 
@@ -356,7 +387,7 @@ class TestMixingAcrossLabelCounts:
         w_fit, w_soft = point.weights()
         grad = oracle_mixing_gradient(
             new, consequents, fuzzy_x, labels, cfg.beta, cfg.gamma, w_fit, w_soft,
-            point.laplacian, system.ridge)
+            oracle_laplacian(consequents), system.ridge)
         assert np.linalg.norm(grad) <= 1e-6 * (1 + np.linalg.norm(new))
         scale = np.abs(new).max()
         assert np.abs(new[:, 0] - new[:, 1]).max() <= 1e-10 * scale
@@ -432,7 +463,7 @@ class TestFrozenWeightGradients:
             cfg = TrainConfig(alpha=0.3, beta=2.0, gamma=0.1)
             system, frozen, _ = _frozen(mixing, consequents, fuzzy_x, labels, cfg)
             weights = frozen.weights()
-            lap = frozen.laplacian
+            lap = oracle_laplacian(consequents)
             point = rng.normal(size=mixing.shape)
             grad = oracle_mixing_gradient(
                 point, consequents, fuzzy_x, labels, cfg.beta, cfg.gamma,
@@ -470,7 +501,7 @@ class TestExactMinimizerProperty:
             hess_cons = (2 * np.kron(b_cons, np.eye(n_labels))
                          + 2 * cfg.alpha * np.eye(n_labels * b_cons.shape[0])
                          + 2 * cfg.gamma * np.kron(np.eye(b_cons.shape[0]), coupling))
-            lap = point.laplacian
+            lap = oracle_laplacian(consequents)
             gram_r = labels @ labels.T + system.ridge * np.eye(n_labels)
             b_mix = (labels * (w_fit + cfg.beta * w_soft)) @ labels.T
             hess_mix = (2 * np.kron(b_mix, np.eye(n_labels))
@@ -480,7 +511,7 @@ class TestExactMinimizerProperty:
                    np.linalg.eigvalsh((hess_mix + hess_mix.T) / 2).min()) <= 1e-8:
                 continue
             certified += 1
-            new_cons = _solve_consequents(point, grams, cfg)[0]
+            new_cons = _solve_consequents(point, grams)[0]
             assert (_surrogate_consequents(new_cons, mixing, fuzzy_x, labels, cfg, weights)
                     <= _surrogate_consequents(consequents, mixing, fuzzy_x, labels, cfg, weights)
                     + 1e-9)
@@ -541,9 +572,9 @@ class TestTrain:
         losses = opt._Point.losses
         calls = []
 
-        def planted_losses(point, cfg):
+        def planted_losses(point):
             calls.append(None)
-            out = losses(point, cfg)
+            out = losses(point)
             return {**out, **planted} if len(calls) == iteration else out
 
         monkeypatch.setattr(opt._Point, "losses", planted_losses)
@@ -651,7 +682,7 @@ class TestTrain:
         rng = np.random.default_rng(15)
         mixing, consequents, fuzzy_x, labels = _random_instance(rng)
         cfg = TrainConfig(alpha=0.2, beta=1.5, gamma=0.05)
-        lo = _frozen(mixing, consequents, fuzzy_x, labels, cfg)[1].losses(cfg)
+        lo = _frozen(mixing, consequents, fuzzy_x, labels, cfg)[1].losses()
         fit = np.linalg.norm(mixing @ labels - consequents @ fuzzy_x, axis=0).sum()
         soft = np.linalg.norm(labels - mixing @ labels, axis=0).sum()
         expected = fit ** 2 + lo["ridge"] + cfg.beta * soft ** 2 + lo["corr"]
@@ -801,9 +832,7 @@ class TestIterationAgainstTheOracles:
         soft_norms = np.sqrt(((labels - soft) ** 2).sum(axis=0))
         d_fit = 1.0 / (2.0 * np.maximum(fit_norms, EPSILON_ROW))
         d_soft = 1.0 / (2.0 * np.maximum(soft_norms, EPSILON_ROW))
-        similarity = model.consequents @ model.consequents.T
-        laplacian = np.diag(similarity.sum(axis=1)) - similarity
-        return d_fit, d_soft, laplacian
+        return d_fit, d_soft, oracle_laplacian(model.consequents)
 
     @pytest.mark.parametrize("n_labels", [5, 24, 65])
     def test_iterate_is_stationary_for_the_previous_snapshot(self, n_labels):
@@ -840,7 +869,7 @@ class TestIterationAgainstTheOracles:
         corr = cfg.gamma * oracle_correlation_double_sum(cur.mixing, cur.consequents, labels)
         assert cur_trace.iterations[-1].corr == pytest.approx(corr, rel=1e-6)
         _, point, _ = _frozen(cur.mixing, cur.consequents, fuzzy_x, labels, cfg)
-        assert point.losses(cfg)["corr"] == pytest.approx(corr, rel=1e-6)
+        assert point.losses()["corr"] == pytest.approx(corr, rel=1e-6)
 
         # every loss term of the last iteration, from per-sample sums
         fit = sum(np.linalg.norm(cur.mixing @ labels[:, i] - cur.consequents @ fuzzy_x[:, i])
