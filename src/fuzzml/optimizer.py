@@ -26,6 +26,13 @@ consequent solve reads (A, B, M K) and the mixing solve
 Y Y', fixed per run, and the soft-label Gram S = M (Y Y') M'. The only
 other products over N are M Y and C Xg, for the two residual column
 norms.
+
+Training holds one (K(D+1) + L) x N buffer for the run, besides the
+normalized D x N features x and their K x N firing strengths s. Each
+iteration refills its rule rows with Xg from x and s; the point reads C Xg
+from them, and :class:`_Grams` then scales the buffer in place to R. So Xg
+and R never take two N-sized arrays, and each entry of R is the product
+(s x) W^1/2 that a stored Xg would give, bit for bit.
 """
 
 import math
@@ -35,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, NormStats, _check_int, _check_names, normalize_features
-from .rules import RuleBase, fit_antecedents, fuzzy_feature_matrix
+from .rules import RuleBase, _fill_fuzzy_rows, _strength_columns, fit_antecedents
 from .sylvester import NumericalError, SingularProblemError, _solve_sylvester
 
 __all__ = [
@@ -108,12 +115,13 @@ class IterationRecord:
 
     The four ``*_s`` fields are wall seconds per phase. ``weights_s``
     computes the reweighting diagonals. ``consequent_s`` holds the
-    iteration's one weighted Gram pass over the N samples (see the module
-    docstring) and the consequent solve; ``mixing_s`` is the mixing solve,
-    which reads only L x L and L x K(D+1) matrices. ``point_s`` evaluates
-    the residual column norms, the correlation term with the next
-    iteration's A and 2 gamma Lap (:class:`_Correlation`) and the losses
-    at the committed pair.
+    iteration's one weighted Gram pass over the N samples, with the
+    scaling of Xg to R in place (see the module docstring), and the
+    consequent solve; ``mixing_s`` is the mixing solve, which reads only
+    L x L and L x K(D+1) matrices. ``point_s`` refills Xg and evaluates the
+    residual column norms, the correlation term with the next iteration's
+    A and 2 gamma Lap (:class:`_Correlation`) and the losses at the
+    committed pair.
 
     ``consequent_min`` and ``mixing_min`` are the smallest eigenvalue
     lambda_min(A) + sigma_min(B) of each solve's Sylvester operator
@@ -284,18 +292,19 @@ class _Grams:
 
     With W = diag(w_fit): ``terms`` is Xg W Xg', ``cross`` is Y W Xg' and
     ``fit`` is Y W Y', the blocks of one symmetric product R R' with
-    R = [Xg; Y] W^1/2; ``soft`` is Y diag(w_soft) Y'. The stacked R is
-    allocated per call and freed on return.
+    R = [Xg; Y] W^1/2; ``soft`` is Y diag(w_soft) Y'. ``stacked`` is a
+    (K(D+1) + L) x N buffer whose first K(D+1) rows hold Xg; R is formed in
+    it in place, so on return those rows hold Xg W^1/2 and the label rows
+    Y diag(w_soft)^1/2.
     """
 
     __slots__ = ("terms", "cross", "fit", "soft")
 
-    def __init__(self, fuzzy_x, labels, weights):
+    def __init__(self, stacked, labels, weights):
         fit_weights, soft_weights = weights
-        n_terms = fuzzy_x.shape[0]
-        stacked = np.empty((n_terms + labels.shape[0], fuzzy_x.shape[1]))
+        n_terms = stacked.shape[0] - labels.shape[0]
         root_w = np.sqrt(fit_weights)
-        np.multiply(fuzzy_x, root_w, out=stacked[:n_terms])
+        stacked[:n_terms] *= root_w
         np.multiply(labels, root_w, out=stacked[n_terms:])
         gram = stacked @ stacked.T
         self.terms = gram[:n_terms, :n_terms]
@@ -391,13 +400,17 @@ def train(data: Dataset, cfg: TrainConfig = TrainConfig()):
     """
     features, stats = normalize_features(data.features)
     rulebase = fit_antecedents(features, cfg.n_rules)
-    fuzzy_x = fuzzy_feature_matrix(features, rulebase)
+    strengths = _strength_columns(features, rulebase)
     labels = data.labels
     n_labels = labels.shape[0]
+    n_terms = cfg.n_rules * (features.shape[0] + 1)
+    stacked = np.empty((n_terms + n_labels, features.shape[1]))
+    fuzzy_x = stacked[:n_terms]  # Xg from each refill until _Grams scales it
     mixing_system = _MixingSystem(labels, cfg)
 
     mixing = np.ones((n_labels, n_labels))
-    consequents = np.full((n_labels, fuzzy_x.shape[0]), 1.0 / n_labels)
+    consequents = np.full((n_labels, n_terms), 1.0 / n_labels)
+    _fill_fuzzy_rows(features, strengths, fuzzy_x)
     point = _Point(mixing, consequents, fuzzy_x, labels, mixing_system.label_gram, cfg)
 
     margin = cfg.min_loss_margin
@@ -410,7 +423,7 @@ def train(data: Dataset, cfg: TrainConfig = TrainConfig()):
         weighted = time.perf_counter()
         subproblem = "consequent"
         try:
-            grams = _Grams(fuzzy_x, labels, weights)
+            grams = _Grams(stacked, labels, weights)
             consequents, consequent_min = _solve_consequents(point, grams)
             consequent_done = time.perf_counter()
             subproblem = "mixing"
@@ -420,6 +433,7 @@ def train(data: Dataset, cfg: TrainConfig = TrainConfig()):
                 "iteration %d, %s solve: %s" % (t, subproblem, exc)) from exc
         mixing_done = time.perf_counter()
 
+        _fill_fuzzy_rows(features, strengths, fuzzy_x)
         point = _Point(mixing, consequents, fuzzy_x, labels, mixing_system.label_gram, cfg)
         record = IterationRecord(**point.losses(), weights_s=weighted - started,
                                  consequent_s=consequent_done - weighted,

@@ -9,9 +9,13 @@ each column's normalized strengths scale the bias-augmented column
 
 One private kernel computes the K x N normalized firing strengths, feature
 by feature and rule by rule, with element-wise operations only.
-``fuzzy_feature_matrix`` and ``predictor.score`` both take their strengths
-from it, so a column's strengths and fuzzy features are the same bits
-alone as inside any batch.
+``fuzzy_feature_matrix``, training and ``predictor.score`` all take their
+strengths from it, so a column's strengths and fuzzy features are the
+same bits alone as inside any batch. A second private kernel writes the
+fuzzy features of D x N features with given strengths into any
+K(D+1) x N buffer: ``fuzzy_feature_matrix`` fills a new array with it, and
+training refills the rule rows of its one Gram buffer with it each
+iteration, so both give the same bits.
 """
 
 import numpy as np
@@ -65,7 +69,8 @@ def fit_antecedents(features, n_rules) -> RuleBase:
     largest total within-cluster variance is split K-1 times at the mean of
     its highest-variance feature. Centers are per-cluster feature means and
     widths are per-cluster standard deviations floored at
-    ``DEFAULT_WIDTH_FLOOR``.
+    ``DEFAULT_WIDTH_FLOOR``. Each cluster's samples are gathered once, when
+    it is made, for its feature means and variances.
 
     Parameters
     ----------
@@ -75,24 +80,30 @@ def fit_antecedents(features, n_rules) -> RuleBase:
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("features must be a D x N matrix")
-    d, n = x.shape
+    n = x.shape[1]
     _check_int("n_rules", n_rules)
     if n_rules < 1:
         raise ValueError("n_rules must be at least 1")
     if n_rules > n:
         raise ValueError("n_rules exceeds the sample count (%d > %d)" % (n_rules, n))
 
+    def moments(idx):
+        # the gather's copy fixes numpy's summation order; widths are sqrt(var),
+        # which is std bit for bit
+        block = x[:, idx]
+        return block.mean(axis=1), block.var(axis=1)
+
     clusters = [np.arange(n)]
+    stats = [moments(clusters[0])]
     for _ in range(n_rules - 1):
-        totals = [x[:, idx].var(axis=1).sum() for idx in clusters]
+        totals = [var.sum() for _, var in stats]
         best = int(np.argmax(totals))
         if totals[best] > 0.0:
             idx = clusters[best]
-            dim_vars = x[:, idx].var(axis=1)
-            dim = int(np.argmax(dim_vars))
-            thr = x[dim, idx].mean()
-            left = idx[x[dim, idx] <= thr]
-            right = idx[x[dim, idx] > thr]
+            values = x[int(np.argmax(stats[best][1])), idx]
+            thr = values.mean()
+            left = idx[values <= thr]
+            right = idx[values > thr]
         else:
             # All clusters are point masses; split the largest by sample order
             # so K clusters still come out.
@@ -103,13 +114,11 @@ def fit_antecedents(features, n_rules) -> RuleBase:
             left, right = idx[:half], idx[half:]
         clusters[best] = left
         clusters.append(right)
+        stats[best] = moments(left)
+        stats.append(moments(right))
 
-    centers = np.empty((n_rules, d))
-    widths = np.empty((n_rules, d))
-    for k, idx in enumerate(clusters):
-        centers[k] = x[:, idx].mean(axis=1)
-        widths[k] = x[:, idx].std(axis=1)
-    widths = np.maximum(widths, DEFAULT_WIDTH_FLOOR)
+    centers = np.array([mean for mean, _ in stats])
+    widths = np.maximum(np.sqrt([var for _, var in stats]), DEFAULT_WIDTH_FLOOR)
     return RuleBase(centers, widths)
 
 
@@ -155,21 +164,34 @@ def _strength_columns(x, rulebase: RuleBase) -> np.ndarray:
     return strengths
 
 
+def _fill_fuzzy_rows(x, strengths, out) -> np.ndarray:
+    """Write the fuzzy features of ``x`` (D x N) into ``out``, K(D+1) x N.
+
+    ``strengths`` are the K x N normalized firing strengths of the columns.
+    Row k(D+1) of ``out`` gets s_k and the next D rows s_k * x, one product
+    per entry, so the rows are the same bits in any buffer.
+    """
+    k, (d, n) = len(strengths), x.shape
+    blocks = out.reshape(k, d + 1, n)  # splits the rows only, so a view
+    blocks[:, 0, :] = strengths
+    np.multiply(strengths[:, None, :], x[None, :, :], out=blocks[:, 1:, :])
+    return out
+
+
 def fuzzy_feature_matrix(features, rulebase: RuleBase) -> np.ndarray:
     """Column-wise fuzzy feature map of a D x N matrix, K(D+1) x N.
 
     Row k(D+1) holds rule k's normalized firing strength, and the next D
-    rows hold that strength times x.
+    rows hold that strength times x. No package code calls it: training
+    writes the same rows into its own buffer, and ``predictor.score`` sums
+    the rules without forming them.
     """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != rulebase.n_features:
         raise ValueError("features must be a D x N matrix matching the rule base")
-    k, d = rulebase.centers.shape
     strengths = _strength_columns(x, rulebase)
-    out = np.empty((k, d + 1, x.shape[1]))
-    out[:, 0, :] = strengths
-    np.multiply(strengths[:, None, :], x[None, :, :], out=out[:, 1:, :])
-    return out.reshape(k * (d + 1), x.shape[1])
+    out = np.empty((rulebase.n_rules * (x.shape[0] + 1), x.shape[1]))
+    return _fill_fuzzy_rows(x, strengths, out)
 
 
 def _linguistic_terms(n_rules: int) -> list:

@@ -1,7 +1,8 @@
 """Independent brute-force reference implementations used by the tests.
 
 Everything here is written as literal set/pair enumeration with plain
-Python loops, deliberately sharing no code with the package internals.
+Python loops, or recomputes every quantity from scratch where the package
+reuses it, deliberately sharing no code with the package internals.
 """
 
 import numpy as np
@@ -161,3 +162,33 @@ def oracle_fuzzy_feature_matrix(features, centers, widths):
         x_ext = np.concatenate(([1.0], x[:, i]))
         out.append(np.concatenate([s * x_ext for s in strengths]))
     return np.array(out).T
+
+
+def oracle_fit_antecedents(features, n_rules, width_floor):
+    """Variance partitioning as specified, recomputed from scratch at every step.
+
+    Each split recomputes every cluster's total variance, and the split
+    cluster's feature variances, from a fresh gather ``x[:, idx]``; the
+    centers and widths are the final clusters' means and standard
+    deviations, each from its own gather. Returns ``(centers, widths)``.
+    """
+    x = np.asarray(features, dtype=float)
+    clusters = [np.arange(x.shape[1])]
+    for _ in range(n_rules - 1):
+        totals = [x[:, idx].var(axis=1).sum() for idx in clusters]
+        best = int(np.argmax(totals))
+        if totals[best] > 0.0:
+            idx = clusters[best]
+            dim = int(np.argmax(x[:, idx].var(axis=1)))
+            thr = x[dim, idx].mean()
+            left = idx[x[dim, idx] <= thr]
+            right = idx[x[dim, idx] > thr]
+        else:
+            best = int(np.argmax([len(idx) for idx in clusters]))
+            idx = clusters[best]
+            left, right = idx[:len(idx) // 2], idx[len(idx) // 2:]
+        clusters[best] = left
+        clusters.append(right)
+    centers = np.array([x[:, idx].mean(axis=1) for idx in clusters])
+    widths = np.array([x[:, idx].std(axis=1) for idx in clusters])
+    return centers, np.maximum(widths, width_floor)

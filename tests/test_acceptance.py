@@ -187,7 +187,7 @@ def test_criterion_05_subproblem_stationarity():
         system = _MixingSystem(labels, cfg)
         point = _Point(mixing, consequents, fuzzy_x, labels, system.label_gram, cfg)
         w_fit, w_soft = point.weights()
-        grams = _Grams(fuzzy_x, labels, (w_fit, w_soft))
+        grams = _Grams(np.vstack([fuzzy_x, labels]), labels, (w_fit, w_soft))
         lap = oracle_laplacian(consequents)
         shift = system.ridge
 

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -27,7 +28,7 @@ from fuzzml.optimizer import (
     _solve_consequents,
     train,
 )
-from fuzzml.dataset import Dataset, take_samples
+from fuzzml.dataset import Dataset, normalize_features, take_samples
 from fuzzml.metrics import evaluate
 from fuzzml.predictor import score
 from fuzzml.rules import fit_antecedents, fuzzy_feature_matrix
@@ -63,7 +64,7 @@ def _frozen(mixing, consequents, fuzzy_x, labels, cfg=TrainConfig()):
     """
     system = _MixingSystem(labels, cfg)
     point = _Point(mixing, consequents, fuzzy_x, labels, system.label_gram, cfg)
-    return system, point, _Grams(fuzzy_x, labels, point.weights())
+    return system, point, _Grams(np.vstack([fuzzy_x, labels]), labels, point.weights())
 
 
 class TestObjective:
@@ -123,6 +124,82 @@ class TestReweightDiagonals:
             soft_norm = np.linalg.norm(labels[:, i] - mixing @ labels[:, i])
             assert fit[i] == pytest.approx(1 / (2 * max(fit_norm, 1e-8)), rel=1e-12)
             assert soft[i] == pytest.approx(1 / (2 * max(soft_norm, 1e-8)), rel=1e-12)
+
+
+class TestGrams:
+    """The weighted Grams, formed in place in a buffer holding [Xg; Y],
+    against the same Grams formed from a separate fuzzy feature matrix."""
+
+    @pytest.mark.parametrize("kind", SYNTH_KINDS)
+    @pytest.mark.parametrize("n_rules,case", [(1, "plain"), (3, "plain"), (3, "constant_feature"),
+                                              (3, "weights_at_floor"), (20, "terms_near_n")])
+    def test_blocks_equal_grams_of_the_fuzzy_matrix(self, kind, n_rules, case):
+        n = 430 if case == "terms_near_n" else 300  # K(D+1) = 420 terms
+        data = gen_synthetic(SynthSpec(kind, n_samples=n, seed=5))
+        x = normalize_features(data.features)[0]
+        if case == "constant_feature":
+            x[3] = 0.0
+        fuzzy_x = fuzzy_feature_matrix(x, fit_antecedents(x, n_rules))
+        labels = data.labels
+        rng = np.random.default_rng(23)
+        mixing = np.eye(5) + 0.1 * rng.normal(size=(5, 5))
+        consequents = 0.1 * rng.normal(size=(5, fuzzy_x.shape[0]))
+        if case == "weights_at_floor":  # these fit residual columns vanish
+            labels = labels.copy()
+            labels[:, : n // 3] = 0.0
+            consequents[:] = 0.0
+        _, point, grams = _frozen(mixing, consequents, fuzzy_x, labels)
+        w_fit, w_soft = point.weights()
+        n_terms = fuzzy_x.shape[0]
+        stacked = np.vstack([fuzzy_x * np.sqrt(w_fit), labels * np.sqrt(w_fit)])
+        gram = stacked @ stacked.T  # R R' with R formed out of place
+        np.testing.assert_array_equal(grams.terms, gram[:n_terms, :n_terms])
+        np.testing.assert_array_equal(grams.cross, gram[n_terms:, :n_terms])
+        np.testing.assert_array_equal(grams.fit, gram[n_terms:, n_terms:])
+        want = dict(terms=(fuzzy_x * w_fit) @ fuzzy_x.T, cross=(labels * w_fit) @ fuzzy_x.T,
+                    fit=(labels * w_fit) @ labels.T, soft=(labels * w_soft) @ labels.T)
+        for name, block in want.items():
+            got = getattr(grams, name)
+            assert np.abs(got - block).max() <= 1e-12 * np.abs(block).max(), name
+
+
+class TestTrainBuffer:
+    def test_peak_stays_near_one_gram_buffer(self):
+        # train holds the D x N features, the K x N strengths and one
+        # (K(D+1) + L) x N buffer; a second array of that size, such as a
+        # K(D+1) x N fuzzy matrix kept for the run, crosses the bound
+        data = gen_synthetic(SynthSpec("union", n_samples=4000, n_features=20, seed=1))
+        cfg = TrainConfig(n_rules=3, max_iters=3)
+        buffer_bytes = (cfg.n_rules * 21 + data.labels.shape[0]) * 4000 * 8
+        tracemalloc.start()
+        try:
+            train(data, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.8 * buffer_bytes, peak / buffer_bytes
+
+    @pytest.mark.parametrize("kind", SYNTH_KINDS)
+    def test_iterates_equal_those_of_a_stored_fuzzy_matrix(self, kind):
+        # train refills Xg in its buffer each iteration and scales it to R in
+        # place; iterating on a fuzzy matrix kept for the run gives the same bits
+        data = gen_synthetic(SynthSpec(kind, n_samples=300, seed=9))
+        cfg = TrainConfig(n_rules=3, max_iters=4, min_loss_margin=0.0)
+        model, trace = train(data, cfg)
+        assert trace.n_iterations == 4
+        x = normalize_features(data.features)[0]
+        fuzzy_x = fuzzy_feature_matrix(x, fit_antecedents(x, cfg.n_rules))
+        labels = data.labels
+        mixing = np.ones((5, 5))
+        consequents = np.full((5, fuzzy_x.shape[0]), 0.2)
+        for record in trace.iterations:
+            system, point, grams = _frozen(mixing, consequents, fuzzy_x, labels, cfg)
+            consequents = _solve_consequents(point, grams)[0]
+            mixing = system.solve(point, grams)[0]
+            _, point, _ = _frozen(mixing, consequents, fuzzy_x, labels, cfg)
+            assert point.losses()["total"] == record.total
+        np.testing.assert_array_equal(model.consequents, consequents)
+        np.testing.assert_array_equal(model.mixing, mixing)
 
 
 def _correlation(mixing, consequents, labels, cfg=TrainConfig()):

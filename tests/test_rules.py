@@ -3,11 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from oracles import oracle_fuzzy_feature_matrix
+from oracles import oracle_fit_antecedents, oracle_fuzzy_feature_matrix
 
 from fuzzml.optimizer import ModelParams, TrainConfig
-from fuzzml.dataset import NormStats
-from fuzzml.rules import RuleBase, export_rules, fit_antecedents, fuzzy_feature_matrix
+from fuzzml.dataset import NormStats, normalize_features
+from fuzzml.rules import (
+    DEFAULT_WIDTH_FLOOR,
+    RuleBase,
+    _fill_fuzzy_rows,
+    _strength_columns,
+    export_rules,
+    fit_antecedents,
+    fuzzy_feature_matrix,
+)
+from fuzzml.synthgen import SYNTH_KINDS, SynthSpec, gen_synthetic
 
 
 def _column(x, rb):
@@ -18,6 +27,11 @@ def _column(x, rb):
 def _strengths(x, rb):
     """One input's normalized rule strengths: rows k(D+1) of its fuzzy features."""
     return _column(x, rb)[::rb.n_features + 1]
+
+
+def _synth_features(kind, n=300):
+    """A synthetic kind's features, normalized as training normalizes them."""
+    return normalize_features(gen_synthetic(SynthSpec(kind, n_samples=n, seed=4)).features)[0]
 
 
 class TestMembership:
@@ -285,11 +299,50 @@ class TestFitAntecedents:
         with pytest.raises(ValueError, match="n_rules must be at least 1"):
             fit_antecedents(np.zeros((2, 3)), 0)
 
+    @staticmethod
+    def _assert_equals_the_oracle(x, n_rules):
+        rb = fit_antecedents(x, n_rules)
+        centers, widths = oracle_fit_antecedents(x, n_rules, DEFAULT_WIDTH_FLOOR)
+        np.testing.assert_array_equal(rb.centers, centers)
+        np.testing.assert_array_equal(rb.widths, widths)
+
+    @pytest.mark.parametrize("kind", SYNTH_KINDS)
+    @pytest.mark.parametrize("n_rules", [1, 2, 3, 6, 12])
+    def test_equals_the_recomputing_oracle_bit_for_bit(self, kind, n_rules):
+        self._assert_equals_the_oracle(_synth_features(kind), n_rules)
+
+    @pytest.mark.parametrize("case", ["rules_equal_samples", "constant_features",
+                                      "point_mass_clusters"])
+    def test_degenerate_inputs_equal_the_oracle_bit_for_bit(self, case):
+        rng = np.random.default_rng(21)
+        if case == "rules_equal_samples":
+            x, n_rules = rng.random((3, 9)), 9
+        elif case == "constant_features":
+            x, n_rules = np.vstack([np.full(40, 0.7), rng.random(40), np.zeros(40)]), 6
+        else:  # three distinct columns: the later splits are by sample order
+            x, n_rules = np.repeat(rng.random((2, 3)), [5, 1, 4], axis=1), 7
+        self._assert_equals_the_oracle(x, n_rules)
+
     @pytest.mark.parametrize("value", [2.0, 2.5, np.float64(2.0)])
     def test_rejects_a_non_integer_rule_count(self, value):
         with pytest.raises(ValueError, match=r"^n_rules must be an integer, got "):
             fit_antecedents(np.zeros((2, 3)), value)
         assert fit_antecedents(np.zeros((2, 3)), np.int64(2)).n_rules == 2
+
+
+class TestFillFuzzyRows:
+    """The fuzzy features written into the rule rows of a training buffer."""
+
+    @pytest.mark.parametrize("kind", SYNTH_KINDS)
+    @pytest.mark.parametrize("n_rules", ["one", "three", "n"])
+    def test_rule_rows_of_a_buffer_hold_the_fuzzy_matrix(self, kind, n_rules):
+        x = _synth_features(kind)
+        rb = fit_antecedents(x, {"one": 1, "three": 3, "n": x.shape[1]}[n_rules])
+        n_terms = rb.n_rules * (rb.n_features + 1)
+        buffer = np.full((n_terms + 5, x.shape[1]), 7.0)
+        _fill_fuzzy_rows(x, _strength_columns(x, rb), buffer[:n_terms])
+        np.testing.assert_array_equal(buffer[:n_terms], fuzzy_feature_matrix(x, rb))
+        np.testing.assert_array_equal(buffer[n_terms:], 7.0)
 
 
 def _model_for_rulebase(rb, n_labels=2):
