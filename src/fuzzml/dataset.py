@@ -32,15 +32,20 @@ class DataFormatError(ValueError):
     """Raised when an input file or matrix violates the data contract."""
 
 
+def _is_int(value) -> bool:
+    # bool subclasses int, but True is neither a count nor a seed
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_int(name, value) -> None:
     """Refuse a ``value`` that is not a Python or numpy integer, naming ``name``."""
-    if not isinstance(value, (int, np.integer)):
+    if not _is_int(value):
         raise ValueError("%s must be an integer, got %r" % (name, value))
 
 
 def _check_seed(seed) -> None:
     """Refuse a random seed that is not a Python or numpy integer >= 0."""
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    if not _is_int(seed) or seed < 0:
         raise ValueError("seed must be an integer >= 0, got %r" % (seed,))
 
 

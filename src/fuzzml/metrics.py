@@ -98,9 +98,7 @@ class _Ranking:
         self.ranks = np.arange(1, self.n_labels + 1, dtype=np.float64)[:, None]
 
     def average_precision(self) -> float:
-        precision = np.multiply(self.hits, self.found)
-        precision /= self.ranks
-        precision = precision.sum(axis=0)
+        precision = (self.hits * self.found / self.ranks).sum(axis=0)
         keep = self.n_rel > 0
         return _mean_terms(precision[keep] / self.n_rel[keep])
 
@@ -109,11 +107,10 @@ class _Ranking:
         # end of its run of equal scores: rank minus relevant count at that end.
         # Walked up from the last row, each row keeps the least count at or below it.
         beaten_by = self.ranks - self.found
-        np.copyto(beaten_by, np.inf, where=~self.run_end)
+        beaten_by[~self.run_end] = np.inf
         for row, below in zip(beaten_by[-2::-1], beaten_by[:0:-1]):
             np.minimum(row, below, out=row)
-        beaten_by *= self.hits
-        bad = beaten_by.sum(axis=0)
+        bad = (self.hits * beaten_by).sum(axis=0)
         n_rel = self.n_rel
         keep = (n_rel > 0) & (n_rel < self.n_labels)
         return _mean_terms(bad[keep] / (n_rel[keep] * (self.n_labels - n_rel[keep])))

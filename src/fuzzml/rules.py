@@ -7,15 +7,14 @@ The feature map takes a D x N matrix to its K(D+1) x N fuzzy features:
 each column's normalized strengths scale the bias-augmented column
 (1, x), and the per-rule blocks are stacked in rule order.
 
-One private kernel computes the K x N normalized firing strengths, feature
-by feature and rule by rule, with element-wise operations only.
-``fuzzy_feature_matrix``, training and ``predictor.score`` all take their
-strengths from it, so a column's strengths and fuzzy features are the
-same bits alone as inside any batch. A second private kernel writes the
-fuzzy features of D x N features with given strengths into any
-K(D+1) x N buffer: ``fuzzy_feature_matrix`` fills a new array with it, and
-training refills the rule rows of its one Gram buffer with it each
-iteration, so both give the same bits.
+Two private kernels build them. One computes the K x N normalized firing
+strengths, feature by feature and rule by rule, with element-wise
+operations only; training and ``predictor.score`` both take their
+strengths from it, so a column's strengths are the same bits alone as
+inside any batch. The other writes the fuzzy features of D x N features
+with given strengths into a K(D+1) x N buffer; training refills the rule
+rows of its one Gram buffer with it each iteration. ``predictor.score``
+sums the rules without forming the fuzzy features.
 """
 
 import numpy as np
@@ -25,7 +24,6 @@ from .dataset import _check_int
 __all__ = [
     "RuleBase",
     "fit_antecedents",
-    "fuzzy_feature_matrix",
     "export_rules",
 ]
 
@@ -167,31 +165,16 @@ def _strength_columns(x, rulebase: RuleBase) -> np.ndarray:
 def _fill_fuzzy_rows(x, strengths, out) -> np.ndarray:
     """Write the fuzzy features of ``x`` (D x N) into ``out``, K(D+1) x N.
 
-    ``strengths`` are the K x N normalized firing strengths of the columns.
-    Row k(D+1) of ``out`` gets s_k and the next D rows s_k * x, one product
-    per entry, so the rows are the same bits in any buffer.
+    ``strengths`` are the K x N normalized firing strengths of the columns,
+    from ``_strength_columns``. Row k(D+1) of ``out`` gets s_k and the next
+    D rows s_k * x, one product per entry, so the rows are the same bits in
+    any buffer, a fresh array or the rule rows of training's Gram buffer.
     """
     k, (d, n) = len(strengths), x.shape
     blocks = out.reshape(k, d + 1, n)  # splits the rows only, so a view
     blocks[:, 0, :] = strengths
     np.multiply(strengths[:, None, :], x[None, :, :], out=blocks[:, 1:, :])
     return out
-
-
-def fuzzy_feature_matrix(features, rulebase: RuleBase) -> np.ndarray:
-    """Column-wise fuzzy feature map of a D x N matrix, K(D+1) x N.
-
-    Row k(D+1) holds rule k's normalized firing strength, and the next D
-    rows hold that strength times x. No package code calls it: training
-    writes the same rows into its own buffer, and ``predictor.score`` sums
-    the rules without forming them.
-    """
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] != rulebase.n_features:
-        raise ValueError("features must be a D x N matrix matching the rule base")
-    strengths = _strength_columns(x, rulebase)
-    out = np.empty((rulebase.n_rules * (x.shape[0] + 1), x.shape[1]))
-    return _fill_fuzzy_rows(x, strengths, out)
 
 
 def _linguistic_terms(n_rules: int) -> list:

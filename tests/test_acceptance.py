@@ -33,7 +33,7 @@ from fuzzml.optimizer import (
 )
 from fuzzml.experiments import ExperimentConfig, run_ablation
 from fuzzml.predictor import load_model, predict, save_model
-from fuzzml.rules import RuleBase, fit_antecedents, fuzzy_feature_matrix
+from fuzzml.rules import RuleBase, _fill_fuzzy_rows, _strength_columns, fit_antecedents
 from fuzzml.sylvester import residual_norm, solve_sylvester
 from fuzzml.synthgen import SYNTH_KINDS, SynthSpec, gen_synthetic
 
@@ -148,6 +148,12 @@ def test_criterion_04_correlation_trace_identity():
             % (worst_identity, worst_rowsum, worst_left))
 
 
+def _fuzzy_rows(x, rulebase):
+    """Xg as train builds it: the strengths, then the rows written into a fresh array."""
+    out = np.empty((rulebase.n_rules * (x.shape[0] + 1), x.shape[1]))
+    return _fill_fuzzy_rows(x, _strength_columns(x, rulebase), out)
+
+
 def _random_small_instance(rng):
     n_labels = int(rng.integers(2, 5))
     n_features = int(rng.integers(1, 4))
@@ -155,7 +161,7 @@ def _random_small_instance(rng):
     n = int(rng.integers(n_rules + 2, 11))
     x = rng.random((n_features, n))
     rulebase = fit_antecedents(x, n_rules)
-    fuzzy_x = fuzzy_feature_matrix(x, rulebase)
+    fuzzy_x = _fuzzy_rows(x, rulebase)
     labels = (rng.random((n_labels, n)) < 0.5).astype(float)
     labels[int(rng.integers(0, n_labels)), int(rng.integers(0, n))] = 1.0
     mixing = rng.normal(size=(n_labels, n_labels))
@@ -254,7 +260,7 @@ def test_criterion_06_fuzzy_layer_invariants():
     blocks_exact = True
     for _ in range(1000):
         x = rng.random(5)
-        blocks = fuzzy_feature_matrix(x[:, None], rulebase)[:, 0].reshape(3, 6)
+        blocks = _fuzzy_rows(x[:, None], rulebase)[:, 0].reshape(3, 6)
         strengths = blocks[:, 0]
         worst_sum = max(worst_sum, abs(float(strengths.sum()) - 1.0))
         x_ext = np.concatenate(([1.0], x))
@@ -262,7 +268,8 @@ def test_criterion_06_fuzzy_layer_invariants():
         blocks_exact = blocks_exact and np.array_equal(blocks, expected)
     # rule 0 sits at the input, so the strength ratios s1/s0 and s2/s0 are
     # the Gaussian memberships one and two widths out
-    s = fuzzy_feature_matrix([[2.0]], RuleBase([[2.0], [1.0], [0.0]], np.ones((3, 1))))[::2, 0]
+    at_rule_0 = RuleBase([[2.0], [1.0], [0.0]], np.ones((3, 1)))
+    s = _strength_columns(np.array([[2.0]]), at_rule_0)[:, 0]
     hand = max(abs(s[1] / s[0] - math.exp(-0.5)), abs(s[2] / s[0] - math.exp(-2.0)))
     ok = worst_sum <= 1e-12 and blocks_exact and hand <= 1e-12
     _report(6, "fuzzy layer invariants", ok,

@@ -18,6 +18,9 @@ from fuzzml.dataset import (
     save_matrix,
     take_samples,
 )
+from fuzzml.experiments import ExperimentConfig
+from fuzzml.optimizer import TrainConfig
+from fuzzml.synthgen import NoiseSpec, SynthSpec
 
 
 class TestLoadDataset:
@@ -280,6 +283,24 @@ class TestKFold:
         fold_of = kfold_split(23, 4, seed=1)
         assert fold_of.shape == (23,)
         assert set(fold_of.tolist()) == {0, 1, 2, 3}
+
+
+class TestBooleansAreNotIntegers:
+    """bool subclasses int, but every count and seed check refuses it."""
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: TrainConfig(n_rules=True), "n_rules must be an integer, got True"),
+        (lambda: TrainConfig(max_iters=True), "max_iters must be an integer, got True"),
+        (lambda: ExperimentConfig(workers=True), "workers must be an integer, got True"),
+        (lambda: ExperimentConfig(seeds=(False,)), "seed must be an integer >= 0, got False"),
+        (lambda: SynthSpec(kind="union", seed=True), "seed must be an integer >= 0, got True"),
+        (lambda: kfold_split(10, 2, True), "seed must be an integer >= 0, got True"),
+        (lambda: NoiseSpec(0.1, seed=True), "seed must be an integer >= 0, got True"),
+    ], ids=["n_rules", "max_iters", "workers", "seeds", "synth_seed", "kfold_seed",
+            "noise_seed"])
+    def test_refuses_a_bool(self, call, message):
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            call()
 
 
 class TestDatasetInvariants:

@@ -9,7 +9,7 @@ import pytest
 
 from oracles import oracle_fuzzy_feature_matrix
 
-from fuzzml.dataset import Dataset, NormStats, apply_norm, normalize_features
+from fuzzml.dataset import Dataset, NormStats, normalize_features
 from fuzzml.optimizer import ModelParams, TrainConfig, train
 from fuzzml.predictor import (
     ModelFormatError,
@@ -18,7 +18,7 @@ from fuzzml.predictor import (
     save_model,
     score,
 )
-from fuzzml.rules import RuleBase, fit_antecedents, fuzzy_feature_matrix
+from fuzzml.rules import RuleBase, _strength_columns, fit_antecedents
 from fuzzml.synthgen import SynthSpec, gen_synthetic
 
 # a model file that still stores the counts and the width floor
@@ -85,7 +85,7 @@ class TestScore:
             x = np.clip((x_test[:, i] - model.norm.minimum) / np.where(span > 0, span, 1.0),
                         0.0, 1.0)
             x = np.where(span > 0, x, 0.0)
-            strengths = fuzzy_feature_matrix(x[:, None], model.rulebase)[::d + 1, 0]
+            strengths = _strength_columns(x[:, None], model.rulebase)[:, 0]
             x_ext = np.concatenate(([1.0], x))
             for l in range(model.n_labels):
                 acc = 0.0
@@ -102,17 +102,15 @@ class TestScore:
         x[:, -1] = 1e200
         batch = score(model, x)
         alone = np.hstack([score(model, x[:, i:i + 1]) for i in range(x.shape[1])])
-        fuzzy_x = fuzzy_feature_matrix(apply_norm(x, model.norm), model.rulebase)
         lo = model.norm.minimum[:, None]
         span = model.norm.maximum[:, None] - lo
         scaled = np.divide(x - lo, span, out=np.zeros_like(x), where=span > 0.0)
-        oracle_x = oracle_fuzzy_feature_matrix(np.clip(scaled, 0.0, 1.0),
-                                               model.rulebase.centers, model.rulebase.widths)
+        fuzzy_x = oracle_fuzzy_feature_matrix(np.clip(scaled, 0.0, 1.0),
+                                              model.rulebase.centers, model.rulebase.widths)
         # a sum of K(D+1) products is exact to a few eps of its absolute terms
         bound = 1e-14 * (np.abs(model.consequents) @ np.abs(fuzzy_x))
         for got in (batch, alone):
-            for fuzzy in (fuzzy_x, oracle_x):
-                assert np.all(np.abs(got - model.consequents @ fuzzy) <= bound)
+            assert np.all(np.abs(got - model.consequents @ fuzzy_x) <= bound)
 
     def test_peak_memory_stays_below_one_fuzzy_matrix(self):
         k, d, n = 3, 20, 10_000

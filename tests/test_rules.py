@@ -14,19 +14,25 @@ from fuzzml.rules import (
     _strength_columns,
     export_rules,
     fit_antecedents,
-    fuzzy_feature_matrix,
 )
 from fuzzml.synthgen import SYNTH_KINDS, SynthSpec, gen_synthetic
 
 
+def _fuzzy_rows(x, rb):
+    """The fuzzy features of a D x N matrix as training builds them: the
+    strengths, then the rows written into a fresh array."""
+    out = np.empty((rb.n_rules * (x.shape[0] + 1), x.shape[1]))
+    return _fill_fuzzy_rows(x, _strength_columns(x, rb), out)
+
+
 def _column(x, rb):
     """The fuzzy features of one input, mapped as a one-column matrix."""
-    return fuzzy_feature_matrix(np.asarray(x, dtype=np.float64)[:, None], rb)[:, 0]
+    return _fuzzy_rows(np.asarray(x, dtype=np.float64)[:, None], rb)[:, 0]
 
 
 def _strengths(x, rb):
-    """One input's normalized rule strengths: rows k(D+1) of its fuzzy features."""
-    return _column(x, rb)[::rb.n_features + 1]
+    """One input's normalized rule strengths, computed as a one-column matrix."""
+    return _strength_columns(np.asarray(x, dtype=np.float64)[:, None], rb)[:, 0]
 
 
 def _synth_features(kind, n=300):
@@ -61,7 +67,7 @@ class TestMembership:
             rb = RuleBase([[m], [m]], [[d], [1e3]])
             offsets = np.sort(rng.uniform(0.01, 10.0, size=8)) * d
             x = np.concatenate([m - offsets, m + offsets])[None, :]
-            s = fuzzy_feature_matrix(x, rb)[::2]
+            s = _strength_columns(x, rb)
             ratio = s[0] / s[1]
             left, right = ratio[:8], ratio[8:]
             want = np.exp(-0.5 * (offsets / d) ** 2) / np.exp(-0.5 * (offsets / 1e3) ** 2)
@@ -135,11 +141,14 @@ class TestFuzzyFeatures:
 
 
 class TestFuzzyFeatureMatrix:
+    """The K(D+1) x N fuzzy features as training builds them, against one
+    column mapped alone and against the per-sample reference."""
+
     def test_single_column_matches_batch_column(self):
         rng = np.random.default_rng(3)
         rb = RuleBase(rng.random((2, 3)), rng.uniform(0.1, 0.5, size=(2, 3)))
         x = rng.random((3, 5))
-        batch = fuzzy_feature_matrix(x, rb)
+        batch = _fuzzy_rows(x, rb)
         for i in range(x.shape[1]):
             np.testing.assert_array_equal(_column(x[:, i], rb), batch[:, i])
 
@@ -147,7 +156,7 @@ class TestFuzzyFeatureMatrix:
         rng = np.random.default_rng(4)
         x = rng.random((3, 7))
         rb = RuleBase(rng.random((1, 3)), rng.uniform(0.1, 0.5, size=(1, 3)))
-        out = fuzzy_feature_matrix(x, rb)
+        out = _fuzzy_rows(x, rb)
         np.testing.assert_array_equal(out[0], np.ones(7))
         np.testing.assert_array_equal(out[1:], x)
 
@@ -162,7 +171,7 @@ class TestFuzzyFeatureMatrix:
         rb = fit_antecedents(x, k)
         far = np.array([1e3, -1e6, 1e200])  # the last one hits the 1/K fallback
         x = np.hstack([x, np.tile(far, (d, 1))])
-        out = fuzzy_feature_matrix(x, rb)
+        out = _fuzzy_rows(x, rb)
         for i in range(x.shape[1]):
             s = _strengths(x[:, i], rb)
             x_ext = np.concatenate(([1.0], x[:, i]))
@@ -179,7 +188,7 @@ class TestFuzzyFeatureMatrix:
         rb = fit_antecedents(x, k)
         far = np.array([1e3, -1e6, 1e200])  # the last one hits the 1/K fallback
         x = np.hstack([x, np.tile(far, (d, 1))])
-        got = fuzzy_feature_matrix(x, rb)
+        got = _fuzzy_rows(x, rb)
         want = oracle_fuzzy_feature_matrix(x, rb.centers, rb.widths)
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14)
         np.testing.assert_array_equal(got[::d + 1, -1], np.full(k, 1.0 / k))
@@ -188,18 +197,10 @@ class TestFuzzyFeatureMatrix:
         rb = RuleBase([[0.5, 0.5]] * 3, [[1e-4, 1e-4]] * 3)
         x = np.full((2, 4), 0.5)
         x[:, 1] = 0.7  # raw strengths exp(-4e6) underflow; log-sum-exp keeps 1/3
-        got = fuzzy_feature_matrix(x, rb)
+        got = _fuzzy_rows(x, rb)
         np.testing.assert_allclose(
             got, oracle_fuzzy_feature_matrix(x, rb.centers, rb.widths), rtol=1e-14, atol=1e-14)
         np.testing.assert_array_equal(got[::3, :], np.full((3, 4), 1.0 / 3.0))
-
-    @pytest.mark.parametrize("features", [np.zeros((3, 4)), np.zeros(2)],
-                             ids=["other-D", "one-dim"])
-    def test_refuses_features_that_do_not_match_the_rule_base(self, features):
-        rb = RuleBase([[0.5, 0.5]], [[1.0, 1.0]])
-        with pytest.raises(ValueError,
-                           match="^features must be a D x N matrix matching the rule base$"):
-            fuzzy_feature_matrix(features, rb)
 
 
 def _two_cluster_split_oracle(values):
@@ -341,7 +342,7 @@ class TestFillFuzzyRows:
         n_terms = rb.n_rules * (rb.n_features + 1)
         buffer = np.full((n_terms + 5, x.shape[1]), 7.0)
         _fill_fuzzy_rows(x, _strength_columns(x, rb), buffer[:n_terms])
-        np.testing.assert_array_equal(buffer[:n_terms], fuzzy_feature_matrix(x, rb))
+        np.testing.assert_array_equal(buffer[:n_terms], _fuzzy_rows(x, rb))
         np.testing.assert_array_equal(buffer[n_terms:], 7.0)
 
 
