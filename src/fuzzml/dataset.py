@@ -43,6 +43,12 @@ def _check_int(name, value) -> None:
         raise ValueError("%s must be an integer, got %r" % (name, value))
 
 
+def _check_real(name, value) -> None:
+    """Refuse a ``value`` that is not a Python or numpy real number, naming ``name``."""
+    if not isinstance(value, (int, float, np.integer, np.floating)) or isinstance(value, bool):
+        raise ValueError("%s must be a real number, got %r" % (name, value))
+
+
 def _check_seed(seed) -> None:
     """Refuse a random seed that is not a Python or numpy integer >= 0."""
     if not _is_int(seed) or seed < 0:
@@ -162,7 +168,7 @@ def load_matrix(path, kind="feature"):
     :class:`DataFormatError` naming the path and the line; ``kind`` names
     the cells in those messages.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         lines = fh.read().splitlines()
     names = None
     first = 0

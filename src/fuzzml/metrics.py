@@ -21,6 +21,8 @@ import math
 
 import numpy as np
 
+from .dataset import _check_real
+
 __all__ = ["METRICS", "MetricsReport", "evaluate", "critical_difference"]
 
 # the MetricsReport fields that reports aggregate and print, in print order
@@ -134,9 +136,10 @@ def evaluate(scores, truth, tau: float = 0.5) -> MetricsReport:
     a mean over the samples the module docstring says it reads; one left
     without such a sample raises ValueError("no evaluable samples"), so
     a pair with L = 1, or with every label of every sample relevant, has
-    no report. A non-finite tau, a non-finite score or non-binary truth
-    raises ValueError.
+    no report. A tau that is not a finite real number, a non-finite score
+    or non-binary truth raises ValueError.
     """
+    _check_real("tau", tau)
     if not math.isfinite(tau):
         raise ValueError("tau must be finite")
     scores, truth = _check_pair(scores, truth)

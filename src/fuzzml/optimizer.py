@@ -41,7 +41,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, NormStats, _check_int, _check_names, normalize_features
+from .dataset import (
+    Dataset,
+    NormStats,
+    _check_int,
+    _check_names,
+    _check_real,
+    normalize_features,
+)
 from .rules import RuleBase, _fill_fuzzy_rows, _strength_columns, fit_antecedents
 from .sylvester import NumericalError, SingularProblemError, _solve_sylvester
 
@@ -83,6 +90,10 @@ class TrainConfig:
     tau: float = 0.5
 
     def __post_init__(self):
+        for name in ("alpha", "beta", "gamma", "tau"):
+            _check_real(name, getattr(self, name))
+        if self.min_loss_margin is not None:
+            _check_real("min_loss_margin", self.min_loss_margin)
         # every comparison with NaN is false, so these checks reject it
         if not all(0 <= v < math.inf for v in (self.alpha, self.beta, self.gamma)):
             raise ValueError("alpha, beta and gamma must be finite and nonnegative")

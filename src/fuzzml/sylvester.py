@@ -2,13 +2,14 @@
 
 Both training subproblems have symmetric coefficients, so the equation
 diagonalizes (Simoncini, "Computational methods for linear matrix
-equations", SIAM Review 2016). :func:`solve_sylvester` computes
-A = Ua diag(lambda) Ua' and B = Ub diag(sigma) Ub' with two symmetric
-eigendecompositions and returns
-W = Ua ((Ua' Z Ub) / (lambda_i + sigma_j)) Ub'. The divide is strict: no
-gap is zeroed, so a singular operator fails the residual check. Callers
-whose operator has a known null space (the mixing subproblem) remove it
-before calling.
+equations", SIAM Review 2016). The module's one solve, which training
+runs for both subproblems, computes A = Ua diag(lambda) Ua' and
+B = Ub diag(sigma) Ub' with two symmetric eigendecompositions and returns
+W = Ua ((Ua' Z Ub) / (lambda_i + sigma_j)) Ub' together with
+lambda_min(A) + sigma_min(B), the smallest eigenvalue of the operator
+W -> A W + W B. The divide is strict: no gap is zeroed, so a singular
+operator fails the residual check. Callers whose operator has a known
+null space (the mixing subproblem) remove it before calling.
 
 The solver either returns a W with relative residual
 ||A W + W B - Z||_F / ||Z||_F at most RESIDUAL_RTOL or raises
@@ -31,7 +32,6 @@ import numpy as np
 __all__ = [
     "NumericalError",
     "SingularProblemError",
-    "solve_sylvester",
     "residual_norm",
     "RESIDUAL_RTOL",
 ]
@@ -83,8 +83,13 @@ def _relative_norm(r, z) -> float:
     return math.sqrt(np.vdot(r, r)) / max(math.sqrt(np.vdot(z, z)), _TINY)
 
 
-def solve_sylvester(a, b, z) -> np.ndarray:
+def _solve_sylvester(a, b, z):
     """Solve A W + W B = Z for symmetric A and B by diagonalization.
+
+    Returns W and lambda_min(A) + sigma_min(B). That sum is the smallest
+    eigenvalue of the operator W -> A W + W B (+inf when W has no
+    entries); it is positive exactly when the operator is positive
+    definite.
 
     Raises
     ------
@@ -94,16 +99,6 @@ def solve_sylvester(a, b, z) -> np.ndarray:
         If an input is not finite, or the residual contract is not met,
         which happens exactly when the spectra of A and -B (nearly)
         overlap. The message gives the smallest |lambda_i + sigma_j|.
-    """
-    return _solve_sylvester(a, b, z)[0]
-
-
-def _solve_sylvester(a, b, z):
-    """:func:`solve_sylvester` that also returns lambda_min(A) + sigma_min(B).
-
-    That sum is the smallest eigenvalue of the operator W -> A W + W B
-    (+inf when W has no entries); it is positive exactly when the
-    operator is positive definite.
     """
     a, b, z = _check_inputs(a, b, z)
     _check_symmetric(a, "A")

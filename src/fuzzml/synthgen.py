@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, _check_int, _check_seed
+from .dataset import Dataset, _check_int, _check_real, _check_seed
 
 __all__ = ["SYNTH_KINDS", "SynthSpec", "NoiseSpec", "gen_synthetic", "inject_label_noise"]
 
@@ -48,6 +48,7 @@ class SynthSpec:
         _check_int("n_samples", self.n_samples)
         _check_int("n_features", self.n_features)
         _check_seed(self.seed)
+        _check_real("base_label_prob", self.base_label_prob)
         if self.n_samples < 1 or self.n_features < 1:
             raise ValueError("n_samples and n_features must be positive")
         if not 0.0 < self.base_label_prob < 1.0:
@@ -58,13 +59,14 @@ class SynthSpec:
 class NoiseSpec:
     """Per-sample label corruption: a seeded fraction of samples is flipped.
 
-    ``ratio`` must lie in [0, 1] and ``seed`` be an integer >= 0.
+    ``ratio`` must be a real number in [0, 1] and ``seed`` an integer >= 0.
     """
 
     ratio: float
     seed: int = 0
 
     def __post_init__(self):
+        _check_real("ratio", self.ratio)
         if not 0.0 <= self.ratio <= 1.0:
             raise ValueError("noise ratio must lie in [0, 1]")
         _check_seed(self.seed)

@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 
+from fuzzy_rows import fuzzy_rows
 from oracles import (
     oracle_average_precision,
     oracle_consequent_gradient,
@@ -33,8 +34,8 @@ from fuzzml.optimizer import (
 )
 from fuzzml.experiments import ExperimentConfig, run_ablation
 from fuzzml.predictor import load_model, predict, save_model
-from fuzzml.rules import RuleBase, _fill_fuzzy_rows, _strength_columns, fit_antecedents
-from fuzzml.sylvester import residual_norm, solve_sylvester
+from fuzzml.rules import RuleBase, _strength_columns, fit_antecedents
+from fuzzml.sylvester import _solve_sylvester, residual_norm
 from fuzzml.synthgen import SYNTH_KINDS, SynthSpec, gen_synthetic
 
 # Seed fixing the canonical instances of the three synthetic datasets used
@@ -67,7 +68,7 @@ def test_criterion_02_sylvester_oracle_equivalence():
         a = rng.normal(size=(m, m))
         a = 0.5 * (a + a.T) + 2.0 * np.linalg.norm(b) * np.eye(m)
         z = rng.normal(size=(m, n))
-        w = solve_sylvester(a, b, z)
+        w = _solve_sylvester(a, b, z)[0]
         w_ref = kron_oracle(a, b, z)
         worst_diff = max(worst_diff,
                          float(np.max(np.abs(w - w_ref) / (1.0 + np.abs(w_ref)))))
@@ -148,12 +149,6 @@ def test_criterion_04_correlation_trace_identity():
             % (worst_identity, worst_rowsum, worst_left))
 
 
-def _fuzzy_rows(x, rulebase):
-    """Xg as train builds it: the strengths, then the rows written into a fresh array."""
-    out = np.empty((rulebase.n_rules * (x.shape[0] + 1), x.shape[1]))
-    return _fill_fuzzy_rows(x, _strength_columns(x, rulebase), out)
-
-
 def _random_small_instance(rng):
     n_labels = int(rng.integers(2, 5))
     n_features = int(rng.integers(1, 4))
@@ -161,7 +156,7 @@ def _random_small_instance(rng):
     n = int(rng.integers(n_rules + 2, 11))
     x = rng.random((n_features, n))
     rulebase = fit_antecedents(x, n_rules)
-    fuzzy_x = _fuzzy_rows(x, rulebase)
+    fuzzy_x = fuzzy_rows(x, rulebase)
     labels = (rng.random((n_labels, n)) < 0.5).astype(float)
     labels[int(rng.integers(0, n_labels)), int(rng.integers(0, n))] = 1.0
     mixing = rng.normal(size=(n_labels, n_labels))
@@ -260,7 +255,7 @@ def test_criterion_06_fuzzy_layer_invariants():
     blocks_exact = True
     for _ in range(1000):
         x = rng.random(5)
-        blocks = _fuzzy_rows(x[:, None], rulebase)[:, 0].reshape(3, 6)
+        blocks = fuzzy_rows(x[:, None], rulebase)[:, 0].reshape(3, 6)
         strengths = blocks[:, 0]
         worst_sum = max(worst_sum, abs(float(strengths.sum()) - 1.0))
         x_ext = np.concatenate(([1.0], x))

@@ -294,6 +294,17 @@ class TestConfigFileAndExitCodes:
         config = load_model(tmp_path / "model.txt").config
         assert (config.alpha, config.max_iters, config.n_rules) == (5.0, 2, 2)
 
+    def test_config_file_with_a_byte_order_mark_keeps_its_first_key(self, tmp_path):
+        fx, fy = _write_dataset(tmp_path, n=30)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("\ufeffmax-iters=1\nrules=2\n", encoding="utf-8")
+        assert main([
+            "train", "--features", str(fx), "--labels", str(fy),
+            "--config", str(cfg), "--out", "model.txt", "--out-dir", str(tmp_path),
+        ]) == 0
+        config = load_model(tmp_path / "model.txt").config
+        assert (config.max_iters, config.n_rules) == (1, 2)
+
     @pytest.mark.parametrize("text, message", [
         ("max-iters=2\nalpha 5\n", "config line without '=': 'alpha 5'"),
         (None, "cannot read config file"),

@@ -19,6 +19,7 @@ from fuzzml.dataset import (
     take_samples,
 )
 from fuzzml.experiments import ExperimentConfig
+from fuzzml.metrics import evaluate
 from fuzzml.optimizer import TrainConfig
 from fuzzml.synthgen import NoiseSpec, SynthSpec
 
@@ -111,6 +112,18 @@ class TestLoadDataset:
         data = load_dataset(fx, fy)
         assert data.feature_names == ("height", "width")
         assert data.label_names == ("cat", "dog")
+
+    @pytest.mark.parametrize("text, names", [
+        ("\ufeff# a,b\n1.0,2.0\n", ("a", "b")),
+        ("\ufeff1.0,2.0\n", None),
+    ], ids=["header", "no_header"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, text, names):
+        # spreadsheets often start the CSV files they export with one
+        fx = tmp_path / "X.csv"
+        fx.write_text(text, encoding="utf-8")
+        matrix, got = load_matrix(fx)
+        assert got == names
+        np.testing.assert_array_equal(matrix, [[1.0], [2.0]])
 
 
 class TestNames:
@@ -299,6 +312,30 @@ class TestBooleansAreNotIntegers:
     ], ids=["n_rules", "max_iters", "workers", "seeds", "synth_seed", "kfold_seed",
             "noise_seed"])
     def test_refuses_a_bool(self, call, message):
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            call()
+
+
+class TestRealSettingsRefuseBoolsAndStrings:
+    """A real-valued setting refuses a bool or a string, naming the field."""
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: TrainConfig(alpha=True), "alpha must be a real number, got True"),
+        (lambda: TrainConfig(beta=False), "beta must be a real number, got False"),
+        (lambda: TrainConfig(gamma=True), "gamma must be a real number, got True"),
+        (lambda: TrainConfig(min_loss_margin=True),
+         "min_loss_margin must be a real number, got True"),
+        (lambda: TrainConfig(tau=True), "tau must be a real number, got True"),
+        (lambda: TrainConfig(alpha="0.1"), "alpha must be a real number, got '0.1'"),
+        (lambda: NoiseSpec(ratio=True), "ratio must be a real number, got True"),
+        (lambda: NoiseSpec("0.1"), "ratio must be a real number, got '0.1'"),
+        (lambda: SynthSpec(kind="union", base_label_prob="0.4"),
+         "base_label_prob must be a real number, got '0.4'"),
+        (lambda: evaluate([[0.2], [0.9]], [[0.0], [1.0]], tau=True),
+         "tau must be a real number, got True"),
+    ], ids=["alpha", "beta", "gamma", "min_loss_margin", "tau", "alpha_str", "noise_ratio",
+            "noise_ratio_str", "label_prob_str", "evaluate_tau"])
+    def test_refuses_a_bool_or_a_string(self, call, message):
         with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
             call()
 

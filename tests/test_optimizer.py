@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from fuzzy_rows import fuzzy_rows
 from oracles import (
     oracle_consequent_gradient,
     oracle_correlation_double_sum,
@@ -31,15 +32,9 @@ from fuzzml.optimizer import (
 from fuzzml.dataset import Dataset, normalize_features, take_samples
 from fuzzml.metrics import evaluate
 from fuzzml.predictor import score
-from fuzzml.rules import _fill_fuzzy_rows, _strength_columns, fit_antecedents
+from fuzzml.rules import fit_antecedents
 from fuzzml.sylvester import SingularProblemError
 from fuzzml.synthgen import SYNTH_KINDS, NoiseSpec, SynthSpec, gen_synthetic, inject_label_noise
-
-
-def _fuzzy_rows(x, rulebase):
-    """Xg as train builds it: the strengths, then the rows written into a fresh array."""
-    out = np.empty((rulebase.n_rules * (x.shape[0] + 1), x.shape[1]))
-    return _fill_fuzzy_rows(x, _strength_columns(x, rulebase), out)
 
 
 def _random_instance(rng, n_labels=None, n_features=None, n_rules=None, n=None):
@@ -50,7 +45,7 @@ def _random_instance(rng, n_labels=None, n_features=None, n_rules=None, n=None):
     n = n or int(rng.integers(n_rules + 2, 11))
     x = rng.random((n_features, n))
     rulebase = fit_antecedents(x, n_rules)
-    fuzzy_x = _fuzzy_rows(x, rulebase)
+    fuzzy_x = fuzzy_rows(x, rulebase)
     labels = (rng.random((n_labels, n)) < 0.5).astype(float)
     labels[rng.integers(0, n_labels), rng.integers(0, n)] = 1.0
     mixing = rng.normal(size=(n_labels, n_labels))
@@ -145,7 +140,7 @@ class TestGrams:
         x = normalize_features(data.features)[0]
         if case == "constant_feature":
             x[3] = 0.0
-        fuzzy_x = _fuzzy_rows(x, fit_antecedents(x, n_rules))
+        fuzzy_x = fuzzy_rows(x, fit_antecedents(x, n_rules))
         labels = data.labels
         rng = np.random.default_rng(23)
         mixing = np.eye(5) + 0.1 * rng.normal(size=(5, 5))
@@ -194,7 +189,7 @@ class TestTrainBuffer:
         model, trace = train(data, cfg)
         assert trace.n_iterations == 4
         x = normalize_features(data.features)[0]
-        fuzzy_x = _fuzzy_rows(x, fit_antecedents(x, cfg.n_rules))
+        fuzzy_x = fuzzy_rows(x, fit_antecedents(x, cfg.n_rules))
         labels = data.labels
         mixing = np.ones((5, 5))
         consequents = np.full((5, fuzzy_x.shape[0]), 0.2)
@@ -318,7 +313,7 @@ class TestUpdateConsequents:
         x = rng.random((n_features, n))
         if case == "constant_feature":
             x[1] = 0.4
-        fuzzy_x = _fuzzy_rows(x, fit_antecedents(x, n_rules))
+        fuzzy_x = fuzzy_rows(x, fit_antecedents(x, n_rules))
         if case == "terms_near_n":
             assert n - 2 <= fuzzy_x.shape[0] < n
         labels = (rng.random((n_labels, n)) < 0.4).astype(float)
@@ -433,7 +428,7 @@ def _degenerate_label_instance(rng, n_labels):
     """Labels 0 and 1 coincide and the last label never occurs."""
     n = 2 * n_labels
     x = rng.random((3, n))
-    fuzzy_x = _fuzzy_rows(x, fit_antecedents(x, 2))
+    fuzzy_x = fuzzy_rows(x, fit_antecedents(x, 2))
     labels = (rng.random((n_labels, n)) < 0.3).astype(float)
     labels[1] = labels[0]
     labels[-1] = 0.0

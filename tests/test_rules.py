@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fuzzy_rows import fuzzy_rows
 from oracles import oracle_fit_antecedents, oracle_fuzzy_feature_matrix
 
 from fuzzml.optimizer import ModelParams, TrainConfig
@@ -18,16 +19,9 @@ from fuzzml.rules import (
 from fuzzml.synthgen import SYNTH_KINDS, SynthSpec, gen_synthetic
 
 
-def _fuzzy_rows(x, rb):
-    """The fuzzy features of a D x N matrix as training builds them: the
-    strengths, then the rows written into a fresh array."""
-    out = np.empty((rb.n_rules * (x.shape[0] + 1), x.shape[1]))
-    return _fill_fuzzy_rows(x, _strength_columns(x, rb), out)
-
-
 def _column(x, rb):
     """The fuzzy features of one input, mapped as a one-column matrix."""
-    return _fuzzy_rows(np.asarray(x, dtype=np.float64)[:, None], rb)[:, 0]
+    return fuzzy_rows(np.asarray(x, dtype=np.float64)[:, None], rb)[:, 0]
 
 
 def _strengths(x, rb):
@@ -148,7 +142,7 @@ class TestFuzzyFeatureMatrix:
         rng = np.random.default_rng(3)
         rb = RuleBase(rng.random((2, 3)), rng.uniform(0.1, 0.5, size=(2, 3)))
         x = rng.random((3, 5))
-        batch = _fuzzy_rows(x, rb)
+        batch = fuzzy_rows(x, rb)
         for i in range(x.shape[1]):
             np.testing.assert_array_equal(_column(x[:, i], rb), batch[:, i])
 
@@ -156,7 +150,7 @@ class TestFuzzyFeatureMatrix:
         rng = np.random.default_rng(4)
         x = rng.random((3, 7))
         rb = RuleBase(rng.random((1, 3)), rng.uniform(0.1, 0.5, size=(1, 3)))
-        out = _fuzzy_rows(x, rb)
+        out = fuzzy_rows(x, rb)
         np.testing.assert_array_equal(out[0], np.ones(7))
         np.testing.assert_array_equal(out[1:], x)
 
@@ -171,7 +165,7 @@ class TestFuzzyFeatureMatrix:
         rb = fit_antecedents(x, k)
         far = np.array([1e3, -1e6, 1e200])  # the last one hits the 1/K fallback
         x = np.hstack([x, np.tile(far, (d, 1))])
-        out = _fuzzy_rows(x, rb)
+        out = fuzzy_rows(x, rb)
         for i in range(x.shape[1]):
             s = _strengths(x[:, i], rb)
             x_ext = np.concatenate(([1.0], x[:, i]))
@@ -188,7 +182,7 @@ class TestFuzzyFeatureMatrix:
         rb = fit_antecedents(x, k)
         far = np.array([1e3, -1e6, 1e200])  # the last one hits the 1/K fallback
         x = np.hstack([x, np.tile(far, (d, 1))])
-        got = _fuzzy_rows(x, rb)
+        got = fuzzy_rows(x, rb)
         want = oracle_fuzzy_feature_matrix(x, rb.centers, rb.widths)
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14)
         np.testing.assert_array_equal(got[::d + 1, -1], np.full(k, 1.0 / k))
@@ -197,7 +191,7 @@ class TestFuzzyFeatureMatrix:
         rb = RuleBase([[0.5, 0.5]] * 3, [[1e-4, 1e-4]] * 3)
         x = np.full((2, 4), 0.5)
         x[:, 1] = 0.7  # raw strengths exp(-4e6) underflow; log-sum-exp keeps 1/3
-        got = _fuzzy_rows(x, rb)
+        got = fuzzy_rows(x, rb)
         np.testing.assert_allclose(
             got, oracle_fuzzy_feature_matrix(x, rb.centers, rb.widths), rtol=1e-14, atol=1e-14)
         np.testing.assert_array_equal(got[::3, :], np.full((3, 4), 1.0 / 3.0))
@@ -342,7 +336,7 @@ class TestFillFuzzyRows:
         n_terms = rb.n_rules * (rb.n_features + 1)
         buffer = np.full((n_terms + 5, x.shape[1]), 7.0)
         _fill_fuzzy_rows(x, _strength_columns(x, rb), buffer[:n_terms])
-        np.testing.assert_array_equal(buffer[:n_terms], _fuzzy_rows(x, rb))
+        np.testing.assert_array_equal(buffer[:n_terms], fuzzy_rows(x, rb))
         np.testing.assert_array_equal(buffer[n_terms:], 7.0)
 
 

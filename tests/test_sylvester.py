@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -9,9 +10,14 @@ import scipy.linalg
 
 from reference_sylvester import KRON_GUARD, kron_oracle, least_norm_solve, schur_solve
 
-from fuzzml.sylvester import SingularProblemError, residual_norm, solve_sylvester
+from fuzzml.sylvester import SingularProblemError, _solve_sylvester, residual_norm
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _solution(a, b, z):
+    """The W of :func:`_solve_sylvester`, to loop over with the reference solvers."""
+    return _solve_sylvester(a, b, z)[0]
 
 
 def _assert_close_rel(got, want, tol):
@@ -54,13 +60,13 @@ class TestExamples:
     def test_identity_a_zero_b(self):
         rng = np.random.default_rng(0)
         z = rng.normal(size=(2, 3))
-        for solver in (solve_sylvester, kron_oracle, least_norm_solve):
+        for solver in (_solution, kron_oracle, least_norm_solve):
             np.testing.assert_allclose(solver(np.eye(2), np.zeros((3, 3)), z), z,
                                        atol=1e-12)
 
     def test_scalar_shift(self):
         z = 10.0 * np.ones((2, 3))
-        for solver in (solve_sylvester, kron_oracle, least_norm_solve):
+        for solver in (_solution, kron_oracle, least_norm_solve):
             got = solver(2.0 * np.eye(2), 3.0 * np.eye(3), z)
             np.testing.assert_allclose(got, 2.0 * np.ones((2, 3)), atol=1e-12)
 
@@ -69,22 +75,22 @@ class TestExamples:
         b = _symmetric(rng, 3)
         a = _symmetric(rng, 4) + 2.0 * np.linalg.norm(b) * np.eye(4)
         z = rng.normal(size=(4, 3))
-        w = solve_sylvester(a, b, z)
+        w = _solve_sylvester(a, b, z)[0]
         w_ref = kron_oracle(a, b, z)
         _assert_close_rel(w, w_ref, 1e-10)
 
     def test_one_by_one(self):
         got = kron_oracle([[3.0]], [[4.0]], [[14.0]])
         np.testing.assert_allclose(got, [[2.0]], atol=1e-14)
-        np.testing.assert_allclose(solve_sylvester([[3.0]], [[4.0]], [[14.0]]), [[2.0]],
+        np.testing.assert_allclose(_solve_sylvester([[3.0]], [[4.0]], [[14.0]])[0], [[2.0]],
                                    atol=1e-14)
 
     def test_overlapping_spectra_raise(self):
-        for solver in (solve_sylvester, kron_oracle):
+        for solver in (_solution, kron_oracle):
             with pytest.raises(SingularProblemError, match="singular problem"):
                 solver([[1.0]], [[-1.0]], [[1.0]])
         with pytest.raises(SingularProblemError, match="non-finite solution; smallest"):
-            solve_sylvester([[1.0]], [[-1.0]], [[1.0]])
+            _solve_sylvester([[1.0]], [[-1.0]], [[1.0]])
 
 
 class TestSweep:
@@ -92,7 +98,7 @@ class TestSweep:
         rng = np.random.default_rng(42)
         for _ in range(200):
             a, b, z = _random_separated_problem(rng)
-            w = solve_sylvester(a, b, z)
+            w = _solve_sylvester(a, b, z)[0]
             w_ref = kron_oracle(a, b, z)
             _assert_close_rel(w, w_ref, 1e-10)
             assert residual_norm(a, b, z, w) <= 1e-8
@@ -102,10 +108,23 @@ class TestSweep:
         for _ in range(20):
             a, b, z1 = _random_separated_problem(rng, max_dim=5)
             z2 = rng.normal(size=z1.shape)
-            w12 = solve_sylvester(a, b, z1 + z2)
-            w1 = solve_sylvester(a, b, z1)
-            w2 = solve_sylvester(a, b, z2)
+            w12 = _solve_sylvester(a, b, z1 + z2)[0]
+            w1 = _solve_sylvester(a, b, z1)[0]
+            w2 = _solve_sylvester(a, b, z2)[0]
             _assert_close_rel(w12, w1 + w2, 1e-10)
+
+    def test_second_output_is_the_operator_minimum(self):
+        # the instances of acceptance criterion 2: same seed, same draws
+        rng = np.random.default_rng(20240202)
+        for _ in range(200):
+            a, b, z = _random_separated_problem(rng)
+            lowest = _solve_sylvester(a, b, z)[1]
+            want = np.linalg.eigvalsh(a)[0] + np.linalg.eigvalsh(b)[0]
+            assert abs(lowest - want) <= 1e-12 * (np.linalg.norm(a) + np.linalg.norm(b))
+        for m, n in ((0, 0), (0, 3), (2, 0)):
+            w, lowest = _solve_sylvester(np.eye(m), np.eye(n), np.zeros((m, n)))
+            assert w.shape == (m, n)
+            assert lowest == math.inf
 
 
 class TestConsequentLikeProblems:
@@ -117,7 +136,7 @@ class TestConsequentLikeProblems:
         a = _with_spectrum(rng, np.linspace(-0.05, 2.0, n_labels))
         b = _with_spectrum(rng, np.logspace(-1, 7, 63))
         z = rng.normal(size=(n_labels, 63))
-        w = solve_sylvester(a, b, z)
+        w = _solve_sylvester(a, b, z)[0]
         assert residual_norm(a, b, z, w) <= 1e-8
         w_ref = schur_solve(a, b, z)
         assert np.linalg.norm(w - w_ref) <= 1e-8 * np.linalg.norm(w_ref)
@@ -129,7 +148,7 @@ class TestConsequentLikeProblems:
             b = _with_spectrum(rng, rng.uniform(1.0, 1e3, size=30))
             a += (abs(np.linalg.eigvalsh(a)[0]) + 1.0) * np.eye(n_labels)
             z = rng.normal(size=(n_labels, 30))
-            w = solve_sylvester(a, b, z)
+            w = _solve_sylvester(a, b, z)[0]
             assert residual_norm(a, b, z, w) <= 1e-8
             w_ref = schur_solve(a, b, z)
             assert np.linalg.norm(w - w_ref) <= 1e-10 * np.linalg.norm(w_ref)
@@ -140,7 +159,7 @@ class TestConsequentLikeProblems:
         b = _with_spectrum(rng, np.array([3.0, 10.0, 100.0, 1e4]))
         z = rng.normal(size=(3, 4))
         with pytest.raises(SingularProblemError) as info:
-            solve_sylvester(a, b, z)
+            _solve_sylvester(a, b, z)
         message = str(info.value)
         assert message.startswith("singular problem: relative residual ")
         assert "smallest |lambda_i + sigma_j|" in message
@@ -152,7 +171,7 @@ class TestConsequentLikeProblems:
         a = np.diag([-1e6 + 1e-2, 5.0])
         b = np.diag([1e6, 3.0])
         z = np.ones((2, 2))
-        w = solve_sylvester(a, b, z)
+        w = _solve_sylvester(a, b, z)[0]
         assert w[0, 0] == pytest.approx(1.0 / 1e-2, rel=1e-6)
         assert residual_norm(a, b, z, w) <= 1e-8
 
@@ -165,7 +184,7 @@ class TestConsequentLikeProblems:
         a = _with_spectrum(rng, np.concatenate(([-3e7, 0.0], rng.uniform(-2e4, 2e4, n - 2))))
         b = _with_spectrum(rng, rng.uniform(0.08, 0.5, m))
         z = rng.normal(size=(n, m))
-        w = solve_sylvester(a, b, z)
+        w = _solve_sylvester(a, b, z)[0]
         assert residual_norm(a, b, z, w) <= 1e-8
         w_ref = scipy.linalg.solve_sylvester(a, b, z)
         assert np.linalg.norm(w - w_ref) <= 1e-7 * np.linalg.norm(w_ref)
@@ -177,7 +196,7 @@ class TestLeastNormSolve:
         for _ in range(20):
             a, b, z = _random_separated_problem(rng, max_dim=6)
             np.testing.assert_allclose(least_norm_solve(a, b, z),
-                                       solve_sylvester(a, b, z), atol=1e-9)
+                                       _solve_sylvester(a, b, z)[0], atol=1e-9)
             a, b, z = _general_separated_problem(rng)
             np.testing.assert_allclose(least_norm_solve(a, b, z),
                                        kron_oracle(a, b, z), atol=1e-9)
@@ -225,11 +244,11 @@ class TestGuards:
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            solve_sylvester(np.zeros((2, 3)), np.eye(3), np.zeros((2, 3)))
+            _solve_sylvester(np.zeros((2, 3)), np.eye(3), np.zeros((2, 3)))
         with pytest.raises(ValueError):
-            solve_sylvester(np.eye(2), np.eye(3), np.zeros((3, 2)))
+            _solve_sylvester(np.eye(2), np.eye(3), np.zeros((3, 2)))
         with pytest.raises(ValueError, match="B must be square"):
-            solve_sylvester(np.eye(2), np.zeros((3, 2)), np.zeros((2, 3)))
+            _solve_sylvester(np.eye(2), np.zeros((3, 2)), np.zeros((2, 3)))
 
     def test_failed_eigendecomposition_is_a_numerical_failure(self, monkeypatch):
         def fail(m):
@@ -238,16 +257,16 @@ class TestGuards:
         monkeypatch.setattr(np.linalg, "eigh", fail)
         with pytest.raises(SingularProblemError,
                            match="eigendecomposition failed: Eigenvalues did not converge"):
-            solve_sylvester(np.eye(2), np.eye(2), np.ones((2, 2)))
+            _solve_sylvester(np.eye(2), np.eye(2), np.ones((2, 2)))
 
     def test_rejects_non_symmetric_coefficients(self):
         skew = np.array([[1.0, 2.0], [0.0, 1.0]])
         with pytest.raises(ValueError, match="A must be symmetric"):
-            solve_sylvester(skew, np.eye(2), np.ones((2, 2)))
+            _solve_sylvester(skew, np.eye(2), np.ones((2, 2)))
         with pytest.raises(ValueError, match="B must be symmetric"):
-            solve_sylvester(np.eye(2), skew, np.ones((2, 2)))
+            _solve_sylvester(np.eye(2), skew, np.ones((2, 2)))
 
-    @pytest.mark.parametrize("solver", [solve_sylvester])
+    @pytest.mark.parametrize("solver", [_solve_sylvester], ids=["solve_sylvester"])
     def test_non_finite_input_is_a_numerical_failure(self, solver):
         # not a LinAlgError, which is a ValueError and would read as bad input
         for position in range(3):
