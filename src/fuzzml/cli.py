@@ -293,7 +293,8 @@ def build_parser():
     experiment.add_argument("--seeds", type=_int_list, default=ExperimentConfig.seeds,
                             help="comma-separated fold seeds")
     experiment.add_argument("--workers", type=int, default=ExperimentConfig.workers,
-                            help="threads that run the folds")
+                            help="threads that run the folds; with more than one, pin BLAS "
+                                 "to one thread (OPENBLAS_NUM_THREADS=1)")
 
     parser = argparse.ArgumentParser(
         prog="fuzzml",

@@ -32,7 +32,6 @@ import numpy as np
 __all__ = [
     "NumericalError",
     "SingularProblemError",
-    "residual_norm",
     "RESIDUAL_RTOL",
 ]
 
@@ -72,11 +71,6 @@ def _check_symmetric(m, name):
     scale = np.abs(m).max(initial=0.0)
     if np.abs(m - m.T).max(initial=0.0) > _SYMMETRY_RTOL * scale:
         raise ValueError("%s must be symmetric" % name)
-
-
-def residual_norm(a, b, z, w) -> float:
-    """Relative residual of a candidate solution."""
-    return _relative_norm(a @ w + w @ b - z, z)
 
 
 def _relative_norm(r, z) -> float:
@@ -125,7 +119,7 @@ def _solve_sylvester(a, b, z):
             w = w - apply_inverse(residual)
             finite = np.isfinite(w).all()
             if finite:
-                relative = residual_norm(a, b, z, w)
+                relative = _relative_norm(a @ w + w @ b - z, z)
     if not (finite and relative <= RESIDUAL_RTOL):
         cause = ("relative residual %.2e exceeds %.1e" % (relative, RESIDUAL_RTOL)
                  if finite else "non-finite solution")

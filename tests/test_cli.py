@@ -489,6 +489,8 @@ class TestFlagsGoOnTheCommandsThatReadThem:
             ("--config", _COMMANDS),
         ):
             assert bool(re.search(r"%s\b" % flag, out)) == (command in readers), flag
+        if "--workers" in out:
+            assert "pin BLAS to one thread (OPENBLAS_NUM_THREADS=1)" in " ".join(out.split())
 
     @pytest.mark.parametrize("flag", [["--seed", "5"], ["--out-dir", "elsewhere"]])
     def test_flag_before_the_subcommand_is_usage_error(self, tmp_path, monkeypatch, flag):
