@@ -24,15 +24,19 @@ consequent solve reads (A, B, M K) and the mixing solve
 (2 gamma Lap, G_fit, G_soft, C K'); :class:`_Correlation` forms A,
 2 gamma Lap and the correlation term 2 gamma <Lap, S> from the label Gram
 Y Y', fixed per run, and the soft-label Gram S = M (Y Y') M'. The only
-other products over N are M Y and C Xg, for the two residual column
-norms.
+other products over N are M Y and C Xg (read back from R, below), for
+the two residual column norms.
 
-Training holds one (K(D+1) + L) x N buffer for the run, besides the
-normalized D x N features x and their K x N firing strengths s. Each
-iteration refills its rule rows with Xg from x and s; the point reads C Xg
-from them, and :class:`_Grams` then scales the buffer in place to R. So Xg
-and R never take two N-sized arrays, and each entry of R is the product
-(s x) W^1/2 that a stored Xg would give, bit for bit.
+Training holds one (K(D+1) + L) x N buffer for the run and one N-vector,
+besides the normalized D x N features x and their K x N firing strengths
+s. Its rule rows are written with Xg from x and s once, before the first
+point, and the N-vector holds the square roots of the weights those rows
+carry, ones at the start. Each iteration, :class:`_Grams` multiplies the
+rule rows in place by sqrt(w_t) / sqrt(w_(t-1)), so they hold Xg W_t^1/2,
+and writes the label rows from Y; the point after the solves reads C Xg
+as (C R_t) / sqrt(w_t). So Xg and R never take two N-sized arrays. The
+first iteration's R, and so its iterates, are the bits a stored Xg would
+give; later R differ from them by the rounding of the successive ratios.
 """
 
 import math
@@ -50,7 +54,7 @@ from .dataset import (
     normalize_features,
 )
 from .rules import RuleBase, _fill_fuzzy_rows, _strength_columns, fit_antecedents
-from .sylvester import NumericalError, SingularProblemError, _solve_sylvester
+from .sylvester import NumericalError, _solve_sylvester
 
 __all__ = [
     "TrainConfig",
@@ -127,12 +131,12 @@ class IterationRecord:
     The four ``*_s`` fields are wall seconds per phase. ``weights_s``
     computes the reweighting diagonals. ``consequent_s`` holds the
     iteration's one weighted Gram pass over the N samples, with the
-    scaling of Xg to R in place (see the module docstring), and the
-    consequent solve; ``mixing_s`` is the mixing solve, which reads only
-    L x L and L x K(D+1) matrices. ``point_s`` refills Xg and evaluates the
-    residual column norms, the correlation term with the next iteration's
-    A and 2 gamma Lap (:class:`_Correlation`) and the losses at the
-    committed pair.
+    rescaling of the rule rows to R in place (see the module docstring),
+    and the consequent solve; ``mixing_s`` is the mixing solve, which
+    reads only L x L and L x K(D+1) matrices. ``point_s`` reads C Xg back
+    from R and evaluates the residual column norms, the correlation term
+    with the next iteration's A and 2 gamma Lap (:class:`_Correlation`)
+    and the losses at the committed pair.
 
     ``consequent_min`` and ``mixing_min`` are the smallest eigenvalue
     lambda_min(A) + sigma_min(B) of each solve's Sylvester operator
@@ -257,19 +261,23 @@ class _Point:
 
     :func:`train` evaluates one point per iteration, after committing
     both updates: its loss and stopping loss come from it, and so do the
-    next iteration's weights and correlation term. M Y and C Xg live only
-    while the two residual column norms are taken, so no L x N array
-    outlives the point's construction.
+    next iteration's weights and correlation term. ``rows`` are the rule
+    rows Xg diag(root_w), and C Xg is read back from them as
+    (C rows) / root_w; with ``root_w`` all ones that is C Xg itself, bit
+    for bit. M Y and C Xg live only while the two residual column norms
+    are taken, so no L x N array outlives the point's construction.
     """
 
     __slots__ = ("mixing", "consequents", "cfg", "fit_norms", "soft_norms", "correlation")
 
-    def __init__(self, mixing, consequents, fuzzy_x, labels, label_gram, cfg: TrainConfig):
+    def __init__(self, mixing, consequents, rows, root_w, labels, label_gram,
+                 cfg: TrainConfig):
         self.mixing = mixing
         self.consequents = consequents
         self.cfg = cfg
         soft_labels = mixing @ labels
-        fit_residual = consequents @ fuzzy_x
+        fit_residual = consequents @ rows
+        fit_residual /= root_w
         np.subtract(soft_labels, fit_residual, out=fit_residual)
         self.fit_norms = _column_norms(fit_residual)
         np.subtract(labels, soft_labels, out=soft_labels)
@@ -304,19 +312,23 @@ class _Grams:
     With W = diag(w_fit): ``terms`` is Xg W Xg', ``cross`` is Y W Xg' and
     ``fit`` is Y W Y', the blocks of one symmetric product R R' with
     R = [Xg; Y] W^1/2; ``soft`` is Y diag(w_soft) Y'. ``stacked`` is a
-    (K(D+1) + L) x N buffer whose first K(D+1) rows hold Xg; R is formed in
-    it in place, so on return those rows hold Xg W^1/2 and the label rows
-    Y diag(w_soft)^1/2.
+    (K(D+1) + L) x N buffer whose first K(D+1) rows hold Xg diag(root_w),
+    ``root_w`` being the square roots of the weights they carry (all ones
+    for Xg itself). R is formed in it in place: the rule rows are
+    multiplied by sqrt(w_fit) / root_w, ``root_w`` becomes sqrt(w_fit), and
+    the label rows are written from Y. On return the rule rows hold
+    Xg W^1/2 and the label rows Y diag(w_soft)^1/2.
     """
 
     __slots__ = ("terms", "cross", "fit", "soft")
 
-    def __init__(self, stacked, labels, weights):
+    def __init__(self, stacked, root_w, labels, weights):
         fit_weights, soft_weights = weights
         n_terms = stacked.shape[0] - labels.shape[0]
-        root_w = np.sqrt(fit_weights)
-        stacked[:n_terms] *= root_w
-        np.multiply(labels, root_w, out=stacked[n_terms:])
+        new_root = np.sqrt(fit_weights)
+        stacked[:n_terms] *= new_root / root_w
+        root_w[:] = new_root
+        np.multiply(labels, new_root, out=stacked[n_terms:])
         gram = stacked @ stacked.T
         self.terms = gram[:n_terms, :n_terms]
         self.cross = gram[n_terms:, :n_terms]
@@ -378,13 +390,22 @@ class _MixingSystem:
         values, vectors = np.linalg.eigh(self.label_gram)
         keep = values > n_labels * np.finfo(np.float64).eps * values[-1]
         self.range_half = vectors[:, keep] / np.sqrt(values[keep] + self.ridge)[None, :]
+        self.upper = np.triu(np.ones((keep.sum(),) * 2, dtype=bool), 1)
 
     def solve(self, point: _Point, grams: _Grams):
-        """The mixing transform and lambda_min + sigma_min of the reduced operator."""
+        """The mixing transform and lambda_min + sigma_min of the reduced operator.
+
+        The reduced right coefficient H' B_raw H gets its upper triangle from
+        its lower one, which is the triangle the eigen solver reads. The
+        product's rounding asymmetry grows as rank(Y) nears N (it passed
+        the solver's symmetry tolerance at N = L = 500).
+        """
         half = self.range_half
         soft = self.cfg.beta * grams.soft
+        right = half.T @ (grams.fit + soft) @ half
+        np.copyto(right, right.T, where=self.upper)
         reduced, lowest = _solve_sylvester(
-            point.correlation.mixing_left, half.T @ (grams.fit + soft) @ half,
+            point.correlation.mixing_left, right,
             (point.consequents @ grams.cross.T + soft) @ half)
         return reduced @ half.T, lowest
 
@@ -402,8 +423,11 @@ def train(data: Dataset, cfg: TrainConfig = TrainConfig()):
 
     The residuals, weights and correlation term are evaluated once per
     iteration, at the committed pair, and the weighted Grams
-    once per iteration, before both solves. A failed solve raises
-    :class:`SingularProblemError` naming the iteration and the subproblem.
+    once per iteration, before both solves; Xg is written once per run
+    (see the module docstring). A failed solve raises a
+    :class:`NumericalError` naming the iteration and the subproblem, a
+    :class:`SingularProblemError` when the solver found the operator
+    singular.
 
     Returns
     -------
@@ -416,13 +440,13 @@ def train(data: Dataset, cfg: TrainConfig = TrainConfig()):
     n_labels = labels.shape[0]
     n_terms = cfg.n_rules * (features.shape[0] + 1)
     stacked = np.empty((n_terms + n_labels, features.shape[1]))
-    fuzzy_x = stacked[:n_terms]  # Xg from each refill until _Grams scales it
+    rows = _fill_fuzzy_rows(features, strengths, stacked[:n_terms])
+    root_w = np.ones(features.shape[1])  # rows = Xg diag(root_w)
     mixing_system = _MixingSystem(labels, cfg)
 
     mixing = np.ones((n_labels, n_labels))
     consequents = np.full((n_labels, n_terms), 1.0 / n_labels)
-    _fill_fuzzy_rows(features, strengths, fuzzy_x)
-    point = _Point(mixing, consequents, fuzzy_x, labels, mixing_system.label_gram, cfg)
+    point = _Point(mixing, consequents, rows, root_w, labels, mixing_system.label_gram, cfg)
 
     margin = cfg.min_loss_margin
     prev_total = 0.0
@@ -434,18 +458,18 @@ def train(data: Dataset, cfg: TrainConfig = TrainConfig()):
         weighted = time.perf_counter()
         subproblem = "consequent"
         try:
-            grams = _Grams(stacked, labels, weights)
+            grams = _Grams(stacked, root_w, labels, weights)
             consequents, consequent_min = _solve_consequents(point, grams)
             consequent_done = time.perf_counter()
             subproblem = "mixing"
             mixing, mixing_min = mixing_system.solve(point, grams)
-        except SingularProblemError as exc:
-            raise SingularProblemError(
-                "iteration %d, %s solve: %s" % (t, subproblem, exc)) from exc
+        except (NumericalError, ValueError) as exc:
+            # a ValueError here rejects a coefficient train built: a numerical failure too
+            kind = type(exc) if isinstance(exc, NumericalError) else NumericalError
+            raise kind("iteration %d, %s solve: %s" % (t, subproblem, exc)) from exc
         mixing_done = time.perf_counter()
 
-        _fill_fuzzy_rows(features, strengths, fuzzy_x)
-        point = _Point(mixing, consequents, fuzzy_x, labels, mixing_system.label_gram, cfg)
+        point = _Point(mixing, consequents, rows, root_w, labels, mixing_system.label_gram, cfg)
         record = IterationRecord(**point.losses(), weights_s=weighted - started,
                                  consequent_s=consequent_done - weighted,
                                  mixing_s=mixing_done - consequent_done,

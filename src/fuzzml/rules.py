@@ -12,9 +12,10 @@ strengths, feature by feature and rule by rule, with element-wise
 operations only; training and ``predictor.score`` both take their
 strengths from it, so a column's strengths are the same bits alone as
 inside any batch. The other writes the fuzzy features of D x N features
-with given strengths into a K(D+1) x N buffer; training refills the rule
-rows of its one Gram buffer with it each iteration. ``predictor.score``
-sums the rules without forming the fuzzy features.
+with given strengths into a K(D+1) x N buffer; training writes the rule
+rows of its one Gram buffer with it once per run, and rescales them in
+place from then on. ``predictor.score`` sums the rules without forming
+the fuzzy features.
 """
 
 import numpy as np

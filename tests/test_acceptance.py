@@ -186,9 +186,10 @@ def test_criterion_05_subproblem_stationarity():
                           gamma=float(rng.uniform(0.0, 0.2)))
         # the pieces one iteration of train() builds at (mixing, consequents)
         system = _MixingSystem(labels, cfg)
-        point = _Point(mixing, consequents, fuzzy_x, labels, system.label_gram, cfg)
+        ones = np.ones(labels.shape[1])  # the rule rows are Xg itself
+        point = _Point(mixing, consequents, fuzzy_x, ones, labels, system.label_gram, cfg)
         w_fit, w_soft = point.weights()
-        grams = _Grams(np.vstack([fuzzy_x, labels]), labels, (w_fit, w_soft))
+        grams = _Grams(np.vstack([fuzzy_x, labels]), ones, labels, (w_fit, w_soft))
         lap = oracle_laplacian(consequents)
         shift = system.ridge
 

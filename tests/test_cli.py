@@ -456,6 +456,26 @@ class TestConfigFileAndExitCodes:
             "--gamma", "1e308", "--rules", "2", "--out-dir", str(tmp_path),
         ]) == 4
 
+    def test_asymmetric_coefficient_is_a_numerical_failure(self, tmp_path, capsys, monkeypatch):
+        import fuzzml.optimizer as opt
+
+        solve = opt._solve_sylvester
+        calls = []
+
+        def refuse_the_mixing_solve(*args):
+            calls.append(None)
+            if len(calls) == 2:  # the consequent solve runs first
+                raise ValueError("B must be symmetric")
+            return solve(*args)
+
+        monkeypatch.setattr(opt, "_solve_sylvester", refuse_the_mixing_solve)
+        fx, fy = _write_dataset(tmp_path, n=20)
+        capsys.readouterr()
+        assert main(["train", "--features", str(fx), "--labels", str(fy),
+                     "--rules", "2", "--out-dir", str(tmp_path)]) == 4
+        assert capsys.readouterr().err == (
+            "numerical failure: iteration 1, mixing solve: B must be symmetric\n")
+
     def test_usage_error_exit_code(self, tmp_path):
         proc = _run_module("synth", "--kind", "not-a-kind",
                            "--out-prefix", "x", "--out-dir", str(tmp_path))

@@ -64,8 +64,9 @@ def _frozen(mixing, consequents, fuzzy_x, labels, cfg=TrainConfig()):
     the two subproblem solutions.
     """
     system = _MixingSystem(labels, cfg)
-    point = _Point(mixing, consequents, fuzzy_x, labels, system.label_gram, cfg)
-    return system, point, _Grams(np.vstack([fuzzy_x, labels]), labels, point.weights())
+    ones = np.ones(labels.shape[1])  # the rule rows are Xg itself
+    point = _Point(mixing, consequents, fuzzy_x, ones, labels, system.label_gram, cfg)
+    return system, point, _Grams(np.vstack([fuzzy_x, labels]), ones, labels, point.weights())
 
 
 class TestObjective:
@@ -182,25 +183,65 @@ class TestTrainBuffer:
 
     @pytest.mark.parametrize("kind", SYNTH_KINDS)
     def test_iterates_equal_those_of_a_stored_fuzzy_matrix(self, kind):
-        # train refills Xg in its buffer each iteration and scales it to R in
-        # place; iterating on a fuzzy matrix kept for the run gives the same bits
+        # train writes Xg once and rescales the rows in place by the ratio of
+        # successive root weights: the first iterate is the bits a stored Xg
+        # gives, later ones differ by the ratios' rounding (1e-6 is 100 times
+        # the spread between OpenBLAS CPU kernels)
         data = gen_synthetic(SynthSpec(kind, n_samples=300, seed=9))
         cfg = TrainConfig(n_rules=3, max_iters=4, min_loss_margin=0.0)
-        model, trace = train(data, cfg)
-        assert trace.n_iterations == 4
         x = normalize_features(data.features)[0]
         fuzzy_x = fuzzy_rows(x, fit_antecedents(x, cfg.n_rules))
         labels = data.labels
         mixing = np.ones((5, 5))
         consequents = np.full((5, fuzzy_x.shape[0]), 0.2)
-        for record in trace.iterations:
+        want = []
+        for _ in range(cfg.max_iters):
             system, point, grams = _frozen(mixing, consequents, fuzzy_x, labels, cfg)
             consequents = _solve_consequents(point, grams)[0]
             mixing = system.solve(point, grams)[0]
             _, point, _ = _frozen(mixing, consequents, fuzzy_x, labels, cfg)
-            assert point.losses()["total"] == record.total
-        np.testing.assert_array_equal(model.consequents, consequents)
-        np.testing.assert_array_equal(model.mixing, mixing)
+            want.append((consequents, mixing, point.losses()["total"]))
+
+        first, _ = train(data, replace(cfg, max_iters=1))
+        np.testing.assert_array_equal(first.consequents, want[0][0])
+        np.testing.assert_array_equal(first.mixing, want[0][1])
+
+        model, trace = train(data, cfg)
+        assert trace.n_iterations == 4
+        totals = np.array([total for _, _, total in want])
+        for got, ref in ((model.consequents, consequents), (model.mixing, mixing),
+                         (np.array(trace.totals), totals)):
+            assert np.abs(got - ref).max() <= 1e-6 * np.abs(ref).max()
+
+    def test_fuzzy_rows_are_written_once_per_run(self, monkeypatch):
+        import fuzzml.optimizer as opt
+
+        fill = opt._fill_fuzzy_rows
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return fill(*args)
+
+        monkeypatch.setattr(opt, "_fill_fuzzy_rows", counted)
+        data = gen_synthetic(SynthSpec("union", n_samples=300, seed=9))
+        _, trace = train(data, TrainConfig(max_iters=6, min_loss_margin=0.0))
+        assert trace.n_iterations == 6 and len(calls) == 1
+
+    @pytest.mark.parametrize("gamma", [0.0, TrainConfig().gamma])
+    @pytest.mark.parametrize("kind", SYNTH_KINDS)
+    def test_fit_term_after_the_iteration_budget(self, kind, gamma):
+        # 50 rescalings of the rule rows leave the fit term read back from them
+        # at the fit term of a fresh Xg
+        data = gen_synthetic(SynthSpec(kind, n_samples=2000, seed=2))
+        cfg = TrainConfig(gamma=gamma, min_loss_margin=0.0)
+        model, trace = train(data, cfg)
+        assert trace.n_iterations == cfg.max_iters == 50
+        x = normalize_features(data.features)[0]
+        fuzzy_x = fuzzy_rows(x, model.rulebase)
+        residual = model.mixing @ data.labels - model.consequents @ fuzzy_x
+        fit = np.sqrt((residual * residual).sum(axis=0)).sum()
+        assert trace.iterations[-1].fit == pytest.approx(fit, rel=1e-12)
 
 
 def _correlation(mixing, consequents, labels, cfg=TrainConfig()):
@@ -808,6 +849,36 @@ class TestManyLabels:
         first, copy = duplicated_pair(n_labels)
         assert np.abs(mixing[:, first] - mixing[:, copy]).max() <= 1e-6 * np.abs(mixing).max()
         assert np.all(mixing[:, -1] == 0.0)  # label L-1 never occurs
+
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_as_many_labels_as_samples(self, seed):
+        # the reduced mixing coefficient's rounding asymmetry once exceeded the
+        # solver's symmetry tolerance on these seeds
+        data = gen_wide(500, 500, 20, seed)
+        model, trace = train(data, TrainConfig(gamma=0.0))
+        assert trace.stop_reason == "margin"
+        mixing = model.mixing
+        first, copy = duplicated_pair(500)
+        assert np.abs(mixing[:, first] - mixing[:, copy]).max() <= 1e-6 * np.abs(mixing).max()
+        assert np.all(mixing[:, -1] == 0.0)
+
+    def test_reduced_mixing_coefficient_is_exactly_symmetric(self, monkeypatch):
+        # its rounding asymmetry grows with L / N and depends on the BLAS build
+        import fuzzml.optimizer as opt
+
+        solve = opt._solve_sylvester
+        rights = []
+
+        def keep_right(a, b, z):
+            rights.append(b)
+            return solve(a, b, z)
+
+        monkeypatch.setattr(opt, "_solve_sylvester", keep_right)
+        _, trace = train(gen_wide(64, 300, 20, 1), TrainConfig(max_iters=3, min_loss_margin=0.0))
+        mixing_rights = rights[1::2]  # the consequent solve runs first
+        assert len(mixing_rights) == trace.n_iterations == 3
+        for right in mixing_rights:
+            np.testing.assert_array_equal(right, right.T)
 
     # not at L = 200, where held-out AP and the prior agree to 0.001
     @pytest.mark.parametrize("seed", [1, 2, 3])
