@@ -22,11 +22,9 @@ call share one bounded thread pool; every report of that call carries the
 call's wall time. Reports aggregate :data:`fuzzml.metrics.METRICS`.
 """
 
-import hashlib
 import itertools
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -146,6 +144,8 @@ class GridResult:
 
 def derive_seed(*parts) -> int:
     """Stable 63-bit seed derived from the given parts."""
+    import hashlib  # here, so that importing the package does not load it
+
     text = "|".join(repr(p) for p in parts)
     digest = hashlib.sha256(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "little") >> 1
@@ -211,6 +211,8 @@ def _map_items(config: ExperimentConfig, fn, items):
     """
     if config.workers == 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    from concurrent.futures import ThreadPoolExecutor  # only a pool needs it
+
     failed = threading.Event()
 
     def guarded(item):

@@ -424,10 +424,10 @@ def train(data: Dataset, cfg: TrainConfig = TrainConfig()):
     The residuals, weights and correlation term are evaluated once per
     iteration, at the committed pair, and the weighted Grams
     once per iteration, before both solves; Xg is written once per run
-    (see the module docstring). A failed solve raises a
-    :class:`NumericalError` naming the iteration and the subproblem, a
-    :class:`SingularProblemError` when the solver found the operator
-    singular.
+    (see the module docstring). The solver reports every failure as a
+    :class:`NumericalError`, which is raised again, of the same type, with
+    the iteration and the subproblem in its message: a
+    :class:`SingularProblemError` stays one.
 
     Returns
     -------
@@ -463,10 +463,8 @@ def train(data: Dataset, cfg: TrainConfig = TrainConfig()):
             consequent_done = time.perf_counter()
             subproblem = "mixing"
             mixing, mixing_min = mixing_system.solve(point, grams)
-        except (NumericalError, ValueError) as exc:
-            # a ValueError here rejects a coefficient train built: a numerical failure too
-            kind = type(exc) if isinstance(exc, NumericalError) else NumericalError
-            raise kind("iteration %d, %s solve: %s" % (t, subproblem, exc)) from exc
+        except NumericalError as exc:
+            raise type(exc)("iteration %d, %s solve: %s" % (t, subproblem, exc)) from exc
         mixing_done = time.perf_counter()
 
         point = _Point(mixing, consequents, rows, root_w, labels, mixing_system.label_gram, cfg)

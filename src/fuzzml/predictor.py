@@ -14,7 +14,6 @@ K is the config's ``n_rules``.
 """
 
 import dataclasses
-import hashlib
 
 import numpy as np
 
@@ -78,6 +77,12 @@ def _matrix_lines(matrix):
     return [",".join(FLOAT_FMT % v for v in row) for row in np.atleast_2d(matrix)]
 
 
+def _checksum(payload: str) -> str:
+    import hashlib  # here, so that importing the package does not load it
+
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
 def save_model(model: ModelParams, path) -> None:
     """Write the model to a versioned text file with a payload checksum."""
     lines = ["[meta]"]
@@ -98,7 +103,7 @@ def save_model(model: ModelParams, path) -> None:
     lines.append("[C]")
     lines.extend(_matrix_lines(model.consequents))
     payload = "\n".join(lines) + "\n"
-    digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    digest = _checksum(payload)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("%s %s\n" % (_MAGIC, _VERSION))
         fh.write("checksum=%s\n" % digest)
@@ -170,7 +175,7 @@ def load_model(path) -> ModelParams:
     stated = lines[1][len("checksum="):]
     header_len = len(lines[0]) + 1 + len(lines[1]) + 1
     payload = content[header_len:]
-    if hashlib.sha256(payload.encode("utf-8")).hexdigest() != stated:
+    if _checksum(payload) != stated:
         raise ModelFormatError("checksum failure")
 
     sections = _sections(lines[2:])

@@ -11,12 +11,16 @@ W -> A W + W B. The divide is strict: no gap is zeroed, so a singular
 operator fails the residual check. Callers whose operator has a known
 null space (the mixing subproblem) remove it before calling.
 
-The solver either returns a W with relative residual
-||A W + W B - Z||_F / ||Z||_F at most RESIDUAL_RTOL or raises
-:class:`SingularProblemError`, whose message reports the smallest gap
-|lambda_i + sigma_j| between the spectra of A and -B. When A has an
-eigenvalue far larger in magnitude than the gaps (the mixing
-subproblem's Laplacian can reach -3e7 next to gaps of 0.08), the
+Every failure of the solve is a :class:`NumericalError`. The solver
+either returns a W with relative residual ||A W + W B - Z||_F / ||Z||_F
+at most RESIDUAL_RTOL or raises :class:`SingularProblemError`, whose
+message reports the smallest gap |lambda_i + sigma_j| between the
+spectra of A and -B; a non-finite input or a failed eigendecomposition
+is a SingularProblemError too, and a coefficient A or B that is not
+symmetric a plain NumericalError.
+
+When A has an eigenvalue far larger in magnitude than the gaps (the
+mixing subproblem's Laplacian can reach -3e7 next to gaps of 0.08), the
 rounding of W alone, amplified by A, can exceed RESIDUAL_RTOL although W
 is accurate to working precision. A W that misses the tolerance on the
 first try therefore gets one refinement step with the same
@@ -50,27 +54,12 @@ class SingularProblemError(NumericalError):
 
 
 def _check_inputs(a, b, z):
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    z = np.asarray(z, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("A must be square")
-    if b.ndim != 2 or b.shape[0] != b.shape[1]:
-        raise ValueError("B must be square")
-    if z.shape != (a.shape[0], b.shape[0]):
-        raise ValueError(
-            "Z must be %d x %d, got %s" % (a.shape[0], b.shape[0], z.shape)
-        )
     for name, m in (("A", a), ("B", b), ("Z", z)):
         if not np.isfinite(m).all():
             raise SingularProblemError("non-finite entries in %s" % name)
-    return a, b, z
-
-
-def _check_symmetric(m, name):
-    scale = np.abs(m).max(initial=0.0)
-    if np.abs(m - m.T).max(initial=0.0) > _SYMMETRY_RTOL * scale:
-        raise ValueError("%s must be symmetric" % name)
+    for name, m in (("A", a), ("B", b)):
+        if np.abs(m - m.T).max(initial=0.0) > _SYMMETRY_RTOL * np.abs(m).max(initial=0.0):
+            raise NumericalError("%s must be symmetric" % name)
 
 
 def _relative_norm(r, z) -> float:
@@ -85,18 +74,20 @@ def _solve_sylvester(a, b, z):
     entries); it is positive exactly when the operator is positive
     definite.
 
+    A, B and Z are float64 arrays of matching shapes, as training builds
+    them; they are not coerced or shape-checked.
+
     Raises
     ------
-    ValueError
-        If the shapes do not match or A or B is not symmetric.
+    NumericalError
+        If A or B is not symmetric.
     SingularProblemError
-        If an input is not finite, or the residual contract is not met,
-        which happens exactly when the spectra of A and -B (nearly)
-        overlap. The message gives the smallest |lambda_i + sigma_j|.
+        If an input is not finite, the eigendecomposition fails, or the
+        residual contract is not met, which happens exactly when the
+        spectra of A and -B (nearly) overlap; that message gives the
+        smallest |lambda_i + sigma_j|.
     """
-    a, b, z = _check_inputs(a, b, z)
-    _check_symmetric(a, "A")
-    _check_symmetric(b, "B")
+    _check_inputs(a, b, z)
     try:
         a_eigs, a_vecs = np.linalg.eigh(a)
         b_eigs, b_vecs = np.linalg.eigh(b)

@@ -462,13 +462,14 @@ class TestConfigFileAndExitCodes:
         solve = opt._solve_sylvester
         calls = []
 
-        def refuse_the_mixing_solve(*args):
+        def skew_the_mixing_solve(a, b, z):
             calls.append(None)
             if len(calls) == 2:  # the consequent solve runs first
-                raise ValueError("B must be symmetric")
-            return solve(*args)
+                b = b.copy()
+                b[0, -1] += 1.0  # which the solver refuses
+            return solve(a, b, z)
 
-        monkeypatch.setattr(opt, "_solve_sylvester", refuse_the_mixing_solve)
+        monkeypatch.setattr(opt, "_solve_sylvester", skew_the_mixing_solve)
         fx, fy = _write_dataset(tmp_path, n=20)
         capsys.readouterr()
         assert main(["train", "--features", str(fx), "--labels", str(fy),

@@ -274,7 +274,7 @@ class TestSharedPool:
                 pools.append(self)
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(exp, "ThreadPoolExecutor", CountingPool)
+        monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", CountingPool)
         ANSWERS[runner](_data(n=60), 2)
         assert len(pools) == 1
 

@@ -156,22 +156,23 @@ class TestFuzzyFeatureMatrix:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 9, 12])
     def test_columns_recompute_from_one_column_strengths(self, k):
-        # one column alone gives the same bits as inside the batch; K > 8
-        # is where a pairwise sum over the rules would change the order
+        # one column alone gives the same bits as inside the batch; K > 8 and
+        # D >= 8 (D = 20 is the benchmark's) are where a pairwise sum over
+        # the rules or the features would change the order
         rng = np.random.default_rng(5 + k)
-        d = 4
-        x = rng.random((d, 40))
-        x[1] = 0.5  # a constant feature
-        rb = fit_antecedents(x, k)
-        far = np.array([1e3, -1e6, 1e200])  # the last one hits the 1/K fallback
-        x = np.hstack([x, np.tile(far, (d, 1))])
-        out = fuzzy_rows(x, rb)
-        for i in range(x.shape[1]):
-            s = _strengths(x[:, i], rb)
-            x_ext = np.concatenate(([1.0], x[:, i]))
-            np.testing.assert_array_equal(out[:, i].reshape(k, d + 1),
-                                          s[:, None] * x_ext[None, :])
-        np.testing.assert_array_equal(out[::d + 1, -1], np.full(k, 1.0 / k))
+        for d in (4, 20):
+            x = rng.random((d, 40))
+            x[1] = 0.5  # a constant feature
+            rb = fit_antecedents(x, k)
+            far = np.array([1e3, -1e6, 1e200])  # the last one hits the 1/K fallback
+            x = np.hstack([x, np.tile(far, (d, 1))])
+            out = fuzzy_rows(x, rb)
+            for i in range(x.shape[1]):
+                s = _strengths(x[:, i], rb)
+                x_ext = np.concatenate(([1.0], x[:, i]))
+                np.testing.assert_array_equal(out[:, i].reshape(k, d + 1),
+                                              s[:, None] * x_ext[None, :])
+            np.testing.assert_array_equal(out[::d + 1, -1], np.full(k, 1.0 / k))
 
     @pytest.mark.parametrize("k", [1, 2, 3, 9])
     def test_matches_per_sample_reference(self, k):

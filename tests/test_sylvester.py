@@ -16,7 +16,7 @@ from reference_sylvester import (
     schur_solve,
 )
 
-from fuzzml.sylvester import SingularProblemError, _solve_sylvester
+from fuzzml.sylvester import NumericalError, SingularProblemError, _solve_sylvester
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -88,15 +88,16 @@ class TestExamples:
     def test_one_by_one(self):
         got = kron_oracle([[3.0]], [[4.0]], [[14.0]])
         np.testing.assert_allclose(got, [[2.0]], atol=1e-14)
-        np.testing.assert_allclose(_solve_sylvester([[3.0]], [[4.0]], [[14.0]])[0], [[2.0]],
-                                   atol=1e-14)
+        one = np.array([[3.0]]), np.array([[4.0]]), np.array([[14.0]])
+        np.testing.assert_allclose(_solve_sylvester(*one)[0], [[2.0]], atol=1e-14)
 
     def test_overlapping_spectra_raise(self):
+        overlapping = np.array([[1.0]]), np.array([[-1.0]]), np.array([[1.0]])
         for solver in (_solution, kron_oracle):
             with pytest.raises(SingularProblemError, match="singular problem"):
-                solver([[1.0]], [[-1.0]], [[1.0]])
+                solver(*overlapping)
         with pytest.raises(SingularProblemError, match="non-finite solution; smallest"):
-            _solve_sylvester([[1.0]], [[-1.0]], [[1.0]])
+            _solve_sylvester(*overlapping)
 
 
 class TestSweep:
@@ -248,14 +249,6 @@ class TestGuards:
         with pytest.raises(ValueError, match="too large"):
             least_norm_solve(np.eye(n), np.eye(n), np.zeros((n, n)))
 
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            _solve_sylvester(np.zeros((2, 3)), np.eye(3), np.zeros((2, 3)))
-        with pytest.raises(ValueError):
-            _solve_sylvester(np.eye(2), np.eye(3), np.zeros((3, 2)))
-        with pytest.raises(ValueError, match="B must be square"):
-            _solve_sylvester(np.eye(2), np.zeros((3, 2)), np.zeros((2, 3)))
-
     def test_failed_eigendecomposition_is_a_numerical_failure(self, monkeypatch):
         def fail(m):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -267,9 +260,9 @@ class TestGuards:
 
     def test_rejects_non_symmetric_coefficients(self):
         skew = np.array([[1.0, 2.0], [0.0, 1.0]])
-        with pytest.raises(ValueError, match="A must be symmetric"):
+        with pytest.raises(NumericalError, match="^A must be symmetric$"):
             _solve_sylvester(skew, np.eye(2), np.ones((2, 2)))
-        with pytest.raises(ValueError, match="B must be symmetric"):
+        with pytest.raises(NumericalError, match="^B must be symmetric$"):
             _solve_sylvester(np.eye(2), skew, np.ones((2, 2)))
 
     @pytest.mark.parametrize("solver", [_solve_sylvester], ids=["solve_sylvester"])
@@ -286,6 +279,16 @@ class TestGuards:
 def test_import_loads_no_scipy():
     code = ("import sys, fuzzml; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"
+
+
+def test_import_defers_thread_pool_and_hashlib():
+    # the package imports them where a thread pool or a digest is first needed
+    code = ("import sys, numpy; before = set(sys.modules); import fuzzml; "
+            "print(sorted({'concurrent.futures', 'hashlib'} & (set(sys.modules) - before)))")
     env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
