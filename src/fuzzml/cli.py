@@ -9,7 +9,7 @@ given on the command line.
 
 Every metric column and line (the fold rows, the summaries, the ablate
 tables, the eval line) lists the metrics of ``metrics.METRICS`` in that
-order. Grid values are checked by TrainConfig, the label probability by
+order. Grid values are checked by TrainConfig, synthetic sizes by
 SynthSpec, noise ratios by NoiseSpec and data cells by the CSV reader,
 so an out-of-range, NaN or infinite one exits 3 with that type's message.
 A ``#`` header that ``predict`` or ``eval`` reads must name the model's
@@ -119,14 +119,8 @@ def _summary_lines(report, title):
 
 
 def cmd_synth(args):
-    spec = SynthSpec(
-        kind=args.kind,
-        n_samples=args.n,
-        n_features=args.d,
-        seed=args.seed,
-        base_label_prob=args.label_prob,
-    )
-    data = gen_synthetic(spec)
+    data = gen_synthetic(SynthSpec(args.kind, n_samples=args.n, n_features=args.d,
+                                   seed=args.seed))
     save_dataset(data, _out_path(args, args.out_prefix + ".X.csv"),
                  _out_path(args, args.out_prefix + ".Y.csv"))
     print("wrote %s.X.csv and %s.Y.csv (%s)" % (args.out_prefix, args.out_prefix, data))
@@ -312,7 +306,6 @@ def build_parser():
     p.add_argument("--kind", choices=SYNTH_KINDS, required=True)
     p.add_argument("--n", type=int, default=1000, help="sample count")
     p.add_argument("--d", type=int, default=20, help="feature count")
-    p.add_argument("--label-prob", type=float, default=0.4)
     p.add_argument("--out-prefix", required=True)
 
     p = command("noise", cmd_noise, "inject label noise", data, seeded)

@@ -42,7 +42,6 @@ __all__ = [
     "RunReport",
     "GridCellResult",
     "GridResult",
-    "derive_seed",
     "run_cv",
     "run_grid",
     "run_noise_curve",
@@ -142,12 +141,15 @@ class GridResult:
     final: RunReport
 
 
-def derive_seed(*parts) -> int:
-    """Stable 63-bit seed derived from the given parts."""
+def _fold_seed(seed, fold) -> int:
+    """The noise seed of one (seed, fold) job: 63 bits of SHA-256 of "seed|fold".
+
+    The integers are written in decimal, so a numpy integer gives the seed
+    of the Python int of the same value.
+    """
     import hashlib  # here, so that importing the package does not load it
 
-    text = "|".join(repr(p) for p in parts)
-    digest = hashlib.sha256(text.encode("utf-8")).digest()
+    digest = hashlib.sha256(b"%d|%d" % (seed, fold)).digest()
     return int.from_bytes(digest[:8], "little") >> 1
 
 
@@ -178,7 +180,7 @@ def _run_fold(data: Dataset, folds: int, job: _Job) -> FoldResult:
         if job.noise_ratio > 0.0:
             # Noise touches the training split only; the seed ignores the ratio
             # so different ratios corrupt comparable sample sets.
-            spec = NoiseSpec(ratio=job.noise_ratio, seed=derive_seed(job.seed, job.fold))
+            spec = NoiseSpec(ratio=job.noise_ratio, seed=_fold_seed(job.seed, job.fold))
             train_ds = inject_label_noise(train_ds, spec)
         started = time.perf_counter()
         model, trace = train(train_ds, job.train)

@@ -27,16 +27,17 @@ Y Y', fixed per run, and the soft-label Gram S = M (Y Y') M'. The only
 other products over N are M Y and C Xg (read back from R, below), for
 the two residual column norms.
 
-Training holds one (K(D+1) + L) x N buffer for the run and one N-vector,
-besides the normalized D x N features x and their K x N firing strengths
-s. Its rule rows are written with Xg from x and s once, before the first
-point, and the N-vector holds the square roots of the weights those rows
-carry, ones at the start. Each iteration, :class:`_Grams` multiplies the
-rule rows in place by sqrt(w_t) / sqrt(w_(t-1)), so they hold Xg W_t^1/2,
-and writes the label rows from Y; the point after the solves reads C Xg
-as (C R_t) / sqrt(w_t). So Xg and R never take two N-sized arrays. The
-first iteration's R, and so its iterates, are the bits a stored Xg would
-give; later R differ from them by the rounding of the successive ratios.
+Training holds one (K(D+1) + L) x N buffer for the run and one N-vector.
+The buffer's rule rows are written with Xg once, before the first point,
+from the normalized D x N features x and their K x N firing strengths s,
+which are released after that fill. The N-vector holds the square roots
+of the weights those rows carry, ones at the start. Each iteration,
+:class:`_Grams` multiplies the rule rows in place by
+sqrt(w_t) / sqrt(w_(t-1)), so they hold Xg W_t^1/2, and writes the label
+rows from Y; the point after the solves reads C Xg as (C R_t) / sqrt(w_t).
+So Xg and R never take two N-sized arrays. The first iteration's R, and
+so its iterates, are the bits a stored Xg would give; later R differ from
+them by the rounding of the successive ratios.
 """
 
 import math
@@ -69,8 +70,9 @@ AUTO_MARGIN_SCALE = 1e-5
 # Column-norm floor of the L2,1 weights: an exactly fitted sample gets a finite weight.
 EPSILON_ROW = 1e-8
 # Label Gram shift of the mixing solve, times trace(Y Y') / L. Not needed for
-# well-posedness, but at 0 tall seed 2 ran to max_iters (AP 0.9973, not a margin
-# stop after 22 iterations at 0.99987) and wide_l96 seed 1 fell from AP 0.573 to 0.476.
+# well-posedness, and at gamma = 0 it cancels from the mixing up to rounding. At
+# gamma > 0 it enters the correlation term, and so moves where the oscillating
+# iteration stops, in both directions (README's "Notable behaviors" has the runs).
 LABEL_GRAM_RIDGE = 1e-6
 
 
@@ -425,9 +427,8 @@ def train(data: Dataset, cfg: TrainConfig = TrainConfig()):
     iteration, at the committed pair, and the weighted Grams
     once per iteration, before both solves; Xg is written once per run
     (see the module docstring). The solver reports every failure as a
-    :class:`NumericalError`, which is raised again, of the same type, with
-    the iteration and the subproblem in its message: a
-    :class:`SingularProblemError` stays one.
+    :class:`NumericalError`, which is raised again with the iteration and
+    the subproblem in its message.
 
     Returns
     -------
@@ -435,13 +436,13 @@ def train(data: Dataset, cfg: TrainConfig = TrainConfig()):
     """
     features, stats = normalize_features(data.features)
     rulebase = fit_antecedents(features, cfg.n_rules)
-    strengths = _strength_columns(features, rulebase)
     labels = data.labels
-    n_labels = labels.shape[0]
+    n_labels, n_samples = labels.shape
     n_terms = cfg.n_rules * (features.shape[0] + 1)
-    stacked = np.empty((n_terms + n_labels, features.shape[1]))
-    rows = _fill_fuzzy_rows(features, strengths, stacked[:n_terms])
-    root_w = np.ones(features.shape[1])  # rows = Xg diag(root_w)
+    stacked = np.empty((n_terms + n_labels, n_samples))
+    rows = _fill_fuzzy_rows(features, _strength_columns(features, rulebase), stacked[:n_terms])
+    del features  # not read after the fill, so not held for the run
+    root_w = np.ones(n_samples)  # rows = Xg diag(root_w)
     mixing_system = _MixingSystem(labels, cfg)
 
     mixing = np.ones((n_labels, n_labels))
@@ -464,7 +465,7 @@ def train(data: Dataset, cfg: TrainConfig = TrainConfig()):
             subproblem = "mixing"
             mixing, mixing_min = mixing_system.solve(point, grams)
         except NumericalError as exc:
-            raise type(exc)("iteration %d, %s solve: %s" % (t, subproblem, exc)) from exc
+            raise NumericalError("iteration %d, %s solve: %s" % (t, subproblem, exc)) from exc
         mixing_done = time.perf_counter()
 
         point = _Point(mixing, consequents, rows, root_w, labels, mixing_system.label_gram, cfg)

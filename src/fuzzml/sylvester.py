@@ -13,11 +13,11 @@ null space (the mixing subproblem) remove it before calling.
 
 Every failure of the solve is a :class:`NumericalError`. The solver
 either returns a W with relative residual ||A W + W B - Z||_F / ||Z||_F
-at most RESIDUAL_RTOL or raises :class:`SingularProblemError`, whose
-message reports the smallest gap |lambda_i + sigma_j| between the
-spectra of A and -B; a non-finite input or a failed eigendecomposition
-is a SingularProblemError too, and a coefficient A or B that is not
-symmetric a plain NumericalError.
+at most RESIDUAL_RTOL or raises one whose message begins "singular
+problem" and reports the smallest gap |lambda_i + sigma_j| between the
+spectra of A and -B. A non-finite input, a failed eigendecomposition and
+a coefficient A or B that is not symmetric each raise one too, with a
+message that names the cause.
 
 When A has an eigenvalue far larger in magnitude than the gaps (the
 mixing subproblem's Laplacian can reach -3e7 next to gaps of 0.08), the
@@ -35,7 +35,6 @@ import numpy as np
 
 __all__ = [
     "NumericalError",
-    "SingularProblemError",
     "RESIDUAL_RTOL",
 ]
 
@@ -49,14 +48,10 @@ class NumericalError(RuntimeError):
     """A numerical failure: a singular solve or non-finite training values."""
 
 
-class SingularProblemError(NumericalError):
-    """The Sylvester operator is singular (spectra of A and -B overlap)."""
-
-
 def _check_inputs(a, b, z):
     for name, m in (("A", a), ("B", b), ("Z", z)):
         if not np.isfinite(m).all():
-            raise SingularProblemError("non-finite entries in %s" % name)
+            raise NumericalError("non-finite entries in %s" % name)
     for name, m in (("A", a), ("B", b)):
         if np.abs(m - m.T).max(initial=0.0) > _SYMMETRY_RTOL * np.abs(m).max(initial=0.0):
             raise NumericalError("%s must be symmetric" % name)
@@ -80,11 +75,10 @@ def _solve_sylvester(a, b, z):
     Raises
     ------
     NumericalError
-        If A or B is not symmetric.
-    SingularProblemError
-        If an input is not finite, the eigendecomposition fails, or the
-        residual contract is not met, which happens exactly when the
-        spectra of A and -B (nearly) overlap; that message gives the
+        If A or B is not symmetric, an input is not finite, the
+        eigendecomposition fails, or the residual contract is not met,
+        which happens exactly when the spectra of A and -B (nearly)
+        overlap; that message begins "singular problem" and gives the
         smallest |lambda_i + sigma_j|.
     """
     _check_inputs(a, b, z)
@@ -92,7 +86,7 @@ def _solve_sylvester(a, b, z):
         a_eigs, a_vecs = np.linalg.eigh(a)
         b_eigs, b_vecs = np.linalg.eigh(b)
     except np.linalg.LinAlgError as exc:
-        raise SingularProblemError("eigendecomposition failed: %s" % exc) from exc
+        raise NumericalError("eigendecomposition failed: %s" % exc) from exc
     gaps = a_eigs[:, None] + b_eigs[None, :]
     lowest = float(gaps.min(initial=math.inf))
 
@@ -114,6 +108,6 @@ def _solve_sylvester(a, b, z):
     if not (finite and relative <= RESIDUAL_RTOL):
         cause = ("relative residual %.2e exceeds %.1e" % (relative, RESIDUAL_RTOL)
                  if finite else "non-finite solution")
-        raise SingularProblemError("singular problem: %s; smallest |lambda_i + sigma_j| %.2e"
-                                   % (cause, np.min(np.abs(gaps))))
+        raise NumericalError("singular problem: %s; smallest |lambda_i + sigma_j| %.2e"
+                             % (cause, np.min(np.abs(gaps))))
     return w, lowest

@@ -2,7 +2,7 @@
 
 Three dataset kinds share a five-label layout. The first four labels follow
 the kind's logical rule and the fifth is active exactly when the first four
-are all inactive:
+are all inactive. Every Bernoulli draw is active with probability 0.4:
 
 * ``independence``: y1..y4 are independent Bernoulli draws.
 * ``equality``: y1 = y2 and y3 = y4, with y1 and y3 drawn independently.
@@ -26,6 +26,7 @@ SYNTH_KINDS = ("independence", "equality", "union")
 
 _N_LABELS = 5
 _FEATURE_JITTER_SD = 0.1
+_BASE_LABEL_PROB = 0.4
 
 
 @dataclass(frozen=True)
@@ -40,7 +41,6 @@ class SynthSpec:
     n_samples: int = 1000
     n_features: int = 20
     seed: int = 0
-    base_label_prob: float = 0.4
 
     def __post_init__(self):
         if self.kind not in SYNTH_KINDS:
@@ -48,11 +48,8 @@ class SynthSpec:
         _check_int("n_samples", self.n_samples)
         _check_int("n_features", self.n_features)
         _check_seed(self.seed)
-        _check_real("base_label_prob", self.base_label_prob)
         if self.n_samples < 1 or self.n_features < 1:
             raise ValueError("n_samples and n_features must be positive")
-        if not 0.0 < self.base_label_prob < 1.0:
-            raise ValueError("base_label_prob must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -74,7 +71,7 @@ class NoiseSpec:
 
 def _draw_labels(spec: SynthSpec, rng) -> np.ndarray:
     n = spec.n_samples
-    p = spec.base_label_prob
+    p = _BASE_LABEL_PROB
     y = np.zeros((_N_LABELS, n), dtype=np.float64)
     if spec.kind == "independence":
         y[0:4] = rng.random((4, n)) < p

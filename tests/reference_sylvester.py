@@ -27,7 +27,7 @@ import warnings
 import numpy as np
 import scipy.linalg
 
-from fuzzml.sylvester import RESIDUAL_RTOL, SingularProblemError
+from fuzzml.sylvester import RESIDUAL_RTOL, NumericalError
 
 # Largest mn for which the dense mn x mn system is built.
 KRON_GUARD = 4096
@@ -46,9 +46,9 @@ def schur_solve(a, b, z) -> np.ndarray:
     try:
         w = scipy.linalg.solve_sylvester(a, b, z)
     except (np.linalg.LinAlgError, ValueError) as exc:
-        raise SingularProblemError("singular problem: %s" % exc) from exc
+        raise NumericalError("singular problem: %s" % exc) from exc
     if not np.all(np.isfinite(w)) or relative_residual(a, b, z, w) > RESIDUAL_RTOL:
-        raise SingularProblemError(
+        raise NumericalError(
             "singular problem: residual exceeds %.1e" % RESIDUAL_RTOL
         )
     return w
@@ -63,7 +63,7 @@ def kron_oracle(a, b, z) -> np.ndarray:
 
     Vectorization is column-major. Guarded to mn <= KRON_GUARD unknowns;
     a reciprocal condition estimate below 1e-12 raises
-    :class:`SingularProblemError`.
+    :class:`NumericalError`.
     """
     a, b, z = (np.asarray(m, dtype=np.float64) for m in (a, b, z))
     m, n = z.shape
@@ -78,9 +78,9 @@ def kron_oracle(a, b, z) -> np.ndarray:
             lu, piv = scipy.linalg.lu_factor(big)
         rcond, info = scipy.linalg.lapack.dgecon(lu, np.linalg.norm(big, 1), norm="1")
     except (np.linalg.LinAlgError, ValueError) as exc:
-        raise SingularProblemError("singular problem: %s" % exc) from exc
+        raise NumericalError("singular problem: %s" % exc) from exc
     if info != 0 or not np.isfinite(rcond) or rcond < _RCOND_MIN:
-        raise SingularProblemError(
+        raise NumericalError(
             "singular problem: reciprocal condition estimate %.2e" % rcond
         )
     w = scipy.linalg.lu_solve((lu, piv), z.flatten(order="F"))
@@ -93,7 +93,7 @@ def least_norm_solve(a, b, z) -> np.ndarray:
     Solves (I (x) A + B' (x) I) vec(W) = vec(Z) with column-major
     vectorization; A and B need not be symmetric. For a singular but
     consistent problem the undetermined directions receive no component.
-    An inconsistent system raises :class:`SingularProblemError` with the
+    An inconsistent system raises :class:`NumericalError` with the
     smallest |lambda_i + sigma_j|.
     """
     a, b, z = (np.asarray(m, dtype=np.float64) for m in (a, b, z))
@@ -105,7 +105,7 @@ def least_norm_solve(a, b, z) -> np.ndarray:
     residual = relative_residual(a, b, z, w)
     if not residual <= RESIDUAL_RTOL:
         gap = np.min(np.abs(np.linalg.eigvals(a)[:, None] + np.linalg.eigvals(b)[None, :]))
-        raise SingularProblemError(
+        raise NumericalError(
             "singular problem: relative residual %.2e exceeds %.1e; "
             "smallest |lambda_i + sigma_j| %.2e" % (residual, RESIDUAL_RTOL, gap))
     return w

@@ -508,6 +508,7 @@ class TestFlagsGoOnTheCommandsThatReadThem:
             ("--workers", {"cv", "grid", "noise-curve", "ablate"}),
             ("--out-dir", _COMMANDS),
             ("--config", _COMMANDS),
+            ("--label-prob", set()),  # synthetic labels are drawn at a fixed 0.4
         ):
             assert bool(re.search(r"%s\b" % flag, out)) == (command in readers), flag
         if "--workers" in out:
@@ -547,7 +548,7 @@ class TestFlagsGoOnTheCommandsThatReadThem:
     def test_config_key_of_another_command_is_ignored(self, tmp_path):
         fx, fy = _write_dataset(tmp_path, n=20)
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("label-prob=2\nratios=0.1,x\nmax-iters=2\nrules=2\n")
+        cfg.write_text("d=0\nratios=0.1,x\nmax-iters=2\nrules=2\n")
         assert main([
             "train", "--features", str(fx), "--labels", str(fy),
             "--config", str(cfg), "--out", "model.txt", "--out-dir", str(tmp_path),
@@ -555,7 +556,7 @@ class TestFlagsGoOnTheCommandsThatReadThem:
         config = load_model(tmp_path / "model.txt").config
         assert (config.max_iters, config.n_rules) == (2, 2)
 
-    @pytest.mark.parametrize("line", ["n=many", "label_prob=x"])
+    @pytest.mark.parametrize("line", ["n=many", "d=x"])
     def test_bad_config_value_is_config_error(self, tmp_path, capsys, line):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(line + "\n")
@@ -566,23 +567,17 @@ class TestFlagsGoOnTheCommandsThatReadThem:
         assert not (tmp_path / "data.X.csv").exists()
 
     def test_out_of_range_config_value_is_refused_by_its_spec(self, tmp_path, capsys):
-        # the value parses as a float; SynthSpec owns the range
+        # the value parses as an integer; SynthSpec owns the range
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("label-prob=2\n")
+        cfg.write_text("n=0\n")
         assert main(["synth", "--kind", "union", "--out-prefix", "data",
                      "--config", str(cfg), "--out-dir", str(tmp_path)]) == 3
         err = capsys.readouterr().err
-        assert err == "error: base_label_prob must lie in (0, 1)\n"
+        assert err == "error: n_samples and n_features must be positive\n"
         assert "Traceback" not in err
         assert not (tmp_path / "data.X.csv").exists()
 
     @pytest.mark.parametrize("args, message", [
-        (["synth", "--kind", "union", "--label-prob", "0", "--out-prefix", "bad"],
-         "base_label_prob must lie in (0, 1)"),
-        (["synth", "--kind", "union", "--label-prob", "2", "--out-prefix", "bad"],
-         "base_label_prob must lie in (0, 1)"),
-        (["synth", "--kind", "union", "--label-prob", "nan", "--out-prefix", "bad"],
-         "base_label_prob must lie in (0, 1)"),
         (["noise", "DATA", "--ratio", "1.5", "--out-prefix", "bad"],
          "noise ratio must lie in [0, 1]"),
         (["noise-curve", "DATA", "--ratios", "0.1,2"], "noise ratio must lie in [0, 1]"),
@@ -592,8 +587,7 @@ class TestFlagsGoOnTheCommandsThatReadThem:
          "seed must be an integer >= 0, got -1"),
         (["noise", "DATA", "--ratio", "0.5", "--seed", "-1", "--out-prefix", "bad"],
          "seed must be an integer >= 0, got -1"),
-    ], ids=["label-prob-0", "label-prob-2", "label-prob-nan", "ratio-1.5", "ratios-0.1,2",
-            "noise-ratio-nan", "synth-seed--1", "noise-seed--1"])
+    ], ids=["ratio-1.5", "ratios-0.1,2", "noise-ratio-nan", "synth-seed--1", "noise-seed--1"])
     def test_out_of_range_ratio_is_refused_by_its_spec(self, tmp_path, capsys, args, message):
         fx, fy = _write_dataset(tmp_path, n=20)
         written = set(os.listdir(tmp_path))

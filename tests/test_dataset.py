@@ -329,12 +329,10 @@ class TestRealSettingsRefuseBoolsAndStrings:
         (lambda: TrainConfig(alpha="0.1"), "alpha must be a real number, got '0.1'"),
         (lambda: NoiseSpec(ratio=True), "ratio must be a real number, got True"),
         (lambda: NoiseSpec("0.1"), "ratio must be a real number, got '0.1'"),
-        (lambda: SynthSpec(kind="union", base_label_prob="0.4"),
-         "base_label_prob must be a real number, got '0.4'"),
         (lambda: evaluate([[0.2], [0.9]], [[0.0], [1.0]], tau=True),
          "tau must be a real number, got True"),
     ], ids=["alpha", "beta", "gamma", "min_loss_margin", "tau", "alpha_str", "noise_ratio",
-            "noise_ratio_str", "label_prob_str", "evaluate_tau"])
+            "noise_ratio_str", "evaluate_tau"])
     def test_refuses_a_bool_or_a_string(self, call, message):
         with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
             call()

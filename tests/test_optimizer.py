@@ -33,7 +33,6 @@ from fuzzml.dataset import Dataset, normalize_features, take_samples
 from fuzzml.metrics import evaluate
 from fuzzml.predictor import score
 from fuzzml.rules import fit_antecedents
-from fuzzml.sylvester import SingularProblemError
 from fuzzml.synthgen import SYNTH_KINDS, NoiseSpec, SynthSpec, gen_synthetic, inject_label_noise
 
 
@@ -167,9 +166,10 @@ class TestGrams:
 
 class TestTrainBuffer:
     def test_peak_stays_near_one_gram_buffer(self):
-        # train holds the D x N features, the K x N strengths and one
-        # (K(D+1) + L) x N buffer; a second array of that size, such as a
-        # K(D+1) x N fuzzy matrix kept for the run, crosses the bound
+        # train holds one (K(D+1) + L) x N buffer for the run, and the
+        # D x N features and K x N strengths only until the buffer is filled
+        # (1.45 buffers at the peak); a second array of the buffer's size,
+        # such as a K(D+1) x N fuzzy matrix kept for the run, crosses the bound
         data = gen_synthetic(SynthSpec("union", n_samples=4000, n_features=20, seed=1))
         cfg = TrainConfig(n_rules=3, max_iters=3)
         buffer_bytes = (cfg.n_rules * 21 + data.labels.shape[0]) * 4000 * 8
@@ -725,10 +725,10 @@ class TestTrain:
         import fuzzml.optimizer as opt
 
         def boom(*args, **kwargs):
-            raise SingularProblemError("synthetic failure")
+            raise NumericalError("synthetic failure")
 
         monkeypatch.setattr(opt, "_solve_sylvester", boom)
-        with pytest.raises(SingularProblemError, match="iteration 1, consequent solve"):
+        with pytest.raises(NumericalError, match="iteration 1, consequent solve"):
             train(self._small_data(), TrainConfig())
 
     def test_gamma_zero_with_many_labels_and_an_absent_one(self):
@@ -817,11 +817,11 @@ class TestTrain:
             calls.append(None)
             if len(calls) == 1:
                 return solve(*args, **kwargs)
-            raise SingularProblemError("synthetic failure")
+            raise NumericalError("synthetic failure")
 
         monkeypatch.setattr(opt, "_solve_sylvester", consequent_then_boom)
         data = gen_synthetic(SynthSpec(kind="union", n_samples=60, n_features=5, seed=0))
-        with pytest.raises(SingularProblemError, match="iteration 1, mixing solve"):
+        with pytest.raises(NumericalError, match="iteration 1, mixing solve"):
             train(data, TrainConfig())
 
 

@@ -46,8 +46,6 @@ class TestGeneration:
         with pytest.raises(ValueError):
             SynthSpec(kind="nope")
         with pytest.raises(ValueError):
-            SynthSpec(kind="union", base_label_prob=0.0)
-        with pytest.raises(ValueError):
             SynthSpec(kind="union", n_samples=0)
 
     @pytest.mark.parametrize("field", ["n_samples", "n_features"])
