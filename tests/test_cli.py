@@ -545,6 +545,12 @@ class TestFlagsGoOnTheCommandsThatReadThem:
                              flag, "0.001", "--out-dir", str(tmp_path)])
         assert not (tmp_path / "model.txt").exists()
 
+    def test_retired_label_prob_flag_is_usage_error(self, tmp_path):
+        # synthetic labels are drawn at a fixed 0.4; an old script fails loudly
+        assert _usage_error(["synth", "--kind", "union", "--label-prob", "0.4",
+                             "--out-prefix", "data", "--out-dir", str(tmp_path)])
+        assert not (tmp_path / "data.X.csv").exists()
+
     def test_config_key_of_another_command_is_ignored(self, tmp_path):
         fx, fy = _write_dataset(tmp_path, n=20)
         cfg = tmp_path / "run.cfg"

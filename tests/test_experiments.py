@@ -404,6 +404,12 @@ def test_fold_seed_is_stable():
     assert _fold_seed(5, 0) == 6565834749732072557
 
 
+@pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint64])
+def test_fold_seed_of_a_numpy_integer_is_that_of_its_python_int(dtype):
+    assert _fold_seed(dtype(5), dtype(0)) == _fold_seed(5, 0)
+    assert _fold_seed(dtype(3), 1) == _fold_seed(3, 1)
+
+
 @pytest.mark.parametrize("routine", [
     lambda data, config: run_noise_curve(data, config, (0.3,)),
     lambda data, config: run_ablation(data, config, ("beta",), 0.3)["beta"],
