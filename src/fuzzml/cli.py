@@ -119,8 +119,13 @@ def _summary_lines(report, title):
 
 
 def cmd_synth(args):
-    data = gen_synthetic(SynthSpec(args.kind, n_samples=args.n, n_features=args.d,
-                                   seed=args.seed))
+    spec = SynthSpec(
+        kind=args.kind,
+        n_samples=args.n,
+        n_features=args.d,
+        seed=args.seed,
+    )
+    data = gen_synthetic(spec)
     save_dataset(data, _out_path(args, args.out_prefix + ".X.csv"),
                  _out_path(args, args.out_prefix + ".Y.csv"))
     print("wrote %s.X.csv and %s.Y.csv (%s)" % (args.out_prefix, args.out_prefix, data))

@@ -436,12 +436,13 @@ def train(data: Dataset, cfg: TrainConfig = TrainConfig()):
     """
     features, stats = normalize_features(data.features)
     rulebase = fit_antecedents(features, cfg.n_rules)
+    strengths = _strength_columns(features, rulebase)
     labels = data.labels
     n_labels, n_samples = labels.shape
     n_terms = cfg.n_rules * (features.shape[0] + 1)
     stacked = np.empty((n_terms + n_labels, n_samples))
-    rows = _fill_fuzzy_rows(features, _strength_columns(features, rulebase), stacked[:n_terms])
-    del features  # not read after the fill, so not held for the run
+    rows = _fill_fuzzy_rows(features, strengths, stacked[:n_terms])
+    del features, strengths  # not read after the fill, so not held for the run
     root_w = np.ones(n_samples)  # rows = Xg diag(root_w)
     mixing_system = _MixingSystem(labels, cfg)
 

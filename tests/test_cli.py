@@ -286,7 +286,8 @@ class TestConfigFileAndExitCodes:
     def test_config_file_supplies_defaults(self, tmp_path):
         fx, fy = _write_dataset(tmp_path, n=30)
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("# comment\nalpha=5.0\n\n  \nmax-iters=2\n  # indented\nrules=2\n")
+        # max_iters: a key may spell a dashed option with underscores
+        cfg.write_text("# comment\nalpha=5.0\n\n  \nmax_iters=2\n  # indented\nrules=2\n")
         assert main([
             "train", "--features", str(fx), "--labels", str(fy),
             "--config", str(cfg), "--out", "model.txt", "--out-dir", str(tmp_path),
@@ -545,12 +546,6 @@ class TestFlagsGoOnTheCommandsThatReadThem:
                              flag, "0.001", "--out-dir", str(tmp_path)])
         assert not (tmp_path / "model.txt").exists()
 
-    def test_retired_label_prob_flag_is_usage_error(self, tmp_path):
-        # synthetic labels are drawn at a fixed 0.4; an old script fails loudly
-        assert _usage_error(["synth", "--kind", "union", "--label-prob", "0.4",
-                             "--out-prefix", "data", "--out-dir", str(tmp_path)])
-        assert not (tmp_path / "data.X.csv").exists()
-
     def test_config_key_of_another_command_is_ignored(self, tmp_path):
         fx, fy = _write_dataset(tmp_path, n=20)
         cfg = tmp_path / "run.cfg"
@@ -562,15 +557,17 @@ class TestFlagsGoOnTheCommandsThatReadThem:
         config = load_model(tmp_path / "model.txt").config
         assert (config.max_iters, config.n_rules) == (2, 2)
 
-    @pytest.mark.parametrize("line", ["n=many", "d=x"])
-    def test_bad_config_value_is_config_error(self, tmp_path, capsys, line):
+    @pytest.mark.parametrize("command, line, option", [
+        (["synth", "--kind", "union", "--out-prefix", "data"], "n=many", "--n"),
+        (["train", "--features", "x.csv", "--labels", "y.csv"], "max_iters=x", "--max-iters"),
+    ], ids=["n=many", "max_iters=x"])
+    def test_bad_config_value_is_config_error(self, tmp_path, capsys, command, line, option):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(line + "\n")
-        assert main(["synth", "--kind", "union", "--out-prefix", "data",
-                     "--config", str(cfg), "--out-dir", str(tmp_path)]) == 3
+        assert main(command + ["--config", str(cfg), "--out-dir", str(tmp_path)]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("error: config --") and "Traceback" not in err
-        assert not (tmp_path / "data.X.csv").exists()
+        assert err.startswith("error: config %s=" % option) and "Traceback" not in err
+        assert os.listdir(tmp_path) == ["run.cfg"]
 
     def test_out_of_range_config_value_is_refused_by_its_spec(self, tmp_path, capsys):
         # the value parses as an integer; SynthSpec owns the range

@@ -396,18 +396,15 @@ class TestConfigValidation:
             ExperimentConfig(**{field: (0.1, value)})
 
 
-def test_fold_seed_is_stable():
-    assert _fold_seed(3, 1) == _fold_seed(3, 1)
-    assert _fold_seed(3, 1) != _fold_seed(1, 3)
-    assert 0 <= _fold_seed(3, 1) < 2 ** 63
+@pytest.mark.parametrize("integer", [int, np.int32, np.int64, np.uint64],
+                         ids=lambda integer: integer.__name__)
+def test_fold_seed_is_stable(integer):
+    # a numpy integer seed gets the fold seeds of its Python int
+    assert _fold_seed(integer(3), integer(1)) == _fold_seed(3, 1)
+    assert _fold_seed(integer(3), 1) != _fold_seed(1, 3)
+    assert 0 <= _fold_seed(integer(3), 1) < 2 ** 63
     # a changed digest changes every noisy fold, those of tests/data/readme_flow.json too
-    assert _fold_seed(5, 0) == 6565834749732072557
-
-
-@pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint64])
-def test_fold_seed_of_a_numpy_integer_is_that_of_its_python_int(dtype):
-    assert _fold_seed(dtype(5), dtype(0)) == _fold_seed(5, 0)
-    assert _fold_seed(dtype(3), 1) == _fold_seed(3, 1)
+    assert _fold_seed(integer(5), integer(0)) == 6565834749732072557
 
 
 @pytest.mark.parametrize("routine", [
