@@ -16,7 +16,8 @@ A ``#`` header that ``predict`` or ``eval`` reads must name the model's
 features, or the label file's labels, in order; otherwise they exit 3.
 
 Exit codes: 0 success, 2 usage error, 3 data or config error (a bad
-config value included), 4 numerical failure.
+config value included), which is a ValueError or an OSError, 4
+numerical failure (NumericalError).
 """
 
 import argparse
@@ -28,7 +29,6 @@ from collections import Counter
 import numpy as np
 
 from .dataset import (
-    DataFormatError,
     load_dataset,
     load_labels,
     load_matrix,
@@ -44,7 +44,7 @@ from .experiments import (
 )
 from .metrics import METRICS, evaluate
 from .optimizer import TrainConfig, train
-from .predictor import ModelFormatError, load_model, predict, save_model, score
+from .predictor import load_model, predict, save_model, score
 from .rules import export_rules
 from .sylvester import NumericalError
 from .synthgen import SYNTH_KINDS, NoiseSpec, SynthSpec, gen_synthetic, inject_label_noise
@@ -154,8 +154,8 @@ def cmd_train(args):
 def _check_header(what, names, expected, owner):
     """Refuse a CSV header that names other columns, or the same in another order."""
     if names is not None and names != expected:
-        raise DataFormatError("%s header %s does not match %s %s"
-                              % (what, ",".join(names), owner, ",".join(expected)))
+        raise ValueError("%s header %s does not match %s %s"
+                         % (what, ",".join(names), owner, ",".join(expected)))
 
 
 def cmd_predict(args):
@@ -163,8 +163,8 @@ def cmd_predict(args):
     features, names = load_matrix(args.features)
     _check_header("feature", names, model.feature_names, "the model's features")
     if features.shape[0] != len(model.feature_names):
-        raise DataFormatError("feature file has %d cells per row but the model has %d features"
-                              % (features.shape[0], len(model.feature_names)))
+        raise ValueError("feature file has %d cells per row but the model has %d features"
+                         % (features.shape[0], len(model.feature_names)))
     if args.binary:
         output = predict(model, features)
         save_matrix(_out_path(args, args.out), output, model.label_names, "%d")
@@ -180,7 +180,7 @@ def cmd_eval(args):
     if label_names is not None:
         _check_header("score", score_names, label_names, "the label header")
     if scores.shape != labels.shape:
-        raise DataFormatError(
+        raise ValueError(
             "scores have %d rows of %d cells but labels have %d rows of %d cells"
             % (scores.shape[::-1] + labels.shape[::-1])
         )
@@ -365,11 +365,11 @@ def _parse_config_file(path):
                 if not line or line.startswith("#"):
                     continue
                 if "=" not in line:
-                    raise DataFormatError("config line without '=': %r" % line)
+                    raise ValueError("config line without '=': %r" % line)
                 key, _, value = line.partition("=")
                 values[key.strip().replace("-", "_")] = value.strip()
     except OSError as exc:
-        raise DataFormatError("cannot read config file: %s" % exc) from exc
+        raise ValueError("cannot read config file: %s" % exc) from exc
     return values
 
 
@@ -394,7 +394,7 @@ def _apply_file_defaults(parser, values):
                 else:
                     action.default = raw
             except ValueError as exc:
-                raise DataFormatError("config %s=%s: %s" % (option, raw, exc)) from None
+                raise ValueError("config %s=%s: %s" % (option, raw, exc)) from None
 
 
 def main(argv=None) -> int:
@@ -405,14 +405,10 @@ def main(argv=None) -> int:
             _apply_file_defaults(args.command_parser, _parse_config_file(args.config))
             args = parser.parse_args(argv)
         args.func(args)
-    except (DataFormatError, ModelFormatError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
     except NumericalError as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)
         return 4
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -3,6 +3,7 @@
 Matrices are stored column-per-sample: features are D x N, labels are
 L x N with entries in {0, 1}. CSV files on disk are sample-major (one
 sample per row) with an optional leading ``#`` header naming the columns.
+An input file or matrix that violates this contract raises ValueError.
 """
 
 import math
@@ -10,7 +11,6 @@ import math
 import numpy as np
 
 __all__ = [
-    "DataFormatError",
     "Dataset",
     "NormStats",
     "load_dataset",
@@ -26,10 +26,6 @@ __all__ = [
 
 # 17 significant digits round-trip float64 exactly
 FLOAT_FMT = "%.17g"
-
-
-class DataFormatError(ValueError):
-    """Raised when an input file or matrix violates the data contract."""
 
 
 def _is_int(value) -> bool:
@@ -64,14 +60,14 @@ def _check_names(names, count, kind) -> tuple:
     """
     names = tuple(str(s) for s in names)
     if len(names) != count:
-        raise DataFormatError("%s name count does not match %s rows" % (kind, kind))
+        raise ValueError("%s name count does not match %s rows" % (kind, kind))
     for name in names:
         if "," in name or "".join(name.splitlines()) != name:
-            raise DataFormatError("%s name %r contains a comma or a line break"
-                                  % (kind, name))
+            raise ValueError("%s name %r contains a comma or a line break"
+                             % (kind, name))
         if not name or name.strip() != name:
-            raise DataFormatError("%s name %r is empty or has leading or trailing "
-                                  "whitespace" % (kind, name))
+            raise ValueError("%s name %r is empty or has leading or trailing "
+                             "whitespace" % (kind, name))
     return names
 
 
@@ -92,18 +88,18 @@ class Dataset:
         features = np.array(features, dtype=np.float64)
         labels = np.array(labels, dtype=np.float64)
         if features.ndim != 2 or labels.ndim != 2:
-            raise DataFormatError("features and labels must be 2-D matrices")
+            raise ValueError("features and labels must be 2-D matrices")
         if features.shape[0] < 1 or labels.shape[0] < 1 or features.shape[1] < 1:
-            raise DataFormatError("empty dataset")
+            raise ValueError("empty dataset")
         if features.shape[1] != labels.shape[1]:
-            raise DataFormatError(
+            raise ValueError(
                 "sample count mismatch: features have %d samples, labels have %d"
                 % (features.shape[1], labels.shape[1])
             )
         if not np.all(np.isfinite(features)):
-            raise DataFormatError("non-numeric feature cell")
+            raise ValueError("non-numeric feature cell")
         if not np.all((labels == 0.0) | (labels == 1.0)):
-            raise DataFormatError("non-binary label")
+            raise ValueError("non-binary label")
         if feature_names is None:
             feature_names = tuple("f%d" % (d + 1) for d in range(features.shape[0]))
         if label_names is None:
@@ -165,7 +161,7 @@ def load_matrix(path, kind="feature"):
     Blank lines are skipped. A non-numeric or non-finite cell, a row whose
     width differs from the first row's, a header that names another number
     of columns than the rows hold, or a file without rows raises
-    :class:`DataFormatError` naming the path and the line; ``kind`` names
+    :class:`ValueError` naming the path and the line; ``kind`` names
     the cells in those messages.
     """
     with open(path, "r", encoding="utf-8-sig") as fh:
@@ -185,15 +181,15 @@ def load_matrix(path, kind="feature"):
         except ValueError:
             row = None
         if row is None or not all(map(math.isfinite, row)):
-            raise DataFormatError("non-numeric %s cell at %s line %d" % (kind, path, lineno))
+            raise ValueError("non-numeric %s cell at %s line %d" % (kind, path, lineno))
         if rows and len(row) != len(rows[0]):
-            raise DataFormatError("ragged %s row at %s line %d" % (kind, path, lineno))
+            raise ValueError("ragged %s row at %s line %d" % (kind, path, lineno))
         rows.append(row)
     if not rows:
-        raise DataFormatError("empty file: %s" % path)
+        raise ValueError("empty file: %s" % path)
     if names is not None and len(names) != len(rows[0]):
-        raise DataFormatError("%s header names %d columns but rows have %d cells at %s line 1"
-                              % (kind, len(names), len(rows[0]), path))
+        raise ValueError("%s header names %d columns but rows have %d cells at %s line 1"
+                         % (kind, len(names), len(rows[0]), path))
     return np.array(rows, dtype=np.float64).T, names
 
 
@@ -214,8 +210,8 @@ def load_labels(labels_path):
     bad = np.argwhere(~((labels == 0.0) | (labels == 1.0)).T)
     if len(bad):
         sample, label = bad[0]
-        raise DataFormatError("non-binary label %r at %s sample %d"
-                              % (float(labels[label, sample]), labels_path, sample + 1))
+        raise ValueError("non-binary label %r at %s sample %d"
+                         % (float(labels[label, sample]), labels_path, sample + 1))
     return labels, names
 
 
@@ -258,7 +254,7 @@ def apply_norm(features, stats: NormStats) -> np.ndarray:
     if scaled.ndim != 2 or scaled.shape[0] != stats.minimum.shape[0]:
         raise ValueError("features must be a %d x N matrix" % stats.minimum.shape[0])
     if not np.all(np.isfinite(scaled)):
-        raise DataFormatError("non-numeric feature cell")
+        raise ValueError("non-numeric feature cell")
     span = stats.maximum - stats.minimum
     varies = span > 0.0
     scaled -= stats.minimum[:, None]

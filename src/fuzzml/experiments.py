@@ -136,9 +136,13 @@ class GridCellResult:
 
 @dataclass(frozen=True)
 class GridResult:
-    best: TrainConfig
     cells: tuple
     final: RunReport
+
+    @property
+    def best(self) -> TrainConfig:
+        """The winning cell's config, which its final report ran."""
+        return self.final.config
 
 
 def _fold_seed(seed, fold) -> int:
@@ -308,7 +312,7 @@ def run_grid(data: Dataset, config: ExperimentConfig) -> GridResult:
         key=lambda pair: (-pair[0].mean_ap, pair[0].alpha, pair[0].beta, pair[0].gamma,
                           pair[0].n_rules),
     )
-    return GridResult(best=final.config, cells=tuple(c for c, _ in evaluated), final=final)
+    return GridResult(cells=tuple(c for c, _ in evaluated), final=final)
 
 
 def run_noise_curve(data: Dataset, config: ExperimentConfig, ratios) -> tuple:

@@ -8,9 +8,10 @@ K(D+1) x N fuzzy feature matrix. The binary output thresholds the scores
 at the model's tau (inclusive).
 
 Models are saved as versioned line-oriented text with named sections and
-a content checksum, so files are diffable and corruption is detected.
-Each count is stored once: L and D are the lengths of the name lists and
-K is the config's ``n_rules``.
+a content checksum, so files are diffable and corruption is detected; a
+file that cannot be parsed or verified raises ValueError. Each count is
+stored once: L and D are the lengths of the name lists and K is the
+config's ``n_rules``.
 """
 
 import dataclasses
@@ -21,7 +22,7 @@ from .dataset import FLOAT_FMT, NormStats, apply_norm
 from .optimizer import ModelParams, TrainConfig
 from .rules import RuleBase, _strength_columns
 
-__all__ = ["ModelFormatError", "score", "predict", "save_model", "load_model"]
+__all__ = ["score", "predict", "save_model", "load_model"]
 
 _MAGIC = "fuzzml-model"
 _VERSION = "v1"
@@ -32,10 +33,6 @@ _RETIRED_KEYS = frozenset(
     ("labels", "features", "rules", "width_floor", "epsilon_row", "ridge_y", "seed"))
 _META_KEYS = frozenset(["feature_names", "label_names"]
                        + [field.name for field in dataclasses.fields(TrainConfig)])
-
-
-class ModelFormatError(ValueError):
-    """Raised when a model file cannot be parsed or verified."""
 
 
 def score(model: ModelParams, features) -> np.ndarray:
@@ -118,14 +115,14 @@ def _sections(lines) -> dict:
             names.append(line[1:-1])
             bodies.append([])
         elif not bodies:
-            raise ModelFormatError("malformed model file: expected [meta]")
+            raise ValueError("malformed model file: expected [meta]")
         else:
             key, eq, _ = line.partition("=")
             if not (eq and key in _RETIRED_KEYS):
                 bodies[-1].append(line)
     if tuple(names) != _SECTIONS:
-        raise ModelFormatError("malformed model file: sections %s, expected %s"
-                               % (",".join(names), ",".join(_SECTIONS)))
+        raise ValueError("malformed model file: sections %s, expected %s"
+                         % (",".join(names), ",".join(_SECTIONS)))
     return dict(zip(names, bodies))
 
 
@@ -134,30 +131,30 @@ def _meta(rows) -> dict:
     meta = {}
     for key, _, value in (row.partition("=") for row in rows):
         if key not in _META_KEYS or key in meta:
-            raise ModelFormatError("malformed model file: %s [meta] key %r"
-                                   % ("repeated" if key in meta else "unknown", key))
+            raise ValueError("malformed model file: %s [meta] key %r"
+                             % ("repeated" if key in meta else "unknown", key))
         meta[key] = value
     missing = sorted(_META_KEYS - meta.keys())
     if missing:
-        raise ModelFormatError("malformed model file: missing [meta] keys %s"
-                               % ",".join(missing))
+        raise ValueError("malformed model file: missing [meta] keys %s"
+                         % ",".join(missing))
     return meta
 
 
 def _matrix(rows, n_rows, width, what) -> np.ndarray:
     """Parse the rows of a section as an n_rows x width float matrix."""
     if len(rows) != n_rows:
-        raise ModelFormatError("malformed model file: %d %s rows, expected %d"
-                               % (len(rows), what, n_rows))
+        raise ValueError("malformed model file: %d %s rows, expected %d"
+                         % (len(rows), what, n_rows))
     matrix = np.empty((n_rows, width))
     for i, row in enumerate(rows):
         cells = row.split(",")
         if len(cells) != width:
-            raise ModelFormatError("malformed model file: bad %s row" % what)
+            raise ValueError("malformed model file: bad %s row" % what)
         try:
             matrix[i] = [float(c) for c in cells]
         except ValueError:
-            raise ModelFormatError("malformed model file: bad %s value" % what) from None
+            raise ValueError("malformed model file: bad %s value" % what) from None
     return matrix
 
 
@@ -167,16 +164,16 @@ def load_model(path) -> ModelParams:
         content = fh.read()
     lines = content.splitlines()
     if not lines or not lines[0].startswith(_MAGIC):
-        raise ModelFormatError("malformed model file: missing header")
+        raise ValueError("malformed model file: missing header")
     if lines[0] != "%s %s" % (_MAGIC, _VERSION):
-        raise ModelFormatError("unsupported version: %r" % lines[0])
+        raise ValueError("unsupported version: %r" % lines[0])
     if len(lines) < 2 or not lines[1].startswith("checksum="):
-        raise ModelFormatError("malformed model file: missing checksum")
+        raise ValueError("malformed model file: missing checksum")
     stated = lines[1][len("checksum="):]
     header_len = len(lines[0]) + 1 + len(lines[1]) + 1
     payload = content[header_len:]
     if _checksum(payload) != stated:
-        raise ModelFormatError("checksum failure")
+        raise ValueError("checksum failure")
 
     sections = _sections(lines[2:])
     meta = _meta(sections["meta"])
@@ -186,7 +183,7 @@ def load_model(path) -> ModelParams:
         cfg = TrainConfig(**{field.name: _config_value(field, meta[field.name])
                              for field in dataclasses.fields(TrainConfig)})
     except ValueError as exc:
-        raise ModelFormatError("malformed model file: %s" % exc) from None
+        raise ValueError("malformed model file: %s" % exc) from None
     n_labels, d, k = len(label_names), len(feature_names), cfg.n_rules
     norm = _matrix(sections["norm"], 2, d, "norm")
     rulebase = _matrix(sections["rulebase"], 2 * k, d, "rulebase")
@@ -203,4 +200,4 @@ def load_model(path) -> ModelParams:
             config=cfg,
         )
     except ValueError as exc:
-        raise ModelFormatError("malformed model file: %s" % exc) from None
+        raise ValueError("malformed model file: %s" % exc) from None

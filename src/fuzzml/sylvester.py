@@ -33,10 +33,7 @@ import math
 
 import numpy as np
 
-__all__ = [
-    "NumericalError",
-    "RESIDUAL_RTOL",
-]
+__all__ = ["NumericalError"]
 
 RESIDUAL_RTOL = 1e-8
 # Largest |M - M'| accepted as symmetric, relative to max |M|.

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from fuzzml.dataset import (
-    DataFormatError,
     Dataset,
     NormStats,
     apply_norm,
@@ -41,7 +40,7 @@ class TestLoadDataset:
         fy = tmp_path / "Y.csv"
         fx.write_text("1.0\n2.0\n")
         fy.write_text("1\n2\n")
-        with pytest.raises(DataFormatError, match="non-binary label"):
+        with pytest.raises(ValueError, match="non-binary label"):
             load_dataset(fx, fy)
 
     def test_sample_count_mismatch(self, tmp_path):
@@ -49,7 +48,7 @@ class TestLoadDataset:
         fy = tmp_path / "Y.csv"
         fx.write_text("1.0\n2.0\n3.0\n")
         fy.write_text("1\n0\n")
-        with pytest.raises(DataFormatError, match="sample count mismatch: features have 3 "
+        with pytest.raises(ValueError, match="sample count mismatch: features have 3 "
                                                   "samples, labels have 2$"):
             load_dataset(fx, fy)
 
@@ -58,7 +57,7 @@ class TestLoadDataset:
         fy = tmp_path / "Y.csv"
         fx.write_text("1.0,oops\n")
         fy.write_text("1\n")
-        with pytest.raises(DataFormatError, match="non-numeric feature cell"):
+        with pytest.raises(ValueError, match="non-numeric feature cell"):
             load_dataset(fx, fy)
 
     @pytest.mark.parametrize("cell", ["abc", "nan", "inf", "-inf"])
@@ -69,7 +68,7 @@ class TestLoadDataset:
         fx.write_text("# a,b\n1.0,2.0\n%s,4.0\n" % (cell if kind == "feature" else "3.0"))
         fy.write_text("# y\n1\n%s\n" % (cell if kind == "label" else "0"))
         path = fx if kind == "feature" else fy
-        with pytest.raises(DataFormatError,
+        with pytest.raises(ValueError,
                            match=re.escape("non-numeric %s cell at %s line 3" % (kind, path))):
             load_dataset(fx, fy)
 
@@ -78,7 +77,7 @@ class TestLoadDataset:
         fy = tmp_path / "Y.csv"
         fx.write_text("")
         fy.write_text("1\n")
-        with pytest.raises(DataFormatError, match="empty file"):
+        with pytest.raises(ValueError, match="empty file"):
             load_dataset(fx, fy)
 
     @pytest.mark.parametrize("header,n_names", [("# a,b", 2), ("# a,b,c,d", 4)])
@@ -88,7 +87,7 @@ class TestLoadDataset:
         path.write_text("%s\n1.0,2.0,3.0\n4.0,5.0,6.0\n" % header)
         message = ("feature header names %d columns but rows have 3 cells at %s line 1"
                    % (n_names, path))
-        with pytest.raises(DataFormatError, match="^%s$" % re.escape(message)):
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
             load_matrix(path)
 
     @pytest.mark.parametrize("kind", ["feature", "label"])
@@ -101,7 +100,7 @@ class TestLoadDataset:
         path, n_names, width = (fx, 2, 3) if kind == "feature" else (fy, 1, 2)
         message = ("%s header names %d columns but rows have %d cells at %s line 1"
                    % (kind, n_names, width, path))
-        with pytest.raises(DataFormatError, match="^%s$" % re.escape(message)):
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
             load_dataset(fx, fy)
 
     def test_header_names(self, tmp_path):
@@ -129,9 +128,9 @@ class TestLoadDataset:
 class TestNames:
     @pytest.mark.parametrize("bad", ["a,b", "a\nb", "a\r", "a\u2028b"])
     def test_name_that_no_file_can_hold_is_rejected(self, bad):
-        with pytest.raises(DataFormatError, match="feature name .* comma or a line break"):
+        with pytest.raises(ValueError, match="feature name .* comma or a line break"):
             Dataset([[0.0, 1.0], [1.0, 0.0]], [[1.0, 0.0]], feature_names=[bad, "c"])
-        with pytest.raises(DataFormatError, match="label name .* comma or a line break"):
+        with pytest.raises(ValueError, match="label name .* comma or a line break"):
             Dataset([[0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]], label_names=["y", bad])
 
     def test_other_names_are_kept(self):
@@ -143,9 +142,9 @@ class TestNames:
     @pytest.mark.parametrize("bad", ["", " a", "b ", "\tc", " "])
     def test_name_that_a_csv_header_cannot_keep_is_rejected(self, bad):
         match = "name .* is empty or has leading or trailing whitespace"
-        with pytest.raises(DataFormatError, match="feature " + match):
+        with pytest.raises(ValueError, match="feature " + match):
             Dataset([[0.0, 1.0], [1.0, 0.0]], [[1.0, 0.0]], feature_names=[bad, "c"])
-        with pytest.raises(DataFormatError, match="label " + match):
+        with pytest.raises(ValueError, match="label " + match):
             Dataset([[0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]], label_names=["y", bad])
 
     def test_names_round_trip_exactly_through_csv(self, tmp_path):
@@ -215,7 +214,7 @@ class TestNormalization:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_test_feature_is_rejected(self, bad):
-        with pytest.raises(DataFormatError, match="non-numeric feature cell"):
+        with pytest.raises(ValueError, match="non-numeric feature cell"):
             apply_norm(np.array([[0.5, bad]]), NormStats([0.0], [1.0]))
 
     @pytest.mark.parametrize("minimum,maximum,message", [
@@ -340,11 +339,11 @@ class TestRealSettingsRefuseBoolsAndStrings:
 
 class TestDatasetInvariants:
     def test_rejects_non_binary_labels(self):
-        with pytest.raises(DataFormatError, match="non-binary"):
+        with pytest.raises(ValueError, match="non-binary"):
             Dataset([[1.0]], [[0.5]])
 
     def test_rejects_mismatched_counts(self):
-        with pytest.raises(DataFormatError, match="mismatch"):
+        with pytest.raises(ValueError, match="mismatch"):
             Dataset([[1.0, 2.0]], [[1.0]])
 
     @pytest.mark.parametrize("features,labels,message", [
@@ -354,7 +353,7 @@ class TestDatasetInvariants:
         ([[math.nan]], [[1.0]], "non-numeric feature cell"),
     ], ids=["1d_features", "no_samples", "no_labels", "nan_feature"])
     def test_rejects_malformed_matrices(self, features, labels, message):
-        with pytest.raises(DataFormatError, match=message):
+        with pytest.raises(ValueError, match=message):
             Dataset(features, labels)
 
     def test_immutable(self):

@@ -165,6 +165,7 @@ class TestRunGrid:
         result = run_grid(data, config)
         assert len(calls) == 4 * 3  # one train per cell and fold
         assert result.final.config == result.best
+        assert result.best is result.final.config
         assert len(result.final.results) == 3
         winner = [c for c in result.cells
                   if (c.alpha, c.n_rules) == (result.best.alpha, result.best.n_rules)]
