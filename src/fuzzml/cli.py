@@ -17,7 +17,7 @@ features, or the label file's labels, in order; otherwise they exit 3.
 
 Exit codes: 0 success, 2 usage error, 3 data or config error (a bad
 config value included), which is a ValueError or an OSError, 4
-numerical failure (NumericalError).
+numerical failure (NumericalError), 141 (128 + SIGPIPE) stdout closed.
 """
 
 import argparse
@@ -405,6 +405,10 @@ def main(argv=None) -> int:
             _apply_file_defaults(args.command_parser, _parse_config_file(args.config))
             args = parser.parse_args(argv)
         args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+    except BrokenPipeError:  # stdout closed: null it so the exit flush cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3

@@ -227,10 +227,6 @@ class ModelParams:
         return self.config.tau
 
 
-def _column_norms(m) -> np.ndarray:
-    return np.sqrt(np.einsum("ij,ij->j", m, m))
-
-
 class _Correlation:
     """The correlation term at one (mixing, consequents) pair and its share of both solves.
 
@@ -266,41 +262,40 @@ class _Point:
     next iteration's weights and correlation term. ``rows`` are the rule
     rows Xg diag(root_w), and C Xg is read back from them as
     (C rows) / root_w; with ``root_w`` all ones that is C Xg itself, bit
-    for bit. M Y and C Xg live only while the two residual column norms
-    are taken, so no L x N array outlives the point's construction.
+    for bit. The fit and soft-label residuals M Y - C Xg and Y - M Y share
+    one 2 x L x N array that lives only while their column norms are
+    taken, as the 2 x N ``norms``, fit row first.
     """
 
-    __slots__ = ("mixing", "consequents", "cfg", "fit_norms", "soft_norms", "correlation")
+    __slots__ = ("mixing", "consequents", "cfg", "norms", "correlation")
 
     def __init__(self, mixing, consequents, rows, root_w, labels, label_gram,
                  cfg: TrainConfig):
         self.mixing = mixing
         self.consequents = consequents
         self.cfg = cfg
-        soft_labels = mixing @ labels
-        fit_residual = consequents @ rows
+        residuals = np.empty((2,) + labels.shape)
+        fit_residual, soft_labels = residuals
+        np.matmul(mixing, labels, out=soft_labels)
+        np.matmul(consequents, rows, out=fit_residual)
         fit_residual /= root_w
         np.subtract(soft_labels, fit_residual, out=fit_residual)
-        self.fit_norms = _column_norms(fit_residual)
         np.subtract(labels, soft_labels, out=soft_labels)
-        self.soft_norms = _column_norms(soft_labels)
+        self.norms = np.sqrt(np.einsum("gij,gij->gj", residuals, residuals))
         self.correlation = _Correlation(mixing, consequents, label_gram, cfg)
 
-    def weights(self):
+    def weights(self) -> np.ndarray:
         """The L2,1 weights 1 / (2 max(column norm, EPSILON_ROW)), one per sample.
 
-        Returns ``(fit, soft)``: ``fit`` weights the fit residual
-        M Y - C Xg in both subproblems, ``soft`` the soft-label residual
-        Y - M Y.
+        One 2 x N array, rows ``(fit, soft)``: ``fit`` weights the fit
+        residual M Y - C Xg in both subproblems, ``soft`` Y - M Y.
         """
-        return (1.0 / (2.0 * np.maximum(self.fit_norms, EPSILON_ROW)),
-                1.0 / (2.0 * np.maximum(self.soft_norms, EPSILON_ROW)))
+        return 1.0 / (2.0 * np.maximum(self.norms, EPSILON_ROW))
 
     def losses(self) -> dict:
         """The loss fields of an :class:`IterationRecord`, by name."""
         cfg = self.cfg
-        fit = float(self.fit_norms.sum())
-        soft = float(self.soft_norms.sum())
+        fit, soft = self.norms.sum(axis=1).tolist()
         ridge = cfg.alpha * float((self.consequents * self.consequents).sum())
         corr = self.correlation.loss
         return dict(fit=fit, ridge=ridge, soft=cfg.beta * soft, corr=corr,
@@ -311,6 +306,7 @@ class _Point:
 class _Grams:
     """The weighted Grams over the N samples that both solves read.
 
+    ``weights`` holds the rows (w_fit, w_soft) of :meth:`_Point.weights`.
     With W = diag(w_fit): ``terms`` is Xg W Xg', ``cross`` is Y W Xg' and
     ``fit`` is Y W Y', the blocks of one symmetric product R R' with
     R = [Xg; Y] W^1/2; ``soft`` is Y diag(w_soft) Y'. ``stacked`` is a
@@ -325,18 +321,17 @@ class _Grams:
     __slots__ = ("terms", "cross", "fit", "soft")
 
     def __init__(self, stacked, root_w, labels, weights):
-        fit_weights, soft_weights = weights
         n_terms = stacked.shape[0] - labels.shape[0]
-        new_root = np.sqrt(fit_weights)
-        stacked[:n_terms] *= new_root / root_w
-        root_w[:] = new_root
-        np.multiply(labels, new_root, out=stacked[n_terms:])
+        fit_root, soft_root = np.sqrt(weights)
+        stacked[:n_terms] *= fit_root / root_w
+        root_w[:] = fit_root
+        np.multiply(labels, fit_root, out=stacked[n_terms:])
         gram = stacked @ stacked.T
         self.terms = gram[:n_terms, :n_terms]
         self.cross = gram[n_terms:, :n_terms]
         self.fit = gram[n_terms:, n_terms:]
         label_rows = stacked[n_terms:]  # reused for Y W_soft^1/2
-        np.multiply(labels, np.sqrt(soft_weights), out=label_rows)
+        np.multiply(labels, soft_root, out=label_rows)
         self.soft = label_rows @ label_rows.T
 
 

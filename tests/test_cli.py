@@ -16,12 +16,12 @@ from fuzzml.predictor import load_model
 _COMMANDS = {"synth", "noise", "train", "predict", "eval", "cv", "grid",
              "noise-curve", "ablate", "export-rules"}
 
-def _run_module(*args):
-    """``python -m fuzzml ARGS`` on the package these tests import."""
+def _run_module(*args, stdout=subprocess.PIPE, **env):
+    """``python -m fuzzml ARGS`` on the package these tests import, with ``env`` set."""
     path = [str(Path(fuzzml.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    return subprocess.run([sys.executable, "-m", "fuzzml", *args], env=env,
-                          capture_output=True, text=True, timeout=120)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)), **env)
+    return subprocess.run([sys.executable, "-m", "fuzzml", *args], env=env, stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, timeout=120)
 
 
 def _write_dataset(tmp_path, prefix="data", n=40, seed=0):
@@ -482,6 +482,22 @@ class TestConfigFileAndExitCodes:
         proc = _run_module("synth", "--kind", "not-a-kind",
                            "--out-prefix", "x", "--out-dir", str(tmp_path))
         assert proc.returncode == 2
+
+    # an empty PYTHONUNBUFFERED buffers stdout, so the write fails at the last flush
+    @pytest.mark.parametrize("unbuffered", ["1", ""])
+    def test_closed_stdout_exit_code(self, tmp_path, unbuffered):
+        fx, fy = _write_dataset(tmp_path)
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # before the run, so every write to stdout fails
+        try:
+            proc = _run_module("train", "--features", str(fx), "--labels", str(fy),
+                               "--max-iters", "2", "--out-dir", str(tmp_path),
+                               stdout=write_end, PYTHONUNBUFFERED=unbuffered)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141
+        assert proc.stderr == ""  # no traceback and no "error:" line
+        assert (tmp_path / "model.txt").exists()
 
     def test_entrypoint_help(self):
         proc = _run_module("--help")
