@@ -112,8 +112,6 @@ def _summary_lines(report, title):
         "%s=%d" % item for item in sorted(reasons.items())))
     iterations = [r.n_iterations for r in report.results]
     lines.append("mean_iterations: %.2f" % (sum(iterations) / len(iterations)))
-    lines.append("indefinite_steps: %d of %d iterations" % (
-        sum(r.indefinite_steps for r in report.results), sum(iterations)))
     lines.append("wall_seconds: %.2f" % report.wall_seconds)
     return lines
 

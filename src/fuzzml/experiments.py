@@ -87,13 +87,7 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class FoldResult:
-    """One trained and evaluated fold.
-
-    ``indefinite_steps`` counts the iterations in which the consequent or
-    the mixing operator had a negative smallest eigenvalue: the records of
-    the fold's trace whose ``consequent_min`` or ``mixing_min`` is below
-    zero (see :class:`~fuzzml.optimizer.IterationRecord`).
-    """
+    """One trained and evaluated fold."""
 
     seed: int
     fold: int
@@ -101,7 +95,6 @@ class FoldResult:
     stop_reason: str
     n_iterations: int
     train_seconds: float
-    indefinite_steps: int
 
 
 @dataclass(frozen=True)
@@ -204,8 +197,6 @@ def _run_fold(data: Dataset, folds: int, job: _Job) -> FoldResult:
         stop_reason=trace.stop_reason,
         n_iterations=trace.n_iterations,
         train_seconds=elapsed,
-        indefinite_steps=sum(r.consequent_min < 0 or r.mixing_min < 0
-                             for r in trace.iterations),
     )
 
 

@@ -2,18 +2,21 @@
 
 The model couples three pieces: a soft-label transform (an L x L matrix
 mixing the original labels into soft labels), a consequent matrix mapping
-fuzzy features to soft labels, and a correlation penalty tying soft-label
-similarity to consequent similarity. The training objective is
+fuzzy features to soft labels, and a correlation penalty that pulls
+together the consequent rows of labels whose soft labels co-occur. The
+training objective is
 
     ||(M Y - C Xg)^T||_{2,1} + alpha ||C||_F^2
-    + beta ||(Y - M Y)^T||_{2,1} + 2 gamma tr(Y^T M^T Lap M Y)
+    + beta ||(Y - M Y)^T||_{2,1} + 2 gamma tr(C^T Lap C)
 
 where M is the mixing transform, C the consequents, Xg the fuzzy feature
-matrix, Y the binary label matrix and Lap the correlation Laplacian built
-from C. The column-wise L2,1 terms are handled by iterative reweighting:
-each outer iteration freezes the inverse column-norm weights, which turns
-both subproblems into Sylvester equations solved exactly. Both solves read
-the same pre-update (mixing, consequents) snapshot before committing.
+matrix, Y the binary label matrix and Lap the Laplacian of the soft-label
+graph, whose weights are the clipped cosines between the rows of M Y
+(:class:`_Correlation`). Every term is nonnegative. The column-wise L2,1
+terms are handled by iterative reweighting: each outer iteration freezes
+the inverse column-norm weights and the graph, which turns both
+subproblems into Sylvester equations solved exactly. Both solves read the
+same pre-update (mixing, consequents) snapshot before committing.
 
 Every coefficient of both solves and of the loss is a small Gram matrix.
 With W and W_soft the diagonal weights of the two residuals, an
@@ -21,11 +24,10 @@ iteration makes one pass over the N samples: the symmetric product of
 R = [Xg; Y] W^1/2 gives B = Xg W Xg', K = Y W Xg' and G_fit = Y W Y' as
 its blocks, and one L x L product gives G_soft = Y W_soft Y'. The
 consequent solve reads (A, B, M K) and the mixing solve
-(2 gamma Lap, G_fit, G_soft, C K'); :class:`_Correlation` forms A,
-2 gamma Lap and the correlation term 2 gamma <Lap, S> from the label Gram
-Y Y', fixed per run, and the soft-label Gram S = M (Y Y') M'. The only
-other products over N are M Y and C Xg (read back from R, below), for
-the two residual column norms.
+(0, G_fit, G_soft, C K'); :class:`_Correlation` forms A and the
+correlation term from the label Gram Y Y', fixed per run, and the
+soft-label Gram S = M (Y Y') M'. The only other products over N are M Y
+and C Xg (read back from R, below), for the two residual column norms.
 
 Training holds one (K(D+1) + L) x N buffer for the run and one N-vector.
 The buffer's rule rows are written with Xg once, before the first point,
@@ -69,11 +71,6 @@ __all__ = [
 AUTO_MARGIN_SCALE = 1e-5
 # Column-norm floor of the L2,1 weights: an exactly fitted sample gets a finite weight.
 EPSILON_ROW = 1e-8
-# Label Gram shift of the mixing solve, times trace(Y Y') / L. Not needed for
-# well-posedness, and at gamma = 0 it cancels from the mixing up to rounding. At
-# gamma > 0 it enters the correlation term, and so moves where the oscillating
-# iteration stops, in both directions (README's "Notable behaviors" has the runs).
-LABEL_GRAM_RIDGE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -82,9 +79,8 @@ class TrainConfig:
 
     ``min_loss_margin=None`` selects the automatic margin
     ``1e-5 * |loss_1|`` fixed after the first iteration. The numerical
-    guards are constants: the L2,1 weight floor :data:`EPSILON_ROW`, the
-    label Gram shift :data:`LABEL_GRAM_RIDGE` of the mixing solve and the
-    rule width floor ``rules.DEFAULT_WIDTH_FLOOR``.
+    guards are constants: the L2,1 weight floor :data:`EPSILON_ROW` and
+    the rule width floor ``rules.DEFAULT_WIDTH_FLOOR``.
     """
 
     alpha: float = 0.1
@@ -126,9 +122,7 @@ class IterationRecord:
     column-norm sums enter squared. The square keeps the early iterations
     (whose residuals are huge under the all-ones initialization) far above
     the converged plateau, so the relative stopping margin separates the
-    two regimes cleanly. The declared objective itself can dip below zero
-    through the indefinite correlation term long before the iterates
-    settle, which would end training at an arbitrary point.
+    two regimes cleanly.
 
     The four ``*_s`` fields are wall seconds per phase. ``weights_s``
     computes the reweighting diagonals. ``consequent_s`` holds the
@@ -137,17 +131,16 @@ class IterationRecord:
     and the consequent solve; ``mixing_s`` is the mixing solve, which
     reads only L x L and L x K(D+1) matrices. ``point_s`` reads C Xg back
     from R and evaluates the residual column norms, the correlation term
-    with the next iteration's A and 2 gamma Lap (:class:`_Correlation`)
-    and the losses at the committed pair.
+    with the next iteration's A (:class:`_Correlation`) and the losses at
+    the committed pair.
 
     ``consequent_min`` and ``mixing_min`` are the smallest eigenvalue
     lambda_min(A) + sigma_min(B) of each solve's Sylvester operator
-    W -> A W + W B. The operator is positive definite exactly when this
-    value is positive; then the solve returns the subproblem's minimizer,
-    otherwise a stationary point that is not one. The mixing value is that
-    of the operator on the range of Y, which is what the mixing solve
-    diagonalizes (see :class:`_MixingSystem`). With gamma = 0 the
-    consequent value is at least alpha.
+    W -> A W + W B; the solve returns the subproblem's minimizer when it is
+    positive. The consequent value is at least alpha, since the
+    correlation Laplacian is positive semidefinite. The mixing value is
+    that of the operator on the range of Y, which is what the mixing solve
+    diagonalizes (see :class:`_MixingSystem`).
     """
 
     fit: float
@@ -228,30 +221,32 @@ class ModelParams:
 
 
 class _Correlation:
-    """The correlation term at one (mixing, consequents) pair and its share of both solves.
+    """The correlation term at one (mixing, consequents) pair and the consequent solve's A.
 
-    With S = M (Y Y') M', s its diagonal and Lap = diag(C C' 1) - C C':
-    ``loss`` is 2 gamma tr(Y'M' Lap M Y) = 2 gamma <Lap, S>, and the
-    symmetric left coefficients of the two solves are ``consequent_left``,
-    A = alpha I + gamma (s 1' + 1 s') - 2 gamma S, and ``mixing_left``,
-    2 gamma Lap. Lap's rows sum to zero, and it is indefinite when
-    consequent rows have negative inner products.
+    The soft-label graph weights labels i != j by the clipped cosine
+    a_ij = max(0, S_ij / sqrt(S_ii S_jj)) of their rows of the soft labels
+    M Y, with S = M (Y Y') M', and by 0 where S_ii S_jj = 0 (Belkin and
+    Niyogi, Neural Computation 2003). With Lap = diag(a 1) - a, ``loss``
+    is gamma sum_{i != j} a_ij ||c_i - c_j||^2 = 2 gamma tr(C' Lap C), and
+    ``consequent_left`` is A = alpha I + 2 gamma Lap. Lap is positive
+    semidefinite, so A's spectrum lies in [alpha, alpha + 4 gamma (L - 1)].
+    Training holds the weights fixed through the next solves, as it holds
+    the L2,1 weights (Nie et al., NeurIPS 2010); the mixing solve does not
+    read the term.
     """
 
-    __slots__ = ("loss", "consequent_left", "mixing_left")
+    __slots__ = ("loss", "consequent_left")
 
     def __init__(self, mixing, consequents, label_gram, cfg: TrainConfig):
         soft_gram = mixing @ label_gram @ mixing.T
-        similarity = consequents @ consequents.T
-        laplacian = np.diag(similarity.sum(axis=1)) - similarity
-        self.loss = 2.0 * cfg.gamma * float(np.vdot(laplacian, soft_gram))
         diag = np.diag(soft_gram)
-        self.consequent_left = (
-            cfg.alpha * np.eye(soft_gram.shape[0])
-            + cfg.gamma * (diag[:, None] + diag[None, :])
-            - 2.0 * cfg.gamma * soft_gram
-        )
-        self.mixing_left = 2.0 * cfg.gamma * laplacian
+        scale = np.sqrt(np.outer(diag, diag))
+        weights = np.divide(soft_gram, scale, out=np.zeros_like(soft_gram), where=scale > 0.0)
+        np.maximum(weights, 0.0, out=weights)
+        np.fill_diagonal(weights, 0.0)
+        laplacian = np.diag(weights.sum(axis=1)) - weights
+        self.loss = 2.0 * cfg.gamma * float(np.vdot(consequents, laplacian @ consequents))
+        self.consequent_left = cfg.alpha * np.eye(len(diag)) + 2.0 * cfg.gamma * laplacian
 
 
 class _Point:
@@ -341,9 +336,9 @@ def _solve_consequents(point: _Point, grams: _Grams):
     Both coefficients are symmetric: A is the point's
     ``correlation.consequent_left`` and B = Xg W Xg'. The right-hand side
     Z = (M Y) W Xg' is M K. Returns the consequents and
-    lambda_min(A) + sigma_min(B). The consequents are a stationary point
-    of the subproblem with frozen weights, its minimizer when the operator
-    is positive definite; the correlation term can make it indefinite.
+    lambda_min(A) + sigma_min(B), which is at least alpha: the consequents
+    minimize the subproblem with frozen weights and graph whenever
+    alpha > 0.
     """
     return _solve_sylvester(point.correlation.consequent_left, grams.terms,
                             point.mixing @ grams.cross)
@@ -352,45 +347,40 @@ def _solve_consequents(point: _Point, grams: _Grams):
 class _MixingSystem:
     """The label-side terms of the mixing subproblem, fixed during training.
 
-    With G = Y Y' + r I the ridged label Gram, r = LABEL_GRAM_RIDGE
-    trace(Y Y') / L (stored as ``ridge``; 1 replaces a zero trace),
-    stationarity reads 2 gamma Lap M G + M B_raw = Z_raw, with
-    B_raw = G_fit + beta G_soft and Z_raw = C K' + beta G_soft (see
-    :class:`_Grams`; C is the pre-update consequents, and 2 gamma Lap is
-    the point's ``correlation.mixing_left``). Both end in Y' on
-    the right, so a direction w with Y' w = 0 (a label that never occurs,
-    duplicated or dependent label rows) has B_raw w = 0 and Z_raw w = 0:
-    M w = 0 satisfies the equation there and is its minimum-norm choice.
-    On the range of Y, with Y Y' = Q diag(e) Q', the columns of Q whose
-    eigenvalue exceeds the Hermitian rank tolerance L eps max(e) (as in
-    ``np.linalg.matrix_rank``) and H = Q_range diag(e_range + r)^-1/2, the
-    substitution M = N H' makes both coefficients symmetric,
-    2 gamma Lap N + N (H' B_raw H) = Z_raw H, for the eigen solver. The
+    With B_raw = G_fit + beta G_soft and Z_raw = C K' + beta G_soft (see
+    :class:`_Grams`; C is the pre-update consequents), stationarity reads
+    M B_raw = Z_raw: with its graph frozen, the correlation term does not
+    depend on M. Both end in Y' on the right, so a direction w with
+    Y' w = 0 (a label that never occurs, duplicated or dependent label
+    rows) has B_raw w = 0 and Z_raw w = 0: M w = 0 satisfies the equation
+    there and is its minimum-norm choice. On the range of Y, with
+    Y Y' = Q diag(e) Q', the columns of Q whose eigenvalue exceeds the
+    Hermitian rank tolerance L eps max(e) (as in ``np.linalg.matrix_rank``)
+    and H = Q_range diag(e_range)^-1/2, the substitution M = N H' gives the
+    symmetric equation 0 N + N (H' B_raw H) = Z_raw H, which the eigen
+    solver takes with the zero L x L left coefficient ``zero_left``. The
     label Gram Y Y' and H come from one eigendecomposition per training
     run; a solve reads only L x L and L x K(D+1) matrices.
 
-    The unreduced operator is singular whenever Y is row-rank deficient:
-    the Laplacian annihilates the all-ones vector while the right
-    coefficient loses rank. The system stays consistent, and M = N H' is
-    its minimum-norm solution at every label count. Being zero on the
-    null space of Y', it gives duplicated labels identical columns. Like
-    the consequents, M is a stationary point of the subproblem, its
-    minimizer when the reduced operator is positive definite.
+    The unreduced equation is singular whenever Y is row-rank deficient,
+    as B_raw then loses rank. It stays consistent, and M = N H' is its
+    minimum-norm solution at every label count. Being zero on the null
+    space of Y', it gives duplicated labels identical columns. H' B_raw H
+    is positive definite, so M minimizes the subproblem.
     """
 
     def __init__(self, labels, cfg: TrainConfig):
         self.cfg = cfg
         self.label_gram = labels @ labels.T
         n_labels = labels.shape[0]
-        trace = float((labels * labels).sum())
-        self.ridge = LABEL_GRAM_RIDGE * (trace / n_labels if trace > 0.0 else 1.0)
         values, vectors = np.linalg.eigh(self.label_gram)
         keep = values > n_labels * np.finfo(np.float64).eps * values[-1]
-        self.range_half = vectors[:, keep] / np.sqrt(values[keep] + self.ridge)[None, :]
+        self.range_half = vectors[:, keep] / np.sqrt(values[keep])[None, :]
         self.upper = np.triu(np.ones((keep.sum(),) * 2, dtype=bool), 1)
+        self.zero_left = np.zeros((n_labels, n_labels))
 
     def solve(self, point: _Point, grams: _Grams):
-        """The mixing transform and lambda_min + sigma_min of the reduced operator.
+        """The mixing transform and sigma_min of the reduced right coefficient.
 
         The reduced right coefficient H' B_raw H gets its upper triangle from
         its lower one, which is the triangle the eigen solver reads. The
@@ -402,8 +392,7 @@ class _MixingSystem:
         right = half.T @ (grams.fit + soft) @ half
         np.copyto(right, right.T, where=self.upper)
         reduced, lowest = _solve_sylvester(
-            point.correlation.mixing_left, right,
-            (point.consequents @ grams.cross.T + soft) @ half)
+            self.zero_left, right, (point.consequents @ grams.cross.T + soft) @ half)
         return reduced @ half.T, lowest
 
 
@@ -411,9 +400,9 @@ def train(data: Dataset, cfg: TrainConfig = TrainConfig()):
     """Fit a model on the dataset with the alternating scheme.
 
     Per iteration, both subproblem solves read the same pre-update pair:
-    the consequent solve freezes its weights at (mixing, consequents) and
-    the mixing solve freezes its weights and Laplacian at the same pair,
-    including the old consequents in its right-hand side. Both results are
+    the consequent solve freezes its weights and the soft-label graph at
+    (mixing, consequents), and the mixing solve freezes its weights at the
+    same pair, including the old consequents in its right-hand side. Both results are
     then committed together. Training stops when the change in the
     bookkeeping loss (see :class:`IterationRecord`) drops to the margin,
     that loss becomes nonpositive, or the iteration budget runs out.

@@ -17,16 +17,7 @@ at most RESIDUAL_RTOL or raises one whose message begins "singular
 problem" and reports the smallest gap |lambda_i + sigma_j| between the
 spectra of A and -B. A non-finite input, a failed eigendecomposition and
 a coefficient A or B that is not symmetric each raise one too, with a
-message that names the cause.
-
-When A has an eigenvalue far larger in magnitude than the gaps (the
-mixing subproblem's Laplacian can reach -3e7 next to gaps of 0.08), the
-rounding of W alone, amplified by A, can exceed RESIDUAL_RTOL although W
-is accurate to working precision. A W that misses the tolerance on the
-first try therefore gets one refinement step with the same
-eigenvectors, W <- W - Ua ((Ua' R Ub) / (lambda_i + sigma_j)) Ub' with
-R = A W + W B - Z, before the unchanged check decides. Only numpy is
-needed.
+message that names the cause. Only numpy is needed.
 """
 
 import math
@@ -86,22 +77,12 @@ def _solve_sylvester(a, b, z):
         raise NumericalError("eigendecomposition failed: %s" % exc) from exc
     gaps = a_eigs[:, None] + b_eigs[None, :]
     lowest = float(gaps.min(initial=math.inf))
-
-    def apply_inverse(rhs):
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            # a zero gap gives inf or nan here, which the exit check reports
-            return a_vecs @ ((a_vecs.T @ rhs @ b_vecs) / gaps) @ b_vecs.T
-
-    w = apply_inverse(z)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # a zero gap gives inf or nan here, which the exit check reports
+        w = a_vecs @ ((a_vecs.T @ z @ b_vecs) / gaps) @ b_vecs.T
     finite = np.isfinite(w).all()
     if finite:
-        residual = a @ w + w @ b - z
-        relative = _relative_norm(residual, z)
-        if not relative <= RESIDUAL_RTOL:  # a NaN residual gets the step too
-            w = w - apply_inverse(residual)
-            finite = np.isfinite(w).all()
-            if finite:
-                relative = _relative_norm(a @ w + w @ b - z, z)
+        relative = _relative_norm(a @ w + w @ b - z, z)
     if not (finite and relative <= RESIDUAL_RTOL):
         cause = ("relative residual %.2e exceeds %.1e" % (relative, RESIDUAL_RTOL)
                  if finite else "non-finite solution")

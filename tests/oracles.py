@@ -84,55 +84,76 @@ def oracle_coverage(scores, truth):
     return raw, raw / scores.shape[0]
 
 
-def oracle_correlation_double_sum(mixing, consequents, labels):
-    """Literal double sum over label pairs of the correlation penalty."""
-    total = 0.0
-    n_labels = labels.shape[0]
+def oracle_label_graph(mixing, labels):
+    """Literal soft-label graph: the clipped cosine of soft-label rows i != j, 0 on the diagonal.
+
+    a_ij = max(0, s_i.s_j / sqrt((s_i.s_i)(s_j.s_j))) for the rows s_i of
+    M Y, and 0 where a row is zero.
+    """
+    soft = [mixing[i] @ labels for i in range(labels.shape[0])]
+    n_labels = len(soft)
+    graph = np.zeros((n_labels, n_labels))
     for i in range(n_labels):
         for j in range(n_labels):
-            diff = mixing[i] @ labels - mixing[j] @ labels
-            total += float(diff @ diff) * float(consequents[i] @ consequents[j])
-    return total
+            norms = float(soft[i] @ soft[i]) * float(soft[j] @ soft[j])
+            if i != j and norms > 0.0:
+                graph[i, j] = max(0.0, float(soft[i] @ soft[j]) / np.sqrt(norms))
+    return graph
 
 
-def oracle_laplacian(consequents):
-    """Literal Laplacian of the consequent rows: -c_i.c_j off the diagonal, rows summing to 0."""
-    n_labels = consequents.shape[0]
+def oracle_laplacian(mixing, labels):
+    """Literal Laplacian of the soft-label graph: -a_ij off the diagonal, rows summing to 0."""
+    graph = oracle_label_graph(mixing, labels)
+    n_labels = graph.shape[0]
     lap = np.zeros((n_labels, n_labels))
     for i in range(n_labels):
         for j in range(n_labels):
             if i != j:
-                inner = float(consequents[i] @ consequents[j])
-                lap[i, j] = -inner
-                lap[i, i] += inner
+                lap[i, j] = -graph[i, j]
+                lap[i, i] += graph[i, j]
     return lap
 
 
+def oracle_correlation_double_sum(mixing, consequents, labels):
+    """Literal double sum over label pairs i != j of a_ij ||c_i - c_j||^2, the graph read at M."""
+    graph = oracle_label_graph(mixing, labels)
+    total = 0.0
+    for i in range(labels.shape[0]):
+        for j in range(labels.shape[0]):
+            if i != j:
+                diff = consequents[i] - consequents[j]
+                total += graph[i, j] * float(diff @ diff)
+    return total
+
+
 def oracle_consequent_gradient(mixing, consequents, fuzzy_x, labels, alpha, gamma, d_cons):
-    """Stationarity residual of the consequent subproblem, term by term."""
+    """Stationarity residual of the consequent subproblem, term by term.
+
+    The weights d_cons and the soft-label graph are frozen at ``mixing``.
+    """
     soft = mixing @ labels
     grad = np.zeros_like(consequents)
     grad += 2.0 * consequents @ (fuzzy_x * d_cons) @ fuzzy_x.T
     grad -= 2.0 * (soft * d_cons) @ fuzzy_x.T
     grad += 2.0 * alpha * consequents
-    m = soft @ soft.T
-    dm = np.diag(m)
-    coupling = (dm[:, None] + dm[None, :]) - 2.0 * m
-    grad += 2.0 * gamma * coupling @ consequents
+    graph = oracle_label_graph(mixing, labels)
+    for i in range(labels.shape[0]):
+        for j in range(labels.shape[0]):
+            grad[i] += 4.0 * gamma * graph[i, j] * (consequents[i] - consequents[j])
     return grad
 
 
-def oracle_mixing_gradient(mixing, consequents, fuzzy_x, labels, beta, gamma,
-                           d_fit, d_soft, laplacian, gram_shift):
-    """Stationarity residual of the mixing subproblem with the ridged Gram."""
-    n_labels = labels.shape[0]
+def oracle_mixing_gradient(mixing, consequents, fuzzy_x, labels, beta, d_fit, d_soft):
+    """Stationarity residual of the mixing subproblem.
+
+    With the soft-label graph frozen, the correlation term does not depend
+    on the mixing transform, so only the two weighted residuals enter.
+    """
     grad = np.zeros_like(mixing)
     grad += 2.0 * mixing @ (labels * d_fit) @ labels.T
     grad -= 2.0 * (consequents @ fuzzy_x * d_fit) @ labels.T
     grad += 2.0 * beta * mixing @ (labels * d_soft) @ labels.T
     grad -= 2.0 * beta * (labels * d_soft) @ labels.T
-    ridged_gram = labels @ labels.T + gram_shift * np.eye(n_labels)
-    grad += 4.0 * gamma * laplacian @ mixing @ ridged_gram
     return grad
 
 

@@ -136,15 +136,12 @@ def test_criterion_04_correlation_trace_identity():
         corr = _Correlation(mixing, consequents, labels @ labels.T, cfg)
         double_sum = oracle_correlation_double_sum(mixing, consequents, labels)
         worst_identity = max(worst_identity, abs(corr.loss - cfg.gamma * double_sum))
-        worst_rowsum = max(worst_rowsum,
-                           float(np.abs(corr.mixing_left @ np.ones(n_labels)).max()))
-        soft = mixing @ labels
-        sq = np.sum(soft ** 2, axis=1)
-        left = (cfg.alpha * np.eye(n_labels)
-                + cfg.gamma * (sq[:, None] + sq[None, :] - 2.0 * soft @ soft.T))
+        lap = (corr.consequent_left - cfg.alpha * np.eye(n_labels)) / (2.0 * cfg.gamma)
+        worst_rowsum = max(worst_rowsum, float(np.abs(lap @ np.ones(n_labels)).max()))
+        left = cfg.alpha * np.eye(n_labels) + 2.0 * cfg.gamma * oracle_laplacian(mixing, labels)
         worst_left = max(worst_left, float(np.abs(corr.consequent_left - left).max()))
     ok = worst_identity <= 1e-10 and worst_rowsum <= 1e-10 and worst_left <= 1e-10
-    _report(4, "pairwise sum equals laplacian trace form", ok,
+    _report(4, "pairwise graph sum equals laplacian trace form", ok,
             "max identity gap %.2e, max row sum %.2e, max left coefficient gap %.2e"
             % (worst_identity, worst_rowsum, worst_left))
 
@@ -190,8 +187,6 @@ def test_criterion_05_subproblem_stationarity():
         point = _Point(mixing, consequents, fuzzy_x, ones, labels, system.label_gram, cfg)
         w_fit, w_soft = point.weights()
         grams = _Grams(np.vstack([fuzzy_x, labels]), ones, labels, (w_fit, w_soft))
-        lap = oracle_laplacian(consequents)
-        shift = system.ridge
 
         new_cons = _solve_consequents(point, grams)[0]
         grad_c = oracle_consequent_gradient(mixing, new_cons, fuzzy_x, labels,
@@ -201,21 +196,18 @@ def test_criterion_05_subproblem_stationarity():
 
         new_mix = system.solve(point, grams)[0]
         grad_s = oracle_mixing_gradient(new_mix, consequents, fuzzy_x, labels,
-                                        cfg.beta, cfg.gamma, w_fit, w_soft, lap, shift)
+                                        cfg.beta, w_fit, w_soft)
         worst_stat = max(worst_stat, np.linalg.norm(grad_s)
                          / (1.0 + np.linalg.norm(new_mix)))
 
-        # frozen-weight analytic gradients against central differences
-        soft_gram = (mixing @ labels) @ (mixing @ labels).T
-
+        # frozen-weight analytic gradients against central differences; the
+        # soft-label graph is frozen at mixing, so the mixing surrogate has no
+        # correlation term
         def surrogate_cons(c):
             fit = sum(w_fit[i] * np.linalg.norm(
                 mixing @ labels[:, i] - c @ fuzzy_x[:, i]) ** 2
                 for i in range(labels.shape[1]))
-            corr = sum(cfg.gamma * (soft_gram[i, i] + soft_gram[j, j]
-                                    - 2 * soft_gram[i, j]) * float(c[i] @ c[j])
-                       for i in range(labels.shape[0])
-                       for j in range(labels.shape[0]))
+            corr = cfg.gamma * oracle_correlation_double_sum(mixing, c, labels)
             return fit + cfg.alpha * np.sum(c ** 2) + corr
 
         def surrogate_mix(s):
@@ -225,10 +217,7 @@ def test_criterion_05_subproblem_stationarity():
             soft = sum(w_soft[i] * np.linalg.norm(
                 labels[:, i] - s @ labels[:, i]) ** 2
                 for i in range(labels.shape[1]))
-            corr = 2 * cfg.gamma * (
-                np.trace(labels.T @ s.T @ lap @ s @ labels)
-                + shift * np.trace(s.T @ lap @ s))
-            return fit + cfg.beta * soft + corr
+            return fit + cfg.beta * soft
 
         point_c = rng.normal(size=consequents.shape)
         analytic_c = oracle_consequent_gradient(mixing, point_c, fuzzy_x, labels,
@@ -239,8 +228,7 @@ def test_criterion_05_subproblem_stationarity():
 
         point_s = rng.normal(size=mixing.shape)
         analytic_s = oracle_mixing_gradient(point_s, consequents, fuzzy_x, labels,
-                                            cfg.beta, cfg.gamma, w_fit,
-                                            w_soft, lap, shift)
+                                            cfg.beta, w_fit, w_soft)
         fd_s = _fd_gradient(surrogate_mix, point_s)
         worst_fd = max(worst_fd, np.linalg.norm(analytic_s - fd_s)
                        / np.linalg.norm(analytic_s))

@@ -33,7 +33,7 @@ def _report_answers(report):
     """Everything a report states except its timings."""
     return (report.config, report.noise_ratio, report.folds, report.seeds, report.means,
             report.stds,
-            [(r.seed, r.fold, r.metrics, r.stop_reason, r.n_iterations, r.indefinite_steps)
+            [(r.seed, r.fold, r.metrics, r.stop_reason, r.n_iterations)
              for r in report.results])
 
 
@@ -333,21 +333,6 @@ class TestSharedPool:
             run_cv(data, config)
         assert str(info.value) == ("alpha=0.1 beta=10 gamma=0.001 rules=2 noise=0, "
                                    "fold 3 (seed 0): no evaluable samples")
-
-    def test_indefinite_steps_count_negative_operator_minima(self, monkeypatch):
-        original = exp.train
-        minima = ((-1.0, 1.0), (1.0, 1.0), (1.0, -1e-12), (-1.0, -1.0), (0.0, 0.0))
-
-        def planted_train(data, cfg):
-            model, trace = original(data, cfg)
-            first = trace.iterations[0]
-            planted = tuple(replace(first, consequent_min=c, mixing_min=m)
-                            for c, m in minima)
-            return model, replace(trace, iterations=planted)
-
-        monkeypatch.setattr(exp, "train", planted_train)
-        report = run_cv(_data(n=40), ExperimentConfig(train=FAST, folds=2, seeds=(0,)))
-        assert [r.indefinite_steps for r in report.results] == [3, 3]
 
 
 class TestConfigValidation:

@@ -46,8 +46,8 @@ GOLDEN = Path(__file__).parent / "data" / "readme_flow.json"
 # Largest float gap allowed, relative to the largest magnitude of its list.
 # Measured spread on x86-64 with Python 3.11.7 and numpy 2.4.6 (its bundled
 # OpenBLAS): 0, every float bit-identical, over 3 runs each at
-# OPENBLAS_NUM_THREADS=1 and 2; at most 3.4e-6 (the last soft term of the
-# noisy default-config train; 7.5e-9 on any M or C entry) across the
+# OPENBLAS_NUM_THREADS=1 and 2; at most 1.2e-6 (the last soft term of the
+# noisy default-config train; 1.2e-9 on any M or C entry) across the
 # kernels that OPENBLAS_CORETYPE=Haswell, Sandybridge, Nehalem and Prescott
 # select, as another CPU would.
 RTOL = 1e-5
@@ -78,8 +78,7 @@ def _run(report, metrics=True) -> dict:
     """A :class:`RunReport` without its wall times, and without its metrics if not ``metrics``."""
     run = {"noise_ratio": report.noise_ratio,
            "folds": [{"seed": r.seed, "fold": r.fold, "stop_reason": r.stop_reason,
-                      "n_iterations": r.n_iterations, "indefinite_steps": r.indefinite_steps}
-                     for r in report.results]}
+                      "n_iterations": r.n_iterations} for r in report.results]}
     if metrics:
         run.update(means=report.means, stds=report.stds)
         for fold, r in zip(run["folds"], report.results):
@@ -127,7 +126,7 @@ def readme_flow() -> dict:
     record["noise_curve"] = [_run(r) for r in run_noise_curve(clean, experiment, (0.0, 0.2))]
     pairs = run_ablation(clean, experiment, ("beta", "gamma"), 0.2)
     # the beta = 0 arm's metrics follow rounding: across the OpenBLAS kernels
-    # that RTOL was measured over, its held-out fold AP moved by up to 0.24
+    # that RTOL was measured over, its held-out fold AP moved by up to 0.11
     record["ablation"] = {"beta": [_run(pairs["beta"][0], metrics=False),
                                    _run(pairs["beta"][1])],
                           "gamma": [_run(r) for r in pairs["gamma"]]}
