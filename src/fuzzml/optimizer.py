@@ -18,25 +18,27 @@ the inverse column-norm weights and the graph, which turns both
 subproblems into Sylvester equations solved exactly. Both solves read the
 same pre-update (mixing, consequents) snapshot before committing.
 
-Every coefficient of both solves and of the loss is a small Gram matrix.
-With W and W_soft the diagonal weights of the two residuals, an
-iteration makes one pass over the N samples: the symmetric product of
-R = [Xg; Y] W^1/2 gives B = Xg W Xg', K = Y W Xg' and G_fit = Y W Y' as
-its blocks, and one L x L product gives G_soft = Y W_soft Y'. The
-consequent solve reads (A, B, M K) and the mixing solve
-(0, G_fit, G_soft, C K'); :class:`_Correlation` forms A and the
-correlation term from the label Gram Y Y', fixed per run, and the
-soft-label Gram S = M (Y Y') M'. The only other products over N are M Y
-and C Xg (read back from R, below), for the two residual column norms.
+The objective reads M only through the soft labels M Y, so training
+works in the coordinates of the range of Y (:class:`_MixingSystem`): the
+r x N labels Yr have orthonormal rows, Y = G Yr, and the mixing unknown
+is V = M G, so M Y = V Yr. Every coefficient of both solves and of the
+loss is a small Gram matrix. With W and W_soft the diagonal weights of
+the two residuals, an iteration makes one pass over the N samples: the
+symmetric product of R = [Xg; Yr] W^1/2 gives B = Xg W Xg',
+K = Yr W Xg' and F_fit = Yr W Yr' as its blocks, and one r x r product
+gives F_soft = Yr W_soft Yr'. The consequent solve reads (A, B, V K)
+and the mixing solve (F_fit, F_soft, C K'); :class:`_Correlation` forms
+A and the correlation term from S = V V'. The only other products over
+N are V Yr and C Xg (read back from R, below), for the residual norms.
 
-Training holds one (K(D+1) + L) x N buffer for the run and one N-vector.
+Training holds one (K(D+1) + r) x N buffer for the run and one N-vector.
 The buffer's rule rows are written with Xg once, before the first point,
 from the normalized D x N features x and their K x N firing strengths s,
 which are released after that fill. The N-vector holds the square roots
 of the weights those rows carry, ones at the start. Each iteration,
 :class:`_Grams` multiplies the rule rows in place by
 sqrt(w_t) / sqrt(w_(t-1)), so they hold Xg W_t^1/2, and writes the label
-rows from Y; the point after the solves reads C Xg as (C R_t) / sqrt(w_t).
+rows from Yr; the point after the solves reads C Xg as (C R_t) / sqrt(w_t).
 So Xg and R never take two N-sized arrays. The first iteration's R, and
 so its iterates, are the bits a stored Xg would give; later R differ from
 them by the rounding of the successive ratios.
@@ -129,18 +131,18 @@ class IterationRecord:
     iteration's one weighted Gram pass over the N samples, with the
     rescaling of the rule rows to R in place (see the module docstring),
     and the consequent solve; ``mixing_s`` is the mixing solve, which
-    reads only L x L and L x K(D+1) matrices. ``point_s`` reads C Xg back
-    from R and evaluates the residual column norms, the correlation term
-    with the next iteration's A (:class:`_Correlation`) and the losses at
-    the committed pair.
+    reads only matrices of r or L rows and r or K(D+1) columns. ``point_s``
+    reads C Xg back from R and evaluates the residual column norms, the
+    correlation term with the next iteration's A (:class:`_Correlation`)
+    and the losses at the committed pair.
 
     ``consequent_min`` and ``mixing_min`` are the smallest eigenvalue
     lambda_min(A) + sigma_min(B) of each solve's Sylvester operator
     W -> A W + W B; the solve returns the subproblem's minimizer when it is
     positive. The consequent value is at least alpha, since the
     correlation Laplacian is positive semidefinite. The mixing value is
-    that of the operator on the range of Y, which is what the mixing solve
-    diagonalizes (see :class:`_MixingSystem`).
+    sigma_min(F_fit + beta F_soft), that of the operator on the range of
+    Y, where the mixing solve works (see :class:`_MixingSystem`).
     """
 
     fit: float
@@ -225,8 +227,9 @@ class _Correlation:
 
     The soft-label graph weights labels i != j by the clipped cosine
     a_ij = max(0, S_ij / sqrt(S_ii S_jj)) of their rows of the soft labels
-    M Y, with S = M (Y Y') M', and by 0 where S_ii S_jj = 0 (Belkin and
-    Niyogi, Neural Computation 2003). With Lap = diag(a 1) - a, ``loss``
+    M Y = V Yr, with S = V V' as Yr has orthonormal rows, and by 0 where
+    S_ii S_jj = 0 (Belkin and Niyogi, Neural Computation 2003). ``mixing``
+    is V (see :class:`_MixingSystem`). With Lap = diag(a 1) - a, ``loss``
     is gamma sum_{i != j} a_ij ||c_i - c_j||^2 = 2 gamma tr(C' Lap C), and
     ``consequent_left`` is A = alpha I + 2 gamma Lap. Lap is positive
     semidefinite, so A's spectrum lies in [alpha, alpha + 4 gamma (L - 1)].
@@ -237,8 +240,8 @@ class _Correlation:
 
     __slots__ = ("loss", "consequent_left")
 
-    def __init__(self, mixing, consequents, label_gram, cfg: TrainConfig):
-        soft_gram = mixing @ label_gram @ mixing.T
+    def __init__(self, mixing, consequents, cfg: TrainConfig):
+        soft_gram = mixing @ mixing.T
         diag = np.diag(soft_gram)
         scale = np.sqrt(np.outer(diag, diag))
         weights = np.divide(soft_gram, scale, out=np.zeros_like(soft_gram), where=scale > 0.0)
@@ -254,7 +257,8 @@ class _Point:
 
     :func:`train` evaluates one point per iteration, after committing
     both updates: its loss and stopping loss come from it, and so do the
-    next iteration's weights and correlation term. ``rows`` are the rule
+    next iteration's weights and correlation term. ``mixing`` is V, and the
+    soft labels are V Yr (see :class:`_MixingSystem`). ``rows`` are the rule
     rows Xg diag(root_w), and C Xg is read back from them as
     (C rows) / root_w; with ``root_w`` all ones that is C Xg itself, bit
     for bit. The fit and soft-label residuals M Y - C Xg and Y - M Y share
@@ -264,20 +268,20 @@ class _Point:
 
     __slots__ = ("mixing", "consequents", "cfg", "norms", "correlation")
 
-    def __init__(self, mixing, consequents, rows, root_w, labels, label_gram,
+    def __init__(self, mixing, consequents, rows, root_w, labels, range_labels,
                  cfg: TrainConfig):
         self.mixing = mixing
         self.consequents = consequents
         self.cfg = cfg
         residuals = np.empty((2,) + labels.shape)
         fit_residual, soft_labels = residuals
-        np.matmul(mixing, labels, out=soft_labels)
+        np.matmul(mixing, range_labels, out=soft_labels)
         np.matmul(consequents, rows, out=fit_residual)
         fit_residual /= root_w
         np.subtract(soft_labels, fit_residual, out=fit_residual)
         np.subtract(labels, soft_labels, out=soft_labels)
         self.norms = np.sqrt(np.einsum("gij,gij->gj", residuals, residuals))
-        self.correlation = _Correlation(mixing, consequents, label_gram, cfg)
+        self.correlation = _Correlation(mixing, consequents, cfg)
 
     def weights(self) -> np.ndarray:
         """The L2,1 weights 1 / (2 max(column norm, EPSILON_ROW)), one per sample.
@@ -301,32 +305,33 @@ class _Point:
 class _Grams:
     """The weighted Grams over the N samples that both solves read.
 
-    ``weights`` holds the rows (w_fit, w_soft) of :meth:`_Point.weights`.
-    With W = diag(w_fit): ``terms`` is Xg W Xg', ``cross`` is Y W Xg' and
-    ``fit`` is Y W Y', the blocks of one symmetric product R R' with
-    R = [Xg; Y] W^1/2; ``soft`` is Y diag(w_soft) Y'. ``stacked`` is a
-    (K(D+1) + L) x N buffer whose first K(D+1) rows hold Xg diag(root_w),
-    ``root_w`` being the square roots of the weights they carry (all ones
-    for Xg itself). R is formed in it in place: the rule rows are
-    multiplied by sqrt(w_fit) / root_w, ``root_w`` becomes sqrt(w_fit), and
-    the label rows are written from Y. On return the rule rows hold
-    Xg W^1/2 and the label rows Y diag(w_soft)^1/2.
+    ``weights`` holds the rows (w_fit, w_soft) of :meth:`_Point.weights`,
+    ``range_labels`` the r x N Yr of :class:`_MixingSystem`. With
+    W = diag(w_fit): ``terms`` is Xg W Xg', ``cross`` is K = Yr W Xg' and
+    ``fit`` is F_fit = Yr W Yr', the blocks of one symmetric product R R'
+    with R = [Xg; Yr] W^1/2; ``soft`` is F_soft = Yr diag(w_soft) Yr'.
+    ``stacked`` is a (K(D+1) + r) x N buffer whose first K(D+1) rows hold
+    Xg diag(root_w), ``root_w`` being the square roots of the weights they
+    carry (all ones for Xg itself). R is formed in it in place: the rule
+    rows are multiplied by sqrt(w_fit) / root_w, ``root_w`` becomes
+    sqrt(w_fit), and the label rows are written from Yr. On return the rule
+    rows hold Xg W^1/2 and the label rows Yr diag(w_soft)^1/2.
     """
 
     __slots__ = ("terms", "cross", "fit", "soft")
 
-    def __init__(self, stacked, root_w, labels, weights):
-        n_terms = stacked.shape[0] - labels.shape[0]
+    def __init__(self, stacked, root_w, range_labels, weights):
+        n_terms = stacked.shape[0] - range_labels.shape[0]
         fit_root, soft_root = np.sqrt(weights)
         stacked[:n_terms] *= fit_root / root_w
         root_w[:] = fit_root
-        np.multiply(labels, fit_root, out=stacked[n_terms:])
+        np.multiply(range_labels, fit_root, out=stacked[n_terms:])
         gram = stacked @ stacked.T
         self.terms = gram[:n_terms, :n_terms]
         self.cross = gram[n_terms:, :n_terms]
         self.fit = gram[n_terms:, n_terms:]
-        label_rows = stacked[n_terms:]  # reused for Y W_soft^1/2
-        np.multiply(labels, soft_root, out=label_rows)
+        label_rows = stacked[n_terms:]  # reused for Yr W_soft^1/2
+        np.multiply(range_labels, soft_root, out=label_rows)
         self.soft = label_rows @ label_rows.T
 
 
@@ -335,7 +340,7 @@ def _solve_consequents(point: _Point, grams: _Grams):
 
     Both coefficients are symmetric: A is the point's
     ``correlation.consequent_left`` and B = Xg W Xg'. The right-hand side
-    Z = (M Y) W Xg' is M K. Returns the consequents and
+    Z = (M Y) W Xg' is V K. Returns the consequents and
     lambda_min(A) + sigma_min(B), which is at least alpha: the consequents
     minimize the subproblem with frozen weights and graph whenever
     alpha > 0.
@@ -345,55 +350,42 @@ def _solve_consequents(point: _Point, grams: _Grams):
 
 
 class _MixingSystem:
-    """The label-side terms of the mixing subproblem, fixed during training.
+    """The coordinates of the label range, fixed during training, and the mixing solve.
 
-    With B_raw = G_fit + beta G_soft and Z_raw = C K' + beta G_soft (see
-    :class:`_Grams`; C is the pre-update consequents), stationarity reads
-    M B_raw = Z_raw: with its graph frozen, the correlation term does not
-    depend on M. Both end in Y' on the right, so a direction w with
-    Y' w = 0 (a label that never occurs, duplicated or dependent label
-    rows) has B_raw w = 0 and Z_raw w = 0: M w = 0 satisfies the equation
-    there and is its minimum-norm choice. On the range of Y, with
-    Y Y' = Q diag(e) Q', the columns of Q whose eigenvalue exceeds the
-    Hermitian rank tolerance L eps max(e) (as in ``np.linalg.matrix_rank``)
-    and H = Q_range diag(e_range)^-1/2, the substitution M = N H' gives the
-    symmetric equation 0 N + N (H' B_raw H) = Z_raw H, which the eigen
-    solver takes with the zero L x L left coefficient ``zero_left``. The
-    label Gram Y Y' and H come from one eigendecomposition per training
-    run; a solve reads only L x L and L x K(D+1) matrices.
+    With Y Y' = Q diag(e) Q' and Q_r, e_r its r eigenpairs above the
+    Hermitian rank tolerance L eps max(e) (as in ``np.linalg.matrix_rank``),
+    the run's one eigendecomposition gives H = Q_r diag(e_r)^-1/2
+    (``range_half``), G = Q_r diag(e_r)^1/2 (``range_root``) and the r x N
+    labels Yr = H' Y (``range_labels``), whose rows are orthonormal, with
+    Y = G Yr. The mixing unknown is the L x r matrix V = M G, M Y = V Yr,
+    and :func:`train` returns M = V H'.
 
-    The unreduced equation is singular whenever Y is row-rank deficient,
-    as B_raw then loses rank. It stays consistent, and M = N H' is its
-    minimum-norm solution at every label count. Being zero on the null
-    space of Y', it gives duplicated labels identical columns. H' B_raw H
-    is positive definite, so M minimizes the subproblem.
+    With K, F_fit and F_soft of :class:`_Grams` and C the pre-update
+    consequents, the mixing subproblem is stationary where
+    V (F_fit + beta F_soft) = C K' + beta G F_soft; with its graph frozen,
+    the correlation term does not depend on M. The coefficient is a sum of
+    two symmetric products, so exactly symmetric, and positive definite, as
+    Yr has full row rank: V is the minimizer, which the solver finds with
+    no left coefficient. M = V H' is zero on the null space of Y' (a label
+    that never occurs, duplicated or dependent label rows), which the
+    objective does not see. So it is the minimum-norm minimizer at every
+    label count, and duplicated labels get identical columns.
     """
 
     def __init__(self, labels, cfg: TrainConfig):
         self.cfg = cfg
-        self.label_gram = labels @ labels.T
-        n_labels = labels.shape[0]
-        values, vectors = np.linalg.eigh(self.label_gram)
-        keep = values > n_labels * np.finfo(np.float64).eps * values[-1]
-        self.range_half = vectors[:, keep] / np.sqrt(values[keep])[None, :]
-        self.upper = np.triu(np.ones((keep.sum(),) * 2, dtype=bool), 1)
-        self.zero_left = np.zeros((n_labels, n_labels))
+        values, vectors = np.linalg.eigh(labels @ labels.T)
+        keep = values > labels.shape[0] * np.finfo(np.float64).eps * values[-1]
+        root = np.sqrt(values[keep])
+        self.range_half = vectors[:, keep] / root
+        self.range_root = vectors[:, keep] * root
+        self.range_labels = self.range_half.T @ labels
 
     def solve(self, point: _Point, grams: _Grams):
-        """The mixing transform and sigma_min of the reduced right coefficient.
-
-        The reduced right coefficient H' B_raw H gets its upper triangle from
-        its lower one, which is the triangle the eigen solver reads. The
-        product's rounding asymmetry grows as rank(Y) nears N (it passed
-        the solver's symmetry tolerance at N = L = 500).
-        """
-        half = self.range_half
+        """V and sigma_min(F_fit + beta F_soft)."""
         soft = self.cfg.beta * grams.soft
-        right = half.T @ (grams.fit + soft) @ half
-        np.copyto(right, right.T, where=self.upper)
-        reduced, lowest = _solve_sylvester(
-            self.zero_left, right, (point.consequents @ grams.cross.T + soft) @ half)
-        return reduced @ half.T, lowest
+        return _solve_sylvester(None, grams.fit + soft,
+                                point.consequents @ grams.cross.T + self.range_root @ soft)
 
 
 def train(data: Dataset, cfg: TrainConfig = TrainConfig()):
@@ -423,16 +415,17 @@ def train(data: Dataset, cfg: TrainConfig = TrainConfig()):
     strengths = _strength_columns(features, rulebase)
     labels = data.labels
     n_labels, n_samples = labels.shape
+    mixing_system = _MixingSystem(labels, cfg)
+    range_labels = mixing_system.range_labels
     n_terms = cfg.n_rules * (features.shape[0] + 1)
-    stacked = np.empty((n_terms + n_labels, n_samples))
+    stacked = np.empty((n_terms + range_labels.shape[0], n_samples))
     rows = _fill_fuzzy_rows(features, strengths, stacked[:n_terms])
     del features, strengths  # not read after the fill, so not held for the run
     root_w = np.ones(n_samples)  # rows = Xg diag(root_w)
-    mixing_system = _MixingSystem(labels, cfg)
 
-    mixing = np.ones((n_labels, n_labels))
+    mixing = np.ones((n_labels, n_labels)) @ mixing_system.range_root  # V for M = 1 1'
     consequents = np.full((n_labels, n_terms), 1.0 / n_labels)
-    point = _Point(mixing, consequents, rows, root_w, labels, mixing_system.label_gram, cfg)
+    point = _Point(mixing, consequents, rows, root_w, labels, range_labels, cfg)
 
     margin = cfg.min_loss_margin
     prev_total = 0.0
@@ -444,7 +437,7 @@ def train(data: Dataset, cfg: TrainConfig = TrainConfig()):
         weighted = time.perf_counter()
         subproblem = "consequent"
         try:
-            grams = _Grams(stacked, root_w, labels, weights)
+            grams = _Grams(stacked, root_w, range_labels, weights)
             consequents, consequent_min = _solve_consequents(point, grams)
             consequent_done = time.perf_counter()
             subproblem = "mixing"
@@ -453,7 +446,7 @@ def train(data: Dataset, cfg: TrainConfig = TrainConfig()):
             raise NumericalError("iteration %d, %s solve: %s" % (t, subproblem, exc)) from exc
         mixing_done = time.perf_counter()
 
-        point = _Point(mixing, consequents, rows, root_w, labels, mixing_system.label_gram, cfg)
+        point = _Point(mixing, consequents, rows, root_w, labels, range_labels, cfg)
         record = IterationRecord(**point.losses(), weights_s=weighted - started,
                                  consequent_s=consequent_done - weighted,
                                  mixing_s=mixing_done - consequent_done,
@@ -477,7 +470,7 @@ def train(data: Dataset, cfg: TrainConfig = TrainConfig()):
         prev_total = total
 
     model = ModelParams(
-        mixing=mixing,
+        mixing=mixing @ mixing_system.range_half.T,
         consequents=consequents,
         rulebase=rulebase,
         norm=stats,

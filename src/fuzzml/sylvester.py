@@ -9,7 +9,9 @@ W = Ua ((Ua' Z Ub) / (lambda_i + sigma_j)) Ub' together with
 lambda_min(A) + sigma_min(B), the smallest eigenvalue of the operator
 W -> A W + W B. The divide is strict: no gap is zeroed, so a singular
 operator fails the residual check. Callers whose operator has a known
-null space (the mixing subproblem) remove it before calling.
+null space (the mixing subproblem) remove it before calling. An absent
+A (``None``) stands for a zero left coefficient: the solve is W B = Z,
+with one eigendecomposition and sigma_min(B) as the operator minimum.
 
 Every failure of the solve is a :class:`NumericalError`. The solver
 either returns a W with relative residual ||A W + W B - Z||_F / ||Z||_F
@@ -37,10 +39,11 @@ class NumericalError(RuntimeError):
 
 
 def _check_inputs(a, b, z):
-    for name, m in (("A", a), ("B", b), ("Z", z)):
+    given = [("A", a)] if a is not None else []
+    for name, m in given + [("B", b), ("Z", z)]:
         if not np.isfinite(m).all():
             raise NumericalError("non-finite entries in %s" % name)
-    for name, m in (("A", a), ("B", b)):
+    for name, m in given + [("B", b)]:
         if np.abs(m - m.T).max(initial=0.0) > _SYMMETRY_RTOL * np.abs(m).max(initial=0.0):
             raise NumericalError("%s must be symmetric" % name)
 
@@ -55,7 +58,8 @@ def _solve_sylvester(a, b, z):
     Returns W and lambda_min(A) + sigma_min(B). That sum is the smallest
     eigenvalue of the operator W -> A W + W B (+inf when W has no
     entries); it is positive exactly when the operator is positive
-    definite.
+    definite. ``a=None`` solves W B = Z and returns sigma_min(B) (+inf
+    when B is empty).
 
     A, B and Z are float64 arrays of matching shapes, as training builds
     them; they are not coerced or shape-checked.
@@ -71,18 +75,20 @@ def _solve_sylvester(a, b, z):
     """
     _check_inputs(a, b, z)
     try:
-        a_eigs, a_vecs = np.linalg.eigh(a)
+        if a is not None:
+            a_eigs, a_vecs = np.linalg.eigh(a)
         b_eigs, b_vecs = np.linalg.eigh(b)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("eigendecomposition failed: %s" % exc) from exc
-    gaps = a_eigs[:, None] + b_eigs[None, :]
+    gaps = b_eigs if a is None else a_eigs[:, None] + b_eigs[None, :]
     lowest = float(gaps.min(initial=math.inf))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # a zero gap gives inf or nan here, which the exit check reports
-        w = a_vecs @ ((a_vecs.T @ z @ b_vecs) / gaps) @ b_vecs.T
+        w = (z @ b_vecs) / gaps if a is None else a_vecs @ ((a_vecs.T @ z @ b_vecs) / gaps)
+        w = w @ b_vecs.T
     finite = np.isfinite(w).all()
     if finite:
-        relative = _relative_norm(a @ w + w @ b - z, z)
+        relative = _relative_norm(w @ b - z if a is None else a @ w + w @ b - z, z)
     if not (finite and relative <= RESIDUAL_RTOL):
         cause = ("relative residual %.2e exceeds %.1e" % (relative, RESIDUAL_RTOL)
                  if finite else "non-finite solution")

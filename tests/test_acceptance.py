@@ -132,8 +132,9 @@ def test_criterion_04_correlation_trace_identity():
         mixing = rng.normal(size=(n_labels, n_labels))
         consequents = rng.normal(size=(n_labels, int(rng.integers(1, 7))))
         labels = (rng.random((n_labels, n)) < 0.5).astype(float)
-        # the correlation term train() builds at (mixing, consequents)
-        corr = _Correlation(mixing, consequents, labels @ labels.T, cfg)
+        # the correlation term train() builds at (mixing, consequents), read at V = M G
+        range_root = _MixingSystem(labels, cfg).range_root
+        corr = _Correlation(mixing @ range_root, consequents, cfg)
         double_sum = oracle_correlation_double_sum(mixing, consequents, labels)
         worst_identity = max(worst_identity, abs(corr.loss - cfg.gamma * double_sum))
         lap = (corr.consequent_left - cfg.alpha * np.eye(n_labels)) / (2.0 * cfg.gamma)
@@ -181,12 +182,15 @@ def test_criterion_05_subproblem_stationarity():
         cfg = TrainConfig(alpha=float(rng.uniform(0.05, 1.0)),
                           beta=float(rng.uniform(0.1, 5.0)),
                           gamma=float(rng.uniform(0.0, 0.2)))
-        # the pieces one iteration of train() builds at (mixing, consequents)
+        # the pieces one iteration of train() builds at (mixing, consequents),
+        # which read V = M G and solve for V, returned as M = V H'
         system = _MixingSystem(labels, cfg)
         ones = np.ones(labels.shape[1])  # the rule rows are Xg itself
-        point = _Point(mixing, consequents, fuzzy_x, ones, labels, system.label_gram, cfg)
+        ranged = system.range_labels
+        point = _Point(mixing @ system.range_root, consequents, fuzzy_x, ones, labels, ranged,
+                       cfg)
         w_fit, w_soft = point.weights()
-        grams = _Grams(np.vstack([fuzzy_x, labels]), ones, labels, (w_fit, w_soft))
+        grams = _Grams(np.vstack([fuzzy_x, ranged]), ones, ranged, (w_fit, w_soft))
 
         new_cons = _solve_consequents(point, grams)[0]
         grad_c = oracle_consequent_gradient(mixing, new_cons, fuzzy_x, labels,
@@ -194,7 +198,7 @@ def test_criterion_05_subproblem_stationarity():
         worst_stat = max(worst_stat, np.linalg.norm(grad_c)
                          / (1.0 + np.linalg.norm(new_cons)))
 
-        new_mix = system.solve(point, grams)[0]
+        new_mix = system.solve(point, grams)[0] @ system.range_half.T
         grad_s = oracle_mixing_gradient(new_mix, consequents, fuzzy_x, labels,
                                         cfg.beta, w_fit, w_soft)
         worst_stat = max(worst_stat, np.linalg.norm(grad_s)

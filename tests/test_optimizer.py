@@ -51,20 +51,36 @@ def _random_instance(rng, n_labels=None, n_features=None, n_rules=None, n=None):
     return mixing, consequents, fuzzy_x, labels
 
 
+class _MixingOnLabels:
+    """A :class:`_MixingSystem` whose solve returns M = V H', as train() returns it."""
+
+    def __init__(self, system):
+        self.system = system
+
+    def solve(self, point, grams):
+        reduced, lowest = self.system.solve(point, grams)
+        return reduced @ self.system.range_half.T, lowest
+
+
 def _frozen(mixing, consequents, fuzzy_x, labels, cfg=TrainConfig()):
     """What one iteration of train() builds at (mixing, consequents).
 
     Returns the mixing system, the point and the weighted Grams:
     ``point.losses()`` gives the loss terms and the stopping loss by name,
     ``point.weights()`` the (fit, soft) weights, ``point.correlation`` the
-    correlation term's loss and both solves' left coefficients, and
+    correlation term's loss and the consequent solve's left coefficient, and
     ``_solve_consequents(point, grams)[0]`` and ``system.solve(point, grams)[0]``
-    the two subproblem solutions.
+    the two subproblem solutions. The mixing transform M is converted at
+    this boundary: the point reads V = M G, and ``system.solve`` returns
+    M = V H'.
     """
     system = _MixingSystem(labels, cfg)
     ones = np.ones(labels.shape[1])  # the rule rows are Xg itself
-    point = _Point(mixing, consequents, fuzzy_x, ones, labels, system.label_gram, cfg)
-    return system, point, _Grams(np.vstack([fuzzy_x, labels]), ones, labels, point.weights())
+    range_labels = system.range_labels
+    point = _Point(mixing @ system.range_root, consequents, fuzzy_x, ones, labels,
+                   range_labels, cfg)
+    grams = _Grams(np.vstack([fuzzy_x, range_labels]), ones, range_labels, point.weights())
+    return _MixingOnLabels(system), point, grams
 
 
 class TestObjective:
@@ -127,8 +143,9 @@ class TestReweightDiagonals:
 
 
 class TestGrams:
-    """The weighted Grams, formed in place in a buffer holding [Xg; Y],
-    against the same Grams formed from a separate fuzzy feature matrix."""
+    """The weighted Grams, formed in place in a buffer holding [Xg; Yr],
+    against the same Grams formed from a separate fuzzy feature matrix and
+    the range labels Yr = H' Y."""
 
     @pytest.mark.parametrize("kind", SYNTH_KINDS)
     @pytest.mark.parametrize("n_rules,case", [(1, "plain"), (3, "plain"), (3, "constant_feature"),
@@ -151,13 +168,14 @@ class TestGrams:
         _, point, grams = _frozen(mixing, consequents, fuzzy_x, labels)
         w_fit, w_soft = point.weights()
         n_terms = fuzzy_x.shape[0]
-        stacked = np.vstack([fuzzy_x * np.sqrt(w_fit), labels * np.sqrt(w_fit)])
+        ranged = _MixingSystem(labels, TrainConfig()).range_labels
+        stacked = np.vstack([fuzzy_x * np.sqrt(w_fit), ranged * np.sqrt(w_fit)])
         gram = stacked @ stacked.T  # R R' with R formed out of place
         np.testing.assert_array_equal(grams.terms, gram[:n_terms, :n_terms])
         np.testing.assert_array_equal(grams.cross, gram[n_terms:, :n_terms])
         np.testing.assert_array_equal(grams.fit, gram[n_terms:, n_terms:])
-        want = dict(terms=(fuzzy_x * w_fit) @ fuzzy_x.T, cross=(labels * w_fit) @ fuzzy_x.T,
-                    fit=(labels * w_fit) @ labels.T, soft=(labels * w_soft) @ labels.T)
+        want = dict(terms=(fuzzy_x * w_fit) @ fuzzy_x.T, cross=(ranged * w_fit) @ fuzzy_x.T,
+                    fit=(ranged * w_fit) @ ranged.T, soft=(ranged * w_soft) @ ranged.T)
         for name, block in want.items():
             got = getattr(grams, name)
             assert np.abs(got - block).max() <= 1e-12 * np.abs(block).max(), name
@@ -244,8 +262,8 @@ class TestTrainBuffer:
 
 
 def _correlation(mixing, consequents, labels, cfg=TrainConfig()):
-    """The correlation term train() builds at (mixing, consequents)."""
-    return _Correlation(mixing, consequents, labels @ labels.T, cfg)
+    """The correlation term train() builds at (mixing, consequents), read at V = M G."""
+    return _Correlation(mixing @ _MixingSystem(labels, cfg).range_root, consequents, cfg)
 
 
 class TestCorrelationLaplacian:
@@ -879,22 +897,45 @@ class TestManyLabels:
         assert np.all(mixing[:, -1] == 0.0)
 
     def test_reduced_mixing_coefficient_is_exactly_symmetric(self, monkeypatch):
-        # its rounding asymmetry grows with L / N and depends on the BLAS build
+        # a sum of two symmetric products; at L = N = 500 a product with H
+        # in its place fails the solver's symmetry tolerance
         import fuzzml.optimizer as opt
 
         solve = opt._solve_sylvester
         rights = []
 
         def keep_right(a, b, z):
-            rights.append(b)
+            if a is None:  # the mixing solve has no left coefficient
+                rights.append(b)
             return solve(a, b, z)
 
         monkeypatch.setattr(opt, "_solve_sylvester", keep_right)
-        _, trace = train(gen_wide(64, 300, 20, 1), TrainConfig(max_iters=3, min_loss_margin=0.0))
-        mixing_rights = rights[1::2]  # the consequent solve runs first
-        assert len(mixing_rights) == trace.n_iterations == 3
-        for right in mixing_rights:
-            np.testing.assert_array_equal(right, right.T)
+        for n_labels, n in ((64, 300), (500, 500)):
+            rights.clear()
+            _, trace = train(gen_wide(n_labels, n, 20, 1),
+                             TrainConfig(max_iters=3, min_loss_margin=0.0))
+            assert len(rights) == trace.n_iterations == 3
+            for right in rights:
+                np.testing.assert_array_equal(right, right.T)
+
+    def test_eigendecompositions_per_iteration(self, monkeypatch):
+        # one of Y Y' per run, then A, Xg W Xg' and the r x r mixing
+        # coefficient per iteration: no zero left coefficient is diagonalized
+        data = gen_wide(64, 300, 20, 1)
+        cfg = TrainConfig(max_iters=4, min_loss_margin=0.0)
+        n_terms = cfg.n_rules * (data.features.shape[0] + 1)
+        rank = np.linalg.matrix_rank(data.labels @ data.labels.T, hermitian=True)
+        eigh = np.linalg.eigh
+        calls = []
+
+        def counted(m):
+            calls.append((m.shape[0], bool(m.any())))
+            return eigh(m)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        _, trace = train(data, cfg)
+        assert all(nonzero for _, nonzero in calls)
+        assert [size for size, _ in calls] == [64] + [64, n_terms, rank] * trace.n_iterations
 
     # not at L = 200, where held-out AP and the prior agree to 0.01
     @pytest.mark.parametrize("seed", [1, 2, 3])

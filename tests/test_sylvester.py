@@ -95,8 +95,9 @@ class TestExamples:
         for solver in (_solution, kron_oracle):
             with pytest.raises(NumericalError, match="singular problem"):
                 solver(*overlapping)
-        with pytest.raises(NumericalError, match="non-finite solution; smallest"):
-            _solve_sylvester(*overlapping)
+        for args in (overlapping, (None, np.zeros((1, 1)), np.array([[1.0]]))):
+            with pytest.raises(NumericalError, match="non-finite solution; smallest"):
+                _solve_sylvester(*args)
 
 
 class TestSweep:
@@ -131,6 +132,22 @@ class TestSweep:
             w, lowest = _solve_sylvester(np.eye(m), np.eye(n), np.zeros((m, n)))
             assert w.shape == (m, n)
             assert lowest == math.inf
+        w, lowest = _solve_sylvester(None, np.eye(0), np.zeros((3, 0)))
+        assert w.shape == (3, 0) and lowest == math.inf
+
+    def test_absent_left_coefficient_is_the_dense_solve(self):
+        # a=None solves W B = Z with B's eigendecomposition alone, to the
+        # bits of the solve with a zero left coefficient
+        rng = np.random.default_rng(60)
+        for _ in range(50):
+            n = int(rng.integers(1, 9))
+            b = _with_spectrum(rng, rng.uniform(0.1, 10.0, size=n))
+            z = rng.normal(size=(int(rng.integers(1, 9)), n))
+            w, lowest = _solve_sylvester(None, b, z)
+            _assert_close_rel(w, np.linalg.solve(b, z.T).T, 1e-10)
+            assert lowest == pytest.approx(np.linalg.eigvalsh(b)[0], rel=1e-12)
+            zero = np.zeros((z.shape[0],) * 2)
+            np.testing.assert_array_equal(w, _solve_sylvester(zero, b, z)[0])
 
 
 class TestConsequentLikeProblems:
@@ -164,12 +181,15 @@ class TestConsequentLikeProblems:
         a = _with_spectrum(rng, np.array([-3.0, 1.0, 2.0]))
         b = _with_spectrum(rng, np.array([3.0, 10.0, 100.0, 1e4]))
         z = rng.normal(size=(3, 4))
-        with pytest.raises(NumericalError) as info:
-            _solve_sylvester(a, b, z)
-        message = str(info.value)
-        assert message.startswith("singular problem: relative residual ")
-        assert "smallest |lambda_i + sigma_j|" in message
-        assert float(message.rsplit(" ", 1)[1]) <= 1e-12
+        # with no left coefficient, B's own zero eigenvalue is the gap
+        singular = _with_spectrum(rng, np.array([0.0, 10.0, 100.0, 1e4]))
+        for args in ((a, b, z), (None, singular, z)):
+            with pytest.raises(NumericalError) as info:
+                _solve_sylvester(*args)
+            message = str(info.value)
+            assert message.startswith("singular problem: relative residual ")
+            assert "smallest |lambda_i + sigma_j|" in message
+            assert float(message.rsplit(" ", 1)[1]) <= 1e-12
 
     def test_near_zero_gap_is_not_dropped(self):
         # a real gap of 1e-2 next to eigenvalues of 1e6 must be divided by,
@@ -247,18 +267,21 @@ class TestGuards:
         skew = np.array([[1.0, 2.0], [0.0, 1.0]])
         with pytest.raises(NumericalError, match="^A must be symmetric$"):
             _solve_sylvester(skew, np.eye(2), np.ones((2, 2)))
-        with pytest.raises(NumericalError, match="^B must be symmetric$"):
-            _solve_sylvester(np.eye(2), skew, np.ones((2, 2)))
+        for left in (np.eye(2), None):  # None: no left coefficient
+            with pytest.raises(NumericalError, match="^B must be symmetric$"):
+                _solve_sylvester(left, skew, np.ones((2, 2)))
 
     @pytest.mark.parametrize("solver", [_solve_sylvester], ids=["solve_sylvester"])
     def test_non_finite_input_is_a_numerical_failure(self, solver):
         # not a LinAlgError, which is a ValueError and would read as bad input
-        for position in range(3):
-            args = [np.eye(2), np.eye(2), np.ones((2, 2))]
-            args[position] = args[position].copy()
-            args[position][0, 0] = np.inf
-            with pytest.raises(NumericalError, match="non-finite"):
-                solver(*args)
+        for left in (np.eye(2), None):
+            for position in range(0 if left is not None else 1, 3):
+                args = [left, np.eye(2), np.ones((2, 2))]
+                args[position] = args[position].copy()
+                args[position][0, 0] = np.inf
+                with pytest.raises(NumericalError,
+                                   match="^non-finite entries in %s$" % "ABZ"[position]):
+                    solver(*args)
 
 
 def test_import_loads_no_scipy():
